@@ -612,7 +612,7 @@ def _assemble_program(bdef: BundleDef) -> tuple[list[str], int]:
 
 def _expectation_from_run(program: SourceProgram, fn: str, args: tuple, budget: int):
     """(kind, payload) pinned from an actual run; OUTPUT_FNS pin stdout."""
-    result = interp.execute(parse(program), fn, list(args), budget)
+    result = interp.execute(interp.compile_ast(parse(program)), fn, list(args), budget)
     if result.status == "runtime_error":
         return "error", result.error_kind
     assert result.status == "completed", f"{fn}{args}: {result.status}"

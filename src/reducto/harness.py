@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import interp
 from .interp import ERROR_KINDS, CallSetupError, execute
-from .parser import Ast, ParseError, parse
+from .parser import ParseError, parse
 from .source import SourceProgram
 from .values import value_from_json, value_to_json, values_equal
 
@@ -56,12 +56,6 @@ class TestSuite:
 
     def ids(self) -> list[str]:
         return [t.id for t in self.tests]
-
-    def by_id(self, test_id: str) -> TestCase:
-        for t in self.tests:
-            if t.id == test_id:
-                return t
-        raise KeyError(test_id)
 
     def subset(self, ids) -> "TestSuite":
         keep = set(ids)
@@ -111,24 +105,11 @@ def _canon(payload: dict) -> str:
 
 
 def run_test(
-    program: SourceProgram | Ast,
+    code: interp.Code,
     test: TestCase,
     budget: int = interp.DEFAULT_BUDGET,
-    _code=None,
 ) -> Outcome:
-    """Execute one test; parse failures become Unbuildable outcomes."""
-    if _code is None:
-        if isinstance(program, SourceProgram):
-            try:
-                ast = parse(program)
-            except ParseError:
-                return Outcome(UNBUILDABLE, frozenset())
-        else:
-            ast = program
-        code = interp.compile_ast(ast)
-    else:
-        code = _code
-
+    """Execute one test on a compiled program."""
     try:
         result = execute(code, test.function, list(test.args), budget)
     except CallSetupError as exc:
@@ -197,25 +178,24 @@ class SuiteResult:
 
 
 def run_suite(
-    program: SourceProgram | Ast,
+    program: SourceProgram,
     suite: TestSuite,
     budget: int = interp.DEFAULT_BUDGET,
 ) -> SuiteResult:
-    """Run every test independently; the partition is exhaustive and disjoint."""
-    code = None
-    if isinstance(program, SourceProgram):
-        try:
-            code = interp.compile_ast(parse(program))
-        except ParseError:
-            outcomes = {t.id: Outcome(UNBUILDABLE, frozenset()) for t in suite}
-            return SuiteResult(outcomes, (), tuple(suite.ids()))
-    else:
-        code = interp.compile_ast(program)
+    """Run every test independently; the partition is exhaustive and disjoint.
+
+    The program is parsed and compiled once; when it does not parse, every
+    test is Unbuildable."""
+    try:
+        code = interp.compile_ast(parse(program))
+    except ParseError:
+        outcomes = {t.id: Outcome(UNBUILDABLE, frozenset()) for t in suite}
+        return SuiteResult(outcomes, (), tuple(suite.ids()))
     outcomes = {}
     passing = []
     failing = []
     for test in suite:
-        outcome = run_test(program, test, budget, _code=code)
+        outcome = run_test(code, test, budget)
         outcomes[test.id] = outcome
         (passing if outcome.passed else failing).append(test.id)
     return SuiteResult(outcomes, tuple(passing), tuple(failing))

@@ -1,10 +1,8 @@
-"""Deterministic tracing interpreter for SLANG.
+"""Deterministic, budgeted interpreter for SLANG.
 
 Each function body is compiled to a flat instruction list so loops run
-iteratively; only calls recurse.  Execution is budgeted in statement steps,
-records per-line coverage, the ordered sequence of printed values, and
-optionally the value of one watched variable immediately before each
-execution of a chosen line.
+iteratively; only calls recurse.  Execution is budgeted in statement steps
+and records per-line coverage and the ordered sequence of printed values.
 
 Semantics pinned down for reproducibility:
 
@@ -25,14 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import parser as P
-from .values import (
-    UNDEFINED,
-    freeze,
-    thaw,
-    value_to_json,
-    values_equal,
-    wrap_int,
-)
+from .values import freeze, thaw, value_to_json, values_equal, wrap_int
 
 DEFAULT_BUDGET = 100_000
 MAX_CALL_DEPTH = 200
@@ -78,7 +69,6 @@ class ExecutionResult:
     error_message: Optional[str]
     output: tuple
     covered: frozenset
-    trace: tuple
     steps: int
 
     def to_dict(self) -> dict:
@@ -86,7 +76,6 @@ class ExecutionResult:
             "status": self.status,
             "output": [value_to_json(v) for v in self.output],
             "covered": sorted(self.covered),
-            "trace": [value_to_json(v) for v in self.trace],
             "steps": self.steps,
         }
         if self.status == "completed":
@@ -155,8 +144,8 @@ def _compile_function(fn: P.Function) -> list[tuple]:
     return instrs
 
 
-class _Code:
-    """Compiled form of an Ast, cached per execution batch."""
+class Code:
+    """Compiled form of an Ast: the only program form ``execute`` runs."""
 
     def __init__(self, ast: P.Ast):
         self.functions = ast.functions
@@ -218,20 +207,13 @@ _NUMERIC = {int, float}
 
 
 class Interpreter:
-    def __init__(
-        self,
-        code: _Code,
-        budget: int,
-        watch: Optional[tuple[str, int]] = None,
-    ):
+    def __init__(self, code: Code, budget: int):
         self.code = code
         self.budget = budget
-        self.watch = watch
         self.steps = 0
         self.depth = 0
         self.output: list = []
         self.covered: set[int] = set()
-        self.trace: list = []
 
     # -- statement loop ----------------------------------------------------
 
@@ -257,7 +239,6 @@ class Interpreter:
 
     def _run_function(self, name: str, env: dict) -> object:
         instrs = self.code.compiled[name]
-        watch = self.watch
         pc = 0
         while True:
             instr = instrs[pc]
@@ -265,8 +246,6 @@ class Interpreter:
             line = instr[1]
             if self.steps >= self.budget:
                 raise _BudgetExhausted()
-            if watch is not None and line == watch[1]:
-                self.trace.append(freeze(env.get(watch[0], UNDEFINED)))
             self.steps += 1
             self.covered.add(line)
 
@@ -452,26 +431,24 @@ class Interpreter:
         )
 
 
-def compile_ast(ast: P.Ast) -> _Code:
-    """Precompile an Ast so repeated executions skip recompilation."""
-    return _Code(ast)
+def compile_ast(ast: P.Ast) -> Code:
+    """Compile an Ast once; every execution of the program reuses the result."""
+    return Code(ast)
 
 
 def execute(
-    ast,
+    code: Code,
     function: str,
     args: list,
     budget: int = DEFAULT_BUDGET,
-    watch: Optional[tuple[str, int]] = None,
 ) -> ExecutionResult:
     """Run ``function(args)`` and package every observation.
 
-    ``ast`` may be a parsed Ast or a precompiled code object.  The entry
-    call must resolve (function exists, arity matches); a CallSetupError
-    otherwise.  Identical inputs produce identical results, bit for bit.
+    The entry call must resolve (function exists, arity matches); a
+    CallSetupError otherwise.  Identical inputs produce identical results,
+    bit for bit.
     """
-    code = ast if isinstance(ast, _Code) else _Code(ast)
-    interp = Interpreter(code, budget, watch)
+    interp = Interpreter(code, budget)
     status = "completed"
     return_value = None
     error = (None, None, None)
@@ -490,7 +467,6 @@ def execute(
         error_message=error[2],
         output=tuple(interp.output),
         covered=frozenset(interp.covered),
-        trace=tuple(interp.trace),
         steps=interp.steps,
     )
 

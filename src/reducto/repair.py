@@ -368,19 +368,17 @@ def validate_patch(
     suite: TestSuite,
     failing_ids,
     budget: int = interp.DEFAULT_BUDGET,
-    _code=None,
 ) -> ValidationResult:
-    """Failing tests first, early exit at the first non-Pass, every
-    execution counted."""
-    if _code is None:
-        try:
-            _code = interp.compile_ast(parse(candidate.program))
-        except ParseError:
-            return ValidationResult(UNBUILDABLE_PATCH, 0)
+    """Parse and compile the candidate once, then run failing tests first,
+    early exit at the first non-Pass, every execution counted."""
+    try:
+        code = interp.compile_ast(parse(candidate.program))
+    except ParseError:
+        return ValidationResult(UNBUILDABLE_PATCH, 0)
     failing = set(failing_ids)
     executed = 0
     for test in validation_order(suite, failing_ids):
-        outcome = run_test(candidate.program, test, budget, _code=_code)
+        outcome = run_test(code, test, budget)
         executed += 1
         if not outcome.passed:
             if outcome.kind == BUDGET_EXCEEDED:
@@ -446,13 +444,11 @@ def repair(
 
     for candidate in generate_candidates(program, suspicious, caps, ast):
         generated += 1
-        try:
-            code = interp.compile_ast(parse(candidate.program))
-        except ParseError:
+        result = validate_patch(candidate, suite, failing_ids, budget)
+        if result.verdict == UNBUILDABLE_PATCH:
             unbuildable += 1
         else:
             npc += 1
-            result = validate_patch(candidate, suite, failing_ids, budget, _code=code)
             nte += result.tests_executed
             if result.verdict == PLAUSIBLE:
                 patch = candidate

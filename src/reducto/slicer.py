@@ -9,19 +9,20 @@ pass that deletes nothing terminates the loop.
 
 Acceptance is structural: a candidate is kept only if it parses and every
 criterion test reproduces its baseline failure signature exactly (with
-error lines compared in original-program coordinates), or every watched
-trace matches value for value.  Printed text plays no part, so candidates
-whose wrong values merely render the same as the baseline's are rejected.
+error lines compared in original-program coordinates).  Printed text plays
+no part, so candidates whose wrong values merely render the same as the
+baseline's are rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 from . import interp
 from .harness import (
     FailureSignature,
+    Outcome,
     SuiteResult,
     TestCase,
     TestSuite,
@@ -31,7 +32,6 @@ from .harness import (
 )
 from .parser import ParseError, parse
 from .source import SourceProgram, count_sloc
-from .values import values_equal
 
 
 class NoFailingTests(Exception):
@@ -85,20 +85,6 @@ class LineMapping:
     def original_lines(self) -> tuple[int, ...]:
         return tuple(o for _, o in self.pairs)
 
-    def as_dict_to_original(self) -> dict:
-        return {s: o for s, o in self.pairs}
-
-
-@dataclass(frozen=True)
-class VarTrace:
-    """Preserve the values of one variable immediately before one line,
-    across a set of calls.  ``line`` is in the coordinates of whatever
-    program a candidate check runs; None means the line was deleted."""
-
-    var: str
-    line: Optional[int]
-    inputs: tuple  # of (function name, args tuple)
-
 
 @dataclass(frozen=True)
 class TestSignatures:
@@ -111,17 +97,10 @@ class TestSignatures:
             raise ValueError("criterion needs at least one failing test")
 
 
-Criterion = Union[VarTrace, TestSignatures]
-
-
 @dataclass(frozen=True)
 class Baseline:
-    """Expected observations from the unmodified program.
-
-    For TestSignatures: (test id, FailureSignature) pairs sorted by id.
-    For VarTrace: one (trace tuple, budget_exceeded flag) per input, in
-    input order.
-    """
+    """Expected observations from the unmodified program: (test id,
+    FailureSignature) pairs sorted by id."""
 
     entries: tuple
 
@@ -161,20 +140,27 @@ class SliceResult:
         }
 
 
+def mapped_signature(
+    test_id: str, outcome: Outcome, line_map: Optional[LineMapping]
+) -> FailureSignature:
+    """Signature with error lines reported in original coordinates (via
+    ``line_map``) so signatures stay comparable across a program and its
+    slices."""
+    sig = signature(test_id, outcome)
+    if line_map is not None and sig.error_line is not None and sig.error_line != 0:
+        sig = replace(sig, error_line=line_map.to_original(sig.error_line))
+    return sig
+
+
 def signature_on(
-    program_or_code,
+    program: SourceProgram,
     test: TestCase,
     budget: int,
     line_map: Optional[LineMapping] = None,
 ) -> FailureSignature:
-    """Signature of one test with error lines reported in original
-    coordinates (via ``line_map``) so signatures stay comparable across a
-    program and its slices."""
-    outcome = run_test(program_or_code, test, budget)
-    sig = signature(test.id, outcome)
-    if line_map is not None and sig.error_line is not None and sig.error_line != 0:
-        sig = replace(sig, error_line=line_map.to_original(sig.error_line))
-    return sig
+    """Mapped signature of one test run on ``program``."""
+    outcome = run_suite(program, TestSuite((test,)), budget).outcomes[test.id]
+    return mapped_signature(test.id, outcome, line_map)
 
 
 def build_criterion(
@@ -198,29 +184,9 @@ def build_criterion(
     return TestSignatures(failing), Baseline(entries)
 
 
-def build_var_criterion(
-    program: SourceProgram,
-    var: str,
-    line: int,
-    inputs,
-    budget: int = interp.DEFAULT_BUDGET,
-) -> tuple[VarTrace, Baseline]:
-    """Classic slicing criterion: variable ``var`` observed before ``line``
-    over the given (function, args) calls."""
-    ast = parse(program)
-    code = interp.compile_ast(ast)
-    entries = []
-    for fn, args in inputs:
-        result = interp.execute(code, fn, list(args), budget, watch=(var, line))
-        entries.append((result.trace, result.status == "budget_exceeded"))
-    return VarTrace(var, line, tuple((fn, tuple(args)) for fn, args in inputs)), Baseline(
-        tuple(entries)
-    )
-
-
 def candidate_accepts(
     candidate: SourceProgram,
-    criterion: Criterion,
+    criterion: TestSignatures,
     baseline: Baseline,
     settings: SliceSettings,
     line_map: Optional[LineMapping] = None,
@@ -231,53 +197,16 @@ def candidate_accepts(
     except ParseError as exc:
         return Acceptance(False, "Unbuildable", f"line {exc.line}: {exc.reason}")
     code = interp.compile_ast(ast)
-
-    if isinstance(criterion, TestSignatures):
-        for test in criterion.tests:
-            observed = signature_on(code, test, settings.budget, line_map)
-            expected = baseline.signature_for(test.id)
-            if observed != expected:
-                return Acceptance(False, "BehaviorChanged", test.id)
-        return Acceptance(True)
-
-    for (fn, args), (expect_trace, expect_exhausted) in zip(
-        criterion.inputs, baseline.entries
-    ):
-        watch = (criterion.var, criterion.line) if criterion.line is not None else None
-        try:
-            result = interp.execute(code, fn, list(args), settings.budget, watch=watch)
-        except interp.CallSetupError:
-            # the input cannot even start on this candidate
-            return Acceptance(False, "BehaviorChanged", f"{fn}{tuple(args)!r}")
-        exhausted = result.status == "budget_exceeded"
-        if exhausted != expect_exhausted:
-            return Acceptance(False, "BehaviorChanged", f"{fn}{tuple(args)!r}")
-        trace = result.trace if criterion.line is not None else ()
-        if len(trace) != len(expect_trace) or not all(
-            values_equal(a, b) for a, b in zip(trace, expect_trace)
-        ):
-            return Acceptance(False, "BehaviorChanged", f"{fn}{tuple(args)!r}")
+    for test in criterion.tests:
+        outcome = run_test(code, test, settings.budget)
+        if mapped_signature(test.id, outcome, line_map) != baseline.signature_for(test.id):
+            return Acceptance(False, "BehaviorChanged", test.id)
     return Acceptance(True)
-
-
-def _criterion_for_window(
-    criterion: Criterion, current_line: Optional[int], start: int, width: int
-) -> tuple[Criterion, Optional[int]]:
-    """Re-anchor a VarTrace criterion after deleting lines [start, start+width)."""
-    if not isinstance(criterion, VarTrace) or current_line is None:
-        return criterion, current_line
-    if start <= current_line < start + width:
-        new_line = None
-    elif current_line >= start + width:
-        new_line = current_line - width
-    else:
-        new_line = current_line
-    return replace(criterion, line=new_line), new_line
 
 
 def orbs_slice(
     program: SourceProgram,
-    criterion: Criterion,
+    criterion: TestSignatures,
     baseline: Baseline,
     settings: SliceSettings = SliceSettings(),
 ) -> SliceResult:
@@ -288,7 +217,6 @@ def orbs_slice(
     """
     n = len(program)
     identity = LineMapping.identity(n)
-    var_line = criterion.line if isinstance(criterion, VarTrace) else None
     self_check = candidate_accepts(program, criterion, baseline, settings, identity)
     if not self_check:
         raise BaselineMismatch(
@@ -298,8 +226,6 @@ def orbs_slice(
 
     lines = list(program.lines)
     originals = list(range(1, n + 1))
-    cur_criterion = criterion
-    cur_line = var_line
     passes = 0
     fixpoint = False
 
@@ -315,15 +241,11 @@ def orbs_slice(
                 cand_lines = lines[: i - 1] + lines[i - 1 + width:]
                 cand_originals = originals[: i - 1] + originals[i - 1 + width:]
                 cand = SourceProgram(tuple(cand_lines), program.id)
-                cand_criterion, cand_line = _criterion_for_window(
-                    cur_criterion, cur_line, i, width
-                )
                 line_map = LineMapping.from_survivors(cand_originals)
-                if candidate_accepts(cand, cand_criterion, baseline, settings, line_map):
+                if candidate_accepts(cand, criterion, baseline, settings, line_map):
                     accepted_width = width
                     lines = cand_lines
                     originals = cand_originals
-                    cur_criterion, cur_line = cand_criterion, cand_line
                     break
             if accepted_width:
                 deleted_this_pass += accepted_width
@@ -361,7 +283,7 @@ class MinimalityReport:
 
 def minimality_check(
     slice_program: SourceProgram,
-    criterion: Criterion,
+    criterion: TestSignatures,
     baseline: Baseline,
     settings: SliceSettings = SliceSettings(),
     line_map: Optional[LineMapping] = None,
@@ -374,14 +296,12 @@ def minimality_check(
     n = len(slice_program)
     if line_map is None:
         line_map = LineMapping.identity(n)
-    var_line = criterion.line if isinstance(criterion, VarTrace) else None
     originals = list(line_map.original_lines())
     for i in range(1, n + 1):
         cand = slice_program.without_lines([i])
         cand_originals = originals[: i - 1] + originals[i:]
-        cand_criterion, _ = _criterion_for_window(criterion, var_line, i, 1)
         cand_map = LineMapping.from_survivors(cand_originals)
-        if candidate_accepts(cand, cand_criterion, baseline, settings, cand_map):
+        if candidate_accepts(cand, criterion, baseline, settings, cand_map):
             return MinimalityReport(False, i)
     return MinimalityReport(True, None)
 

@@ -18,7 +18,7 @@ class SourceProgram:
     """An ordered sequence of raw source lines, addressed 1-based.
 
     Line numbers are stable: line ``k`` here is line ``k`` in every
-    diagnostic, coverage set and trace produced from this program.
+    diagnostic and coverage set produced from this program.
     """
 
     lines: tuple[str, ...]

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import interp
-from .harness import TestSuite, run_suite, run_test
-from .parser import parse
-from .slicer import Baseline, LineMapping, signature_on
+from .harness import TestSuite, run_suite
+from .slicer import Baseline, LineMapping, mapped_signature
 from .source import SourceProgram
 
 FAILS_ON_SLICE = "FailsOnSlice"
@@ -69,24 +68,15 @@ def reduce_suite(
     )
     failing = set(on_original.failing)
     survivors = set(mapping.original_lines())
-
-    slice_code = None
-    try:
-        slice_code = interp.compile_ast(parse(slice_program))
-    except Exception:
-        pass  # unbuildable slice: every passing test is removed below
+    # an unbuildable slice fails every test, so every passing test is removed
+    on_slice = run_suite(
+        slice_program, TestSuite(tuple(t for t in suite if t.id not in failing)), budget
+    )
 
     kept_ids = []
     removed = []
     for test in suite:
-        if test.id in failing:
-            kept_ids.append(test.id)
-            continue
-        if slice_code is None:
-            outcome_passed = False
-        else:
-            outcome_passed = run_test(slice_program, test, budget, _code=slice_code).passed
-        if outcome_passed:
+        if test.id in failing or on_slice.outcomes[test.id].passed:
             kept_ids.append(test.id)
         else:
             coverage = on_original.outcomes[test.id].covered
@@ -118,16 +108,16 @@ def verify_reduction(
     """
     violations = []
     baseline_ids = {tid for tid, _ in baseline.entries}
+    on_slice = run_suite(slice_program, reduced.kept, budget).outcomes
     for test in reduced.kept:
+        outcome = on_slice[test.id]
         if test.id in baseline_ids:
-            observed = signature_on(slice_program, test, budget, mapping)
-            if observed != baseline.signature_for(test.id):
+            if mapped_signature(test.id, outcome, mapping) != baseline.signature_for(test.id):
                 violations.append(
                     Violation(test.id, "failing test does not reproduce its baseline signature")
                 )
-        else:
-            if not run_test(slice_program, test, budget).passed:
-                violations.append(Violation(test.id, "kept passing test fails on the slice"))
+        elif not outcome.passed:
+            violations.append(Violation(test.id, "kept passing test fails on the slice"))
     return violations
 
 

@@ -2,8 +2,8 @@
 
 Values are plain Python objects: int, float, bool, str, and list (mutable,
 only while a program is running).  At every observation boundary (prints,
-traces, returned results, expectations) arrays are frozen to tuples so the
-recorded value can never be mutated afterwards.
+returned results, expectations) arrays are frozen to tuples so the recorded
+value can never be mutated afterwards.
 
 Two rules matter everywhere downstream:
 
@@ -26,23 +26,6 @@ INT_MASK = (1 << INT_BITS) - 1
 
 FrozenValue = Union[int, float, bool, str, tuple]
 Value = Union[int, float, bool, str, tuple, list]
-
-
-class Undefined:
-    """Sentinel recorded when a watched variable has no binding yet."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "<undefined>"
-
-
-UNDEFINED = Undefined()
 
 
 def wrap_int(n: int) -> int:
@@ -104,8 +87,6 @@ def value_to_json(v: Any) -> dict:
         return {"str": v}
     if t is list or t is tuple:
         return {"array": [value_to_json(item) for item in v]}
-    if isinstance(v, Undefined):
-        return {"undefined": True}
     raise TypeError(f"not a SLANG value: {v!r}")
 
 
@@ -136,6 +117,4 @@ def value_from_json(obj: Any) -> FrozenValue:
         if not isinstance(payload, list):
             raise ValueError(f"bad array literal: {payload!r}")
         return tuple(value_from_json(item) for item in payload)
-    if tag == "undefined":
-        return UNDEFINED
     raise ValueError(f"unknown value tag: {tag!r}")

@@ -15,6 +15,8 @@ from reducto.harness import (
     suite_from_json,
     suite_to_json,
 )
+from reducto.interp import compile_ast, execute
+from reducto.parser import parse
 from reducto.values import value_from_json, value_to_json
 
 from conftest import program
@@ -23,8 +25,12 @@ ADD = "fn add(a, b)\nreturn a + b\nend\n"
 DIV = "fn div(a, b)\nreturn a / b\nend\n"
 
 
+def compiled(text: str):
+    return compile_ast(parse(program(text)))
+
+
 def test_pass_and_fail_on_value():
-    p = program(ADD)
+    p = compiled(ADD)
     assert run_test(p, TestCase("t", "add", (2, 2), "value", 4)).kind == "Pass"
     out = run_test(p, TestCase("t", "add", (2, 2), "value", 5))
     assert out.kind == "Fail"
@@ -33,32 +39,29 @@ def test_pass_and_fail_on_value():
 
 
 def test_expected_error_is_a_pass():
-    p = program(DIV)
+    p = compiled(DIV)
     out = run_test(p, TestCase("t", "div", (1, 0), "error", "DivByZero"))
     assert out.kind == "Pass"
     # direct interpreter confirmation of kind and line
-    from reducto.interp import execute
-    from reducto.parser import parse
-
-    r = execute(parse(p), "div", [1, 0])
+    r = execute(p, "div", [1, 0])
     assert r.error_kind == "DivByZero" and r.error_line == 2
 
 
 def test_wrong_error_kind_is_errored():
-    p = program(DIV)
+    p = compiled(DIV)
     out = run_test(p, TestCase("t", "div", (1, 0), "error", "TypeError"))
     assert out.kind == "Errored"
     assert out.error_kind == "DivByZero"
 
 
 def test_error_expected_but_completed_is_fail():
-    out = run_test(program(ADD), TestCase("t", "add", (1, 1), "error", "DivByZero"))
+    out = run_test(compiled(ADD), TestCase("t", "add", (1, 1), "error", "DivByZero"))
     assert out.kind == "Fail"
     assert json.loads(out.expected) == {"error": "DivByZero"}
 
 
 def test_output_expectation():
-    p = program("fn f(a)\nprint a\nprint a + 1\nreturn 0\nend\n")
+    p = compiled("fn f(a)\nprint a\nprint a + 1\nreturn 0\nend\n")
     assert run_test(p, TestCase("t", "f", (3,), "output", (3, 4))).kind == "Pass"
     assert run_test(p, TestCase("t", "f", (3,), "output", (3,))).kind == "Fail"
     # value comparison is structural: int 3 printed is not float 3.0
@@ -67,19 +70,20 @@ def test_output_expectation():
 
 def test_unbuildable_and_budget_outcomes():
     broken = program("fn f(\nreturn 1\nend\n")
-    assert run_test(broken, TestCase("t", "f", (), "value", 1)).kind == "Unbuildable"
-    spin = program("fn f()\nwhile true\nend\nreturn 1\nend\n")
+    suite = TestSuite((TestCase("t", "f", (), "value", 1),))
+    assert run_suite(broken, suite).outcomes["t"].kind == "Unbuildable"
+    spin = compiled("fn f()\nwhile true\nend\nreturn 1\nend\n")
     out = run_test(spin, TestCase("t", "f", (), "value", 1), budget=200)
     assert out.kind == "BudgetExceeded"
 
 
 def test_missing_function_reports_line_zero():
-    out = run_test(program(ADD), TestCase("t", "nope", (), "value", 1))
+    out = run_test(compiled(ADD), TestCase("t", "nope", (), "value", 1))
     assert out.kind == "Errored"
     assert out.error_kind == "UndefinedVariable"
     assert out.error_line == 0
     # a test may legitimately pin that behavior
-    ok = run_test(program(ADD), TestCase("t", "nope", (), "error", "UndefinedVariable"))
+    ok = run_test(compiled(ADD), TestCase("t", "nope", (), "error", "UndefinedVariable"))
     assert ok.kind == "Pass"
 
 
@@ -117,10 +121,10 @@ def test_suite_order_independence(max3_program, max3_suite):
 
 
 def test_signature_shapes():
-    sig = signature("t1", run_test(program(ADD), TestCase("t1", "add", (2, 2), "value", 4)))
+    sig = signature("t1", run_test(compiled(ADD), TestCase("t1", "add", (2, 2), "value", 4)))
     assert (sig.outcome, sig.error_kind, sig.expected) == ("Pass", None, None)
 
-    box = program("fn f(xs)\nreturn xs[9]\nend\n")
+    box = compiled("fn f(xs)\nreturn xs[9]\nend\n")
     sig = signature("t2", run_test(box, TestCase("t2", "f", ((1,),), "value", 1)))
     assert sig.outcome == "Errored"
     assert sig.error_kind == "IndexOutOfBounds"
@@ -128,8 +132,8 @@ def test_signature_shapes():
 
 
 def test_signatures_ignore_message_text():
-    a = program("fn f(xs)\nreturn xs[5]\nend\n")
-    b = program("fn f(xs)\nreturn xs[2 + 3]\nend\n")
+    a = compiled("fn f(xs)\nreturn xs[5]\nend\n")
+    b = compiled("fn f(xs)\nreturn xs[2 + 3]\nend\n")
     ta = TestCase("t", "f", ((1,),), "value", 1)
     sa = signature("t", run_test(a, ta))
     sb = signature("t", run_test(b, ta))
@@ -138,10 +142,10 @@ def test_signatures_ignore_message_text():
 
 def test_equal_values_different_spellings_equal_signatures():
     # +inf computed by arithmetic vs +inf re-parsed from its hex bit pattern
-    computed = program("fn f()\nreturn 1.0 / 0.0\nend\n")
+    computed = compiled("fn f()\nreturn 1.0 / 0.0\nend\n")
     out_computed = run_test(computed, TestCase("t", "f", (), "value", 2.0))
     reparsed_inf = value_from_json(value_to_json(math.inf))
-    lit = program("fn g(x)\nreturn x\nend\n")
+    lit = compiled("fn g(x)\nreturn x\nend\n")
     out_literal = run_test(lit, TestCase("t", "g", (reparsed_inf,), "value", 2.0))
     assert signature("t", out_computed) == signature("t", out_literal)
     assert json.loads(out_computed.actual) == {"value": {"float": "0x7ff0000000000000"}}

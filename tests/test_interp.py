@@ -9,8 +9,8 @@ from reducto.values import float_bits, values_equal
 from conftest import program
 
 
-def run(text, fn, args, budget=100_000, watch=None):
-    return execute(parse(program(text)), fn, args, budget, watch)
+def run(text, fn, args, budget=100_000):
+    return execute(compile_ast(parse(program(text))), fn, args, budget)
 
 
 def test_trivial_addition():
@@ -28,7 +28,7 @@ def test_div_by_zero_carries_line():
     assert r.error_line in r.covered
 
 
-IF_ELSE_WATCH = """\
+IF_ELSE = """\
 fn pick(flag)
 let x = 0
 if flag
@@ -40,35 +40,6 @@ let y = x + 1
 return y
 end
 """
-# hand trace (the if-end join on line 7 is traversed by both branches):
-#   flag=true  -> lines 1,2,3,4,7,8,9; x before line 8 is 4
-#   flag=false -> lines 1,2,3,5,6,7,8,9; x before line 8 is 9
-
-
-def test_watch_traces_and_branch_coverage():
-    hi = run(IF_ELSE_WATCH, "pick", [True], watch=("x", 8))
-    lo = run(IF_ELSE_WATCH, "pick", [False], watch=("x", 8))
-    assert hi.trace == (4,)
-    assert lo.trace == (9,)
-    assert hi.return_value == 5 and lo.return_value == 10
-    assert hi.covered == {1, 2, 3, 4, 7, 8, 9}
-    assert lo.covered == {1, 2, 3, 5, 6, 7, 8, 9}
-    assert hi.covered != lo.covered
-
-
-def test_watch_undefined_variable_records_sentinel():
-    r = run("fn f()\nlet a = 1\nreturn a\nend\n", "f", [], watch=("ghost", 3))
-    assert len(r.trace) == 1
-    from reducto.values import UNDEFINED
-
-    assert r.trace[0] is UNDEFINED
-
-
-def test_watch_in_loop_records_every_visit():
-    text = "fn f(n)\nlet i = 0\nwhile i < n\ni = i + 1\nend\nreturn i\nend\n"
-    r = run(text, "f", [3], watch=("i", 4))
-    assert r.trace == (0, 1, 2)
-
 
 COVERAGE_CASES = [
     # (program, fn, args, expected covered) - hand-derived
@@ -81,6 +52,9 @@ COVERAGE_CASES = [
      {1, 2, 3, 4, 5, 6}),
     # falling off the end covers the fn end line and returns int 0
     ("fn f()\nprint 1\nend\n", "f", [], {1, 2, 3}),
+    # the if/else join on the end line is traversed by both branches
+    (IF_ELSE, "pick", [True], {1, 2, 3, 4, 7, 8, 9}),
+    (IF_ELSE, "pick", [False], {1, 2, 3, 5, 6, 7, 8, 9}),
 ]
 
 
@@ -113,9 +87,9 @@ def test_budget_exhaustion_and_monotonicity():
 
 
 def test_determinism_byte_for_byte(max3_program):
-    ast = parse(max3_program)
-    a = execute(ast, "max3", [1, 0, 5], watch=("m", 9))
-    b = execute(ast, "max3", [1, 0, 5], watch=("m", 9))
+    code = compile_ast(parse(max3_program))
+    a = execute(code, "max3", [1, 0, 5])
+    b = execute(code, "max3", [1, 0, 5])
     assert a.to_json() == b.to_json()
 
 
@@ -181,12 +155,12 @@ def test_runtime_error_kinds(text, args, kind):
 
 
 def test_entry_call_setup_errors():
-    ast = parse(program("fn f(a)\nreturn a\nend\n"))
+    code = compile_ast(parse(program("fn f(a)\nreturn a\nend\n")))
     with pytest.raises(CallSetupError) as missing:
-        execute(ast, "nope", [])
+        execute(code, "nope", [])
     assert missing.value.kind == "UndefinedVariable"
     with pytest.raises(CallSetupError) as arity:
-        execute(ast, "f", [1, 2])
+        execute(code, "f", [1, 2])
     assert arity.value.kind == "ArityMismatch"
 
 
@@ -239,11 +213,3 @@ def test_print_records_structured_values():
     r = run(text, "f", [])
     assert r.output == ((1, "x"), 2.5)
     assert values_equal(r.output[1], 2.5)
-
-
-def test_compiled_ast_reuse_matches_fresh(max3_program):
-    ast = parse(max3_program)
-    code = compile_ast(ast)
-    fresh = execute(ast, "max3", [1, 0, 5])
-    reused = execute(code, "max3", [1, 0, 5])
-    assert fresh.to_json() == reused.to_json()

@@ -1,33 +1,37 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
-from reducto.harness import TestCase, TestSuite, run_test, signature
-from reducto.interp import execute
+from reducto import interp, slicer
+from reducto.harness import TestCase, TestSuite, run_suite, signature
 from reducto.parser import ParseError, parse
 from reducto.slicer import (
-    Baseline,
     BaselineMismatch,
     LineMapping,
     NoFailingTests,
     SliceSettings,
-    TestSignatures,
-    VarTrace,
     build_criterion,
-    build_var_criterion,
     candidate_accepts,
     deletion_log_json,
     minimality_check,
     orbs_slice,
+    signature_on,
     slice_result_from_log,
 )
 from reducto.source import SourceProgram, count_sloc
-from reducto.values import values_equal
 
 from conftest import program
 
 SETTINGS = SliceSettings(delta=3, budget=10_000)
+
+
+def value_criterion(p: SourceProgram, fn: str, args: tuple, wrong):
+    """Criterion from one failing test: ``fn(args)`` expected to return
+    ``wrong``, a value the program does not compute."""
+    suite = TestSuite((TestCase("t", fn, args, "value", wrong),))
+    return build_criterion(p, suite, budget=SETTINGS.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -87,24 +91,28 @@ end
 
 def test_comment_deletion_accepted():
     p = program(GUARDED)
-    criterion, baseline = build_var_criterion(p, "r", 5, [("main", (3,))])
+    criterion, baseline = value_criterion(p, "main", (3,), 5)  # computes 4
     cand = p.without_lines([2])
-    shifted = VarTrace("r", 4, criterion.inputs)
-    verdict = candidate_accepts(cand, shifted, baseline, SETTINGS)
+    verdict = candidate_accepts(
+        cand, criterion, baseline, SETTINGS, LineMapping.from_survivors([1, 3, 4, 5, 6])
+    )
     assert verdict.accepted
 
 
 def test_deleting_watched_assignment_rejected():
+    # the returned variable's assignment is what the failing test observes
     p = program(GUARDED)
-    criterion, baseline = build_var_criterion(p, "r", 5, [("main", (3,))])
+    criterion, baseline = value_criterion(p, "main", (3,), 5)
     cand = p.without_lines([3])
-    shifted = VarTrace("r", 4, criterion.inputs)
-    verdict = candidate_accepts(cand, shifted, baseline, SETTINGS)
+    cand_map = LineMapping.from_survivors([1, 2, 4, 5, 6])
+    verdict = candidate_accepts(cand, criterion, baseline, SETTINGS, cand_map)
     assert not verdict.accepted
     assert verdict.reason == "BehaviorChanged"
     # direct re-execution shows the difference: r is now undefined
-    r = execute(parse(cand), "main", [3], 10_000, watch=("r", 4))
-    assert not values_equal(r.trace, baseline.entries[0][0])
+    observed = signature_on(cand, criterion.tests[0], SETTINGS.budget, cand_map)
+    assert (observed.outcome, observed.error_kind, observed.error_line) == (
+        "Errored", "UndefinedVariable", 5,
+    )
 
 
 def test_unbalanced_deletion_rejected(max3_program, max3_suite):
@@ -135,7 +143,7 @@ def test_error_lines_compared_in_original_coordinates():
 def test_budget_exceeded_where_baseline_had_none_rejected():
     text = "fn f(n)\nlet i = 0\nwhile i < n\ni = i + 1\nend\nreturn i\nend\n"
     p = program(text)
-    criterion, baseline = build_var_criterion(p, "i", 6, [("f", (3,))], budget=10_000)
+    criterion, baseline = value_criterion(p, "f", (3,), 4)  # computes 3
     cand = SourceProgram(tuple(
         ln if i != 4 else "i = i + 0" for i, ln in enumerate(p.lines, start=1)
     ))
@@ -158,7 +166,7 @@ end
 
 def test_every_statement_feeding_criterion_keeps_program_intact():
     p = program(ALL_LIVE)
-    criterion, baseline = build_var_criterion(p, "c", 4, [("main", (2,))])
+    criterion, baseline = value_criterion(p, "main", (2,), 7)  # computes 6
     result = orbs_slice(p, criterion, baseline, SETTINGS)
     assert result.deleted == ()
     assert result.slice.lines == p.lines
@@ -180,41 +188,31 @@ end
 """
 
 
-def brute_force_accept(base: SourceProgram, drop: set, watch_var, watch_line, call):
-    """Oracle acceptance written from scratch: parse, run, compare traces."""
+def brute_force_accept(base: SourceProgram, drop: set, tests: TestSuite):
+    """Oracle acceptance written from scratch: parse, run every test, and
+    compare signatures with error lines mapped back to the base program."""
     kept = [i for i in range(1, len(base) + 1) if i not in drop]
     cand = SourceProgram(tuple(base.line(i) for i in kept))
     try:
-        ast = parse(cand)
+        parse(cand)
     except ParseError:
         return False
-    from reducto.interp import CallSetupError
-    if watch_line in drop:
-        new_line = None
-    else:
-        new_line = kept.index(watch_line) + 1
-    fn, args = call
-    baseline = execute(parse(base), fn, list(args), 10_000, watch=(watch_var, watch_line))
-    try:
-        run = execute(
-            ast, fn, list(args), 10_000,
-            watch=(watch_var, new_line) if new_line else None,
-        )
-    except CallSetupError:
-        return False
-    if (run.status == "budget_exceeded") != (baseline.status == "budget_exceeded"):
-        return False
-    trace = run.trace if new_line else ()
-    return len(trace) == len(baseline.trace) and all(
-        values_equal(a, b) for a, b in zip(trace, baseline.trace)
-    )
+    before = run_suite(base, tests, SETTINGS.budget).outcomes
+    after = run_suite(cand, tests, SETTINGS.budget).outcomes
+    for test in tests:
+        got = signature(test.id, after[test.id])
+        if got.error_line:
+            got = replace(got, error_line=kept[got.error_line - 1])
+        if got != signature(test.id, before[test.id]):
+            return False
+    return True
 
 
 def test_dead_branch_slice_matches_brute_force_maximal_set():
     p = program(DEAD_BRANCH)
-    call = ("main", (5,))
-    criterion, baseline = build_var_criterion(p, "r2", 9, [call])
+    criterion, baseline = value_criterion(p, "main", (5,), 12)  # computes 11
     result = orbs_slice(p, criterion, baseline, SETTINGS)
+    tests = TestSuite(criterion.tests)
 
     # independent enumeration over all 2^10 deletion subsets
     n = len(p)
@@ -222,7 +220,7 @@ def test_dead_branch_slice_matches_brute_force_maximal_set():
         frozenset(drop)
         for size in range(n + 1)
         for drop in itertools.combinations(range(1, n + 1), size)
-        if brute_force_accept(p, set(drop), "r2", 9, call)
+        if brute_force_accept(p, set(drop), tests)
     ]
     max_size = max(len(s) for s in accepted_sets)
     maximal = [s for s in accepted_sets if len(s) == max_size]
@@ -245,7 +243,7 @@ end
 
 def test_guard_and_end_need_window_of_two():
     p = program(GUARD_PAIR)
-    criterion, baseline = build_var_criterion(p, "r", 5, [("main", (1,))])
+    criterion, baseline = value_criterion(p, "main", (1,), 3)  # computes 2
     narrow = orbs_slice(p, criterion, baseline, SliceSettings(delta=1, budget=10_000))
     assert 3 not in narrow.deleted and 4 not in narrow.deleted
     wide = orbs_slice(p, criterion, baseline, SliceSettings(delta=2, budget=10_000))
@@ -273,6 +271,28 @@ def test_budget_exceeded_signature_is_preserved_through_slicing():
         SliceSettings(budget=2_000), result.mapping,
     )
     assert report.minimal
+
+
+def test_each_buildable_candidate_is_compiled_once(max3_program, max3_suite, monkeypatch):
+    criterion, baseline = build_criterion(max3_program, max3_suite)
+    compiles = []
+    verdicts = []
+    compile_ast, accepts = interp.compile_ast, slicer.candidate_accepts
+
+    def counting_compile(ast):
+        compiles.append(ast)
+        return compile_ast(ast)
+
+    def recording_accepts(*args):
+        verdict = accepts(*args)
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(interp, "compile_ast", counting_compile)
+    monkeypatch.setattr(slicer, "candidate_accepts", recording_accepts)
+    orbs_slice(max3_program, criterion, baseline, SETTINGS)
+    buildable = [v for v in verdicts if v.reason != "Unbuildable"]
+    assert buildable and len(compiles) == len(buildable)
 
 
 def test_baseline_mismatch_raises(max3_program, max3_suite):
@@ -305,8 +325,6 @@ def test_slice_result_invariants(corpus_artifacts):
 
 def test_slice_behavior_preservation_on_corpus(corpus_artifacts):
     artifacts, _ = corpus_artifacts
-    from reducto.slicer import signature_on
-
     for art in artifacts.values():
         for test in art.criterion.tests:
             observed = signature_on(
@@ -348,18 +366,13 @@ def test_fixpoint_rejects_every_window_up_to_delta(corpus_artifacts):
 
 def test_pass_cap_flags_non_fixpoint():
     p = program(DEAD_BRANCH)
-    criterion, baseline = build_var_criterion(p, "r2", 9, [("main", (5,))])
+    criterion, baseline = value_criterion(p, "main", (5,), 12)
     capped = orbs_slice(
         p, criterion, baseline, SliceSettings(delta=3, budget=10_000, max_passes=1)
     )
     assert not capped.fixpoint
     # the partial result is still behavior-preserving
-    verdict = candidate_accepts(
-        capped.slice,
-        VarTrace("r2", capped.mapping.to_slice(9), criterion.inputs),
-        baseline,
-        SETTINGS,
-    )
+    verdict = candidate_accepts(capped.slice, criterion, baseline, SETTINGS, capped.mapping)
     assert verdict.accepted
 
 
@@ -375,7 +388,7 @@ def test_orbs_output_is_single_line_minimal(max3_program, max3_suite):
 
 def test_reinserted_comment_breaks_minimality():
     p = program(DEAD_BRANCH)
-    criterion, baseline = build_var_criterion(p, "r2", 9, [("main", (5,))])
+    criterion, baseline = value_criterion(p, "main", (5,), 12)
     result = orbs_slice(p, criterion, baseline, SETTINGS)
     lines = list(result.slice.lines)
     lines.insert(1, "# a deletable comment")
@@ -385,8 +398,7 @@ def test_reinserted_comment_breaks_minimality():
     padded_map = LineMapping(tuple(
         (i, o) for i, o in enumerate([originals[0], 0] + originals[1:], start=1)
     ))
-    crit = VarTrace("r2", padded_map.to_slice(9), criterion.inputs)
-    report = minimality_check(padded, crit, baseline, SETTINGS, padded_map)
+    report = minimality_check(padded, criterion, baseline, SETTINGS, padded_map)
     assert not report.minimal
     assert report.counterexample == 2
 
@@ -418,25 +430,27 @@ def random_straightline_program(rng: random.Random) -> SourceProgram:
     while open_blocks:
         lines.append("end")
         open_blocks -= 1
-    watched = vars_in_scope[-1]
-    lines.append(f"return {watched}")
+    lines.append(f"return {vars_in_scope[-1]}")
     lines.append("end")
-    return SourceProgram(tuple(lines), "random"), watched, len(lines) - 1
+    return SourceProgram(tuple(lines), "random")
 
 
 def test_minimality_agrees_with_brute_force_on_random_programs():
     rng = random.Random(20260809)
     checked = 0
     while checked < 20:
-        p, watched, return_line = random_straightline_program(rng)
+        p = random_straightline_program(rng)
         assert len(p) <= 25
-        call = ("main", (rng.randint(-3, 6),))
-        criterion, baseline = build_var_criterion(p, watched, return_line, [call])
+        args = (rng.randint(-3, 6),)
+        run = interp.execute(interp.compile_ast(parse(p)), "main", list(args))
+        # expect a value the program does not return (an error fails anyway)
+        wrong = run.return_value + 1 if run.status == "completed" else 0
+        criterion, baseline = value_criterion(p, "main", args, wrong)
         report = minimality_check(p, criterion, baseline, SETTINGS)
         # independent oracle: enumerate single-line deletions from scratch
+        tests = TestSuite(criterion.tests)
         oracle_deletable = [
-            i for i in range(1, len(p) + 1)
-            if brute_force_accept(p, {i}, watched, return_line, call)
+            i for i in range(1, len(p) + 1) if brute_force_accept(p, {i}, tests)
         ]
         if report.minimal:
             assert oracle_deletable == []

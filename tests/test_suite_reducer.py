@@ -54,6 +54,17 @@ def test_helper_only_test_removed_with_reason():
     assert outcome.failing == ("t_helper",)
 
 
+def test_unbuildable_slice_keeps_only_failing_tests():
+    p, suite, _, _, _ = two_fn_setup()
+    # target loses its `end` and helper is gone: the slice does not parse
+    survivors = [1, 2, 4]
+    broken = p.without_lines([3, 5, 6, 7])
+    reduced = reduce_suite(p, broken, LineMapping.from_survivors(survivors), suite)
+    assert reduced.kept.ids() == ["t_fail"]
+    removed = {r.id: r.reason for r in reduced.removed}
+    assert removed == {"t_keep": FAILS_ON_SLICE, "t_helper": COVERS_ONLY_DELETED}
+
+
 def test_failing_tests_always_kept_and_passing_survivors_kept():
     p, suite, criterion, baseline, result = two_fn_setup()
     reduced = reduce_suite(p, result.slice, result.mapping, suite)

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from reducto.values import (
-    UNDEFINED,
     float_bits,
     freeze,
     thaw,
@@ -77,16 +76,9 @@ def test_float_json_uses_bit_pattern():
     assert value_from_json({"float": 1.5}) == 1.5
 
 
-def test_undefined_sentinel():
-    assert value_to_json(UNDEFINED) == {"undefined": True}
-    assert value_from_json({"undefined": True}) is UNDEFINED
-    assert values_equal(UNDEFINED, UNDEFINED)
-    assert not values_equal(UNDEFINED, 0)
-
-
 def test_malformed_literals_rejected():
     for bad in ({"int": "3"}, {"bool": 1}, {"str": 5}, {"array": 3},
-                {"int": 3, "bool": True}, "plain", {"what": 1}):
+                {"int": 3, "bool": True}, "plain", {"what": 1}, {"undefined": True}):
         with pytest.raises(ValueError):
             value_from_json(bad)
 
