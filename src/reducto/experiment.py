@@ -28,6 +28,7 @@ from .faultloc import (
     regenerate_list,
 )
 from .harness import (
+    UNBUILDABLE,
     MultiAssertTest,
     SuiteFormatError,
     SuiteResult,
@@ -39,6 +40,7 @@ from .parser import ParseError, parse
 from .repair import (
     RepairCaps,
     RepairResult,
+    UnmappableEdit,
     edit_new_text,
     map_patch_to_original,
     repair,
@@ -174,10 +176,6 @@ def load_bundle(path, budget: int = interp.DEFAULT_BUDGET) -> BugBundle:
     program = SourceProgram.from_text(
         program_path.read_text(encoding="utf-8"), id=root.name
     )
-    try:
-        parse(program)
-    except ParseError as exc:
-        raise ManifestError(f"{program_path}: program does not parse: {exc}") from exc
 
     try:
         suite = load_suite(tests_path)
@@ -194,6 +192,11 @@ def load_bundle(path, budget: int = interp.DEFAULT_BUDGET) -> BugBundle:
         ground_truth = GroundTruth(int(gt["bug_line"]), str(gt["patched_text"]))
 
     baseline_run = run_suite(program, suite, budget)
+    if all(o.kind == UNBUILDABLE for o in baseline_run.outcomes.values()):
+        try:  # the program does not parse; parse it again only for the reason
+            parse(program)
+        except ParseError as exc:
+            raise ManifestError(f"{program_path}: program does not parse: {exc}") from exc
     if not baseline_run.failing:
         raise NoFailingTests(f"{root.name}: every test passes on the original program")
     return BugBundle(root.name, program, suite, ground_truth, baseline_run)
@@ -351,6 +354,11 @@ class NonFixpointSlice(Exception):
     to run on the flagged result."""
 
 
+# The failures of one configuration that the lattice reports as a
+# stage-error row; any other exception is a fault and propagates.
+_CONFIG_ERRORS = (NonViableConfig, NonFixpointSlice, UnmappableEdit)
+
+
 def run_config(
     artifacts: BundleArtifacts,
     config: RepairConfig,
@@ -462,8 +470,9 @@ def run_lattice(
     artifacts_cache: Optional[dict] = None,
 ) -> list[RepairReport]:
     """All viable configurations for every bundle; one configuration's
-    failure never aborts the others.  ``artifacts_cache`` (bundle name to
-    BundleArtifacts) reuses prebuilt shared artifacts."""
+    failure (see _CONFIG_ERRORS) never aborts the others.
+    ``artifacts_cache`` (bundle name to BundleArtifacts) reuses prebuilt
+    shared artifacts."""
     if configs is None:
         configs = list(viable_configs())
     for config in configs:
@@ -478,14 +487,14 @@ def run_lattice(
         baseline_cfg = RepairConfig("P", "T", "L")
         try:
             baseline_line = run_config(artifacts, baseline_cfg, caps).patch_line
-        except Exception:  # keep going; baseline comparisons just vanish
+        except _CONFIG_ERRORS:  # keep going; baseline comparisons just vanish
             baseline_line = None
         for config in configs:
             try:
                 report = run_config(
                     artifacts, config, caps, baseline_patch_line=baseline_line
                 )
-            except Exception as exc:
+            except _CONFIG_ERRORS as exc:
                 report = _failure_report(artifacts, config, str(exc))
             reports.append(report)
     return reports

@@ -113,15 +113,9 @@ def run_test(
     try:
         result = execute(code, test.function, list(test.args), budget)
     except CallSetupError as exc:
-        # The call itself cannot start; report the error at line 0.
-        if test.expect_kind == EXPECT_ERROR and test.expect == exc.kind:
-            return Outcome(PASS, frozenset(), error_kind=exc.kind, error_line=0)
-        return Outcome(
-            ERRORED,
-            frozenset(),
-            error_kind=exc.kind,
-            error_line=0,
-            error_message=exc.message,
+        # The call itself cannot start: an error at line 0 that covers nothing.
+        result = interp.ExecutionResult(
+            "runtime_error", None, exc.kind, 0, exc.message, (), frozenset(), 0
         )
 
     covered = result.covered
@@ -151,9 +145,7 @@ def run_test(
             actual=_canon({"value": value_to_json(result.return_value)}),
         )
     if test.expect_kind == EXPECT_OUTPUT:
-        if len(result.output) == len(test.expect) and all(
-            values_equal(a, b) for a, b in zip(result.output, test.expect)
-        ):
+        if values_equal(result.output, test.expect):
             return Outcome(PASS, covered)
         return Outcome(
             FAIL,

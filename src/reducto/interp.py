@@ -1,8 +1,12 @@
-"""Deterministic, budgeted interpreter for SLANG.
+"""Deterministic, budgeted interpreter for SLANG, lowered to Python closures.
 
-Each function body is compiled to a flat instruction list so loops run
-iteratively; only calls recurse.  Execution is budgeted in statement steps
-and records per-line coverage and the ordered sequence of printed values.
+A function is lowered on its first call and cached in its ``Code`` for
+every later call and execution.  Each expression becomes a closure
+specialised on its operator, with a fast path for two ints; each statement
+becomes a closure that returns the index of the next one in the function's
+flat statement list, so loops run iteratively and only calls recurse.
+Execution is budgeted in statement steps and records per-line coverage
+and the ordered sequence of printed values.
 
 Semantics pinned down for reproducibility:
 
@@ -12,29 +16,32 @@ Semantics pinned down for reproducibility:
   (inf/nan), never raising;
 * mixed int/float arithmetic and ordering promote the int operand;
   ``==``/``!=`` stay type-strict and structural;
-* a function that falls off its end returns the integer 0.
+* a function that falls off its end returns the integer 0;
+* a call nested deeper than MAX_CALL_DEPTH ends the run as
+  budget_exceeded, however deep the caller's own Python stack is.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from . import parser as P
-from .values import freeze, thaw, value_to_json, values_equal, wrap_int
+from .values import INT_MAX, INT_MIN, freeze, thaw, values_equal, wrap_int
 
 DEFAULT_BUDGET = 100_000
 MAX_CALL_DEPTH = 200
 
-ERROR_KINDS = (
-    "DivByZero",
-    "IndexOutOfBounds",
-    "UndefinedVariable",
-    "TypeError",
-    "ArityMismatch",
-)
+# Python frames one SLANG call level holds at most: its statement loop, the
+# statement, and one closure per level of expression nesting down to the
+# call, which the parser bounds by MAX_EXPR_DEPTH.  The slack covers the
+# entry frames and the helpers a closure calls.
+_STACK_HEADROOM = MAX_CALL_DEPTH * (P.MAX_EXPR_DEPTH + 2) + 500
+
+ERROR_KINDS = ("DivByZero", "IndexOutOfBounds", "UndefinedVariable", "TypeError", "ArityMismatch")
 
 
 class SlangError(Exception):
@@ -71,111 +78,48 @@ class ExecutionResult:
     covered: frozenset
     steps: int
 
-    def to_dict(self) -> dict:
-        d = {
-            "status": self.status,
-            "output": [value_to_json(v) for v in self.output],
-            "covered": sorted(self.covered),
-            "steps": self.steps,
-        }
-        if self.status == "completed":
-            d["return"] = value_to_json(self.return_value)
-        if self.status == "runtime_error":
-            d["error"] = {
-                "kind": self.error_kind,
-                "line": self.error_line,
-                "message": self.error_message,
-            }
-        return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-
-# ---------------------------------------------------------------------------
-# Flat instruction compilation
-#
-# Instructions are tuples (opcode, line, ...). Control flow uses absolute
-# indices into the function's instruction list.
-
-def _compile_function(fn: P.Function) -> list[tuple]:
-    instrs: list[tuple] = [("fnentry", fn.line)]
-
-    def emit_block(stmts):
-        for stmt in stmts:
-            if isinstance(stmt, P.Let):
-                instrs.append(("let", stmt.line, stmt.name, stmt.expr))
-            elif isinstance(stmt, P.Assign):
-                instrs.append(("assign", stmt.line, stmt.name, stmt.expr))
-            elif isinstance(stmt, P.IndexAssign):
-                instrs.append(("istore", stmt.line, stmt.name, stmt.index, stmt.expr))
-            elif isinstance(stmt, P.Print):
-                instrs.append(("print", stmt.line, stmt.expr))
-            elif isinstance(stmt, P.Return):
-                instrs.append(("return", stmt.line, stmt.expr))
-            elif isinstance(stmt, P.If):
-                branch_at = len(instrs)
-                instrs.append(None)  # patched below: ("if", line, cond, false_target)
-                emit_block(stmt.then_body)
-                if stmt.else_body is not None:
-                    jump_at = len(instrs)
-                    instrs.append(None)  # ("jump", line, target)
-                    false_target = len(instrs)
-                    instrs.append(("else", stmt.else_line))
-                    emit_block(stmt.else_body)
-                    end_at = len(instrs)
-                    instrs.append(("end", stmt.end_line))
-                    instrs[jump_at] = ("jump", stmt.line, end_at)
-                else:
-                    false_target = len(instrs)
-                    instrs.append(("end", stmt.end_line))
-                instrs[branch_at] = ("if", stmt.line, stmt.cond, false_target)
-            elif isinstance(stmt, P.While):
-                head_at = len(instrs)
-                instrs.append(None)  # ("while", line, cond, exit_target)
-                emit_block(stmt.body)
-                instrs.append(("endwhile", stmt.end_line, head_at))
-                instrs[head_at] = ("while", stmt.line, stmt.cond, len(instrs))
-            else:  # pragma: no cover - parser emits no other statements
-                raise AssertionError(f"unknown statement {stmt!r}")
-
-    emit_block(fn.body)
-    instrs.append(("fnexit", fn.end_line))
-    return instrs
-
-
-class Code:
-    """Compiled form of an Ast: the only program form ``execute`` runs."""
+class Code(dict):
+    """Compiled form of an Ast, the only program form ``execute`` runs: maps
+    a function name to its lowered body, lowering it on first lookup."""
 
     def __init__(self, ast: P.Ast):
         self.functions = ast.functions
-        self.compiled = {name: _compile_function(fn) for name, fn in ast.functions.items()}
+
+    def __missing__(self, name: str):
+        body = self[name] = _lower_function(self.functions[name], self.functions)
+        return body
+
+
+class _Run:
+    """The state of one execution, passed to every closure."""
+
+    __slots__ = ("code", "left", "depth", "covered", "output", "returned")
+
+    def __init__(self, code: Code, budget: int):
+        self.code = code
+        self.left = budget  # steps still allowed
+        self.depth = 1  # the entry call
+        self.covered: set[int] = set()
+        self.output: list = []
+        self.returned = None
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Full semantics, for the operands the closures' fast paths do not take
+
+_TYPE_NAMES = {bool: "bool", int: "int", float: "float", str: "str", list: "array", tuple: "array"}
+
 
 def _type_name(v) -> str:
-    t = type(v)
-    if t is bool:
-        return "bool"
-    if t is int:
-        return "int"
-    if t is float:
-        return "float"
-    if t is str:
-        return "str"
-    if t is list or t is tuple:
-        return "array"
-    return "value"
+    return _TYPE_NAMES.get(type(v), "value")
 
 
 def _float_div(a: float, b: float) -> float:
     if b == 0.0:
         if a == 0.0 or math.isnan(a):
             return math.nan
-        sign = math.copysign(1.0, a) * math.copysign(1.0, b)
-        return math.copysign(math.inf, sign)
+        return math.copysign(math.inf, math.copysign(1.0, a) * math.copysign(1.0, b))
     return a / b
 
 
@@ -185,250 +129,313 @@ def _float_mod(a: float, b: float) -> float:
     return math.fmod(a, b)
 
 
-def _int_div(a: int, b: int, line: int) -> int:
-    if b == 0:
-        raise SlangError("DivByZero", line, "integer division by zero")
-    q = abs(a) // abs(b)
-    if (a < 0) != (b < 0):
-        q = -q
-    return wrap_int(q)
-
-
-def _int_mod(a: int, b: int, line: int) -> int:
-    if b == 0:
-        raise SlangError("DivByZero", line, "integer modulo by zero")
-    q = abs(a) // abs(b)
-    if (a < 0) != (b < 0):
-        q = -q
-    return wrap_int(a - q * b)
-
-
 _NUMERIC = {int, float}
+_DIVISIONS = {"/": "division", "%": "modulo"}
+_ORDERINGS = {"<", "<=", ">", ">="}
+# Python's operator for each SLANG operator, exact on two ints
+_PYTHON_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq, "!=": operator.ne,
+}
+_FLOAT_OPS = {**_PYTHON_OPS, "/": _float_div, "%": _float_mod}
 
 
-class Interpreter:
-    def __init__(self, code: Code, budget: int):
-        self.code = code
-        self.budget = budget
-        self.steps = 0
-        self.depth = 0
-        self.output: list = []
-        self.covered: set[int] = set()
+def _binary(op: str, left, right, line: int):
+    """``left op right`` for every operator but ``and``/``or``."""
+    if op == "==" or op == "!=":
+        return values_equal(left, right) is (op == "==")
+    lt, rt = type(left), type(right)
+    if op in _ORDERINGS:
+        if lt in _NUMERIC and rt in _NUMERIC:
+            if lt is not rt:
+                left, right = float(left), float(right)
+        elif lt is not str or rt is not str:
+            raise SlangError(
+                "TypeError", line, f"cannot order {_type_name(left)} and {_type_name(right)}"
+            )
+        return _PYTHON_OPS[op](left, right)
+    if lt is bool or rt is bool:
+        pass  # no arithmetic on bools
+    elif op == "+" and lt is str and rt is str:
+        return left + right
+    elif op == "+" and lt in (list, tuple) and rt in (list, tuple):
+        return list(left) + list(right)
+    elif lt is int and rt is int:
+        if op not in _DIVISIONS:
+            return wrap_int(_PYTHON_OPS[op](left, right))
+        if right == 0:
+            raise SlangError("DivByZero", line, f"integer {_DIVISIONS[op]} by zero")
+        q = abs(left) // abs(right)
+        q = -q if (left < 0) != (right < 0) else q
+        return wrap_int(q if op == "/" else left - q * right)
+    elif lt in _NUMERIC and rt in _NUMERIC:
+        return _FLOAT_OPS[op](float(left), float(right))
+    raise SlangError(
+        "TypeError", line, f"cannot apply {op!r} to {_type_name(left)} and {_type_name(right)}"
+    )
 
-    # -- statement loop ----------------------------------------------------
 
-    def call(self, name: str, args: list, call_line: Optional[int]) -> object:
-        fn = self.code.functions.get(name)
-        if fn is None:
-            if call_line is None:
-                raise CallSetupError("UndefinedVariable", f"function {name!r} is not defined")
-            raise SlangError("UndefinedVariable", call_line, f"function {name!r} is not defined")
-        if len(args) != len(fn.params):
-            msg = f"{name!r} takes {len(fn.params)} arguments, got {len(args)}"
-            if call_line is None:
-                raise CallSetupError("ArityMismatch", msg)
-            raise SlangError("ArityMismatch", call_line, msg)
+def _unary(op: str, v, line: int):
+    if op == "not":
+        if type(v) is not bool:
+            raise SlangError("TypeError", line, f"'not' needs bool, got {_type_name(v)}")
+        return not v
+    if type(v) is int or type(v) is float:
+        return wrap_int(-v) if type(v) is int else -v
+    raise SlangError("TypeError", line, f"cannot negate {_type_name(v)}")
+
+
+def _index(base, index, line: int):
+    if type(index) is not int:
+        raise SlangError("TypeError", line, f"index must be int, got {_type_name(index)}")
+    if type(base) is not list and type(base) is not tuple and type(base) is not str:
+        raise SlangError("TypeError", line, f"cannot index {_type_name(base)}")
+    if index < 0 or index >= len(base):
+        raise SlangError(
+            "IndexOutOfBounds", line, f"index {index} out of bounds for length {len(base)}"
+        )
+    return base[index]
+
+
+def _call_error(functions: dict, name: str, nargs: int) -> Optional[tuple]:
+    """(kind, message) when ``name`` cannot be called with ``nargs`` arguments."""
+    fn = functions.get(name)
+    if fn is None:
+        return "UndefinedVariable", f"function {name!r} is not defined"
+    if nargs != len(fn.params):
+        return "ArityMismatch", f"{name!r} takes {len(fn.params)} arguments, got {nargs}"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Expressions: each becomes a closure ``(run, env) -> value``
+
+def _lower_expr(expr: P.Expr, line: int, functions: dict):
+    t = type(expr)
+    if t is P.Lit:
+        value = expr.value
+        return lambda run, env: value
+    if t is P.Var:
+        name = expr.name
+
+        def var(run, env):
+            try:
+                return env[name]
+            except KeyError:
+                raise SlangError("UndefinedVariable", line, f"undefined variable {name!r}") from None
+        return var
+    if t is P.Binary:
+        left = _lower_expr(expr.left, line, functions)
+        right = _lower_expr(expr.right, line, functions)
+        return _lower_binary(expr.op, left, right, line)
+    if t is P.Unary:
+        op, operand = expr.op, _lower_expr(expr.operand, line, functions)
+        return lambda run, env: _unary(op, operand(run, env), line)
+    if t is P.Index:
+        base = _lower_expr(expr.base, line, functions)
+        index = _lower_expr(expr.index, line, functions)
+
+        def index_(run, env):
+            b = base(run, env)
+            i = index(run, env)
+            if type(b) is list and type(i) is int and 0 <= i < len(b):
+                return b[i]
+            return _index(b, i, line)
+        return index_
+    if t is P.Len:
+        arg = _lower_expr(expr.arg, line, functions)
+
+        def len_(run, env):
+            v = arg(run, env)
+            if type(v) is list or type(v) is tuple or type(v) is str:
+                return len(v)
+            raise SlangError("TypeError", line, f"len() needs array or str, got {_type_name(v)}")
+        return len_
+    if t is P.ArrayLit:
+        items = tuple(_lower_expr(item, line, functions) for item in expr.items)
+
+        def array(run, env):
+            values = []
+            for item in items:
+                values.append(item(run, env))
+            return values
+        return array
+    return _lower_call(expr, line, functions)
+
+
+def _lower_binary(op: str, left, right, line: int):
+    if op == "and" or op == "or":
+        stop = op == "or"  # the left value that decides the result alone
+
+        def logic(run, env):
+            a = left(run, env)
+            if type(a) is not bool:
+                raise SlangError("TypeError", line, f"{op!r} needs bool, got {_type_name(a)}")
+            if a is stop:
+                return stop
+            b = right(run, env)
+            if type(b) is not bool:
+                raise SlangError("TypeError", line, f"{op!r} needs bool, got {_type_name(b)}")
+            return b
+        return logic
+
+    fast = _PYTHON_OPS.get(op)
+    if fast is None:  # int division and modulo need their own rounding
+        return lambda run, env: _binary(op, left(run, env), right(run, env), line)
+
+    def binary(run, env):
+        a = left(run, env)
+        b = right(run, env)
+        if type(a) is int and type(b) is int:
+            r = fast(a, b)
+            if INT_MIN <= r <= INT_MAX:  # a bool from a comparison passes too
+                return r
+        return _binary(op, a, b, line)
+    return binary
+
+
+def _lower_call(expr: P.Call, line: int, functions: dict):
+    name = expr.name
+    arguments = tuple(_lower_expr(arg, line, functions) for arg in expr.args)
+    error = _call_error(functions, name, len(arguments))
+    params = () if error else functions[name].params
+
+    def call(run, env):
+        args = []  # a loop, not a comprehension: no extra frame per call level
+        for argument in arguments:
+            args.append(argument(run, env))
+        if error:
+            raise SlangError(error[0], line, error[1])
         # Deep recursion is resource exhaustion, reported as a blown budget.
-        self.depth += 1
-        if self.depth > MAX_CALL_DEPTH:
+        run.depth += 1
+        if run.depth > MAX_CALL_DEPTH:
             raise _BudgetExhausted()
         try:
-            return self._run_function(fn.name, dict(zip(fn.params, args)))
+            return run.code[name](run, dict(zip(params, args)))
         finally:
-            self.depth -= 1
+            run.depth -= 1
+    return call
 
-    def _run_function(self, name: str, env: dict) -> object:
-        instrs = self.code.compiled[name]
-        pc = 0
-        while True:
-            instr = instrs[pc]
-            op = instr[0]
-            line = instr[1]
-            if self.steps >= self.budget:
-                raise _BudgetExhausted()
-            self.steps += 1
-            self.covered.add(line)
 
-            if op == "let":
-                env[instr[2]] = self.eval(instr[3], env, line)
-            elif op == "assign":
-                if instr[2] not in env:
-                    raise SlangError(
-                        "UndefinedVariable", line, f"assignment to undeclared {instr[2]!r}"
-                    )
-                env[instr[2]] = self.eval(instr[3], env, line)
-            elif op == "istore":
-                self._index_store(instr, env, line)
-            elif op == "print":
-                self.output.append(freeze(self.eval(instr[2], env, line)))
-            elif op == "return":
-                return self.eval(instr[2], env, line)
-            elif op == "if" or op == "while":
-                cond = self.eval(instr[2], env, line)
-                if type(cond) is not bool:
-                    raise SlangError(
-                        "TypeError", line, f"condition must be bool, got {_type_name(cond)}"
-                    )
-                if not cond:
-                    pc = instr[3]
-                    continue
-            elif op == "jump":
-                pc = instr[2]
-                continue
-            elif op == "endwhile":
-                pc = instr[2]
-                continue
-            elif op == "fnexit":
-                return 0  # falling off the end returns integer zero
-            # "fnentry", "else", "end" are coverage markers only
-            pc += 1
+# ---------------------------------------------------------------------------
+# Statements: each becomes a closure ``(run, env) -> index of the next``;
+# a negative index ends the function, returning ``run.returned``.
 
-    def _index_store(self, instr, env: dict, line: int) -> None:
-        _, _, name, index_expr, value_expr = instr
+def _goto(target: int):
+    return lambda run, env: target
+
+
+def _branch(cond, line: int, then_pc: int, else_pc: int):
+    def branch(run, env):
+        c = cond(run, env)
+        if c is True:
+            return then_pc
+        if c is False:
+            return else_pc
+        raise SlangError("TypeError", line, f"condition must be bool, got {_type_name(c)}")
+    return branch
+
+
+def _lower_stmt(stmt: P.Stmt, nxt: int, functions: dict):
+    t, line = type(stmt), stmt.line
+    expr = _lower_expr(stmt.expr, line, functions)
+    if t is P.Return:
+        def return_(run, env):
+            run.returned = expr(run, env)
+            return -1
+        return return_
+    if t is P.Print:
+        def print_(run, env):
+            run.output.append(freeze(expr(run, env)))
+            return nxt
+        return print_
+    name = stmt.name
+    if t is P.Let:
+        def let(run, env):
+            env[name] = expr(run, env)
+            return nxt
+        return let
+    if t is P.Assign:
+        def assign(run, env):
+            if name not in env:
+                raise SlangError("UndefinedVariable", line, f"assignment to undeclared {name!r}")
+            env[name] = expr(run, env)
+            return nxt
+        return assign
+    index = _lower_expr(stmt.index, line, functions)
+
+    def index_assign(run, env):
         if name not in env:
             raise SlangError("UndefinedVariable", line, f"undefined variable {name!r}")
         base = env[name]
         if type(base) is not list:
             raise SlangError("TypeError", line, f"cannot index-assign {_type_name(base)}")
-        index = self.eval(index_expr, env, line)
-        if type(index) is not int:
-            raise SlangError("TypeError", line, f"index must be int, got {_type_name(index)}")
-        if index < 0 or index >= len(base):
-            raise SlangError(
-                "IndexOutOfBounds", line, f"index {index} out of bounds for length {len(base)}"
-            )
-        base[index] = self.eval(value_expr, env, line)
+        i = index(run, env)
+        _index(base, i, line)
+        base[i] = expr(run, env)
+        return nxt
+    return index_assign
 
-    # -- expressions -------------------------------------------------------
 
-    def eval(self, expr: P.Expr, env: dict, line: int):
-        t = type(expr)
-        if t is P.Lit:
-            return expr.value
-        if t is P.Var:
-            try:
-                return env[expr.name]
-            except KeyError:
-                raise SlangError(
-                    "UndefinedVariable", line, f"undefined variable {expr.name!r}"
-                ) from None
-        if t is P.Binary:
-            return self._binary(expr, env, line)
-        if t is P.Unary:
-            v = self.eval(expr.operand, env, line)
-            if expr.op == "-":
-                if type(v) is int:
-                    return wrap_int(-v)
-                if type(v) is float:
-                    return -v
-                raise SlangError("TypeError", line, f"cannot negate {_type_name(v)}")
-            if type(v) is not bool:
-                raise SlangError("TypeError", line, f"'not' needs bool, got {_type_name(v)}")
-            return not v
-        if t is P.Index:
-            base = self.eval(expr.base, env, line)
-            index = self.eval(expr.index, env, line)
-            if type(index) is not int:
-                raise SlangError("TypeError", line, f"index must be int, got {_type_name(index)}")
-            if type(base) is list or type(base) is tuple or type(base) is str:
-                if index < 0 or index >= len(base):
-                    raise SlangError(
-                        "IndexOutOfBounds",
-                        line,
-                        f"index {index} out of bounds for length {len(base)}",
-                    )
-                return base[index]
-            raise SlangError("TypeError", line, f"cannot index {_type_name(base)}")
-        if t is P.Len:
-            v = self.eval(expr.arg, env, line)
-            if type(v) is list or type(v) is tuple or type(v) is str:
-                return len(v)
-            raise SlangError("TypeError", line, f"len() needs array or str, got {_type_name(v)}")
-        if t is P.ArrayLit:
-            return [self.eval(item, env, line) for item in expr.items]
-        if t is P.Call:
-            args = [self.eval(arg, env, line) for arg in expr.args]
-            return self.call(expr.name, args, line)
-        raise AssertionError(f"unknown expression {expr!r}")  # pragma: no cover
+def _fall_off(run, env):
+    run.returned = 0  # falling off the end returns integer zero
+    return -1
 
-    def _binary(self, expr: P.Binary, env: dict, line: int):
-        op = expr.op
-        if op == "and" or op == "or":
-            left = self.eval(expr.left, env, line)
-            if type(left) is not bool:
-                raise SlangError("TypeError", line, f"{op!r} needs bool, got {_type_name(left)}")
-            if op == "and" and not left:
-                return False
-            if op == "or" and left:
-                return True
-            right = self.eval(expr.right, env, line)
-            if type(right) is not bool:
-                raise SlangError("TypeError", line, f"{op!r} needs bool, got {_type_name(right)}")
-            return right
 
-        left = self.eval(expr.left, env, line)
-        right = self.eval(expr.right, env, line)
+def _lower_block(block: tuple, lines: list, stmts: list, functions: dict) -> None:
+    """Append each step's closure to ``stmts`` and its line to ``lines``.
+    Not nested in _lower_function: a nested function calling itself is a
+    reference cycle, which would keep every closure alive until collected."""
+    def emit(line: int, stmt) -> int:
+        lines.append(line)
+        stmts.append(stmt)
+        return len(stmts) - 1
 
-        if op == "==":
-            return values_equal(left, right)
-        if op == "!=":
-            return not values_equal(left, right)
+    for stmt in block:
+        if type(stmt) is P.If:
+            at = emit(stmt.line, None)  # the branch, set once its targets are known
+            _lower_block(stmt.then_body, lines, stmts, functions)
+            false_target = len(stmts)
+            if stmt.else_body is not None:
+                jump_at = emit(stmt.line, None)
+                false_target = emit(stmt.else_line, _goto(jump_at + 2))
+                _lower_block(stmt.else_body, lines, stmts, functions)
+                stmts[jump_at] = _goto(len(stmts))
+            emit(stmt.end_line, _goto(len(stmts) + 1))
+            cond = _lower_expr(stmt.cond, stmt.line, functions)
+            stmts[at] = _branch(cond, stmt.line, at + 1, false_target)
+        elif type(stmt) is P.While:
+            head = emit(stmt.line, None)
+            _lower_block(stmt.body, lines, stmts, functions)
+            emit(stmt.end_line, _goto(head))
+            cond = _lower_expr(stmt.cond, stmt.line, functions)
+            stmts[head] = _branch(cond, stmt.line, head + 1, len(stmts))
+        else:
+            emit(stmt.line, _lower_stmt(stmt, len(stmts) + 1, functions))
 
-        lt, rt = type(left), type(right)
-        if op in ("<", "<=", ">", ">="):
-            if lt in _NUMERIC and rt in _NUMERIC and not (lt is bool or rt is bool):
-                a, b = left, right
-                if lt is not rt:
-                    a, b = float(a), float(b)
-            elif lt is str and rt is str:
-                a, b = left, right
-            else:
-                raise SlangError(
-                    "TypeError", line,
-                    f"cannot order {_type_name(left)} and {_type_name(right)}",
-                )
-            if op == "<":
-                return a < b
-            if op == "<=":
-                return a <= b
-            if op == ">":
-                return a > b
-            return a >= b
 
-        # arithmetic
-        if lt is bool or rt is bool:
-            raise SlangError(
-                "TypeError", line, f"cannot apply {op!r} to {_type_name(left)} and {_type_name(right)}"
-            )
-        if op == "+" and lt is str and rt is str:
-            return left + right
-        if op == "+" and lt in (list, tuple) and rt in (list, tuple):
-            return list(left) + list(right)
-        if lt in _NUMERIC and rt in _NUMERIC:
-            if lt is int and rt is int:
-                if op == "+":
-                    return wrap_int(left + right)
-                if op == "-":
-                    return wrap_int(left - right)
-                if op == "*":
-                    return wrap_int(left * right)
-                if op == "/":
-                    return _int_div(left, right, line)
-                return _int_mod(left, right, line)
-            a = float(left) if lt is int else left
-            b = float(right) if rt is int else right
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                return _float_div(a, b)
-            return _float_mod(a, b)
-        raise SlangError(
-            "TypeError", line, f"cannot apply {op!r} to {_type_name(left)} and {_type_name(right)}"
-        )
+def _lower_function(fn: P.Function, functions: dict):
+    """The function as one closure ``(run, env) -> return value``.
+
+    Every statement, ``else`` and ``end`` line is one step; so are the
+    function's header and end lines and the jump over an ``else`` arm."""
+    lines, stmts = [fn.line], [_goto(1)]
+    _lower_block(fn.body, lines, stmts, functions)
+    lines_t, stmts_t = (*lines, fn.end_line), (*stmts, _fall_off)
+
+    def body(run, env):
+        cover = run.covered.add
+        pc = 0
+        while pc >= 0:
+            left = run.left
+            if left <= 0:
+                raise _BudgetExhausted()
+            run.left = left - 1
+            cover(lines_t[pc])
+            pc = stmts_t[pc](run, env)
+        return run.returned
+    return body
 
 
 def compile_ast(ast: P.Ast) -> Code:
@@ -448,26 +455,27 @@ def execute(
     CallSetupError otherwise.  Identical inputs produce identical results,
     bit for bit.
     """
-    interp = Interpreter(code, budget)
-    status = "completed"
-    return_value = None
-    error = (None, None, None)
+    setup_error = _call_error(code.functions, function, len(args))
+    if setup_error:
+        raise CallSetupError(*setup_error)
+    run = _Run(code, budget)
+    status, return_value, error = "completed", None, (None, None, None)
+    # The caller runs below the current limit, so raising it by the headroom
+    # leaves the run at least that many frames, however deep the caller is.
+    # The run recurses through Python frames only, which take no C stack.
+    # The limit is process-wide: runs in concurrent threads would race on it.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + _STACK_HEADROOM)
     try:
-        return_value = freeze(interp.call(function, [thaw(a) for a in args], None))
+        env = dict(zip(code.functions[function].params, [thaw(a) for a in args]))
+        return_value = freeze(code[function](run, env))
     except SlangError as exc:
         status = "runtime_error"
         error = (exc.kind, exc.line, exc.message)
     except _BudgetExhausted:
         status = "budget_exceeded"
+    finally:
+        sys.setrecursionlimit(limit)
     return ExecutionResult(
-        status=status,
-        return_value=return_value,
-        error_kind=error[0],
-        error_line=error[1],
-        error_message=error[2],
-        output=tuple(interp.output),
-        covered=frozenset(interp.covered),
-        steps=interp.steps,
+        status, return_value, *error, tuple(run.output), frozenset(run.covered), budget - run.left
     )
-
-

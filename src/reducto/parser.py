@@ -27,6 +27,12 @@ KEYWORDS = {
 RELATIONAL_OPS = ("<", "<=", ">", ">=", "==", "!=")
 ARITHMETIC_OPS = ("+", "-", "*", "/", "%")
 
+# Deepest expression a line may hold: both the nesting of sub-expressions
+# the parser recurses into (parentheses, brackets, call arguments, prefix
+# operators) and the height of the resulting tree.  Bounding the height
+# bounds the Python frames one SLANG call level needs in the interpreter.
+MAX_EXPR_DEPTH = 32
+
 
 class ParseError(Exception):
     """Raised for any unbuildable program; carries the first offending line."""
@@ -157,6 +163,7 @@ class _ExprParser:
         self.tokens = tokens
         self.line = line
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -182,11 +189,18 @@ class _ExprParser:
         tok = self.peek()
         return tok is not None and tok.kind == "name" and tok.text in names
 
+    def nested(self, parse_inner) -> Expr:
+        self.nesting += 1
+        if self.nesting > MAX_EXPR_DEPTH:
+            raise ParseError(self.line, f"expression nested deeper than {MAX_EXPR_DEPTH}")
+        expr = parse_inner()
+        self.nesting -= 1
+        return expr
+
     # precedence: or < and < not < comparisons < additive < multiplicative
     # < unary minus < postfix indexing < atoms
     def parse(self) -> Expr:
-        expr = self.parse_or()
-        return expr
+        return self.nested(self.parse_or)
 
     def parse_or(self) -> Expr:
         left = self.parse_and()
@@ -207,7 +221,7 @@ class _ExprParser:
     def parse_not(self) -> Expr:
         if self.at_name("not"):
             op = self.next()
-            operand = self.parse_not()
+            operand = self.nested(self.parse_not)
             return Unary(op.start, operand.end, "not", operand)
         return self.parse_comparison()
 
@@ -238,7 +252,7 @@ class _ExprParser:
     def parse_unary(self) -> Expr:
         if self.at_op("-"):
             op = self.next()
-            operand = self.parse_unary()
+            operand = self.nested(self.parse_unary)
             return Unary(op.start, operand.end, "-", operand)
         return self.parse_postfix()
 
@@ -298,11 +312,40 @@ class _ExprParser:
         raise ParseError(self.line, f"unexpected token {tok.text!r}")
 
 
+def _height(expr: Expr) -> int:
+    """Nodes on the longest root-to-leaf path, counted without recursion."""
+    height = 0
+    stack = [(expr, 1)]
+    while stack:
+        node, depth = stack.pop()
+        height = max(height, depth)
+        t = type(node)
+        if t is Binary:
+            children = (node.left, node.right)
+        elif t is Unary:
+            children = (node.operand,)
+        elif t is Index:
+            children = (node.base, node.index)
+        elif t is Len:
+            children = (node.arg,)
+        elif t is Call:
+            children = node.args
+        elif t is ArrayLit:
+            children = node.items
+        else:
+            children = ()
+        stack.extend((child, depth + 1) for child in children)
+    return height
+
+
 def parse_expr_tokens(tokens: list[Token], line: int) -> Expr:
     parser = _ExprParser(tokens, line)
     expr = parser.parse()
     if parser.peek() is not None:
         raise ParseError(line, f"trailing tokens after expression: {parser.peek().text!r}")
+    # Every node takes at least one token, so a short line cannot be too deep.
+    if len(tokens) > MAX_EXPR_DEPTH and _height(expr) > MAX_EXPR_DEPTH:
+        raise ParseError(line, f"expression nested deeper than {MAX_EXPR_DEPTH}")
     return expr
 
 

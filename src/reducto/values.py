@@ -22,6 +22,7 @@ from typing import Any, Union
 
 INT_BITS = 64
 INT_MIN = -(1 << (INT_BITS - 1))
+INT_MAX = (1 << (INT_BITS - 1)) - 1
 INT_MASK = (1 << INT_BITS) - 1
 
 FrozenValue = Union[int, float, bool, str, tuple]
@@ -44,7 +45,9 @@ def float_from_bits(raw: bytes) -> float:
 def freeze(v: Any) -> FrozenValue:
     """Deep-freeze a runtime value: lists become tuples, scalars pass through."""
     if type(v) is list or type(v) is tuple:
-        return tuple(freeze(item) for item in v)
+        # A list comprehension, not a generator: recursion through Python
+        # frames only, which takes no C stack under a raised recursion limit.
+        return tuple([freeze(item) for item in v])
     return v
 
 
@@ -71,7 +74,12 @@ def values_equal(a: Any, b: Any) -> bool:
 
 
 def _seq_equal(a, b) -> bool:
-    return len(a) == len(b) and all(values_equal(x, y) for x, y in zip(a, b))
+    if len(a) != len(b):
+        return False
+    for x, y in zip(a, b):  # a loop, not all(...): see freeze
+        if not values_equal(x, y):
+            return False
+    return True
 
 
 def value_to_json(v: Any) -> dict:

@@ -109,8 +109,24 @@ def test_load_bundle_errors(tmp_path):
     (bad / "t.json").write_text(json.dumps([
         {"id": "t", "call": {"fn": "f", "args": [{"int": 1}]}, "expect": {"value": {"int": 2}}},
     ]))
-    with pytest.raises(ManifestError):
+    with pytest.raises(ManifestError, match="program does not parse: line 1"):
         load_bundle(bad)  # unparseable program
+
+
+def test_load_corpus_parses_each_program_once(corpus_dir, monkeypatch):
+    from reducto import experiment, harness, parser
+
+    parsed = []
+
+    def counting_parse(program):
+        parsed.append(program.id)
+        return parser.parse(program)
+
+    for module in (experiment, harness):
+        monkeypatch.setattr(module, "parse", counting_parse)
+    bundles = load_corpus(corpus_dir)
+    assert len(bundles) == 13
+    assert sorted(parsed) == sorted(b.name for b in bundles)
 
 
 def test_load_corpus_requires_bundles(tmp_path):
@@ -215,6 +231,18 @@ def test_lattice_marks_ps_configs_failed_on_non_fixpoint_slice(corpus_bundles):
             assert report.stop_reason.startswith("stage-error")
         else:
             assert not report.stop_reason.startswith("stage-error")
+
+
+def test_lattice_lets_unexpected_errors_escape(corpus_bundles, corpus_artifacts, monkeypatch):
+    from reducto import experiment
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("fault inside a configuration")
+
+    monkeypatch.setattr(experiment, "run_config", broken)
+    artifacts, _ = corpus_artifacts
+    with pytest.raises(RuntimeError, match="fault inside a configuration"):
+        run_lattice(corpus_bundles[:1], artifacts_cache=artifacts)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from reducto.interp import CallSetupError, compile_ast, execute
-from reducto.parser import parse
+from reducto.interp import MAX_CALL_DEPTH, CallSetupError, compile_ast, execute
+from reducto.parser import MAX_EXPR_DEPTH, parse
 from reducto.values import float_bits, values_equal
 
 from conftest import program
@@ -83,14 +83,14 @@ def test_budget_exhaustion_and_monotonicity():
     exact = run(done, "f", [20], budget=base.steps)
     for budget in (base.steps, base.steps + 1, base.steps * 7):
         again = run(done, "f", [20], budget=budget)
-        assert again.to_json() == exact.to_json()
+        assert again == exact
 
 
 def test_determinism_byte_for_byte(max3_program):
     code = compile_ast(parse(max3_program))
     a = execute(code, "max3", [1, 0, 5])
     b = execute(code, "max3", [1, 0, 5])
-    assert a.to_json() == b.to_json()
+    assert a == b
 
 
 def test_integer_semantics():
@@ -194,6 +194,32 @@ def test_recursion_bounded_as_budget_exhaustion():
     text = "fn f(n)\nreturn f(n + 1)\nend\n"
     r = run(text, "f", [0])
     assert r.status == "budget_exceeded"
+
+
+def _recursive(pluses: int) -> str:
+    """f(n) = pluses * n, its recursive call under ``pluses`` nested ``+``."""
+    expr = "1 + (" * (pluses - 1) + "1 + f(n - 1)" + ")" * (pluses - 1)
+    return f"fn f(n)\nif n == 0\nreturn 0\nend\nreturn {expr}\nend\n"
+
+
+def _from_stack_depth(frames: int, call):
+    return call() if frames == 0 else _from_stack_depth(frames - 1, call)
+
+
+# one, four, and as many nested + as the parser allows around the call
+@pytest.mark.parametrize("pluses", [1, 4, MAX_EXPR_DEPTH - 3])
+@pytest.mark.parametrize("extra_frames", [0, 300])
+def test_call_depth_limit_ends_as_blown_budget(pluses, extra_frames):
+    code = compile_ast(parse(program(_recursive(pluses))))
+
+    def run_at(n):
+        return _from_stack_depth(extra_frames, lambda: execute(code, "f", [n]))
+
+    deepest = run_at(MAX_CALL_DEPTH - 1)  # the entry call plus 199 nested calls
+    assert deepest.status == "completed"
+    assert deepest.return_value == pluses * (MAX_CALL_DEPTH - 1)
+    for n in (MAX_CALL_DEPTH, 250):
+        assert run_at(n).status == "budget_exceeded"
 
 
 def test_recursion_within_depth_works():

@@ -1,6 +1,6 @@
 import pytest
 
-from reducto.parser import Ast, ParseError, parse, parses
+from reducto.parser import MAX_EXPR_DEPTH, Ast, ParseError, parse, parses
 from reducto.source import SourceProgram, count_sloc, is_blank, is_comment
 
 from conftest import program
@@ -35,12 +35,32 @@ def test_missing_end_reports_last_line():
         ("fn f(a, a)\nend\n", 1),  # duplicate parameter
         ("fn f()\nend\nfn f()\nend\n", 3),  # duplicate function
         ("fn len()\nend\n", 1),  # keyword as function name
+        # nesting that would exhaust the Python stack of a recursive parser
+        ("fn main()\nreturn " + "(" * 400 + "1" + ")" * 400 + "\nend\n", 2),
+        ("fn main()\nreturn " + "[" * 400 + "]" * 400 + "\nend\n", 2),
+        ("fn main()\nreturn " + "not " * 400 + "true\nend\n", 2),
+        ("fn main()\nreturn " + "- " * 400 + "1\nend\n", 2),
+        ("fn main(x)\nreturn " + "main(" * 400 + "1" + ")" * 400 + "\nend\n", 2),
+        ("fn main()\nreturn " + " + ".join(["1"] * 400) + "\nend\n", 2),
     ],
 )
 def test_parse_errors_carry_first_offending_line(text, line):
     with pytest.raises(ParseError) as err:
         parse(program(text))
     assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        lambda depth: "(" * (depth - 1) + "1" + ")" * (depth - 1),  # parser recursion
+        lambda depth: " + ".join(["1"] * depth),  # tree height of a chain
+        lambda depth: "not " * (depth - 1) + "true",
+    ],
+)
+def test_expression_depth_cap_is_exact(expr):
+    assert parses(program(f"fn main()\nreturn {expr(MAX_EXPR_DEPTH)}\nend\n"))
+    assert not parses(program(f"fn main()\nreturn {expr(MAX_EXPR_DEPTH + 1)}\nend\n"))
 
 
 def test_empty_blocks_allowed():
