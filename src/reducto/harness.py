@@ -115,7 +115,14 @@ def run_test(
     except CallSetupError as exc:
         # The call itself cannot start: an error at line 0 that covers nothing.
         result = interp.ExecutionResult(
-            "runtime_error", None, exc.kind, 0, exc.message, (), frozenset(), 0
+            status="runtime_error",
+            return_value=None,
+            error_kind=exc.kind,
+            error_line=0,
+            error_message=exc.message,
+            output=(),
+            covered=frozenset(),
+            steps=0,
         )
 
     covered = result.covered

@@ -41,7 +41,13 @@ MAX_CALL_DEPTH = 200
 # entry frames and the helpers a closure calls.
 _STACK_HEADROOM = MAX_CALL_DEPTH * (P.MAX_EXPR_DEPTH + 2) + 500
 
-ERROR_KINDS = ("DivByZero", "IndexOutOfBounds", "UndefinedVariable", "TypeError", "ArityMismatch")
+ERROR_KINDS = (
+    "DivByZero",
+    "IndexOutOfBounds",
+    "UndefinedVariable",
+    "TypeError",
+    "ArityMismatch",
+)
 
 
 class SlangError(Exception):
@@ -79,15 +85,22 @@ class ExecutionResult:
     steps: int
 
 
-class Code(dict):
-    """Compiled form of an Ast, the only program form ``execute`` runs: maps
-    a function name to its lowered body, lowering it on first lookup."""
+class Code:
+    """Compiled form of an Ast, the only program form ``execute`` runs.
+
+    Each function is lowered to closures on its first call and kept here
+    for every later call and execution."""
 
     def __init__(self, ast: P.Ast):
         self.functions = ast.functions
+        self._lowered: dict = {}
 
-    def __missing__(self, name: str):
-        body = self[name] = _lower_function(self.functions[name], self.functions)
+    def lowered(self, name: str):
+        """The body of function ``name`` as one closure ``(run, env)``."""
+        return self._lowered.get(name) or self._lower(name)
+
+    def _lower(self, name: str):
+        body = self._lowered[name] = _lower_function(self.functions[name], self.functions)
         return body
 
 
@@ -108,18 +121,27 @@ class _Run:
 # ---------------------------------------------------------------------------
 # Full semantics, for the operands the closures' fast paths do not take
 
-_TYPE_NAMES = {bool: "bool", int: "int", float: "float", str: "str", list: "array", tuple: "array"}
-
-
 def _type_name(v) -> str:
-    return _TYPE_NAMES.get(type(v), "value")
+    t = type(v)
+    if t is bool:
+        return "bool"
+    if t is int:
+        return "int"
+    if t is float:
+        return "float"
+    if t is str:
+        return "str"
+    if t is list or t is tuple:
+        return "array"
+    return "value"
 
 
 def _float_div(a: float, b: float) -> float:
     if b == 0.0:
         if a == 0.0 or math.isnan(a):
             return math.nan
-        return math.copysign(math.inf, math.copysign(1.0, a) * math.copysign(1.0, b))
+        sign = math.copysign(1.0, a) * math.copysign(1.0, b)
+        return math.copysign(math.inf, sign)
     return a / b
 
 
@@ -312,7 +334,7 @@ def _lower_call(expr: P.Call, line: int, functions: dict):
         if run.depth > MAX_CALL_DEPTH:
             raise _BudgetExhausted()
         try:
-            return run.code[name](run, dict(zip(params, args)))
+            return run.code.lowered(name)(run, dict(zip(params, args)))
         finally:
             run.depth -= 1
     return call
@@ -462,13 +484,14 @@ def execute(
     status, return_value, error = "completed", None, (None, None, None)
     # The caller runs below the current limit, so raising it by the headroom
     # leaves the run at least that many frames, however deep the caller is.
-    # The run recurses through Python frames only, which take no C stack.
+    # The run recurses through Python frames only, which take no C stack on
+    # CPython 3.11 and later (the oldest version pyproject.toml allows).
     # The limit is process-wide: runs in concurrent threads would race on it.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + _STACK_HEADROOM)
     try:
         env = dict(zip(code.functions[function].params, [thaw(a) for a in args]))
-        return_value = freeze(code[function](run, env))
+        return_value = freeze(code.lowered(function)(run, env))
     except SlangError as exc:
         status = "runtime_error"
         error = (exc.kind, exc.line, exc.message)
@@ -477,5 +500,12 @@ def execute(
     finally:
         sys.setrecursionlimit(limit)
     return ExecutionResult(
-        status, return_value, *error, tuple(run.output), frozenset(run.covered), budget - run.left
+        status=status,
+        return_value=return_value,
+        error_kind=error[0],
+        error_line=error[1],
+        error_message=error[2],
+        output=tuple(run.output),
+        covered=frozenset(run.covered),
+        steps=budget - run.left,
     )

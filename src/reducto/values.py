@@ -46,7 +46,8 @@ def freeze(v: Any) -> FrozenValue:
     """Deep-freeze a runtime value: lists become tuples, scalars pass through."""
     if type(v) is list or type(v) is tuple:
         # A list comprehension, not a generator: recursion through Python
-        # frames only, which takes no C stack under a raised recursion limit.
+        # frames only, which on CPython 3.11+ takes no C stack, so a raised
+        # recursion limit is safe.
         return tuple([freeze(item) for item in v])
     return v
 

@@ -1,10 +1,11 @@
+import json
 import math
 
 import pytest
 
 from reducto.interp import MAX_CALL_DEPTH, CallSetupError, compile_ast, execute
 from reducto.parser import MAX_EXPR_DEPTH, parse
-from reducto.values import float_bits, values_equal
+from reducto.values import float_bits, value_to_json, values_equal
 
 from conftest import program
 
@@ -71,6 +72,20 @@ def test_fall_off_end_returns_int_zero():
     assert r.output == (7,)
 
 
+def canonical_json(r) -> str:
+    """Every ExecutionResult field as canonical JSON: values tagged by type,
+    floats by bit pattern, so equal text means a bit-identical result."""
+    payload = {
+        "status": r.status,
+        "return": None if r.return_value is None else value_to_json(r.return_value),
+        "error": [r.error_kind, r.error_line, r.error_message],
+        "output": [value_to_json(v) for v in r.output],
+        "covered": sorted(r.covered),
+        "steps": r.steps,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def test_budget_exhaustion_and_monotonicity():
     text = "fn spin()\nwhile true\nend\nreturn 1\nend\n"
     r = run(text, "spin", [], budget=500)
@@ -83,14 +98,14 @@ def test_budget_exhaustion_and_monotonicity():
     exact = run(done, "f", [20], budget=base.steps)
     for budget in (base.steps, base.steps + 1, base.steps * 7):
         again = run(done, "f", [20], budget=budget)
-        assert again == exact
+        assert canonical_json(again) == canonical_json(exact)
 
 
 def test_determinism_byte_for_byte(max3_program):
     code = compile_ast(parse(max3_program))
     a = execute(code, "max3", [1, 0, 5])
     b = execute(code, "max3", [1, 0, 5])
-    assert a == b
+    assert canonical_json(a) == canonical_json(b)
 
 
 def test_integer_semantics():
