@@ -276,6 +276,8 @@ class BundleArtifacts:
         self.timings.localize_s = time.perf_counter() - started
 
         self.failing_ids = tuple(bundle.baseline_run.failing)
+        # Each program variant parsed once, for every configuration's candidates.
+        self.asts = {"P": parse(bundle.program), "Ps": parse(self.slice_result.slice)}
 
     def suspicious(self, variant: str) -> SuspiciousList:
         return {
@@ -390,6 +392,7 @@ def run_config(
         result = repair(
             program, suite, suspicious, caps,
             failing_ids=list(artifacts.failing_ids), budget=artifacts.budget,
+            ast=artifacts.asts[config.program],
         )
         patch_line_orig = None
         transferred = None

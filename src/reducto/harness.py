@@ -17,7 +17,7 @@ from . import interp
 from .interp import ERROR_KINDS, CallSetupError, execute
 from .parser import ParseError, parse
 from .source import SourceProgram
-from .values import value_from_json, value_to_json, values_equal
+from .values import canonical_json, value_from_json, value_to_json, values_equal
 
 EXPECT_VALUE = "value"
 EXPECT_ERROR = "error"
@@ -104,6 +104,17 @@ def _canon(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _value_text(value) -> str:
+    """``_canon({"value": value_to_json(value)})``, at any nesting depth."""
+    return '{"value":' + canonical_json(value) + "}"
+
+
+def _output_text(values) -> str:
+    """``_canon({"output": [value_to_json(v) for v in values]})``, at any
+    nesting depth."""
+    return '{"output":[' + ",".join(canonical_json(v) for v in values) + "]}"
+
+
 def run_test(
     code: interp.Code,
     test: TestCase,
@@ -148,8 +159,8 @@ def run_test(
         return Outcome(
             FAIL,
             covered,
-            expected=_canon({"value": value_to_json(test.expect)}),
-            actual=_canon({"value": value_to_json(result.return_value)}),
+            expected=_value_text(test.expect),
+            actual=_value_text(result.return_value),
         )
     if test.expect_kind == EXPECT_OUTPUT:
         if values_equal(result.output, test.expect):
@@ -157,15 +168,15 @@ def run_test(
         return Outcome(
             FAIL,
             covered,
-            expected=_canon({"output": [value_to_json(v) for v in test.expect]}),
-            actual=_canon({"output": [value_to_json(v) for v in result.output]}),
+            expected=_output_text(test.expect),
+            actual=_output_text(result.output),
         )
     # expected an error, program completed
     return Outcome(
         FAIL,
         covered,
         expected=_canon({"error": test.expect}),
-        actual=_canon({"value": value_to_json(result.return_value)}),
+        actual=_value_text(result.return_value),
     )
 
 

@@ -18,7 +18,18 @@ Semantics pinned down for reproducibility:
   ``==``/``!=`` stay type-strict and structural;
 * a function that falls off its end returns the integer 0;
 * a call nested deeper than MAX_CALL_DEPTH ends the run as
-  budget_exceeded, however deep the caller's own Python stack is.
+  budget_exceeded, however deep the caller's own Python stack is;
+* a loop proven to repeat forever is fast-forwarded to the end of the
+  budget: the result, printed values included, is the one running the
+  budget out would give, bit for bit.
+
+Proving divergence.  Once a run has used DETECT_AFTER steps, every
+``while`` back-edge hands its frame's state to Brent's cycle detection.
+The state holds the exact value of each variable in the loop's control
+slice and only the type of every other variable the loop assigns (see
+``control_slice.py``).  The interpreter is deterministic, so two equal
+states at the same back-edge, with the loop never left in between, prove
+that the path between them repeats until the budget runs out.
 """
 
 from __future__ import annotations
@@ -30,15 +41,31 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import parser as P
+from .control_slice import ControlSlice
 from .values import INT_MAX, INT_MIN, freeze, thaw, values_equal, wrap_int
 
 DEFAULT_BUDGET = 100_000
 MAX_CALL_DEPTH = 200
 
+# Steps a run uses before its back-edges look for a repeated state.  Until
+# then a back-edge costs one comparison more.  It lies above the longest
+# terminating run of the benchmark workloads (1,446 steps) and far below
+# the default budget, which a divergent run otherwise spends in full.
+DETECT_AFTER = 2_000
+
+# A run watches in spells of this many back-edges, each followed by a
+# pause twice as long as the one before, the first as long as DETECT_AFTER.
+# So a loop whose state never repeats, a runaway counter say, costs a few
+# spells of states and not one state per back-edge, and a cycle of up to
+# about a third of a spell is found in the first spell after its run-up.
+SPELL_EDGES = 512
+
 # Python frames one SLANG call level holds at most: its statement loop, the
 # statement, and one closure per level of expression nesting down to the
 # call, which the parser bounds by MAX_EXPR_DEPTH.  The slack covers the
-# entry frames and the helpers a closure calls.
+# entry frames, the helpers a closure calls, and lowering a function on its
+# first call, which recurses once per level of block and expression nesting
+# (MAX_BLOCK_DEPTH + MAX_EXPR_DEPTH frames at most).
 _STACK_HEADROOM = MAX_CALL_DEPTH * (P.MAX_EXPR_DEPTH + 2) + 500
 
 ERROR_KINDS = (
@@ -107,7 +134,10 @@ class Code:
 class _Run:
     """The state of one execution, passed to every closure."""
 
-    __slots__ = ("code", "left", "depth", "covered", "output", "returned")
+    __slots__ = (
+        "code", "left", "depth", "covered", "output", "returned",
+        "watch_at", "spell", "pause", "frames",
+    )
 
     def __init__(self, code: Code, budget: int):
         self.code = code
@@ -116,6 +146,10 @@ class _Run:
         self.covered: set[int] = set()
         self.output: list = []
         self.returned = None
+        self.watch_at = budget - DETECT_AFTER  # back-edges watch once left <= this
+        self.spell = SPELL_EDGES  # back-edges this spell still watches
+        self.pause = DETECT_AFTER  # steps of the last pause
+        self.frames: dict = {}  # call depth -> (env, watches of its active loop nest)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +375,91 @@ def _lower_call(expr: P.Call, line: int, functions: dict):
 
 
 # ---------------------------------------------------------------------------
+# Proving divergence at loop back-edges
+
+class _Watch:
+    """Brent's cycle detection on one loop's back-edge states in one frame:
+    each state is compared with the saved one, which moves up to the
+    current state after 1, 2, 4, ... comparisons.  Saving records the
+    budget left and the number of printed values, to measure a period."""
+
+    __slots__ = ("loop", "saved", "left", "printed", "power", "lam")
+
+    def __init__(self, loop: ControlSlice, state: Optional[list], run: _Run):
+        self.loop = loop
+        self.power = 1
+        self.save(state, run)
+
+    def save(self, state: Optional[list], run: _Run) -> None:
+        self.saved, self.left, self.printed, self.lam = state, run.left, len(run.output), 0
+
+
+def _watch(run: _Run, env: dict, loop: ControlSlice) -> None:
+    """Feed the frame's state at ``loop``'s back-edge to the loop's watch,
+    and fast-forward the run when the state repeats."""
+    run.spell -= 1
+    if run.spell < 0:
+        _pause(run)
+        return
+    frame = run.frames.get(run.depth)
+    if frame is None or frame[0] is not env:  # a new call at this depth
+        frame = run.frames[run.depth] = (env, [])
+    nest = frame[1]
+    # Watched loops that do not contain this one have been left; re-entering
+    # one takes a back-edge of a loop around it, which drops it here too.
+    while nest and not nest[-1].loop.contains(loop):
+        nest.pop()
+    if not nest or nest[-1].loop is not loop:
+        nest.append(_Watch(loop, loop.state(env), run))
+        return
+    watch = nest[-1]
+    if watch.saved is None:  # given up: the state outgrew control_slice.MAX_STATE_ITEMS
+        return
+    state = loop.state(env)
+    if state is None:
+        watch.saved = None
+    elif state == watch.saved:
+        _fast_forward(run, watch)
+    else:
+        watch.lam += 1
+        if watch.lam == watch.power:
+            watch.power *= 2
+            watch.save(state, run)
+
+
+def _pause(run: _Run) -> None:
+    """End the spell: stop watching for twice as many steps as last time.
+    The watches would miss the back-edges taken meanwhile, so they go."""
+    run.pause *= 2
+    run.watch_at = run.left - run.pause
+    run.spell = SPELL_EDGES
+    run.frames.clear()
+
+
+def _fast_forward(run: _Run, watch: _Watch) -> None:
+    """Skip the whole periods a proven cycle has left in the budget: each
+    repeats the steps and the prints since the saved state, so the run
+    appends those prints once per period and keeps the rest of its budget,
+    which it runs normally to the same end.  That end is less than one
+    period away, so the run watches no more."""
+    period = watch.left - run.left
+    repeats = run.left // period
+    run.output += run.output[watch.printed:] * repeats
+    run.left -= period * repeats
+    run.watch_at = -1
+
+
+def _back_edge(loop: ControlSlice):
+    head = loop.head
+
+    def back_edge(run, env):
+        if run.left <= run.watch_at:
+            _watch(run, env, loop)
+        return head
+    return back_edge
+
+
+# ---------------------------------------------------------------------------
 # Statements: each becomes a closure ``(run, env) -> index of the next``;
 # a negative index ends the function, returning ``run.returned``.
 
@@ -430,7 +549,7 @@ def _lower_block(block: tuple, lines: list, stmts: list, functions: dict) -> Non
         elif type(stmt) is P.While:
             head = emit(stmt.line, None)
             _lower_block(stmt.body, lines, stmts, functions)
-            emit(stmt.end_line, _goto(head))
+            emit(stmt.end_line, _back_edge(ControlSlice(stmt, head, len(stmts))))
             cond = _lower_expr(stmt.cond, stmt.line, functions)
             stmts[head] = _branch(cond, stmt.line, head + 1, len(stmts))
         else:

@@ -33,6 +33,11 @@ ARITHMETIC_OPS = ("+", "-", "*", "/", "%")
 # bounds the Python frames one SLANG call level needs in the interpreter.
 MAX_EXPR_DEPTH = 32
 
+# Deepest nesting of ``if``/``while`` blocks inside a function.  The
+# parser, the interpreter and the repair templates walk the block tree
+# recursively, one Python frame per level, so this bounds their stack too.
+MAX_BLOCK_DEPTH = 64
+
 
 class ParseError(Exception):
     """Raised for any unbuildable program; carries the first offending line."""
@@ -536,6 +541,8 @@ class _BlockParser:
             return
 
         if word == "if" or word == "while":
+            if len(stack) > MAX_BLOCK_DEPTH:  # the function's frame plus the open blocks
+                raise ParseError(number, f"blocks nested deeper than {MAX_BLOCK_DEPTH}")
             tokens = tokenize(text, number)
             cond = parse_expr_tokens(tokens[1:], number)
             if word == "if":

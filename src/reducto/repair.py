@@ -425,14 +425,14 @@ def repair(
     caps: RepairCaps = RepairCaps(),
     failing_ids=None,
     budget: int = interp.DEFAULT_BUDGET,
+    ast: Optional[Ast] = None,
 ) -> RepairResult:
     """Iterate candidates until one passes the whole suite or a cap stops
     the search.  Unbuildable candidates are skipped and tallied separately
-    from NPC."""
+    from NPC.  ``ast`` is ``program`` parsed, when the caller has it."""
     started = time.perf_counter()
     if failing_ids is None:
         failing_ids = list(run_suite(program, suite, budget).failing)
-    ast = parse(program)
 
     npc = 0
     nte = 0

@@ -17,6 +17,7 @@ encoding keeps floats as hex bit patterns for the same reason.
 
 from __future__ import annotations
 
+import json
 import struct
 from typing import Any, Union
 
@@ -42,21 +43,53 @@ def float_from_bits(raw: bytes) -> float:
     return struct.unpack(">d", raw)[0]
 
 
+def _is_array(v: Any) -> bool:
+    return type(v) is list or type(v) is tuple
+
+
+def _rebuild(root, leaf, node):
+    """Map a nested array bottom-up without recursion: ``leaf`` maps each
+    scalar and ``node`` each array's list of mapped items.  An array that
+    contains itself has no finite image and raises RecursionError."""
+    on_path = {id(root)}
+    stack = [(root, iter(root), [])]
+    while True:
+        array, items, mapped = stack[-1]
+        for item in items:
+            if type(item) is list or type(item) is tuple:
+                if id(item) in on_path:
+                    raise RecursionError("array contains itself")
+                on_path.add(id(item))
+                stack.append((item, iter(item), []))
+                break
+            mapped.append(leaf(item))
+        else:
+            stack.pop()
+            on_path.discard(id(array))
+            if not stack:
+                return node(mapped)
+            stack[-1][2].append(node(mapped))
+
+
+def _same(v: Any) -> Any:
+    return v
+
+
 def freeze(v: Any) -> FrozenValue:
     """Deep-freeze a runtime value: lists become tuples, scalars pass through."""
-    if type(v) is list or type(v) is tuple:
-        # A list comprehension, not a generator: recursion through Python
-        # frames only, which on CPython 3.11+ takes no C stack, so a raised
-        # recursion limit is safe.
-        return tuple([freeze(item) for item in v])
-    return v
+    if type(v) is not list and type(v) is not tuple:
+        return v
+    for item in v:
+        if type(item) is list or type(item) is tuple:
+            return _rebuild(v, _same, tuple)
+    return tuple(v)
 
 
 def thaw(v: Any) -> Value:
     """Deep-thaw a frozen value back into mutable runtime form."""
-    if type(v) is list or type(v) is tuple:
-        return [thaw(item) for item in v]
-    return v
+    if not _is_array(v):
+        return v
+    return _rebuild(v, _same, list)
 
 
 def values_equal(a: Any, b: Any) -> bool:
@@ -65,26 +98,46 @@ def values_equal(a: Any, b: Any) -> bool:
     if ta is not tb:
         # tuple-vs-list counts as the same array type
         if {ta, tb} == {list, tuple}:
-            return _seq_equal(a, b)
+            return _arrays_equal(a, b)
         return False
     if ta is float:
         return float_bits(a) == float_bits(b)
     if ta is list or ta is tuple:
-        return _seq_equal(a, b)
+        return _arrays_equal(a, b)
     return a == b
 
 
-def _seq_equal(a, b) -> bool:
+def _arrays_equal(a, b) -> bool:
+    """Compare two arrays pair by pair off a stack, without recursion.
+    A pair met again is taken as equal: it is either settled or still being
+    compared, and any difference fails the whole comparison at once.  So
+    arrays that contain themselves compare as their infinite unfoldings."""
     if len(a) != len(b):
         return False
-    for x, y in zip(a, b):  # a loop, not all(...): see freeze
-        if not values_equal(x, y):
-            return False
+    stack = [(a, b)]
+    met = {(id(a), id(b))}
+    while stack:
+        x, y = stack.pop()
+        for p, q in zip(x, y):
+            tp, tq = type(p), type(q)
+            if (tp is list or tp is tuple) and (tq is list or tq is tuple):
+                if len(p) != len(q):
+                    return False
+                pair = (id(p), id(q))
+                if pair not in met:
+                    met.add(pair)
+                    stack.append((p, q))
+            elif tp is not tq:
+                return False
+            elif tp is float:
+                if float_bits(p) != float_bits(q):
+                    return False
+            elif p != q:
+                return False
     return True
 
 
-def value_to_json(v: Any) -> dict:
-    """Encode a value as tagged JSON; floats as hex bit patterns."""
+def _scalar_to_json(v: Any) -> dict:
     t = type(v)
     if t is bool:
         return {"bool": v}
@@ -94,9 +147,51 @@ def value_to_json(v: Any) -> dict:
         return {"float": "0x" + float_bits(v).hex()}
     if t is str:
         return {"str": v}
-    if t is list or t is tuple:
-        return {"array": [value_to_json(item) for item in v]}
     raise TypeError(f"not a SLANG value: {v!r}")
+
+
+def _array_to_json(items: list) -> dict:
+    return {"array": items}
+
+
+def value_to_json(v: Any) -> dict:
+    """Encode a value as tagged JSON; floats as hex bit patterns."""
+    if _is_array(v):
+        return _rebuild(v, _scalar_to_json, _array_to_json)
+    return _scalar_to_json(v)
+
+
+def canonical_json(v: Any) -> str:
+    """``value_to_json(v)`` as canonical JSON text (sorted keys, no
+    whitespace), written without recursion: ``json.dumps`` recurses once per
+    nesting level and fails on arrays a few thousand levels deep."""
+    if not _is_array(v):
+        return _dumps(_scalar_to_json(v))
+    parts = ['{"array":[']
+    on_path = {id(v)}
+    stack = [(v, enumerate(v))]
+    while stack:
+        array, items = stack[-1]
+        for i, item in items:
+            if i:
+                parts.append(",")
+            if type(item) is list or type(item) is tuple:
+                if id(item) in on_path:
+                    raise RecursionError("array contains itself")
+                on_path.add(id(item))
+                parts.append('{"array":[')
+                stack.append((item, enumerate(item)))
+                break
+            parts.append(_dumps(_scalar_to_json(item)))
+        else:
+            stack.pop()
+            on_path.discard(id(array))
+            parts.append("]}")
+    return "".join(parts)
+
+
+def _dumps(obj: Any) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def value_from_json(obj: Any) -> FrozenValue:

@@ -129,6 +129,30 @@ def test_load_corpus_parses_each_program_once(corpus_dir, monkeypatch):
     assert sorted(parsed) == sorted(b.name for b in bundles)
 
 
+def test_repair_parses_only_its_candidates(corpus_bundles, monkeypatch):
+    """Candidate generation reuses the Ast of each program variant that
+    BundleArtifacts parsed once; repair parses only the candidates."""
+    from reducto import experiment, parser, repair
+
+    bundle = next(b for b in corpus_bundles if b.name == "b04_rate_of")
+    counts = {"experiment": 0, "repair": 0}
+
+    def counting(module):
+        def counting_parse(program):
+            counts[module] += 1
+            return parser.parse(program)
+        return counting_parse
+
+    for module in (experiment, repair):
+        monkeypatch.setattr(module, "parse", counting(module.__name__.split(".")[-1]))
+    artifacts = BundleArtifacts(bundle)
+    assert counts == {"experiment": 2, "repair": 0}  # P and Ps
+    reports = [run_config(artifacts, config) for config in viable_configs()]
+    candidates = sum(r.cost_proxy - r.nte for r in reports)  # cost proxy = NTE + candidates
+    assert counts["repair"] == candidates > 0
+    assert counts["experiment"] == 2
+
+
 def test_load_corpus_requires_bundles(tmp_path):
     with pytest.raises(ManifestError):
         load_corpus(tmp_path)

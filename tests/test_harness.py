@@ -17,7 +17,7 @@ from reducto.harness import (
 )
 from reducto.interp import compile_ast, execute
 from reducto.parser import parse
-from reducto.values import value_from_json, value_to_json
+from reducto.values import value_from_json, value_to_json, values_equal
 
 from conftest import program
 
@@ -202,3 +202,40 @@ def test_signature_replay_faithfulness(max3_program, max3_suite):
     second = run_suite(max3_program, max3_suite)
     for tid in max3_suite.ids():
         assert signature(tid, first.outcomes[tid]) == signature(tid, second.outcomes[tid])
+
+
+NESTED = """\
+fn nest(n)
+let a = [1.5]
+let b = [1.5]
+let i = 0
+while i < n
+a = [a]
+b = [b]
+i = i + 1
+end
+print a == b
+print a
+return a
+end
+"""
+
+
+def test_arrays_nested_5000_deep_through_execute_and_run_test():
+    depth = 5_000
+    code = compiled(NESTED)
+    expected = (1.5,)
+    for _ in range(depth):
+        expected = (expected,)
+    result = execute(code, "nest", [depth])
+    assert result.status == "completed"
+    assert values_equal(result.return_value, expected)
+    assert values_equal(result.output, (True, expected))
+
+    assert run_test(code, TestCase("v", "nest", (depth,), "value", expected)).passed
+    assert run_test(code, TestCase("o", "nest", (depth,), "output", (True, expected))).passed
+    shallower = run_test(code, TestCase("v", "nest", (depth,), "value", expected[0]))
+    assert shallower.kind == "Fail"
+    text = '{"array":[' * (depth + 1) + '{"float":"0x3ff8000000000000"}' + "]}" * (depth + 1)
+    assert shallower.actual == '{"value":' + text + "}"
+    assert shallower.expected == '{"value":' + text[len('{"array":['):-len("]}")] + "}"

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from reducto.interp import MAX_CALL_DEPTH, CallSetupError, compile_ast, execute
-from reducto.parser import MAX_EXPR_DEPTH, parse
+from reducto.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, parse
 from reducto.values import float_bits, value_to_json, values_equal
 
 from conftest import program
@@ -235,6 +235,21 @@ def test_call_depth_limit_ends_as_blown_budget(pluses, extra_frames):
     assert deepest.return_value == pluses * (MAX_CALL_DEPTH - 1)
     for n in (MAX_CALL_DEPTH, 250):
         assert run_at(n).status == "budget_exceeded"
+
+
+@pytest.mark.parametrize("extra_frames", [0, 300])
+def test_first_call_at_the_deepest_level_lowers_the_deepest_function(extra_frames):
+    """Lowering recurses per block and expression level, on top of the
+    deepest call stack a run allows."""
+    expr = "(" * (MAX_EXPR_DEPTH - 2) + "n" + ")" * (MAX_EXPR_DEPTH - 2)
+    opens = "".join("while false\n" if level % 2 else "if true\nelse\n"
+                    for level in range(MAX_BLOCK_DEPTH))
+    deep = f"fn deep(n)\n{opens}return {expr}\n" + "end\n" * MAX_BLOCK_DEPTH + "return 0\nend\n"
+    calls = "fn f(n)\nif n == 0\nreturn deep(n)\nend\nreturn 1 + f(n - 1)\nend\n"
+    code = compile_ast(parse(program(deep + calls)))
+    depth = MAX_CALL_DEPTH - 2  # f's entry call, 198 nested ones, then deep
+    result = _from_stack_depth(extra_frames, lambda: execute(code, "f", [depth]))
+    assert (result.status, result.return_value) == ("completed", depth)
 
 
 def test_recursion_within_depth_works():

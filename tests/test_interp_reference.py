@@ -5,16 +5,21 @@ Every ExecutionResult field must agree, floats by bit pattern, on the
 corpus programs and tests, on every patch candidate the repair templates
 generate (divergent, erroring and ill-typed ones among them), on every
 budget around a looping function, and on random operands for every
-operator.
+operator.  The reference never proves divergence, so the kernels and
+random loops at the end check that a fast-forwarded run ends exactly as
+running its budget out does.
 """
 
+import contextlib
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_interp as ref
 from reducto import interp
+from reducto.control_slice import MAX_STATE_ITEMS
 from reducto.faultloc import localize
 from reducto.parser import ParseError, parse
 from reducto.repair import generate_candidates
@@ -150,3 +155,508 @@ values = st.one_of(scalars, st.lists(scalars, max_size=3).map(tuple))
 @given(body=st.sampled_from(BODIES), a=values, b=values)
 def test_every_form_on_random_operands(body, a, b):
     assert_agree(_program(body), "f", (a, b))
+
+
+# ---------------------------------------------------------------------------
+# Divergence proofs: runs that the closure interpreter fast-forwards
+
+KERNELS = {
+    "counter_never_incremented": ("""\
+fn f(n)
+let i = 0
+let hits = 0
+while i < n
+hits = hits + 1
+end
+return hits
+end
+""", (3,)),
+    "int_float_str_array_accumulators": ("""\
+fn f(n)
+let i = 0
+let a = 7
+let b = 0.5
+let s = ""
+let xs = []
+while i < n
+a = a * 3 + 1
+b = b * 1.5 - a
+s = s + "ab"
+xs = xs + [a, b, s]
+let k = len(xs) + len(s)
+let same = xs == [a]
+end
+return a
+end
+""", (3,)),
+    "print_inside_the_cycle": ("""\
+fn f(n)
+let j = 0
+let total = 0
+while n > 0
+j = (j + 1) % 3
+total = total + j
+print j
+print [j, "x", 0.5]
+end
+return j
+end
+""", (1,)),
+    "flips_between_1_1_0_and_true": ("""\
+fn f(n)
+let x = 1
+while n > 0
+if x == 1
+x = 1.0
+else
+if x == 1.0
+x = true
+else
+x = 1
+end
+end
+print x
+end
+return x
+end
+""", (1,)),
+    "flips_between_0_0_minus_0_0_and_nan": ("""\
+fn f(n)
+let x = 0.0
+while n > 0
+if x == 0.0
+x = -x
+else
+if x == -0.0
+x = 0.0 / 0.0
+else
+x = 0.0
+end
+end
+print x
+end
+return x
+end
+""", (1,)),
+    # The state at the second back-edge differs from the first only in the
+    # type of ``d``, and the third pass raises: types must be compared.
+    "data_type_changes_late": ("""\
+fn f(n)
+let d = 1
+let c = 2
+let e = 0
+while n > 0
+e = d - 1
+d = c
+c = "s"
+end
+return e
+end
+""", (1,)),
+    "aliased_array_toggles": ("""\
+fn f(n)
+let a = [0, 0]
+let b = a
+while a[0] < n
+b[1] = 1 - b[1]
+print a[1]
+end
+return a
+end
+""", (5,)),
+    # Equal array contents at the first two back-edges, but only at the
+    # second do a, b and c share one array, and the third pass returns:
+    # aliasing must be compared.
+    "aliasing_changes_late": ("""\
+fn f(n)
+let a = [0]
+let b = [0]
+let c = [0]
+let i = 0
+while i < 10
+b[0] = 1
+if a[0] == 1
+return n
+end
+b[0] = 0
+b = c
+c = a
+end
+return 0
+end
+""", (5,)),
+    "array_that_contains_itself": ("""\
+fn f(n)
+let a = [0, 1]
+a[0] = a
+while a[1] < n
+a[1] = 1 - a[1]
+a[0] = a
+end
+return 0
+end
+""", (5,)),
+    "inner_loop_ends_outer_does_not": ("""\
+fn f(n)
+let i = 0
+let total = 0
+while i < n
+let j = 0
+while j < 3
+total = total + j
+j = j + 1
+end
+end
+return total
+end
+""", (2,)),
+    "inner_loop_never_ends": ("""\
+fn f(n)
+let i = 0
+let total = 0
+while i < n
+let j = 0
+while j < 3
+total = total + 1
+end
+i = i + 1
+end
+return total
+end
+""", (2,)),
+    "nested_loops_that_end": ("""\
+fn f(n)
+let i = 0
+let total = 0
+while i < n
+let j = 0
+while j < i % 4
+total = total + j
+j = j + 1
+end
+i = i + 1
+end
+return total
+end
+""", (40,)),
+    "loop_calls_a_looping_function": ("""\
+fn count(k)
+let t = 0
+let j = 0
+while j < k
+t = t + j
+j = j + 1
+end
+return t
+end
+fn spin(k)
+let t = 0
+while k > 0
+t = t + 1
+end
+return t
+end
+fn f(n)
+let i = 0
+let s = 0
+while i < n
+s = s + count(3)
+i = i + spin(n - 2)
+end
+return s
+end
+""", (2,)),
+    "called_function_never_returns": ("""\
+fn spin(k)
+let t = 0
+while k > 0
+t = t + 1
+end
+return t
+end
+fn f(n)
+let i = 0
+while i < 2
+i = i + spin(n)
+end
+return i
+end
+""", (2,)),
+    "recursion_inside_the_loop": ("""\
+fn fact(k)
+if k <= 1
+return 1
+end
+return k * fact(k - 1)
+end
+fn f(n)
+let i = 0
+let acc = 0
+while i < n
+acc = acc + fact(4)
+end
+return acc
+end
+""", (2,)),
+    # ``t`` is 0 at every back-edge: only the slice's closure under the
+    # assignment ``t = total`` keeps the loop from looking cyclic.
+    "accumulator_feeds_a_condition": ("""\
+fn f(n)
+let i = 0
+let total = 0
+let t = 0
+while i < n
+total = total + 1
+t = total
+if t > 40
+return total
+end
+t = 0
+end
+return 0
+end
+""", (2,)),
+    "accumulator_stored_in_an_array": ("""\
+fn f(n)
+let xs = [0]
+let total = 0
+while n > 0
+total = total + 1
+xs[0] = total
+if xs[0] > 40
+return total
+end
+xs[0] = 0
+end
+return 0
+end
+""", (2,)),
+    "printed_accumulator": ("""\
+fn f(n)
+let i = 0
+let total = 0
+while i < n
+total = total + 1
+print total
+end
+return 0
+end
+""", (2,)),
+    "accumulator_feeds_a_division": ("""\
+fn f(n)
+let i = 0
+let total = 0
+let q = 0
+while i < n
+total = total + 1
+let gap = 30 - total
+q = q + 100 / gap
+end
+return q
+end
+""", (2,)),
+    "accumulator_feeds_a_call": ("""\
+fn check(k)
+if k > 30
+return 1 / 0
+end
+return k
+end
+fn f(n)
+let i = 0
+let total = 0
+let q = 0
+while i < n
+total = total + 1
+q = check(total)
+end
+return q
+end
+""", (2,)),
+    "accumulator_feeds_an_index": ("""\
+fn f(n)
+let xs = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
+let i = 0
+let total = 0
+let q = 0
+while i < n
+total = total + 1
+q = xs[total]
+end
+return q
+end
+""", (2,)),
+    # Too big a state to encode: the loop goes unwatched from its first
+    # back-edge, or from the one where its state outgrows the cap.
+    "array_too_big_to_watch": ("""\
+fn f(xs)
+while xs[0] < 5
+xs[1] = 1 - xs[1]
+end
+return 0
+end
+""", ((0,) * MAX_STATE_ITEMS,)),
+    "array_outgrows_the_state_cap": ("""\
+fn f(xs)
+while xs[0] == 0
+xs = xs + [0]
+end
+return 0
+end
+""", ((0,) * (MAX_STATE_ITEMS // 2 - 5),)),
+    # The callee's loop states repeat from one call to the next.
+    "loops_in_repeated_calls_end": ("""\
+fn count(k)
+let t = 0
+let j = 0
+while j < k
+t = t + j
+j = j + 1
+end
+return t
+end
+fn f(n)
+let i = 0
+let s = 0
+while i < n
+let j = 0
+while j < 3
+j = j + 1
+end
+s = s + count(3)
+i = i + 1
+end
+return s
+end
+""", (12,)),
+}
+# Kernels that never end and that detection proves so.  The other kernels
+# end, or diverge without ever repeating a state.
+DETECTED = {
+    "counter_never_incremented", "int_float_str_array_accumulators",
+    "print_inside_the_cycle", "flips_between_1_1_0_and_true",
+    "flips_between_0_0_minus_0_0_and_nan", "aliased_array_toggles",
+    "array_that_contains_itself", "inner_loop_ends_outer_does_not",
+    "inner_loop_never_ends", "loop_calls_a_looping_function",
+    "called_function_never_returns", "recursion_inside_the_loop",
+}
+
+
+@contextlib.contextmanager
+def watching(after: int, spell: int = interp.SPELL_EDGES):
+    """Run with detection starting after ``after`` steps, in spells of
+    ``spell`` back-edges, and yield the list of (period, budget left) of
+    every fast-forward."""
+    jumps = []
+    saved = interp._fast_forward, interp.DETECT_AFTER, interp.SPELL_EDGES
+    forward = saved[0]
+
+    def recording(run, watch):
+        jumps.append((watch.left - run.left, run.left))
+        forward(run, watch)
+
+    interp._fast_forward, interp.DETECT_AFTER, interp.SPELL_EDGES = recording, after, spell
+    try:
+        yield jumps
+    finally:
+        interp._fast_forward, interp.DETECT_AFTER, interp.SPELL_EDGES = saved
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kernel_at_every_budget_with_detection_from_the_start(kernel):
+    text, args = KERNELS[kernel]
+    codes = compiled(parse(program(text)))
+    with watching(0) as jumps:
+        for budget in range(400):
+            assert_agree(codes, "f", args, budget)
+    if kernel in DETECTED:
+        # Every remainder of the period is met at some budget, in at least
+        # three periods' worth of budgets past the first detection.
+        periods = {period for period, _ in jumps}
+        assert len(periods) == 1, periods
+        (period,) = periods
+        remainders = {left % period for _, left in jumps}
+        assert remainders == set(range(period))
+        assert len(jumps) >= 3 * period
+    else:
+        assert not jumps
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kernel_with_short_spells_and_pauses(kernel):
+    """Spells of a few back-edges, with pauses between them in which loops
+    are left and entered unwatched."""
+    text, args = KERNELS[kernel]
+    codes = compiled(parse(program(text)))
+    for after in (1, 3):
+        for spell in (1, 2, 3, 6):
+            with watching(after, spell):
+                assert_agree(codes, "f", args, CANDIDATE_BUDGET)
+    with watching(5, spell=3):
+        for budget in range(400):
+            assert_agree(codes, "f", args, budget)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kernel_past_the_detection_threshold(kernel):
+    text, args = KERNELS[kernel]
+    codes = compiled(parse(program(text)))
+    with watching(interp.DETECT_AFTER) as jumps:
+        for budget in range(interp.DETECT_AFTER, interp.DETECT_AFTER + 30):
+            assert_agree(codes, "f", args, budget)
+        assert_agree(codes, "f", args, CANDIDATE_BUDGET)
+    assert bool(jumps) == (kernel in DETECTED)
+
+
+@pytest.mark.parametrize("kernel", ["counter_never_incremented", "int_float_str_array_accumulators"])
+def test_proven_divergence_ends_a_huge_budget_at_once(kernel):
+    text, args = KERNELS[kernel]
+    code = interp.compile_ast(parse(program(text)))
+    started = time.perf_counter()
+    result = interp.execute(code, "f", list(args), 10**9)
+    assert time.perf_counter() - started < 1.0
+    assert (result.status, result.steps) == ("budget_exceeded", 10**9)
+
+
+# Random loops over a few ints, a float, a str, a bool and two arrays that
+# may alias, with nested conditions and loops and statements that can raise.
+LOOP_STATEMENTS = (
+    "i = i + 1", "i = i - 1", "i = (i + 1) % 4", "i = 0", "x = x + i", "x = x * 3",
+    "x = x / 2", "x = x - y", "y = y * 1.5", "y = -y", "y = y + x", "y = 0.0 / 0.0",
+    "xs[i % 2] = x", "xs[0] = xs[1] + 1", "ys[1] = i", "ys = xs", "xs = [x, i]",
+    "xs = xs + [x]", "s = s + \"ab\"", "x = len(s)", "print i", "print xs",
+    "print y", "x = twice(i % 3)", "let k = i", "ok = x == y", "ok = not ok",
+    "x = x / i", "x = xs[i]", "s = s + x", "ok = ok and x < y",
+    "if i > 2\nx = 0\nend", "if x == y\ni = i + 1\nelse\ni = 0\nend",
+    "if ok\nys[0] = y\nend",
+)
+LOOP_CONDITIONS = (
+    "true", "i < a", "i != b", "x >= 0", "xs[0] < 3", "len(xs) < 4",
+    "i % 3 != 2", "ok or i < 2", "y != 1.5", "ys[0] != 9",
+)
+
+
+@st.composite
+def loops(draw):
+    body = draw(st.lists(st.sampled_from(LOOP_STATEMENTS), min_size=1, max_size=6))
+    if draw(st.booleans()):  # nest part of the body in an inner loop
+        cut = draw(st.integers(0, len(body)))
+        inner = draw(st.sampled_from(("j < 2", "j < i", "j != 1")))
+        body[cut:] = ["let j = 0", f"while {inner}", *body[cut:], "j = j + 1", "end"]
+    return (
+        "fn f(a, b)\n"
+        "let i = 0\nlet x = a\nlet y = 1.5\nlet s = \"\"\nlet ok = true\n"
+        "let xs = [0, 1]\nlet ys = xs\n"
+        f"while {draw(st.sampled_from(LOOP_CONDITIONS))}\n"
+        + "\n".join(body)
+        + "\nend\nreturn x\nend\n"
+        "fn twice(k)\nreturn k * 2\nend\n"
+    )
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(text=loops(), a=st.integers(-3, 3), b=st.integers(-3, 3), budget=st.integers(0, 2000))
+def test_random_loops_with_detection_from_the_start(text, a, b, budget):
+    codes = compiled(parse(program(text)))
+    with watching(0):
+        assert_agree(codes, "f", (a, b), budget)

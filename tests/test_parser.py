@@ -1,6 +1,6 @@
 import pytest
 
-from reducto.parser import MAX_EXPR_DEPTH, Ast, ParseError, parse, parses
+from reducto.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, Ast, ParseError, parse, parses
 from reducto.source import SourceProgram, count_sloc, is_blank, is_comment
 
 from conftest import program
@@ -42,6 +42,8 @@ def test_missing_end_reports_last_line():
         ("fn main()\nreturn " + "- " * 400 + "1\nend\n", 2),
         ("fn main(x)\nreturn " + "main(" * 400 + "1" + ")" * 400 + "\nend\n", 2),
         ("fn main()\nreturn " + " + ".join(["1"] * 400) + "\nend\n", 2),
+        # block nesting that would exhaust the Python stack of a recursive walker
+        ("fn main()\n" + "if true\n" * 1200 + "end\n" * 1200 + "end\n", MAX_BLOCK_DEPTH + 2),
     ],
 )
 def test_parse_errors_carry_first_offending_line(text, line):
@@ -61,6 +63,22 @@ def test_parse_errors_carry_first_offending_line(text, line):
 def test_expression_depth_cap_is_exact(expr):
     assert parses(program(f"fn main()\nreturn {expr(MAX_EXPR_DEPTH)}\nend\n"))
     assert not parses(program(f"fn main()\nreturn {expr(MAX_EXPR_DEPTH + 1)}\nend\n"))
+
+
+def _nested_blocks(depth: int) -> SourceProgram:
+    """``depth`` blocks, alternately ``while`` and ``if`` with an ``else``, each
+    inside the last."""
+    opens = ["while false\n" if level % 2 else "if true\nelse\n" for level in range(depth)]
+    return program("fn main()\n" + "".join(opens) + "return 1\n" + "end\n" * depth + "end\n")
+
+
+def test_block_depth_cap_is_exact():
+    ast = parse(_nested_blocks(MAX_BLOCK_DEPTH))
+    assert max(ast.statement_lines()) == len(_nested_blocks(MAX_BLOCK_DEPTH))
+    with pytest.raises(ParseError) as err:
+        parse(_nested_blocks(MAX_BLOCK_DEPTH + 1))
+    assert err.value.line == 2 + 3 * MAX_BLOCK_DEPTH // 2  # the opener past the cap
+    assert "nested deeper" in err.value.reason
 
 
 def test_empty_blocks_allowed():

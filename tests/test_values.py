@@ -1,9 +1,11 @@
+import json
 import math
 import random
 
 import pytest
 
 from reducto.values import (
+    canonical_json,
     float_bits,
     freeze,
     thaw,
@@ -67,6 +69,54 @@ def test_tagged_json_round_trip(value):
     decoded = value_from_json(encoded)
     assert values_equal(decoded, value)
     assert type(decoded) is type(value) or (type(value) is tuple and type(decoded) is tuple)
+    assert canonical_json(value) == json.dumps(encoded, sort_keys=True, separators=(",", ":"))
+
+
+def _nested(depth: int, leaf, wrap):
+    value = leaf
+    for _ in range(depth):
+        value = wrap(value)
+    return value
+
+
+def _chain(value) -> tuple:
+    """(depth, array type at every level, innermost array) of a chain of
+    one-item arrays; Python's own ``==`` would recurse through it."""
+    depth, types = 0, set()
+    while len(value) == 1 and type(value[0]) in (list, tuple):
+        depth, value = depth + 1, value[0]
+        types.add(type(value))
+    return depth, types, value
+
+
+@pytest.mark.parametrize("depth", [2_000, 5_000, 50_000])
+def test_deep_arrays_need_no_recursion(depth):
+    deep = _nested(depth, [1.5], lambda v: [v])
+    frozen = freeze(deep)
+    assert _chain(frozen) == (depth, {tuple}, (1.5,))
+    assert _chain(thaw(frozen)) == (depth, {list}, [1.5])
+    assert values_equal(deep, frozen)
+    assert not values_equal(deep, _nested(depth, (-1.5,), lambda v: (v,)))
+    assert not values_equal(deep, _nested(depth - 1, (1.5,), lambda v: (v,)))
+    encoded = value_to_json(deep)
+    for _ in range(depth):
+        (encoded,) = encoded["array"]
+    assert encoded == {"array": [value_to_json(1.5)]}
+    text = '{"array":[' * (depth + 1) + canonical_json(1.5) + "]}" * (depth + 1)
+    assert canonical_json(deep) == text
+
+
+def test_arrays_that_contain_themselves():
+    a = [0]
+    a[0] = a
+    b = [[0]]
+    b[0][0] = b
+    assert values_equal(a, a)
+    assert values_equal(a, b)  # both unfold to [[[...]]]
+    assert not values_equal(a, [[1]])
+    for observe in (freeze, value_to_json, canonical_json):
+        with pytest.raises(RecursionError):
+            observe([1, a])
 
 
 def test_float_json_uses_bit_pattern():
@@ -106,3 +156,4 @@ def test_value_equality_fuzz_reflexive_symmetric():
         assert values_equal(a, b) == values_equal(b, a)
         enc = value_to_json(a)
         assert values_equal(value_from_json(enc), a)
+        assert canonical_json(a) == json.dumps(enc, sort_keys=True, separators=(",", ":"))
