@@ -22,7 +22,6 @@ from .experiment import (
     BundleArtifacts,
     ManifestError,
     NonViableConfig,
-    RepairReport,
     config_by_name,
     emit_report,
     load_bundle,
@@ -70,8 +69,11 @@ def _load_slice_dir(bundle, slice_dir: str):
     log_path = root / "deletion_log.json"
     if not log_path.is_file():
         raise ManifestError(f"{root}: no deletion_log.json")
-    log = json.loads(log_path.read_text(encoding="utf-8"))
-    return slice_result_from_log(bundle.program, log)
+    try:
+        log = json.loads(log_path.read_text(encoding="utf-8"))
+        return slice_result_from_log(bundle.program, log)
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+        raise ManifestError(f"{log_path}: {exc}") from exc
 
 
 def cmd_slice(args) -> int:
@@ -96,8 +98,8 @@ def cmd_reduce_tests(args) -> int:
         bundle = load_bundle(args.bundle, budget=args.budget)
         slice_program, mapping = _load_slice_dir(bundle, args.slice)
         reduced = reduce_suite(
-            bundle.program, slice_program, mapping, bundle.suite, args.budget,
-            _on_original=bundle.baseline_run,
+            bundle.program, slice_program, mapping, bundle.suite, bundle.baseline_run,
+            args.budget,
         )
         name, t_len = bundle.name, len(bundle.suite)
     else:
@@ -123,8 +125,8 @@ def cmd_localize(args) -> int:
         lists = {"L": original, "LP": prune_list(original, mapping)}
         if "LR" in wanted:
             reduced = reduce_suite(
-                bundle.program, slice_program, mapping, bundle.suite, args.budget,
-                _on_original=bundle.baseline_run,
+                bundle.program, slice_program, mapping, bundle.suite, bundle.baseline_run,
+                args.budget,
             )
             lists["LR"] = regenerate_list(slice_program, reduced.kept, mapping, args.budget)
         name = bundle.name
@@ -145,13 +147,12 @@ def cmd_repair(args) -> int:
     config = config_by_name(args.config)
     try:
         art = _artifacts(args)
-        report = run_config(art, config, _caps(args))
+        report, result = run_config(art, config, _caps(args))
     except NonViableConfig as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out or args.bundle)
     out.mkdir(parents=True, exist_ok=True)
-    result = art.cached_repair(config.name)
     payload = {
         "patched": report.patched,
         "patch": None,

@@ -14,13 +14,12 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 from . import interp
 from .faultloc import (
-    PROV_ORIGINAL,
     SuspiciousList,
     RankedLine,
     localize,
@@ -56,7 +55,7 @@ from .slicer import (
     orbs_slice,
 )
 from .source import SourceProgram
-from .suite_reducer import ReducedSuite, reduce_suite, verify_reduction
+from .suite_reducer import ReducedSuite, reduce_suite
 
 
 class ManifestError(Exception):
@@ -240,13 +239,10 @@ class BundleArtifacts:
         self.settings = settings
         self.budget = budget
         self.timings = StageTimings()
-        self._repair_cache: dict = {}
 
         self.criterion: TestSignatures
         self.baseline: Baseline
-        self.criterion, self.baseline = build_criterion(
-            bundle.program, bundle.suite, budget, _result=bundle.baseline_run
-        )
+        self.criterion, self.baseline = build_criterion(bundle.suite, bundle.baseline_run)
 
         started = time.perf_counter()
         self.slice_result: SliceResult = orbs_slice(
@@ -260,8 +256,8 @@ class BundleArtifacts:
             self.slice_result.slice,
             self.slice_result.mapping,
             bundle.suite,
+            bundle.baseline_run,
             budget,
-            _on_original=bundle.baseline_run,
         )
         self.timings.reduce_s = time.perf_counter() - started
 
@@ -286,21 +282,8 @@ class BundleArtifacts:
             "LP": self.list_pruned,
         }[variant]
 
-    def cached_repair(self, config_name: str) -> Optional[RepairResult]:
-        entry = self._repair_cache.get(config_name)
-        return entry[0] if entry else None
-
     def suite(self, variant: str) -> TestSuite:
         return self.bundle.suite if variant == "T" else self.reduced.kept
-
-    def verify(self) -> list:
-        return verify_reduction(
-            self.slice_result.slice,
-            self.reduced,
-            self.baseline,
-            self.slice_result.mapping,
-            self.budget,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -365,51 +348,42 @@ def run_config(
     artifacts: BundleArtifacts,
     config: RepairConfig,
     caps: RepairCaps = RepairCaps(),
-    baseline_patch_line: Optional[int] = None,
-) -> RepairReport:
-    """Run one viable configuration against prebuilt artifacts."""
+) -> tuple[RepairReport, RepairResult]:
+    """Run one viable configuration against prebuilt artifacts.  The
+    report leaves ``same_location`` unset: it compares with the P-T-L run,
+    which ``bundle_reports`` makes."""
     if not config.viable:
         raise NonViableConfig(f"{config.name} is not viable")
 
     bundle = artifacts.bundle
     slice_result = artifacts.slice_result
-    key = config.name
-    if key in artifacts._repair_cache:
-        result, patch_line_orig, transferred = artifacts._repair_cache[key]
-    else:
-        if config.program == "Ps" and not slice_result.fixpoint:
-            raise NonFixpointSlice(
-                f"{bundle.name}: slice is flagged non-fixpoint; "
-                "refusing to repair on it"
-            )
-        suite = artifacts.suite(config.suite)
-        suspicious = artifacts.suspicious(config.suspicious)
-        if config.program == "Ps":
-            program = slice_result.slice
-            suspicious = _translate_list(suspicious, slice_result.mapping)
-        else:
-            program = bundle.program
-        result = repair(
-            program, suite, suspicious, caps,
-            failing_ids=list(artifacts.failing_ids), budget=artifacts.budget,
-            ast=artifacts.asts[config.program],
+    if config.program == "Ps" and not slice_result.fixpoint:
+        raise NonFixpointSlice(
+            f"{bundle.name}: slice is flagged non-fixpoint; "
+            "refusing to repair on it"
         )
-        patch_line_orig = None
-        transferred = None
-        if result.patched:
-            if config.program == "Ps":
-                patched_original, patch_line_orig = map_patch_to_original(
-                    result.patch, slice_result.mapping, bundle.program
-                )
-                full = run_suite(patched_original, bundle.suite, artifacts.budget)
-                transferred = not full.failing
-            else:
-                patch_line_orig = result.patch.line
-        artifacts._repair_cache[key] = (result, patch_line_orig, transferred)
-
-    same_location = None
-    if result.patched and baseline_patch_line is not None:
-        same_location = patch_line_orig == baseline_patch_line
+    suite = artifacts.suite(config.suite)
+    suspicious = artifacts.suspicious(config.suspicious)
+    if config.program == "Ps":
+        program = slice_result.slice
+        suspicious = _translate_list(suspicious, slice_result.mapping)
+    else:
+        program = bundle.program
+    result = repair(
+        program, artifacts.asts[config.program], suite, suspicious,
+        artifacts.failing_ids, caps, artifacts.budget,
+    )
+    patch_line_orig = None
+    transferred = None
+    if result.patched:
+        if config.program == "Ps":
+            patched_original, patch_line_orig = map_patch_to_original(
+                result.patch, slice_result.mapping, bundle.program
+            )
+            full = run_suite(patched_original, bundle.suite, artifacts.budget)
+            transferred = not full.failing
+        else:
+            patch_line_orig = result.patch.line
 
     gt_location = None
     gt_text = None
@@ -424,7 +398,7 @@ def run_config(
         else:
             gt_text = False
 
-    return RepairReport(
+    report = RepairReport(
         bundle=bundle.name,
         config=config.name,
         sloc_p=slice_result.original_sloc,
@@ -439,12 +413,13 @@ def run_config(
         cost_proxy=result.cost_proxy,
         patched=result.patched,
         patch_line=patch_line_orig,
-        same_location=same_location,
+        same_location=None,
         transferred=transferred,
         stop_reason=result.stop_reason,
         gt_location_match=gt_location,
         gt_text_match=gt_text,
     )
+    return report, result
 
 
 def _failure_report(artifacts: BundleArtifacts, config: RepairConfig, error: str) -> RepairReport:
@@ -464,42 +439,48 @@ def _failure_report(artifacts: BundleArtifacts, config: RepairConfig, error: str
     )
 
 
+_BASELINE = RepairConfig("P", "T", "L")
+
+
+def bundle_reports(
+    artifacts: BundleArtifacts,
+    configs,
+    caps: RepairCaps = RepairCaps(),
+) -> list[RepairReport]:
+    """One report per configuration, in ``configs`` order, each run once.
+
+    P-T-L runs first, also when ``configs`` leaves it out of the report,
+    because every other patched row says whether it patched the same
+    line.  One configuration's failure (see _CONFIG_ERRORS) never aborts
+    the others."""
+    reports = {}
+    for config in dict.fromkeys((_BASELINE, *configs)):
+        try:
+            reports[config] = run_config(artifacts, config, caps)[0]
+        except _CONFIG_ERRORS as exc:
+            reports[config] = _failure_report(artifacts, config, str(exc))
+    baseline_line = reports[_BASELINE].patch_line
+    return [
+        replace(report, same_location=report.patch_line == baseline_line)
+        if report.patched and baseline_line is not None else report
+        for report in (reports[config] for config in configs)
+    ]
+
+
 def run_lattice(
     bundles,
     caps: RepairCaps = RepairCaps(),
     settings: SliceSettings = SliceSettings(),
     budget: int = interp.DEFAULT_BUDGET,
-    configs: Optional[list[RepairConfig]] = None,
-    artifacts_cache: Optional[dict] = None,
+    configs=viable_configs(),
 ) -> list[RepairReport]:
-    """All viable configurations for every bundle; one configuration's
-    failure (see _CONFIG_ERRORS) never aborts the others.
-    ``artifacts_cache`` (bundle name to BundleArtifacts) reuses prebuilt
-    shared artifacts."""
-    if configs is None:
-        configs = list(viable_configs())
+    """The reports of ``configs`` for every bundle, in bundle-name order."""
     for config in configs:
         if not config.viable:
             raise NonViableConfig(f"{config.name} is not viable")
     reports = []
     for bundle in sorted(bundles, key=lambda b: b.name):
-        if artifacts_cache is not None and bundle.name in artifacts_cache:
-            artifacts = artifacts_cache[bundle.name]
-        else:
-            artifacts = BundleArtifacts(bundle, settings, budget)
-        baseline_cfg = RepairConfig("P", "T", "L")
-        try:
-            baseline_line = run_config(artifacts, baseline_cfg, caps).patch_line
-        except _CONFIG_ERRORS:  # keep going; baseline comparisons just vanish
-            baseline_line = None
-        for config in configs:
-            try:
-                report = run_config(
-                    artifacts, config, caps, baseline_patch_line=baseline_line
-                )
-            except _CONFIG_ERRORS as exc:
-                report = _failure_report(artifacts, config, str(exc))
-            reports.append(report)
+        reports += bundle_reports(BundleArtifacts(bundle, settings, budget), configs, caps)
     return reports
 
 
@@ -555,41 +536,3 @@ def emit_report(reports, fmt: str = "csv") -> str:
     for row in rows:
         writer.writerow([_cell(row[col]) for col in CSV_COLUMNS])
     return buf.getvalue()
-
-
-# ---------------------------------------------------------------------------
-# Comparison
-
-@dataclass(frozen=True)
-class ReductionSummary:
-    rt_reduction_pct: Optional[float]
-    nte_reduction_pct: Optional[float]
-    npc_reduction_pct: Optional[float]
-    br_delta: Optional[int]  # positive: the other run ranked the patch better
-    same_location: Optional[bool]
-
-
-def _reduction_pct(base, other) -> Optional[float]:
-    if base is None or other is None or base == 0:
-        return None
-    return (base - other) / base * 100.0
-
-
-def compare(baseline: RepairReport, other: RepairReport) -> ReductionSummary:
-    """Percentage reductions relative to the baseline report; negative
-    values mean the other configuration did worse."""
-    if baseline.bundle != other.bundle:
-        raise ValueError("compare needs two reports for the same bundle")
-    br_delta = None
-    if baseline.br is not None and other.br is not None:
-        br_delta = baseline.br - other.br
-    same = None
-    if baseline.patched and other.patched:
-        same = baseline.patch_line == other.patch_line
-    return ReductionSummary(
-        rt_reduction_pct=_reduction_pct(baseline.rt_ms, other.rt_ms),
-        nte_reduction_pct=_reduction_pct(baseline.nte, other.nte),
-        npc_reduction_pct=_reduction_pct(baseline.npc, other.npc),
-        br_delta=br_delta,
-        same_location=same,
-    )

@@ -153,11 +153,6 @@ def regenerate_list(
     return SuspiciousList(PROV_REGENERATED, entries)
 
 
-def bug_rank(suspicious: SuspiciousList, patched_line: int) -> Optional[int]:
-    """Rank of the patched location; None when it was pruned out of the list."""
-    return suspicious.rank_of(patched_line)
-
-
 def suspicious_json(suspicious: SuspiciousList) -> list:
     return [
         {"line": e.line, "score": e.score, "rank": e.rank} for e in suspicious.entries

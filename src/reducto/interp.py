@@ -42,7 +42,7 @@ from typing import Optional
 
 from . import parser as P
 from .control_slice import ControlSlice
-from .values import INT_MAX, INT_MIN, freeze, thaw, values_equal, wrap_int
+from .values import INT_MAX, INT_MIN, CyclicArray, freeze, thaw, values_equal, wrap_int
 
 DEFAULT_BUDGET = 100_000
 MAX_CALL_DEPTH = 200
@@ -74,6 +74,7 @@ ERROR_KINDS = (
     "UndefinedVariable",
     "TypeError",
     "ArityMismatch",
+    "CyclicArray",
 )
 
 
@@ -463,6 +464,15 @@ def _back_edge(loop: ControlSlice):
 # Statements: each becomes a closure ``(run, env) -> index of the next``;
 # a negative index ends the function, returning ``run.returned``.
 
+def _observed(value, line: int):
+    """``value`` frozen where a print or the entry call's return observes
+    it; an array that contains itself cannot be observed."""
+    try:
+        return freeze(value)
+    except CyclicArray:
+        raise SlangError("CyclicArray", line, "array contains itself") from None
+
+
 def _goto(target: int):
     return lambda run, env: target
 
@@ -483,12 +493,14 @@ def _lower_stmt(stmt: P.Stmt, nxt: int, functions: dict):
     expr = _lower_expr(stmt.expr, line, functions)
     if t is P.Return:
         def return_(run, env):
-            run.returned = expr(run, env)
+            value = expr(run, env)
+            # the entry call's result is observed; a callee's stays mutable
+            run.returned = _observed(value, line) if run.depth == 1 else value
             return -1
         return return_
     if t is P.Print:
         def print_(run, env):
-            run.output.append(freeze(expr(run, env)))
+            run.output.append(_observed(expr(run, env), line))
             return nxt
         return print_
     name = stmt.name
@@ -610,7 +622,7 @@ def execute(
     sys.setrecursionlimit(limit + _STACK_HEADROOM)
     try:
         env = dict(zip(code.functions[function].params, [thaw(a) for a in args]))
-        return_value = freeze(code.lowered(function)(run, env))
+        return_value = code.lowered(function)(run, env)
     except SlangError as exc:
         status = "runtime_error"
         error = (exc.kind, exc.line, exc.message)

@@ -615,11 +615,3 @@ class _BlockParser:
 def parse(program: SourceProgram) -> Ast:
     """Parse a program or raise ParseError at the first offending line."""
     return _BlockParser(program).parse()
-
-
-def parses(program: SourceProgram) -> bool:
-    try:
-        parse(program)
-        return True
-    except ParseError:
-        return False

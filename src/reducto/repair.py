@@ -26,7 +26,7 @@ from typing import Iterator, Optional, Union
 from . import interp
 from . import parser as P
 from .faultloc import SuspiciousList
-from .harness import BUDGET_EXCEEDED, TestCase, TestSuite, run_suite, run_test
+from .harness import BUDGET_EXCEEDED, TestCase, TestSuite, run_test
 from .parser import Ast, ParseError, parse
 from .source import SourceProgram, is_blank, is_comment
 
@@ -180,10 +180,9 @@ def _replace_span(text: str, start: int, end: int, new: str) -> str:
     return text[:start] + new + text[end:]
 
 
-def applicable_templates(
-    program: SourceProgram, line: int, ast: Optional[Ast] = None
-) -> list[Instantiation]:
-    """All template instantiations for one line, in catalog order.
+def applicable_templates(program: SourceProgram, ast: Ast, line: int) -> list[Instantiation]:
+    """All template instantiations for one line of ``program``, whose Ast
+    is ``ast``, in catalog order.
 
     Structural lines (fn/if/while headers keep their operator mutations
     but cannot be deleted or wrapped; else/end lines yield nothing).
@@ -191,11 +190,6 @@ def applicable_templates(
     raw = program.line(line)
     if is_blank(raw) or is_comment(raw):
         return []
-    if ast is None:
-        try:
-            ast = parse(program)
-        except ParseError:
-            return []
     fn, stmt = _find_statement(ast, line)
     if fn is None or stmt is None:
         return []
@@ -314,20 +308,15 @@ class RepairCaps:
 
 def generate_candidates(
     program: SourceProgram,
+    ast: Ast,
     suspicious: SuspiciousList,
     caps: RepairCaps = RepairCaps(),
-    ast: Optional[Ast] = None,
 ) -> Iterator[PatchCandidate]:
     """Candidates in list-rank order, template order within one location,
     stopping at caps.max_candidates."""
-    if ast is None:
-        try:
-            ast = parse(program)
-        except ParseError:
-            return
     produced = 0
     for entry in suspicious.entries:
-        for inst in applicable_templates(program, entry.line, ast):
+        for inst in applicable_templates(program, ast, entry.line):
             if produced >= caps.max_candidates:
                 return
             produced += 1
@@ -420,20 +409,18 @@ class RepairResult:
 
 def repair(
     program: SourceProgram,
+    ast: Ast,
     suite: TestSuite,
     suspicious: SuspiciousList,
+    failing_ids,
     caps: RepairCaps = RepairCaps(),
-    failing_ids=None,
     budget: int = interp.DEFAULT_BUDGET,
-    ast: Optional[Ast] = None,
 ) -> RepairResult:
     """Iterate candidates until one passes the whole suite or a cap stops
-    the search.  Unbuildable candidates are skipped and tallied separately
-    from NPC.  ``ast`` is ``program`` parsed, when the caller has it."""
+    the search.  ``ast`` is ``program`` parsed, and ``failing_ids`` the
+    tests that fail on it, which validation runs first.  Unbuildable
+    candidates are skipped and tallied separately from NPC."""
     started = time.perf_counter()
-    if failing_ids is None:
-        failing_ids = list(run_suite(program, suite, budget).failing)
-
     npc = 0
     nte = 0
     unbuildable = 0
@@ -442,7 +429,7 @@ def repair(
     br = None
     stop = STOP_MAX_CANDIDATES if caps.max_candidates == 0 else STOP_EXHAUSTED
 
-    for candidate in generate_candidates(program, suspicious, caps, ast):
+    for candidate in generate_candidates(program, ast, suspicious, caps):
         generated += 1
         result = validate_patch(candidate, suite, failing_ids, budget)
         if result.verdict == UNBUILDABLE_PATCH:

@@ -26,7 +26,6 @@ from .harness import (
     SuiteResult,
     TestCase,
     TestSuite,
-    run_suite,
     run_test,
     signature,
 )
@@ -56,34 +55,31 @@ class SliceSettings:
 @dataclass(frozen=True)
 class LineMapping:
     """Strictly monotonic bijection between slice lines and surviving
-    original lines, stored as (slice_line, original_line) pairs."""
+    original lines: slice line k is original line ``originals[k - 1]``."""
 
-    pairs: tuple[tuple[int, int], ...]
+    originals: tuple[int, ...]
 
     @classmethod
     def identity(cls, n: int) -> "LineMapping":
-        return cls(tuple((i, i) for i in range(1, n + 1)))
+        return cls(tuple(range(1, n + 1)))
 
     @classmethod
     def from_survivors(cls, originals) -> "LineMapping":
-        return cls(tuple((i, orig) for i, orig in enumerate(originals, start=1)))
+        return cls(tuple(originals))
 
     def to_original(self, slice_line: Optional[int]) -> Optional[int]:
-        if slice_line is None:
+        if slice_line is None or not 1 <= slice_line <= len(self.originals):
             return None
-        for s, o in self.pairs:
-            if s == slice_line:
-                return o
-        return None
+        return self.originals[slice_line - 1]
 
     def to_slice(self, original_line: int) -> Optional[int]:
-        for s, o in self.pairs:
-            if o == original_line:
-                return s
-        return None
+        try:
+            return self.originals.index(original_line) + 1
+        except ValueError:
+            return None
 
     def original_lines(self) -> tuple[int, ...]:
-        return tuple(o for _, o in self.pairs)
+        return self.originals
 
 
 @dataclass(frozen=True)
@@ -152,26 +148,10 @@ def mapped_signature(
     return sig
 
 
-def signature_on(
-    program: SourceProgram,
-    test: TestCase,
-    budget: int,
-    line_map: Optional[LineMapping] = None,
-) -> FailureSignature:
-    """Mapped signature of one test run on ``program``."""
-    outcome = run_suite(program, TestSuite((test,)), budget).outcomes[test.id]
-    return mapped_signature(test.id, outcome, line_map)
-
-
-def build_criterion(
-    program: SourceProgram,
-    suite: TestSuite,
-    budget: int = interp.DEFAULT_BUDGET,
-    _result: Optional[SuiteResult] = None,
-) -> tuple[TestSignatures, Baseline]:
+def build_criterion(suite: TestSuite, result: SuiteResult) -> tuple[TestSignatures, Baseline]:
     """Criterion and baseline for the repair pipeline: all failing tests
-    and their signatures on the unmodified program."""
-    result = _result if _result is not None else run_suite(program, suite, budget)
+    and their signatures in ``result``, the suite run on the unmodified
+    program."""
     if not result.failing:
         raise NoFailingTests("every test passes; nothing to slice against")
     failing = tuple(t for t in suite if t.id in set(result.failing))
@@ -312,20 +292,34 @@ def minimality_check(
 def deletion_log_json(result: SliceResult) -> dict:
     return {
         "deleted": list(result.deleted),
-        "mapping": [[s, o] for s, o in result.mapping.pairs],
+        "mapping": [[s, o] for s, o in enumerate(result.mapping.original_lines(), start=1)],
     }
 
 
-def slice_result_from_log(program: SourceProgram, log: dict) -> tuple[SourceProgram, LineMapping]:
-    """Rebuild (slice, mapping) from a deletion log against the original."""
-    mapping = LineMapping(tuple((int(s), int(o)) for s, o in log["mapping"]))
-    deleted = set(int(x) for x in log["deleted"])
-    survivors = mapping.original_lines()
-    if set(survivors) | deleted != set(range(1, len(program) + 1)) or (
-        set(survivors) & deleted
+def slice_result_from_log(program: SourceProgram, log) -> tuple[SourceProgram, LineMapping]:
+    """Rebuild (slice, mapping) from a deletion log against the original.
+
+    Raises ValueError unless the log is ``{"deleted": [o, ...], "mapping":
+    [[1, o1], [2, o2], ...]}`` with slice lines exactly 1..n, surviving
+    original lines strictly increasing, and survivors and deleted lines
+    splitting the program's lines between them."""
+    if not isinstance(log, dict) or not {"deleted", "mapping"} <= set(log):
+        raise ValueError('deletion log must be an object with "deleted" and "mapping"')
+    deleted, pairs = log["deleted"], log["mapping"]
+    if not isinstance(deleted, list) or not isinstance(pairs, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in pairs
     ):
-        raise ValueError("deletion log inconsistent with program")
+        raise ValueError('"deleted" must be a list, "mapping" a list of [slice, original] pairs')
+    survivors = [o for _, o in pairs]
+    if not all(type(line) is int for line in deleted + survivors):
+        raise ValueError("original line numbers must be integers")
+    if [s for s, _ in pairs] != list(range(1, len(pairs) + 1)):
+        raise ValueError("slice lines must run 1, 2, ... in order")
+    if any(b <= a for a, b in zip(survivors, survivors[1:])):
+        raise ValueError("surviving original lines must strictly increase")
+    if sorted(survivors + deleted) != list(range(1, len(program) + 1)):
+        raise ValueError("surviving and deleted lines do not split the program's lines")
     slice_program = SourceProgram(
         tuple(program.line(o) for o in survivors), program.id
     )
-    return slice_program, mapping
+    return slice_program, LineMapping(tuple(survivors))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import interp
-from .harness import TestSuite, run_suite
+from .harness import SuiteResult, TestSuite, run_suite
 from .slicer import Baseline, LineMapping, mapped_signature
 from .source import SourceProgram
 
@@ -35,9 +35,6 @@ class ReducedSuite:
     kept: TestSuite
     removed: tuple[RemovedTest, ...]
 
-    def removed_ids(self) -> list[str]:
-        return [r.id for r in self.removed]
-
 
 def _check_mapping(program: SourceProgram, slice_program: SourceProgram, mapping: LineMapping):
     survivors = mapping.original_lines()
@@ -45,7 +42,7 @@ def _check_mapping(program: SourceProgram, slice_program: SourceProgram, mapping
         raise InvalidSlice("mapping length differs from slice length")
     if list(survivors) != sorted(set(survivors)):
         raise InvalidSlice("mapping is not strictly monotonic")
-    for slice_line, orig_line in mapping.pairs:
+    for slice_line, orig_line in enumerate(survivors, start=1):
         if not (1 <= orig_line <= len(program)):
             raise InvalidSlice(f"original line {orig_line} out of range")
         if slice_program.line(slice_line) != program.line(orig_line):
@@ -57,15 +54,13 @@ def reduce_suite(
     slice_program: SourceProgram,
     mapping: LineMapping,
     suite: TestSuite,
+    on_original: SuiteResult,
     budget: int = interp.DEFAULT_BUDGET,
-    _on_original=None,
 ) -> ReducedSuite:
     """Produce the reduced suite: every original failing test, plus every
-    passing test that still passes on the slice."""
+    passing test that still passes on the slice.  ``on_original`` is the
+    suite run on ``program``."""
     _check_mapping(program, slice_program, mapping)
-    on_original = _on_original if _on_original is not None else run_suite(
-        program, suite, budget
-    )
     failing = set(on_original.failing)
     survivors = set(mapping.original_lines())
     # an unbuildable slice fails every test, so every passing test is removed

@@ -30,6 +30,10 @@ FrozenValue = Union[int, float, bool, str, tuple]
 Value = Union[int, float, bool, str, tuple, list]
 
 
+class CyclicArray(ValueError):
+    """An array contains itself, so it has no finite frozen or JSON form."""
+
+
 def wrap_int(n: int) -> int:
     """Wrap an arbitrary Python int to two's-complement 64-bit."""
     return ((n - INT_MIN) & INT_MASK) + INT_MIN
@@ -50,7 +54,7 @@ def _is_array(v: Any) -> bool:
 def _rebuild(root, leaf, node):
     """Map a nested array bottom-up without recursion: ``leaf`` maps each
     scalar and ``node`` each array's list of mapped items.  An array that
-    contains itself has no finite image and raises RecursionError."""
+    contains itself has no finite image and raises CyclicArray."""
     on_path = {id(root)}
     stack = [(root, iter(root), [])]
     while True:
@@ -58,7 +62,7 @@ def _rebuild(root, leaf, node):
         for item in items:
             if type(item) is list or type(item) is tuple:
                 if id(item) in on_path:
-                    raise RecursionError("array contains itself")
+                    raise CyclicArray("array contains itself")
                 on_path.add(id(item))
                 stack.append((item, iter(item), []))
                 break
@@ -177,7 +181,7 @@ def canonical_json(v: Any) -> str:
                 parts.append(",")
             if type(item) is list or type(item) is tuple:
                 if id(item) in on_path:
-                    raise RecursionError("array contains itself")
+                    raise CyclicArray("array contains itself")
                 on_path.add(id(item))
                 parts.append('{"array":[')
                 stack.append((item, enumerate(item)))

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from reducto.corpus import build_corpus
-from reducto.experiment import BundleArtifacts, load_corpus
+from reducto.experiment import BundleArtifacts, RepairReport, load_corpus
 from reducto.harness import TestCase, TestSuite
 from reducto.source import SourceProgram
 
@@ -40,12 +40,13 @@ def corpus_artifacts(corpus_bundles):
 
 
 @pytest.fixture(scope="session")
-def lattice_reports(corpus_bundles, corpus_artifacts):
-    """One full lattice run over the whole corpus, shared by every test."""
-    from reducto.experiment import run_lattice
+def lattice_reports(corpus_artifacts):
+    """One full lattice run over the whole corpus, shared by every test:
+    run_lattice's per-bundle step on the shared artifacts."""
+    from reducto.experiment import bundle_reports, viable_configs
 
     artifacts, _ = corpus_artifacts
-    return run_lattice(corpus_bundles, artifacts_cache=artifacts)
+    return [r for art in artifacts.values() for r in bundle_reports(art, viable_configs())]
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +54,18 @@ def lattice_reports(corpus_bundles, corpus_artifacts):
 
 def program(text: str, id: str = "fixture") -> SourceProgram:
     return SourceProgram.from_text(text, id)
+
+
+def fake_report(**overrides) -> RepairReport:
+    base = dict(
+        bundle="bx", config="P-T-L", sloc_p=20442, sloc_ps=836,
+        slice_pct=100.0 * 836 / 20442, tss_t=2196, tss_ts=73, br=82,
+        npc=1938, nte=687946, rt_ms=10946000.0, cost_proxy=689884,
+        patched=True, patch_line=9, same_location=True, transferred=None,
+        stop_reason="patched",
+    )
+    base.update(overrides)
+    return RepairReport(**base)
 
 
 MAX3_TEXT = """\

@@ -21,10 +21,10 @@ from reducto.experiment import (
     run_lattice,
     viable_configs,
 )
-from reducto.faultloc import bug_rank, ochiai, CoverageSpectrum
-from reducto.harness import run_test, signature
+from reducto.faultloc import ochiai, CoverageSpectrum
+from reducto.harness import TestSuite, run_suite, run_test, signature
 from reducto.parser import ParseError, parse
-from reducto.slicer import LineMapping, signature_on
+from reducto.slicer import LineMapping, mapped_signature
 from reducto.source import SourceProgram
 
 
@@ -46,8 +46,12 @@ def test_criterion_01_slice_behavior_preservation(corpus_artifacts):
     mismatches = []
     for name, art in artifacts.items():
         for test in art.criterion.tests:
-            observed = signature_on(
-                art.slice_result.slice, test, art.budget, art.slice_result.mapping
+            observed = mapped_signature(
+                test.id,
+                run_suite(
+                    art.slice_result.slice, TestSuite((test,)), art.budget
+                ).outcomes[test.id],
+                art.slice_result.mapping,
             )
             if observed != art.baseline.signature_for(test.id):
                 mismatches.append((name, test.id))
@@ -92,7 +96,11 @@ def test_criterion_02_slice_one_minimality_vs_brute_force(corpus_artifacts):
                 survivors[:drop - 1] + survivors[drop:]
             )
             if all(
-                signature_on(cand, test, art.budget, cand_map)
+                mapped_signature(
+                    test.id,
+                    run_suite(cand, TestSuite((test,)), art.budget).outcomes[test.id],
+                    cand_map,
+                )
                 == art.baseline.signature_for(test.id)
                 for test in art.criterion.tests
             ):
@@ -149,7 +157,7 @@ def test_criterion_04_pruning_rank_property_and_absence_anomaly(
     anomalies = []
     for name, art in artifacts.items():
         baseline_row = table[(name, "P-T-L")]
-        if baseline_row.patched and bug_rank(art.list_pruned, baseline_row.patch_line) is None:
+        if baseline_row.patched and art.list_pruned.rank_of(baseline_row.patch_line) is None:
             anomalies.append(name)
     ok = not violations and len(anomalies) >= 1
     report(4, "pruning never worsens ranks; absence anomaly exhibited", ok,
@@ -194,7 +202,7 @@ def test_criterion_07_pruned_list_npc_never_worse(lattice_reports, corpus_artifa
         pruned = table[(name, "P-T-LP")]
         if not base.patched or not pruned.patched:
             continue
-        if bug_rank(art.list_pruned, base.patch_line) is None:
+        if art.list_pruned.rank_of(base.patch_line) is None:
             continue  # location did not survive pruning
         if base.patch_line != pruned.patch_line:
             continue  # patched at a different location

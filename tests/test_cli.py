@@ -5,7 +5,10 @@ from pathlib import Path
 import pytest
 
 from reducto.cli import main
+from reducto.experiment import emit_report
 from reducto.harness import load_suite
+
+from test_acceptance import strip_rt_column
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +79,37 @@ def test_stage_commands_accept_a_precomputed_slice(bundle_path, tmp_path):
         assert (loc_out / f"suspicious_{variant}.json").exists()
 
 
+def _log(mapping=((1, 44), (2, 45), (3, 72)), undeclared=()) -> str:
+    """A deletion log for b04_rate_of's 72 lines, by default its real one:
+    lines 44, 45 and 72 survive, and every other line is deleted except
+    the ``undeclared`` ones."""
+    survivors = {o for _, o in mapping}
+    deleted = [n for n in range(1, 73) if n not in survivors and n not in undeclared]
+    return json.dumps({"deleted": deleted, "mapping": [list(pair) for pair in mapping]})
+
+
+MALFORMED_LOGS = {
+    "invalid_json": "{not json",
+    "top_level_list": json.dumps([[1, 44], [2, 45], [3, 72]]),
+    "non_int_entry": _log(mapping=((1, 44), (2, "x"), (3, 72))),
+    "lines_not_covered": _log(undeclared=(1,)),
+    "swapped_slice_lines": _log(mapping=((2, 44), (1, 45), (3, 72))),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_LOGS))
+def test_malformed_deletion_log_is_exit_two(bundle_path, tmp_path, capsys, shape):
+    slice_dir = tmp_path / "sliced"
+    slice_dir.mkdir()
+    (slice_dir / "deletion_log.json").write_text(MALFORMED_LOGS[shape])
+    for command in ("reduce-tests", "localize"):
+        capsys.readouterr()
+        code = main([command, bundle_path, "--slice", str(slice_dir),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2, command
+        assert capsys.readouterr().err.startswith("error: "), command
+
+
 def test_repair_writes_result(bundle_path, tmp_path):
     out = tmp_path / "out"
     assert main(["repair", bundle_path, "--config", "Ps-Ts-LP", "--out", str(out)]) == 0
@@ -138,13 +172,28 @@ def test_experiment_json_format(corpus_dir, tmp_path):
     assert rows[0]["config"] == "P-T-L"
 
 
-def test_compare_over_two_reports(corpus_dir, tmp_path, capsys):
+@pytest.fixture(scope="module")
+def subset_report(corpus_dir, tmp_path_factory):
+    """`reducto experiment --configs P-Ts-LP,Ps-Ts-LP`: its CSV and exit code."""
+    out = tmp_path_factory.mktemp("subset") / "report.csv"
+    code = main(["experiment", str(corpus_dir), "--configs", "P-Ts-LP,Ps-Ts-LP",
+                 "--out", str(out)])
+    return out, code
+
+
+def test_config_subset_gives_the_full_lattice_rows(subset_report, lattice_reports):
+    """P-T-L runs too, outside the report, so same_location is still filled in."""
+    out, _ = subset_report
+    wanted = [r for r in lattice_reports if r.config in ("P-Ts-LP", "Ps-Ts-LP")]
+    assert any(r.same_location for r in wanted)
+    assert strip_rt_column(out.read_text()) == strip_rt_column(emit_report(wanted))
+
+
+def test_compare_over_two_reports(corpus_dir, tmp_path, capsys, subset_report):
     base = tmp_path / "base.csv"
-    other = tmp_path / "other.csv"
+    other, code = subset_report
     assert main(["experiment", str(corpus_dir), "--configs", "P-T-L",
                  "--out", str(base)]) == 0
-    code = main(["experiment", str(corpus_dir), "--configs", "Ps-Ts-LP",
-                 "--out", str(other)])
     assert code == 1  # some bundles legitimately cannot be patched on the slice
     capsys.readouterr()
     assert main(["compare", str(base), str(other)]) == 0

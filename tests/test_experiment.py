@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +11,8 @@ from reducto.experiment import (
     ManifestError,
     NonViableConfig,
     RepairConfig,
-    RepairReport,
     all_configs,
-    compare,
+    bundle_reports,
     config_by_name,
     emit_report,
     load_bundle,
@@ -21,9 +21,12 @@ from reducto.experiment import (
     run_lattice,
     viable_configs,
 )
+from reducto.cli import main
 from reducto.harness import MultiAssertTest
-from reducto.repair import RepairCaps
 from reducto.slicer import NoFailingTests
+
+from conftest import fake_report
+from test_acceptance import strip_rt_column
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +150,7 @@ def test_repair_parses_only_its_candidates(corpus_bundles, monkeypatch):
         monkeypatch.setattr(module, "parse", counting(module.__name__.split(".")[-1]))
     artifacts = BundleArtifacts(bundle)
     assert counts == {"experiment": 2, "repair": 0}  # P and Ps
-    reports = [run_config(artifacts, config) for config in viable_configs()]
+    reports = [run_config(artifacts, config)[0] for config in viable_configs()]
     candidates = sum(r.cost_proxy - r.nte for r in reports)  # cost proxy = NTE + candidates
     assert counts["repair"] == candidates > 0
     assert counts["experiment"] == 2
@@ -168,11 +171,12 @@ def test_non_viable_config_rejected_before_any_work(corpus_artifacts):
         run_config(art, RepairConfig("Ps", "T", "L"))
 
 
-def test_baseline_golden_values_b01(corpus_artifacts):
+def test_baseline_golden_values_b01(lattice_reports):
     """Pinned from the deterministic pipeline; the enumeration itself is
     hand-verified in test_repair on the small max3 fixture."""
-    artifacts, _ = corpus_artifacts
-    report = run_config(artifacts["b01_pick_max3"], RepairConfig("P", "T", "L"))
+    report = next(
+        r for r in lattice_reports if (r.bundle, r.config) == ("b01_pick_max3", "P-T-L")
+    )
     assert report.patched
     assert report.patch_line == 22
     assert report.br == 7
@@ -187,14 +191,16 @@ def test_artifact_sharing_matches_fresh_computation(corpus_bundles):
     bundle = next(b for b in corpus_bundles if b.name == "b09_rect_area")
     art = BundleArtifacts(bundle)
     from reducto.faultloc import localize, prune_list, regenerate_list, suspicious_json
+    from reducto.harness import run_suite
     from reducto.slicer import SliceSettings, build_criterion, orbs_slice
     from reducto.suite_reducer import reduce_suite
 
-    criterion, baseline = build_criterion(bundle.program, bundle.suite)
+    on_original = run_suite(bundle.program, bundle.suite)
+    criterion, baseline = build_criterion(bundle.suite, on_original)
     fresh_slice = orbs_slice(bundle.program, criterion, baseline, SliceSettings())
     assert fresh_slice.slice.lines == art.slice_result.slice.lines
     fresh_reduced = reduce_suite(
-        bundle.program, fresh_slice.slice, fresh_slice.mapping, bundle.suite
+        bundle.program, fresh_slice.slice, fresh_slice.mapping, bundle.suite, on_original
     )
     assert fresh_reduced.kept.ids() == art.reduced.kept.ids()
     assert suspicious_json(localize(bundle.program, bundle.suite)) == suspicious_json(
@@ -208,10 +214,10 @@ def test_artifact_sharing_matches_fresh_computation(corpus_bundles):
     ) == suspicious_json(art.list_regenerated)
 
 
-def test_cross_config_consistency(corpus_artifacts):
-    artifacts, _ = corpus_artifacts
-    for art in artifacts.values():
-        reports = [run_config(art, c) for c in viable_configs()]
+def test_cross_config_consistency(lattice_reports):
+    for bundle in {r.bundle for r in lattice_reports}:
+        reports = [r for r in lattice_reports if r.bundle == bundle]
+        assert len(reports) == 8
         assert len({r.tss_ts for r in reports}) == 1
         assert len({r.sloc_ps for r in reports}) == 1
         assert len({r.slice_pct for r in reports}) == 1
@@ -266,23 +272,11 @@ def test_lattice_lets_unexpected_errors_escape(corpus_bundles, corpus_artifacts,
     monkeypatch.setattr(experiment, "run_config", broken)
     artifacts, _ = corpus_artifacts
     with pytest.raises(RuntimeError, match="fault inside a configuration"):
-        run_lattice(corpus_bundles[:1], artifacts_cache=artifacts)
+        bundle_reports(artifacts[corpus_bundles[0].name], viable_configs())
 
 
 # ---------------------------------------------------------------------------
 # emission
-
-def fake_report(**overrides):
-    base = dict(
-        bundle="bx", config="P-T-L", sloc_p=20442, sloc_ps=836,
-        slice_pct=100.0 * 836 / 20442, tss_t=2196, tss_ts=73, br=82,
-        npc=1938, nte=687946, rt_ms=10946000.0, cost_proxy=689884,
-        patched=True, patch_line=9, same_location=True, transferred=None,
-        stop_reason="patched",
-    )
-    base.update(overrides)
-    return RepairReport(**base)
-
 
 def test_csv_columns_and_percent_formatting():
     document = emit_report([fake_report()], "csv")
@@ -300,10 +294,8 @@ def test_csv_empty_report_set_is_header_only():
     assert document == ",".join(CSV_COLUMNS) + "\n"
 
 
-def test_json_and_csv_carry_identical_values(corpus_artifacts):
-    artifacts, _ = corpus_artifacts
-    art = artifacts["b02_last_of"]
-    reports = [run_config(art, c) for c in viable_configs()]
+def test_json_and_csv_carry_identical_values(lattice_reports):
+    reports = [r for r in lattice_reports if r.bundle == "b02_last_of"]
     csv_rows = list(csv.DictReader(io.StringIO(emit_report(reports, "csv"))))
     json_rows = json.loads(emit_report(reports, "json"))
     assert len(csv_rows) == len(json_rows) == 8
@@ -318,13 +310,12 @@ def test_json_and_csv_carry_identical_values(corpus_artifacts):
                 assert c_row[column] == str(j_val)
 
 
-def test_report_rows_sorted_by_bundle_then_config_order(corpus_artifacts):
-    artifacts, _ = corpus_artifacts
+def test_report_rows_sorted_by_bundle_then_config_order(lattice_reports):
     reports = []
     for name in ("b03_series_sum", "b02_last_of"):
-        art = artifacts[name]
+        rows = {r.config: r for r in lattice_reports if r.bundle == name}
         for config in reversed(viable_configs()):
-            reports.append(run_config(art, config))
+            reports.append(rows[config.name])
     rows = list(csv.DictReader(io.StringIO(emit_report(reports, "csv"))))
     assert [r["bundle"] for r in rows[:8]] == ["b02_last_of"] * 8
     assert [r["config"] for r in rows[:8]] == [c.name for c in viable_configs()]
@@ -336,48 +327,67 @@ def test_unknown_format_rejected():
 
 
 # ---------------------------------------------------------------------------
-# compare
+# golden report
 
-def test_compare_reproduces_published_reduction_shapes():
+def test_lattice_report_matches_golden_csv(lattice_reports):
+    """tests/data/corpus_report.csv is `reducto experiment corpus` without
+    its rt_ms column; only a change meant to alter the report rewrites it."""
+    golden = Path(__file__).parent / "data" / "corpus_report.csv"
+    assert strip_rt_column(emit_report(lattice_reports)) == golden.read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# compare, through `reducto compare` on two report CSVs
+
+def compare_cells(tmp_path, capsys, base, other, code=0) -> list[str]:
+    """The row `reducto compare` prints for base's bundle: dRT%, dNTE%,
+    dNPC%, dBR and same_loc."""
+    paths = []
+    for name, report in (("base", base), ("other", other)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(emit_report([report]), encoding="utf-8")
+        paths.append(str(path))
+    capsys.readouterr()
+    assert main([
+        "compare", *paths, "--base-config", base.config, "--other-config", other.config,
+    ]) == code
+    out = capsys.readouterr().out.splitlines()
+    return next((line.split()[1:] for line in out if line.startswith(base.bundle + " ")), [])
+
+
+def test_compare_reproduces_published_reduction_shapes(tmp_path, capsys):
     # a 10946s -> 990s repair time is a 91% reduction
     base = fake_report(rt_ms=10946.0, nte=687946, npc=573)
     other = fake_report(config="Ps-Ts-LP", rt_ms=990.0, nte=48492, npc=502)
-    summary = compare(base, other)
-    assert round(summary.rt_reduction_pct) == 91
+    rt, nte, npc, _, same = compare_cells(tmp_path, capsys, base, other)
+    assert round(float(rt)) == 91
     # 687946 -> 48492 test executions is a 93% reduction
-    assert round(summary.nte_reduction_pct) == 93
-    assert summary.npc_reduction_pct == pytest.approx((573 - 502) / 573 * 100)
-    assert summary.same_location is True
+    assert round(float(nte)) == 93
+    assert float(npc) == pytest.approx((573 - 502) / 573 * 100, abs=0.05)
+    assert same == "yes"
 
 
-def test_compare_identical_reports_zero_everywhere():
+def test_compare_identical_reports_zero_everywhere(tmp_path, capsys):
     report = fake_report()
-    summary = compare(report, report)
-    assert summary.rt_reduction_pct == 0.0
-    assert summary.nte_reduction_pct == 0.0
-    assert summary.npc_reduction_pct == 0.0
-    assert summary.br_delta == 0
-    assert summary.same_location is True
+    assert compare_cells(tmp_path, capsys, report, report) == [
+        "0.0", "0.0", "0.0", "0", "yes",
+    ]
 
 
-def test_compare_negative_when_other_is_worse():
+def test_compare_negative_when_other_is_worse(tmp_path, capsys):
     base = fake_report(rt_ms=492.0)
     other = fake_report(config="P-T-LR", rt_ms=1348.08)
-    summary = compare(base, other)
-    assert round(summary.rt_reduction_pct) == -174
+    rt = compare_cells(tmp_path, capsys, base, other)[0]
+    assert round(float(rt)) == -174
 
 
-def test_compare_requires_same_bundle():
-    with pytest.raises(ValueError):
-        compare(fake_report(), fake_report(bundle="by"))
+def test_compare_requires_same_bundle(tmp_path, capsys):
+    assert compare_cells(tmp_path, capsys, fake_report(), fake_report(bundle="by"), code=2) == []
 
 
-def test_compare_handles_missing_metrics():
+def test_compare_handles_missing_metrics(tmp_path, capsys):
     base = fake_report()
     other = fake_report(config="P-T-LP", patched=False, br=None, npc=None,
                         nte=None, rt_ms=None, cost_proxy=None, patch_line=None,
                         stop_reason="exhausted")
-    summary = compare(base, other)
-    assert summary.rt_reduction_pct is None
-    assert summary.br_delta is None
-    assert summary.same_location is None
+    assert compare_cells(tmp_path, capsys, base, other) == ["-", "-", "-", "-", "-"]

@@ -10,7 +10,6 @@ from reducto.faultloc import (
     PROV_REGENERATED,
     RankedLine,
     SuspiciousList,
-    bug_rank,
     collect_spectrum,
     localize,
     ochiai,
@@ -19,7 +18,7 @@ from reducto.faultloc import (
     regenerate_list,
     suspicious_json,
 )
-from reducto.harness import TestCase, TestSuite
+from reducto.harness import TestCase, TestSuite, run_suite
 from reducto.slicer import LineMapping, NoFailingTests
 
 from conftest import MAX3_BUG_LINE, program
@@ -189,7 +188,7 @@ def test_math5_shape_absence_anomaly(corpus_artifacts):
     art = artifacts["b06_scale_ratio"]
     bug_line = art.bundle.ground_truth.bug_line
     assert art.list_original.entries[0].line == bug_line  # rank one originally
-    assert bug_rank(art.list_pruned, bug_line) is None  # pruned away
+    assert art.list_pruned.rank_of(bug_line) is None  # pruned away
     runner_up = art.list_pruned.entries[0]
     assert runner_up.line != bug_line
 
@@ -223,9 +222,9 @@ def test_regenerated_rank_improves_when_noise_is_sliced(corpus_artifacts):
     artifacts, _ = corpus_artifacts
     art = artifacts["b07_bonus_amount"]
     bug_line = art.bundle.ground_truth.bug_line
-    rank_original = bug_rank(art.list_original, bug_line)
-    rank_pruned = bug_rank(art.list_pruned, bug_line)
-    rank_regenerated = bug_rank(art.list_regenerated, bug_line)
+    rank_original = art.list_original.rank_of(bug_line)
+    rank_pruned = art.list_pruned.rank_of(bug_line)
+    rank_regenerated = art.list_regenerated.rank_of(bug_line)
     assert rank_original == 3  # behind the two audit stores
     assert rank_pruned == 1 and rank_regenerated == 1
     assert rank_pruned < rank_original and rank_regenerated < rank_original
@@ -259,22 +258,23 @@ end
     from reducto.slicer import SliceSettings, build_criterion, orbs_slice
     from reducto.suite_reducer import reduce_suite
 
-    criterion, baseline = build_criterion(p, suite)
+    on_original = run_suite(p, suite)
+    criterion, baseline = build_criterion(suite, on_original)
     result = orbs_slice(p, criterion, baseline, SliceSettings(budget=10_000))
     assert {3, 4, 5} <= set(result.deleted)
-    reduced = reduce_suite(p, result.slice, result.mapping, suite)
+    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
     assert reduced.kept.ids() == ["fail"]
     regenerated = regenerate_list(result.slice, reduced.kept, result.mapping)
-    assert bug_rank(regenerated, bug_line) > ranks[bug_line]
+    assert regenerated.rank_of(bug_line) > ranks[bug_line]
     # while the pruned list, by construction, can only improve the rank
     pruned = prune_list(original, result.mapping)
-    assert bug_rank(pruned, bug_line) <= ranks[bug_line]
+    assert pruned.rank_of(bug_line) <= ranks[bug_line]
 
 
-def test_bug_rank_basics():
+def test_rank_of_basics():
     ranked = make_list([(4, 0.9), (2, 0.8), (9, 0.1)])
-    assert bug_rank(ranked, 2) == 2
-    assert bug_rank(ranked, 5) is None
+    assert ranked.rank_of(2) == 2
+    assert ranked.rank_of(5) is None
 
 
 def test_suspicious_json_shape():

@@ -87,6 +87,14 @@ def test_missing_function_reports_line_zero():
     assert ok.kind == "Pass"
 
 
+def test_array_that_contains_itself_is_a_runtime_error():
+    code = compiled("fn f(n)\nlet a = [n]\nlet b = [a]\na[0] = b\nprint a\nreturn 0\nend\n")
+    out = run_test(code, TestCase("t", "f", (1,), "output", ((1,),)))
+    assert (out.kind, out.error_kind, out.error_line) == ("Errored", "CyclicArray", 5)
+    assert run_test(code, TestCase("t", "f", (1,), "error", "CyclicArray")).passed
+    assert signature("t", out).error_kind == "CyclicArray"
+
+
 def test_run_suite_partition_and_coverage(max3_program, max3_suite):
     result = run_suite(max3_program, max3_suite)
     assert result.passing == ("t1", "t2", "t3", "t5", "t6")

@@ -189,6 +189,40 @@ def test_arrays_mutate_within_run_but_results_freeze():
     assert again.return_value == (42, 2)
 
 
+SELF_CONTAINING = """\
+fn f(how)
+let a = [0, 1]
+let b = [a]
+a[0] = b
+print len(a)
+if how == 1
+print a
+end
+if how == 2
+return a
+end
+return g(a)
+end
+fn g(x)
+return x
+end
+"""
+
+
+@pytest.mark.parametrize("how, line", [(1, 7), (2, 10), (3, 12)])
+def test_array_that_contains_itself_errors_where_it_is_observed(how, line):
+    # a -> b -> a, two levels deep; len and the call to g do not observe it
+    r = run(SELF_CONTAINING, "f", [how])
+    assert (r.status, r.error_kind, r.error_line) == ("runtime_error", "CyclicArray", line)
+    assert r.output == (2,)
+    assert r.error_line in r.covered
+
+
+def test_array_that_contains_itself_is_fine_unobserved():
+    text = "fn f()\nlet a = [0]\na[0] = a\nreturn len(a[0][0])\nend\n"
+    assert run(text, "f", []).return_value == 1
+
+
 def test_array_concat_strings_and_len():
     assert run("fn f(a, b)\nreturn a + b\nend\n", "f", [(1,), (2, 3)]).return_value == (1, 2, 3)
     assert run('fn f()\nreturn "ab" + "cd"\nend\n', "f", []).return_value == "abcd"

@@ -74,7 +74,7 @@ def test_every_repair_candidate(corpus_bundles):
     statuses = set()
     for bundle in corpus_bundles:
         suspicious = localize(bundle.program, bundle.suite)
-        for candidate in generate_candidates(bundle.program, suspicious):
+        for candidate in generate_candidates(bundle.program, parse(bundle.program), suspicious):
             try:
                 codes = compiled(parse(candidate.program))
             except ParseError:

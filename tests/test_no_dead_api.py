@@ -1,0 +1,112 @@
+"""Every function, class and method of the package is used by the package
+or the benchmark, or is named in ALLOWED with the reason tests alone call it.
+
+The check is by name: a definition counts as used when its name appears in
+``src/reducto/`` or ``perfbench/`` outside the definition itself, as a
+variable, an attribute, an imported name or a string (the benchmark's
+tracer looks functions up by their names as strings).  So a name shared
+with something else passes unchecked; the guard catches an API that
+nothing mentions at all.
+"""
+
+import ast
+import functools
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "reducto"
+USERS = (PACKAGE, ROOT / "perfbench")
+
+ALLOWED = {
+    "all_configs": "acceptance criterion 08 enumerates all twelve configurations",
+    "minimality_check": "acceptance criterion 02 checks the slicer's 1-minimality",
+    "Ast.statement_lines": "tests pin the parser's line invariant with it",
+    "verify_reduction": "tests check the suite reduction's postcondition with it",
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+@functools.cache
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _trees(root: Path):
+    return [_tree(path) for path in sorted(root.glob("*.py"))]
+
+
+def _definitions(package: Path) -> dict:
+    """Qualified name -> definition node, for every top-level function and
+    class and every method of a top-level class but the dunder ones."""
+    found = {}
+    for tree in _trees(package):
+        for node in tree.body:
+            if not isinstance(node, _DEFS):
+                continue
+            found[node.name] = node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, _DEFS) and not item.name.startswith("__"):
+                        found[f"{node.name}.{item.name}"] = item
+    return found
+
+
+def _names(node) -> Counter:
+    """Every name mentioned under ``node``."""
+    counts = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            counts[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            counts[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            counts[sub.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            counts[sub.value] += 1
+    return counts
+
+
+def unused(package: Path, users) -> list:
+    """Definitions in ``package`` that no file in ``users`` names outside
+    the definition itself."""
+    mentions = Counter()
+    for root in users:
+        for tree in _trees(root):
+            mentions += _names(tree)
+    return sorted(
+        qualified
+        for qualified, node in _definitions(package).items()
+        if mentions[node.name] == _names(node)[node.name]
+    )
+
+
+def test_no_function_class_or_method_goes_unused():
+    dead = [name for name in unused(PACKAGE, USERS) if name not in ALLOWED]
+    assert dead == [], f"nothing in src/reducto or perfbench uses {dead}"
+
+
+def test_allowlist_holds_only_names_that_only_tests_use():
+    assert all(ALLOWED.values())
+    assert set(ALLOWED) <= set(_definitions(PACKAGE))
+    assert set(ALLOWED) <= set(unused(PACKAGE, USERS))
+
+
+def test_guard_sees_calls_attributes_imports_strings_and_recursion(tmp_path):
+    package, user = tmp_path / "package", tmp_path / "user"
+    package.mkdir()
+    user.mkdir()
+    (package / "mod.py").write_text(
+        "def lonely(n):\n    return lonely(n - 1)\n\n\n"
+        "def called():\n    return 1\n\n\n"
+        "def traced():\n    return 2\n\n\n"
+        "class Box:\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def opened(self):\n        return called()\n\n"
+        "    def shut(self):\n        return 0\n"
+    )
+    (user / "bench.py").write_text(
+        "from mod import Box\n\nTARGETS = ('traced',)\nBox().opened()\n"
+    )
+    assert unused(package, (package, user)) == ["Box.shut", "lonely"]

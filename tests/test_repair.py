@@ -2,6 +2,7 @@ import pytest
 
 from reducto.faultloc import RankedLine, SuspiciousList, localize
 from reducto.harness import TestCase, TestSuite, run_suite
+from reducto.parser import parse
 from reducto.repair import (
     DeleteLine,
     InsertGuard,
@@ -35,7 +36,7 @@ def make_list(lines, provenance="L"):
 
 def test_relational_line_gets_t1_variants_and_negation():
     p = program("fn f(a, b)\nif a < b\nreturn 1\nend\nreturn 0\nend\n")
-    insts = applicable_templates(p, 2)
+    insts = applicable_templates(p, parse(p), 2)
     t1 = [i.edit.text for i in insts if i.template == "T1"]
     assert t1 == ["if a <= b", "if a > b", "if a >= b", "if a == b", "if a != b"]
     t3 = [i.edit.text for i in insts if i.template == "T3"]
@@ -46,32 +47,32 @@ def test_relational_line_gets_t1_variants_and_negation():
 
 def test_return_substitution_uses_in_scope_variables():
     p = program("fn f(x)\nlet y = x + 1\nlet z = y * 2\nreturn x\nend\n")
-    insts = applicable_templates(p, 4)
+    insts = applicable_templates(p, parse(p), 4)
     t7 = [i.edit.text for i in insts if i.template == "T7"]
     assert t7 == ["return y", "return z"]
 
 
 def test_comment_and_blank_lines_yield_nothing():
     p = program("fn f()\n# note\n\nreturn 1\nend\n")
-    assert applicable_templates(p, 2) == []
-    assert applicable_templates(p, 3) == []
+    assert applicable_templates(p, parse(p), 2) == []
+    assert applicable_templates(p, parse(p), 3) == []
     # fn header and end also yield nothing
-    assert applicable_templates(p, 1) == []
-    assert applicable_templates(p, 5) == []
+    assert applicable_templates(p, parse(p), 1) == []
+    assert applicable_templates(p, parse(p), 5) == []
 
 
 def test_constant_mutation_order_and_skips():
     p = program("fn f(a)\nreturn a + 2\nend\n")
-    t4 = [i.edit.text for i in applicable_templates(p, 2) if i.template == "T4"]
+    t4 = [i.edit.text for i in applicable_templates(p, parse(p), 2) if i.template == "T4"]
     assert t4 == ["return a + 3", "return a + 1", "return a + 0", "return a + -2"]
     p0 = program("fn f(a)\nreturn a + 0\nend\n")
-    t4 = [i.edit.text for i in applicable_templates(p0, 2) if i.template == "T4"]
+    t4 = [i.edit.text for i in applicable_templates(p0, parse(p0), 2) if i.template == "T4"]
     assert t4 == ["return a + 1", "return a + -1"]  # 0 and -0 collapse away
 
 
 def test_index_offsets_and_guards():
     p = program("fn f(xs, i)\nreturn xs[i]\nend\n")
-    insts = applicable_templates(p, 2)
+    insts = applicable_templates(p, parse(p), 2)
     t5 = [i.edit.text for i in insts if i.template == "T5"]
     assert t5 == ["return xs[i + 1]", "return xs[i - 1]"]
     t8 = [i.edit for i in insts if i.template == "T8"]
@@ -81,13 +82,13 @@ def test_index_offsets_and_guards():
 
 def test_division_guard_has_int_and_float_variants():
     p = program("fn f(a, b)\nreturn a / b\nend\n")
-    t8 = [i.edit.guard for i in applicable_templates(p, 2) if i.template == "T8"]
+    t8 = [i.edit.guard for i in applicable_templates(p, parse(p), 2) if i.template == "T8"]
     assert t8 == ["if b != 0", "if b != 0.0"]
 
 
 def test_arithmetic_positions_enumerate_left_to_right():
     p = program("fn f(a, b)\nreturn a + b * 2\nend\n")
-    t2 = [i.edit.text for i in applicable_templates(p, 2) if i.template == "T2"]
+    t2 = [i.edit.text for i in applicable_templates(p, parse(p), 2) if i.template == "T2"]
     assert t2[:4] == [
         "return a - b * 2", "return a * b * 2", "return a / b * 2", "return a % b * 2",
     ]
@@ -98,7 +99,7 @@ def test_arithmetic_positions_enumerate_left_to_right():
 
 def test_variable_use_substitution_skips_targets():
     p = program("fn f(a, b)\nlet c = a + 1\nc = a + b\nreturn c\nend\n")
-    t9 = [i.edit.text for i in applicable_templates(p, 3) if i.template == "T9"]
+    t9 = [i.edit.text for i in applicable_templates(p, parse(p), 3) if i.template == "T9"]
     # uses are a then b; the assignment target c is not a use
     assert t9 == ["c = b + b", "c = c + b", "c = a + a", "c = a + c"]
 
@@ -125,7 +126,7 @@ def test_apply_edit_shapes():
 
 def test_generation_order_follows_rank_then_template(max3_program):
     suspicious = make_list([9, 2])
-    candidates = list(generate_candidates(max3_program, suspicious))
+    candidates = list(generate_candidates(max3_program, parse(max3_program), suspicious))
     lines = [c.line for c in candidates]
     assert lines == sorted(lines, key=lambda l: (l != 9, l != 2))
     boundary = lines.index(2)
@@ -135,9 +136,9 @@ def test_generation_order_follows_rank_then_template(max3_program):
 def test_generation_cap():
     p = program("fn f(a, b)\nif a < b\nreturn 1\nend\nreturn 0\nend\n")
     suspicious = make_list([2])
-    full = list(generate_candidates(p, suspicious))
+    full = list(generate_candidates(p, parse(p), suspicious))
     assert len(full) > 5
-    capped = list(generate_candidates(p, suspicious, RepairCaps(max_candidates=5)))
+    capped = list(generate_candidates(p, parse(p), suspicious, RepairCaps(max_candidates=5)))
     assert len(capped) == 5
     assert [c.edit for c in capped] == [c.edit for c in full[:5]]
 
@@ -145,16 +146,19 @@ def test_generation_cap():
 def test_first_candidate_is_first_instantiation_of_rank_one_line(max3_program, max3_suite):
     suspicious = localize(max3_program, max3_suite)
     assert suspicious.entries[0].line == MAX3_BUG_LINE
-    first = next(iter(generate_candidates(max3_program, suspicious)))
+    first = next(iter(generate_candidates(max3_program, parse(max3_program), suspicious)))
     # hand enumeration at `m = b`: T1-T5 yield nothing, so T6 deletion leads
-    insts = applicable_templates(max3_program, MAX3_BUG_LINE)
+    insts = applicable_templates(max3_program, parse(max3_program), MAX3_BUG_LINE)
     assert first.line == MAX3_BUG_LINE
     assert first.template == insts[0].template == "T6"
 
 
 def test_candidate_program_reproducible_from_edit(max3_program, max3_suite):
     suspicious = localize(max3_program, max3_suite)
-    for candidate in generate_candidates(max3_program, suspicious, RepairCaps(max_candidates=30)):
+    candidates = generate_candidates(
+        max3_program, parse(max3_program), suspicious, RepairCaps(max_candidates=30)
+    )
+    for candidate in candidates:
         rebuilt = apply_edit(max3_program, candidate.line, candidate.edit)
         assert rebuilt.lines == candidate.program.lines
 
@@ -164,7 +168,8 @@ def test_candidate_program_reproducible_from_edit(max3_program, max3_suite):
 
 def test_early_exit_on_first_failing_test(max3_program, max3_suite):
     # deleting the buggy copy still fails t4, after exactly one execution
-    candidate = next(iter(generate_candidates(max3_program, localize(max3_program, max3_suite))))
+    suspicious = localize(max3_program, max3_suite)
+    candidate = next(iter(generate_candidates(max3_program, parse(max3_program), suspicious)))
     result = validate_patch(candidate, max3_suite, ["t4"])
     assert result.verdict == "FailsFailingTest"
     assert result.tests_executed == 1
@@ -222,7 +227,10 @@ def test_validation_order_failing_first_in_suite_order(max3_suite):
 def test_early_exit_soundness_sampled(max3_program, max3_suite):
     # Plausible iff a full no-early-exit rerun passes everything
     suspicious = localize(max3_program, max3_suite)
-    for candidate in generate_candidates(max3_program, suspicious, RepairCaps(max_candidates=25)):
+    candidates = generate_candidates(
+        max3_program, parse(max3_program), suspicious, RepairCaps(max_candidates=25)
+    )
+    for candidate in candidates:
         verdict = validate_patch(candidate, max3_suite, ["t4"]).verdict
         if verdict == "Unbuildable":
             continue
@@ -240,7 +248,7 @@ def test_repair_max3_hand_enumerated(max3_program, max3_suite):
        3. T9 b->c  `m = c`     -> plausible          (6 executions)
     so NPC=3, NTE=8, BR=1, and the patch sits at the bug line."""
     suspicious = localize(max3_program, max3_suite)
-    result = repair(max3_program, max3_suite, suspicious)
+    result = repair(max3_program, parse(max3_program), max3_suite, suspicious, ["t4"])
     assert result.patched
     assert result.patch.line == MAX3_BUG_LINE
     assert result.patch.edit == ReplaceLine("m = c")
@@ -254,23 +262,24 @@ def test_repair_max3_hand_enumerated(max3_program, max3_suite):
 
 
 def test_repair_cap_zero(max3_program, max3_suite):
-    result = repair(max3_program, max3_suite, localize(max3_program, max3_suite),
-                    RepairCaps(max_candidates=0))
+    result = repair(max3_program, parse(max3_program), max3_suite,
+                    localize(max3_program, max3_suite), ["t4"], RepairCaps(max_candidates=0))
     assert not result.patched
     assert result.npc == 0 and result.nte == 0
     assert result.stop_reason == "max_candidates"
 
 
 def test_repair_nte_cap(max3_program, max3_suite):
-    result = repair(max3_program, max3_suite, localize(max3_program, max3_suite),
-                    RepairCaps(max_nte=1))
+    result = repair(max3_program, parse(max3_program), max3_suite,
+                    localize(max3_program, max3_suite), ["t4"], RepairCaps(max_nte=1))
     assert not result.patched
     assert result.stop_reason == "max_nte"
     assert result.nte >= 1
 
 
 def test_repair_empty_list(max3_program, max3_suite):
-    result = repair(max3_program, max3_suite, SuspiciousList("L", ()))
+    empty = SuspiciousList("L", ())
+    result = repair(max3_program, parse(max3_program), max3_suite, empty, ["t4"])
     assert not result.patched
     assert result.stop_reason == "exhausted"
     assert result.npc == 0
@@ -278,14 +287,14 @@ def test_repair_empty_list(max3_program, max3_suite):
 
 def test_nte_additivity_and_determinism(max3_program, max3_suite):
     suspicious = localize(max3_program, max3_suite)
-    first = repair(max3_program, max3_suite, suspicious)
-    second = repair(max3_program, max3_suite, suspicious)
+    first = repair(max3_program, parse(max3_program), max3_suite, suspicious, ["t4"])
+    second = repair(max3_program, parse(max3_program), max3_suite, suspicious, ["t4"])
     for field in ("npc", "nte", "unbuildable", "candidates_generated", "br", "stop_reason"):
         assert getattr(first, field) == getattr(second, field)
     assert first.patch.edit == second.patch.edit
     # recompute NTE by replaying validation over the same prefix
     total = 0
-    for candidate in generate_candidates(max3_program, suspicious):
+    for candidate in generate_candidates(max3_program, parse(max3_program), suspicious):
         result = validate_patch(candidate, max3_suite, ["t4"])
         total += result.tests_executed
         if result.verdict == "Plausible":
@@ -298,19 +307,17 @@ def test_rank_dominance_between_lists(max3_program, max3_suite):
     # can never need more validations
     early = make_list([MAX3_BUG_LINE, 2])
     late = make_list([2, MAX3_BUG_LINE])
-    early_result = repair(max3_program, max3_suite, early)
-    late_result = repair(max3_program, max3_suite, late)
+    early_result = repair(max3_program, parse(max3_program), max3_suite, early, ["t4"])
+    late_result = repair(max3_program, parse(max3_program), max3_suite, late, ["t4"])
     assert early_result.patched and late_result.patched
     assert early_result.npc <= late_result.npc
 
 
-def test_npc_pruned_list_never_worse_on_corpus(corpus_artifacts):
-    artifacts, _ = corpus_artifacts
-    from reducto.experiment import RepairConfig, run_config
-
-    for name, art in artifacts.items():
-        base = run_config(art, RepairConfig("P", "T", "L"))
-        pruned = run_config(art, RepairConfig("P", "T", "LP"))
+def test_npc_pruned_list_never_worse_on_corpus(lattice_reports):
+    rows = {(r.bundle, r.config): r for r in lattice_reports}
+    for name in sorted({r.bundle for r in lattice_reports}):
+        base = rows[(name, "P-T-L")]
+        pruned = rows[(name, "P-T-LP")]
         if not (base.patched and pruned.patched):
             continue
         if base.patch_line != pruned.patch_line:
@@ -349,7 +356,7 @@ def test_map_patch_identity_slice(max3_program):
 
 def test_map_patch_unmappable():
     original = program("fn f()\nreturn 1\nend\n")
-    mapping = LineMapping(((1, 1), (2, 2)))
+    mapping = LineMapping((1, 2))
     from reducto.repair import PatchCandidate
 
     candidate = PatchCandidate("T6", 3, DeleteLine(), original)
@@ -358,12 +365,10 @@ def test_map_patch_unmappable():
 
 
 def test_insert_guard_preserves_indentation_and_parses():
-    from reducto.parser import parse
-
     p = program(
         "fn g(a, b)\nif a > 0\n    let r = a / b\n    return r\nend\nreturn 0\nend\n"
     )
-    guards = [i for i in applicable_templates(p, 3) if i.template == "T8"]
+    guards = [i for i in applicable_templates(p, parse(p), 3) if i.template == "T8"]
     assert [g.edit.guard for g in guards] == ["if b != 0", "if b != 0.0"]
     patched = apply_edit(p, 3, guards[0].edit)
     assert patched.lines[2:5] == ("    if b != 0", "    let r = a / b", "    end")

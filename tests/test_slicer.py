@@ -15,9 +15,9 @@ from reducto.slicer import (
     build_criterion,
     candidate_accepts,
     deletion_log_json,
+    mapped_signature,
     minimality_check,
     orbs_slice,
-    signature_on,
     slice_result_from_log,
 )
 from reducto.source import SourceProgram, count_sloc
@@ -31,14 +31,14 @@ def value_criterion(p: SourceProgram, fn: str, args: tuple, wrong):
     """Criterion from one failing test: ``fn(args)`` expected to return
     ``wrong``, a value the program does not compute."""
     suite = TestSuite((TestCase("t", fn, args, "value", wrong),))
-    return build_criterion(p, suite, budget=SETTINGS.budget)
+    return build_criterion(suite, run_suite(p, suite, SETTINGS.budget))
 
 
 # ---------------------------------------------------------------------------
 # build_criterion
 
 def test_build_criterion_single_failing(max3_program, max3_suite):
-    criterion, baseline = build_criterion(max3_program, max3_suite)
+    criterion, baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
     assert [t.id for t in criterion.tests] == ["t4"]
     assert len(baseline.entries) == 1
     sig = baseline.signature_for("t4")
@@ -48,7 +48,7 @@ def test_build_criterion_single_failing(max3_program, max3_suite):
 def test_build_criterion_no_failing_tests(max3_program):
     all_pass = TestSuite((TestCase("p", "max3", (3, 1, 2), "value", 3),))
     with pytest.raises(NoFailingTests):
-        build_criterion(max3_program, all_pass)
+        build_criterion(all_pass, run_suite(max3_program, all_pass))
 
 
 TWO_BUG = """\
@@ -68,7 +68,7 @@ def test_build_criterion_two_distinct_error_kinds():
         TestCase("tb", "beta", (1,), "value", 1),
         TestCase("ta", "alpha", ((1, 2),), "value", 1),
     ))
-    criterion, baseline = build_criterion(p, suite)
+    criterion, baseline = build_criterion(suite, run_suite(p, suite))
     assert {t.id for t in criterion.tests} == {"ta", "tb"}
     # baseline entries are ordered by test id regardless of suite order
     assert [tid for tid, _ in baseline.entries] == ["ta", "tb"]
@@ -109,14 +109,16 @@ def test_deleting_watched_assignment_rejected():
     assert not verdict.accepted
     assert verdict.reason == "BehaviorChanged"
     # direct re-execution shows the difference: r is now undefined
-    observed = signature_on(cand, criterion.tests[0], SETTINGS.budget, cand_map)
+    test = criterion.tests[0]
+    outcome = run_suite(cand, TestSuite((test,)), SETTINGS.budget).outcomes[test.id]
+    observed = mapped_signature(test.id, outcome, cand_map)
     assert (observed.outcome, observed.error_kind, observed.error_line) == (
         "Errored", "UndefinedVariable", 5,
     )
 
 
 def test_unbalanced_deletion_rejected(max3_program, max3_suite):
-    criterion, baseline = build_criterion(max3_program, max3_suite)
+    criterion, baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
     cand = max3_program.without_lines([6])  # if header without its end
     verdict = candidate_accepts(
         cand, criterion, baseline, SETTINGS,
@@ -130,7 +132,7 @@ def test_error_lines_compared_in_original_coordinates():
     text = "fn f(xs)\n# padding comment\nreturn xs[9]\nend\n"
     p = program(text)
     suite = TestSuite((TestCase("t", "f", ((1,),), "value", 1),))
-    criterion, baseline = build_criterion(p, suite)
+    criterion, baseline = build_criterion(suite, run_suite(p, suite))
     assert baseline.signature_for("t").error_line == 3
     cand = p.without_lines([2])  # error now occurs at candidate line 2
     verdict = candidate_accepts(
@@ -171,7 +173,7 @@ def test_every_statement_feeding_criterion_keeps_program_intact():
     assert result.deleted == ()
     assert result.slice.lines == p.lines
     assert result.fixpoint
-    assert result.mapping.pairs == LineMapping.identity(5).pairs
+    assert result.mapping == LineMapping.identity(5)
 
 
 DEAD_BRANCH = """\
@@ -260,7 +262,7 @@ def test_budget_exceeded_signature_is_preserved_through_slicing():
         TestCase("t_spin", "f", (5,), "value", 5),
         TestCase("t_zero", "f", (0,), "value", 0),
     ))
-    criterion, baseline = build_criterion(p, suite, budget=2_000)
+    criterion, baseline = build_criterion(suite, run_suite(p, suite, 2_000))
     assert baseline.signature_for("t_spin").outcome == "BudgetExceeded"
     result = orbs_slice(p, criterion, baseline, SliceSettings(delta=3, budget=2_000))
     # the junk store, the useless increment and the unreachable return all go
@@ -274,7 +276,7 @@ def test_budget_exceeded_signature_is_preserved_through_slicing():
 
 
 def test_each_buildable_candidate_is_compiled_once(max3_program, max3_suite, monkeypatch):
-    criterion, baseline = build_criterion(max3_program, max3_suite)
+    criterion, baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
     compiles = []
     verdicts = []
     compile_ast, accepts = interp.compile_ast, slicer.candidate_accepts
@@ -296,7 +298,7 @@ def test_each_buildable_candidate_is_compiled_once(max3_program, max3_suite, mon
 
 
 def test_baseline_mismatch_raises(max3_program, max3_suite):
-    criterion, baseline = build_criterion(max3_program, max3_suite)
+    criterion, baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
     other = program("fn max3(a, b, c)\nreturn a\nend\n")
     with pytest.raises(BaselineMismatch):
         orbs_slice(other, criterion, baseline, SETTINGS)
@@ -326,21 +328,22 @@ def test_slice_result_invariants(corpus_artifacts):
 def test_slice_behavior_preservation_on_corpus(corpus_artifacts):
     artifacts, _ = corpus_artifacts
     for art in artifacts.values():
+        outcomes = run_suite(
+            art.slice_result.slice, TestSuite(art.criterion.tests), art.budget
+        ).outcomes
         for test in art.criterion.tests:
-            observed = signature_on(
-                art.slice_result.slice, test, art.budget, art.slice_result.mapping
-            )
+            observed = mapped_signature(test.id, outcomes[test.id], art.slice_result.mapping)
             assert observed == art.baseline.signature_for(test.id)
 
 
 def test_slice_determinism(corpus_bundles):
     bundle = next(b for b in corpus_bundles if b.name == "b01_pick_max3")
-    criterion, baseline = build_criterion(bundle.program, bundle.suite)
+    criterion, baseline = build_criterion(bundle.suite, run_suite(bundle.program, bundle.suite))
     a = orbs_slice(bundle.program, criterion, baseline, SETTINGS)
     b = orbs_slice(bundle.program, criterion, baseline, SETTINGS)
     assert a.slice.to_text() == b.slice.to_text()
     assert a.deleted == b.deleted
-    assert a.mapping.pairs == b.mapping.pairs
+    assert a.mapping == b.mapping
 
 
 def test_fixpoint_rejects_every_window_up_to_delta(corpus_artifacts):
@@ -380,7 +383,7 @@ def test_pass_cap_flags_non_fixpoint():
 # minimality
 
 def test_orbs_output_is_single_line_minimal(max3_program, max3_suite):
-    criterion, baseline = build_criterion(max3_program, max3_suite)
+    criterion, baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
     result = orbs_slice(max3_program, criterion, baseline, SETTINGS)
     report = minimality_check(result.slice, criterion, baseline, SETTINGS, result.mapping)
     assert report.minimal
@@ -395,9 +398,7 @@ def test_reinserted_comment_breaks_minimality():
     padded = SourceProgram(tuple(lines))
     originals = list(result.mapping.original_lines())
     # the inserted line has no original counterpart; give it a fresh number
-    padded_map = LineMapping(tuple(
-        (i, o) for i, o in enumerate([originals[0], 0] + originals[1:], start=1)
-    ))
+    padded_map = LineMapping((originals[0], 0, *originals[1:]))
     report = minimality_check(padded, criterion, baseline, SETTINGS, padded_map)
     assert not report.minimal
     assert report.counterexample == 2
@@ -469,4 +470,4 @@ def test_deletion_log_round_trip(corpus_artifacts):
     log = deletion_log_json(art.slice_result)
     rebuilt, mapping = slice_result_from_log(art.bundle.program, log)
     assert rebuilt.lines == art.slice_result.slice.lines
-    assert mapping.pairs == art.slice_result.mapping.pairs
+    assert mapping == art.slice_result.mapping

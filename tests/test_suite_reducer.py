@@ -33,7 +33,7 @@ def two_fn_setup():
         TestCase("t_keep", "target", (3,), "value", 6),
         TestCase("t_helper", "helper", (2,), "value", 20),
     ))
-    criterion, baseline = build_criterion(p, suite)
+    criterion, baseline = build_criterion(suite, run_suite(p, suite))
     result = orbs_slice(p, criterion, baseline, SliceSettings(budget=10_000))
     return p, suite, criterion, baseline, result
 
@@ -44,7 +44,7 @@ def test_helper_only_test_removed_with_reason():
     # interchangeable `end` line survives is a scan-order detail)
     assert {5, 6} <= set(result.deleted)
     assert len(result.slice) == 3
-    reduced = reduce_suite(p, result.slice, result.mapping, suite)
+    reduced = reduce_suite(p, result.slice, result.mapping, suite, run_suite(p, suite))
     assert reduced.kept.ids() == ["t_fail", "t_keep"]
     removed = {r.id: r.reason for r in reduced.removed}
     # every line the helper test covered was deleted
@@ -59,7 +59,9 @@ def test_unbuildable_slice_keeps_only_failing_tests():
     # target loses its `end` and helper is gone: the slice does not parse
     survivors = [1, 2, 4]
     broken = p.without_lines([3, 5, 6, 7])
-    reduced = reduce_suite(p, broken, LineMapping.from_survivors(survivors), suite)
+    reduced = reduce_suite(
+        p, broken, LineMapping.from_survivors(survivors), suite, run_suite(p, suite)
+    )
     assert reduced.kept.ids() == ["t_fail"]
     removed = {r.id: r.reason for r in reduced.removed}
     assert removed == {"t_keep": FAILS_ON_SLICE, "t_helper": COVERS_ONLY_DELETED}
@@ -67,7 +69,7 @@ def test_unbuildable_slice_keeps_only_failing_tests():
 
 def test_failing_tests_always_kept_and_passing_survivors_kept():
     p, suite, criterion, baseline, result = two_fn_setup()
-    reduced = reduce_suite(p, result.slice, result.mapping, suite)
+    reduced = reduce_suite(p, result.slice, result.mapping, suite, run_suite(p, suite))
     assert "t_fail" in reduced.kept.ids()
     assert "t_keep" in reduced.kept.ids()
 
@@ -87,33 +89,36 @@ end
         TestCase("t_fail", "f", (2,), "value", 9),  # 3 != 9
         TestCase("t_neg", "f", (-4,), "value", 4),  # exercises the else path
     ))
-    criterion, baseline = build_criterion(p, suite)
+    criterion, baseline = build_criterion(suite, run_suite(p, suite))
     result = orbs_slice(p, criterion, baseline, SliceSettings(budget=10_000))
     assert 5 in result.deleted  # the negative branch is irrelevant to the bug
-    reduced = reduce_suite(p, result.slice, result.mapping, suite)
+    reduced = reduce_suite(p, result.slice, result.mapping, suite, run_suite(p, suite))
     removed = {r.id: r.reason for r in reduced.removed}
     assert removed == {"t_neg": FAILS_ON_SLICE}
 
 
 def test_invalid_mapping_rejected():
     p, suite, criterion, baseline, result = two_fn_setup()
-    bad = LineMapping(tuple((s, o + 1) for s, o in result.mapping.pairs))
+    bad = LineMapping(tuple(o + 1 for o in result.mapping.original_lines()))
     with pytest.raises(InvalidSlice):
-        reduce_suite(p, result.slice, bad, suite)
+        reduce_suite(p, result.slice, bad, suite, run_suite(p, suite))
 
 
 def test_idempotence_on_identity_slice():
     p, suite, criterion, baseline, result = two_fn_setup()
-    reduced = reduce_suite(p, result.slice, result.mapping, suite)
+    reduced = reduce_suite(p, result.slice, result.mapping, suite, run_suite(p, suite))
     identity = LineMapping.identity(len(result.slice))
-    again = reduce_suite(result.slice, result.slice, identity, reduced.kept)
+    again = reduce_suite(
+        result.slice, result.slice, identity, reduced.kept,
+        run_suite(result.slice, reduced.kept),
+    )
     assert again.kept.ids() == reduced.kept.ids()
     assert again.removed == ()
 
 
 def test_verify_reduction_clean_and_corrupted():
     p, suite, criterion, baseline, result = two_fn_setup()
-    reduced = reduce_suite(p, result.slice, result.mapping, suite)
+    reduced = reduce_suite(p, result.slice, result.mapping, suite, run_suite(p, suite))
     assert verify_reduction(result.slice, reduced, baseline, result.mapping) == []
 
     corrupted = ReducedSuite(suite, reduced.removed)  # helper test forced back in
@@ -140,16 +145,18 @@ end
         TestCase("t_fail", "f", (1,), "value", 5),
         TestCase("t_slow", "slow", (50,), "value", 50),
     ))
-    criterion, baseline = build_criterion(p, suite, budget=5_000)
+    criterion, baseline = build_criterion(suite, run_suite(p, suite, 5_000))
     result = orbs_slice(p, criterion, baseline, SliceSettings(budget=5_000))
     # slow() is sliced away entirely; its test cannot pass on the slice
-    reduced = reduce_suite(p, result.slice, result.mapping, suite, budget=5_000)
+    reduced = reduce_suite(
+        p, result.slice, result.mapping, suite, run_suite(p, suite, 5_000), budget=5_000
+    )
     assert reduced.kept.ids() == ["t_fail"]
 
 
 def test_reduction_log_shape():
     p, suite, criterion, baseline, result = two_fn_setup()
-    reduced = reduce_suite(p, result.slice, result.mapping, suite)
+    reduced = reduce_suite(p, result.slice, result.mapping, suite, run_suite(p, suite))
     log = reduction_log_json(reduced)
     assert log["kept"] == ["t_fail", "t_keep"]
     assert log["removed"] == [{"id": "t_helper", "reason": COVERS_ONLY_DELETED}]
@@ -158,7 +165,10 @@ def test_reduction_log_shape():
 def test_corpus_reductions_verify_clean(corpus_artifacts):
     artifacts, _ = corpus_artifacts
     for name, art in artifacts.items():
-        assert art.verify() == [], name
+        assert verify_reduction(
+            art.slice_result.slice, art.reduced, art.baseline, art.slice_result.mapping,
+            art.budget,
+        ) == [], name
         # failing-test conservation
         kept = set(art.reduced.kept.ids())
         assert set(art.failing_ids) <= kept, name
