@@ -4,7 +4,8 @@ Subcommands mirror the pipeline stages: ``slice``, ``reduce-tests``,
 ``localize``, ``repair``, the full ``experiment`` lattice runner, a
 ``compare`` helper over two report CSVs, and ``make-corpus`` to write the
 seeded bundle corpus.  Exit codes: 0 success, 1 per-configuration failures
-present, 2 corpus or manifest errors.
+present, 2 corpus, manifest or argument errors.  ``--budget`` is fixed when
+a bundle loads: every stage of that bundle runs at it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import interp
 from .experiment import (
     BundleArtifacts,
     ManifestError,
+    NonFixpointSlice,
     NonViableConfig,
     config_by_name,
     emit_report,
@@ -39,7 +41,11 @@ from .slicer import (
     slice_result_from_log,
 )
 from .suite_reducer import reduce_suite, reduction_log_json
-from .harness import MultiAssertTest, save_suite
+from .harness import MultiAssertTest, run_suite, save_suite
+
+
+class UsageError(Exception):
+    """A command-line value the pipeline cannot take."""
 
 
 def _write_json(path: Path, payload) -> None:
@@ -47,7 +53,17 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _settings(args) -> SliceSettings:
-    return SliceSettings(delta=args.delta, budget=args.budget, max_passes=args.max_passes)
+    try:
+        return SliceSettings(delta=args.delta, max_passes=args.max_passes)
+    except ValueError as exc:
+        raise UsageError(exc) from exc
+
+
+def _config(name: str):
+    try:
+        return config_by_name(name)
+    except ValueError as exc:
+        raise UsageError(exc) from exc
 
 
 def _caps(args) -> RepairCaps:
@@ -59,8 +75,7 @@ def _caps(args) -> RepairCaps:
 
 
 def _artifacts(args) -> BundleArtifacts:
-    bundle = load_bundle(args.bundle, budget=args.budget)
-    return BundleArtifacts(bundle, _settings(args), args.budget)
+    return BundleArtifacts(load_bundle(args.bundle, budget=args.budget), _settings(args))
 
 
 def _load_slice_dir(bundle, slice_dir: str):
@@ -98,8 +113,7 @@ def cmd_reduce_tests(args) -> int:
         bundle = load_bundle(args.bundle, budget=args.budget)
         slice_program, mapping = _load_slice_dir(bundle, args.slice)
         reduced = reduce_suite(
-            bundle.program, slice_program, mapping, bundle.suite, bundle.baseline_run,
-            args.budget,
+            bundle.program, slice_program, mapping, bundle.suite, bundle.baseline_run
         )
         name, t_len = bundle.name, len(bundle.suite)
     else:
@@ -121,14 +135,14 @@ def cmd_localize(args) -> int:
     if args.slice:
         bundle = load_bundle(args.bundle, budget=args.budget)
         slice_program, mapping = _load_slice_dir(bundle, args.slice)
-        original = localize(bundle.program, bundle.suite, args.budget)
+        original = localize(bundle.baseline_run)
         lists = {"L": original, "LP": prune_list(original, mapping)}
         if "LR" in wanted:
             reduced = reduce_suite(
-                bundle.program, slice_program, mapping, bundle.suite, bundle.baseline_run,
-                args.budget,
+                bundle.program, slice_program, mapping, bundle.suite, bundle.baseline_run
             )
-            lists["LR"] = regenerate_list(slice_program, reduced.kept, mapping, args.budget)
+            on_slice = run_suite(slice_program, reduced.kept, bundle.baseline_run.budget)
+            lists["LR"] = regenerate_list(on_slice, mapping)
         name = bundle.name
     else:
         art = _artifacts(args)
@@ -144,13 +158,9 @@ def cmd_localize(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    config = config_by_name(args.config)
-    try:
-        art = _artifacts(args)
-        report, result = run_config(art, config, _caps(args))
-    except NonViableConfig as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _config(args.config)
+    art = _artifacts(args)
+    report, result = run_config(art, config, _caps(args))
     out = Path(args.out or args.bundle)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -181,27 +191,13 @@ def cmd_repair(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    try:
-        bundles = load_corpus(args.corpus, budget=args.budget)
-    except (ManifestError, MultiAssertTest, NoFailingTests) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    bundles = load_corpus(args.corpus, budget=args.budget)
     if args.configs == "all":
         configs = list(viable_configs())
     else:
-        try:
-            configs = [config_by_name(n) for n in args.configs.split(",")]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        bad = [c.name for c in configs if not c.viable]
-        if bad:
-            print(f"error: non-viable configurations: {', '.join(bad)}", file=sys.stderr)
-            return 2
+        configs = [_config(n) for n in args.configs.split(",")]
     started = time.perf_counter()
-    reports = run_lattice(
-        bundles, _caps(args), _settings(args), args.budget, configs=configs
-    )
+    reports = run_lattice(bundles, _caps(args), _settings(args), configs=configs)
     document = emit_report(reports, args.format)
     if args.out:
         Path(args.out).write_text(document, encoding="utf-8")
@@ -355,10 +351,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, MultiAssertTest) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NoFailingTests as exc:
+    except (
+        ManifestError, MultiAssertTest, NoFailingTests, NonViableConfig,
+        NonFixpointSlice, UsageError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

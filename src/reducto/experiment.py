@@ -50,7 +50,6 @@ from .slicer import (
     NoFailingTests,
     SliceResult,
     SliceSettings,
-    TestSignatures,
     build_criterion,
     orbs_slice,
 )
@@ -145,11 +144,13 @@ class BugBundle:
     program: SourceProgram
     suite: TestSuite
     ground_truth: Optional[GroundTruth]
-    baseline_run: SuiteResult  # suite outcomes on the original program
+    baseline_run: SuiteResult  # the one run of the suite on the original program
 
 
 def load_bundle(path, budget: int = interp.DEFAULT_BUDGET) -> BugBundle:
-    """Load and validate one bundle directory.
+    """Load and validate one bundle directory, running its suite on the
+    original program at ``budget``.  Every later stage of the bundle reads
+    its budget from that run.
 
     Enforces the manifest schema, the one-expectation-per-test rule, and
     the presence of at least one failing test on the original program.
@@ -226,28 +227,17 @@ class BundleArtifacts:
 
     All three suspicious lists are derived regardless of which
     configurations run, so rank comparisons across provenances come for
-    free from a single build.
+    free from a single build.  The bundle's baseline run is the one
+    observation of the unmodified program; every stage runs at its budget.
     """
 
-    def __init__(
-        self,
-        bundle: BugBundle,
-        settings: SliceSettings = SliceSettings(),
-        budget: int = interp.DEFAULT_BUDGET,
-    ):
+    def __init__(self, bundle: BugBundle, settings: SliceSettings = SliceSettings()):
         self.bundle = bundle
-        self.settings = settings
-        self.budget = budget
         self.timings = StageTimings()
-
-        self.criterion: TestSignatures
-        self.baseline: Baseline
-        self.criterion, self.baseline = build_criterion(bundle.suite, bundle.baseline_run)
+        self.baseline: Baseline = build_criterion(bundle.suite, bundle.baseline_run)
 
         started = time.perf_counter()
-        self.slice_result: SliceResult = orbs_slice(
-            bundle.program, self.criterion, self.baseline, settings
-        )
+        self.slice_result: SliceResult = orbs_slice(bundle.program, self.baseline, settings)
         self.timings.slice_s = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -257,17 +247,17 @@ class BundleArtifacts:
             self.slice_result.mapping,
             bundle.suite,
             bundle.baseline_run,
-            budget,
         )
         self.timings.reduce_s = time.perf_counter() - started
 
         started = time.perf_counter()
-        self.list_original: SuspiciousList = localize(bundle.program, bundle.suite, budget)
+        self.list_original: SuspiciousList = localize(bundle.baseline_run)
         self.list_pruned: SuspiciousList = prune_list(
             self.list_original, self.slice_result.mapping
         )
+        on_slice = run_suite(self.slice_result.slice, self.reduced.kept, self.baseline.budget)
         self.list_regenerated: SuspiciousList = regenerate_list(
-            self.slice_result.slice, self.reduced.kept, self.slice_result.mapping, budget
+            on_slice, self.slice_result.mapping
         )
         self.timings.localize_s = time.perf_counter() - started
 
@@ -369,9 +359,10 @@ def run_config(
         suspicious = _translate_list(suspicious, slice_result.mapping)
     else:
         program = bundle.program
+    budget = artifacts.baseline.budget
     result = repair(
         program, artifacts.asts[config.program], suite, suspicious,
-        artifacts.failing_ids, caps, artifacts.budget,
+        artifacts.failing_ids, caps, budget,
     )
     patch_line_orig = None
     transferred = None
@@ -380,7 +371,7 @@ def run_config(
             patched_original, patch_line_orig = map_patch_to_original(
                 result.patch, slice_result.mapping, bundle.program
             )
-            full = run_suite(patched_original, bundle.suite, artifacts.budget)
+            full = run_suite(patched_original, bundle.suite, budget)
             transferred = not full.failing
         else:
             patch_line_orig = result.patch.line
@@ -471,16 +462,16 @@ def run_lattice(
     bundles,
     caps: RepairCaps = RepairCaps(),
     settings: SliceSettings = SliceSettings(),
-    budget: int = interp.DEFAULT_BUDGET,
     configs=viable_configs(),
 ) -> list[RepairReport]:
-    """The reports of ``configs`` for every bundle, in bundle-name order."""
+    """The reports of ``configs`` for every bundle, in bundle-name order,
+    each bundle at the budget it was loaded with."""
     for config in configs:
         if not config.viable:
             raise NonViableConfig(f"{config.name} is not viable")
     reports = []
     for bundle in sorted(bundles, key=lambda b: b.name):
-        reports += bundle_reports(BundleArtifacts(bundle, settings, budget), configs, caps)
+        reports += bundle_reports(BundleArtifacts(bundle, settings), configs, caps)
     return reports
 
 

@@ -1,11 +1,12 @@
 """Spectrum-based fault localization with Ochiai scoring.
 
-Spectra are binary per test: a test contributes at most one execution to a
-line no matter how many times the line ran.  Scores rank into a suspicious
-list; list variants derived from a slice either prune the original list to
-surviving lines or regenerate from scratch on the sliced program, and both
-are expressed in original-program coordinates so the three lists stay
-comparable.
+Spectra are read from suite runs made elsewhere; this module executes
+nothing.  They are binary per test: a test contributes at most one
+execution to a line no matter how many times the line ran.  Scores rank
+into a suspicious list; list variants derived from a slice either prune
+the original list to surviving lines or regenerate from scratch on the
+sliced program, and both are expressed in original-program coordinates so
+the three lists stay comparable.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import interp
-from .harness import TestSuite, run_suite
+from .harness import SuiteResult
 from .slicer import LineMapping, NoFailingTests
-from .source import SourceProgram
 
 PROV_ORIGINAL = "L"
 PROV_REGENERATED = "LR"
@@ -70,19 +69,14 @@ class SuspiciousList:
         return None
 
 
-def collect_spectrum(
-    program: SourceProgram,
-    suite: TestSuite,
-    budget: int = interp.DEFAULT_BUDGET,
-) -> CoverageSpectrum:
-    """Tally per-line coverage over the pass/fail partition of the suite."""
-    result = run_suite(program, suite, budget)
+def collect_spectrum(result: SuiteResult) -> CoverageSpectrum:
+    """Tally per-line coverage over the pass/fail partition of a suite run."""
     failing = set(result.failing)
     e_f: dict = {}
     e_p: dict = {}
-    for test in suite:
-        tally = e_f if test.id in failing else e_p
-        for line in result.outcomes[test.id].covered:
+    for test_id, outcome in result.outcomes.items():
+        tally = e_f if test_id in failing else e_p
+        for line in outcome.covered:
             tally[line] = tally.get(line, 0) + 1
     return CoverageSpectrum(
         failed_total=len(result.failing),
@@ -115,13 +109,10 @@ def rank(scores: dict, provenance: str = PROV_ORIGINAL) -> SuspiciousList:
     return SuspiciousList(provenance, entries)
 
 
-def localize(
-    program: SourceProgram,
-    suite: TestSuite,
-    budget: int = interp.DEFAULT_BUDGET,
-) -> SuspiciousList:
-    """The original list L: spectrum, Ochiai, rank."""
-    return rank(ochiai(collect_spectrum(program, suite, budget)), PROV_ORIGINAL)
+def localize(result: SuiteResult) -> SuspiciousList:
+    """The original list L from the suite run on the original program:
+    spectrum, Ochiai, rank."""
+    return rank(ochiai(collect_spectrum(result)), PROV_ORIGINAL)
 
 
 def prune_list(original: SuspiciousList, mapping: LineMapping) -> SuspiciousList:
@@ -135,15 +126,10 @@ def prune_list(original: SuspiciousList, mapping: LineMapping) -> SuspiciousList
     return SuspiciousList(PROV_PRUNED, entries)
 
 
-def regenerate_list(
-    slice_program: SourceProgram,
-    reduced_suite: TestSuite,
-    mapping: LineMapping,
-    budget: int = interp.DEFAULT_BUDGET,
-) -> SuspiciousList:
-    """Fresh localization on (slice, reduced suite), translated back to
-    original coordinates."""
-    spectrum = collect_spectrum(slice_program, reduced_suite, budget)
+def regenerate_list(on_slice: SuiteResult, mapping: LineMapping) -> SuspiciousList:
+    """Fresh localization from the reduced suite run on the slice,
+    translated back to original coordinates."""
+    spectrum = collect_spectrum(on_slice)
     if spectrum.failed_total == 0:
         raise NoFailingTests("reduced suite has no failing test on the slice")
     ranked = rank(ochiai(spectrum), PROV_REGENERATED)

@@ -185,6 +185,7 @@ class SuiteResult:
     outcomes: dict  # test id -> Outcome
     passing: tuple[str, ...]
     failing: tuple[str, ...]  # everything that is not a Pass
+    budget: int  # the step budget every test ran at
 
 
 def run_suite(
@@ -200,7 +201,7 @@ def run_suite(
         code = interp.compile_ast(parse(program))
     except ParseError:
         outcomes = {t.id: Outcome(UNBUILDABLE, frozenset()) for t in suite}
-        return SuiteResult(outcomes, (), tuple(suite.ids()))
+        return SuiteResult(outcomes, (), tuple(suite.ids()), budget)
     outcomes = {}
     passing = []
     failing = []
@@ -208,7 +209,7 @@ def run_suite(
         outcome = run_test(code, test, budget)
         outcomes[test.id] = outcome
         (passing if outcome.passed else failing).append(test.id)
-    return SuiteResult(outcomes, tuple(passing), tuple(failing))
+    return SuiteResult(outcomes, tuple(passing), tuple(failing), budget)
 
 
 def signature(test_id: str, outcome: Outcome) -> FailureSignature:

@@ -44,7 +44,6 @@ class BaselineMismatch(Exception):
 @dataclass(frozen=True)
 class SliceSettings:
     delta: int = 3  # maximum deletion-window length, in lines
-    budget: int = interp.DEFAULT_BUDGET
     max_passes: int = 50
 
     def __post_init__(self):
@@ -83,28 +82,22 @@ class LineMapping:
 
 
 @dataclass(frozen=True)
-class TestSignatures:
-    """Preserve the failure signatures of the given (failing) tests."""
+class Baseline:
+    """The slicing criterion and what it must reproduce: the failing tests
+    of the unmodified program in suite order, their failure signatures, and
+    the step budget they were observed at.  Every candidate runs at that
+    budget."""
 
     tests: tuple[TestCase, ...]
+    signatures: dict  # test id -> FailureSignature
+    budget: int
 
     def __post_init__(self):
         if not self.tests:
             raise ValueError("criterion needs at least one failing test")
 
-
-@dataclass(frozen=True)
-class Baseline:
-    """Expected observations from the unmodified program: (test id,
-    FailureSignature) pairs sorted by id."""
-
-    entries: tuple
-
     def signature_for(self, test_id: str) -> FailureSignature:
-        for tid, sig in self.entries:
-            if tid == test_id:
-                return sig
-        raise KeyError(test_id)
+        return self.signatures[test_id]
 
 
 @dataclass(frozen=True)
@@ -148,27 +141,19 @@ def mapped_signature(
     return sig
 
 
-def build_criterion(suite: TestSuite, result: SuiteResult) -> tuple[TestSignatures, Baseline]:
-    """Criterion and baseline for the repair pipeline: all failing tests
-    and their signatures in ``result``, the suite run on the unmodified
-    program."""
+def build_criterion(suite: TestSuite, result: SuiteResult) -> Baseline:
+    """The baseline of every failing test in ``result``, the suite run on
+    the unmodified program, at the budget of that run."""
     if not result.failing:
         raise NoFailingTests("every test passes; nothing to slice against")
     failing = tuple(t for t in suite if t.id in set(result.failing))
-    entries = tuple(
-        sorted(
-            ((t.id, signature(t.id, result.outcomes[t.id])) for t in failing),
-            key=lambda pair: pair[0],
-        )
-    )
-    return TestSignatures(failing), Baseline(entries)
+    signatures = {t.id: signature(t.id, result.outcomes[t.id]) for t in failing}
+    return Baseline(failing, signatures, result.budget)
 
 
 def candidate_accepts(
     candidate: SourceProgram,
-    criterion: TestSignatures,
     baseline: Baseline,
-    settings: SliceSettings,
     line_map: Optional[LineMapping] = None,
 ) -> Acceptance:
     """Accept iff the candidate parses and reproduces the baseline exactly."""
@@ -177,8 +162,8 @@ def candidate_accepts(
     except ParseError as exc:
         return Acceptance(False, "Unbuildable", f"line {exc.line}: {exc.reason}")
     code = interp.compile_ast(ast)
-    for test in criterion.tests:
-        outcome = run_test(code, test, settings.budget)
+    for test in baseline.tests:
+        outcome = run_test(code, test, baseline.budget)
         if mapped_signature(test.id, outcome, line_map) != baseline.signature_for(test.id):
             return Acceptance(False, "BehaviorChanged", test.id)
     return Acceptance(True)
@@ -186,7 +171,6 @@ def candidate_accepts(
 
 def orbs_slice(
     program: SourceProgram,
-    criterion: TestSignatures,
     baseline: Baseline,
     settings: SliceSettings = SliceSettings(),
 ) -> SliceResult:
@@ -197,7 +181,7 @@ def orbs_slice(
     """
     n = len(program)
     identity = LineMapping.identity(n)
-    self_check = candidate_accepts(program, criterion, baseline, settings, identity)
+    self_check = candidate_accepts(program, baseline, identity)
     if not self_check:
         raise BaselineMismatch(
             f"program does not reproduce its own baseline: {self_check.reason} "
@@ -222,7 +206,7 @@ def orbs_slice(
                 cand_originals = originals[: i - 1] + originals[i - 1 + width:]
                 cand = SourceProgram(tuple(cand_lines), program.id)
                 line_map = LineMapping.from_survivors(cand_originals)
-                if candidate_accepts(cand, criterion, baseline, settings, line_map):
+                if candidate_accepts(cand, baseline, line_map):
                     accepted_width = width
                     lines = cand_lines
                     originals = cand_originals
@@ -263,9 +247,7 @@ class MinimalityReport:
 
 def minimality_check(
     slice_program: SourceProgram,
-    criterion: TestSignatures,
     baseline: Baseline,
-    settings: SliceSettings = SliceSettings(),
     line_map: Optional[LineMapping] = None,
 ) -> MinimalityReport:
     """1-minimality: no single-line deletion of the slice is acceptable.
@@ -281,7 +263,7 @@ def minimality_check(
         cand = slice_program.without_lines([i])
         cand_originals = originals[: i - 1] + originals[i:]
         cand_map = LineMapping.from_survivors(cand_originals)
-        if candidate_accepts(cand, criterion, baseline, settings, cand_map):
+        if candidate_accepts(cand, baseline, cand_map):
             return MinimalityReport(False, i)
     return MinimalityReport(True, None)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import interp
 from .harness import SuiteResult, TestSuite, run_suite
 from .slicer import Baseline, LineMapping, mapped_signature
 from .source import SourceProgram
@@ -55,18 +54,16 @@ def reduce_suite(
     mapping: LineMapping,
     suite: TestSuite,
     on_original: SuiteResult,
-    budget: int = interp.DEFAULT_BUDGET,
 ) -> ReducedSuite:
     """Produce the reduced suite: every original failing test, plus every
     passing test that still passes on the slice.  ``on_original`` is the
-    suite run on ``program``."""
+    suite run on ``program``; the slice runs at its budget."""
     _check_mapping(program, slice_program, mapping)
     failing = set(on_original.failing)
     survivors = set(mapping.original_lines())
     # an unbuildable slice fails every test, so every passing test is removed
-    on_slice = run_suite(
-        slice_program, TestSuite(tuple(t for t in suite if t.id not in failing)), budget
-    )
+    passing = TestSuite(tuple(t for t in suite if t.id not in failing))
+    on_slice = run_suite(slice_program, passing, on_original.budget)
 
     kept_ids = []
     removed = []
@@ -93,20 +90,19 @@ def verify_reduction(
     reduced: ReducedSuite,
     baseline: Baseline,
     mapping: LineMapping,
-    budget: int = interp.DEFAULT_BUDGET,
 ) -> list[Violation]:
-    """Check the reduction postcondition on the slice itself.
+    """Check the reduction postcondition on the slice itself, at the
+    baseline's budget.
 
     Every kept failing test must reproduce its baseline signature (in
     original coordinates), and every other kept test must pass.  Returns
     the violations, empty when the reduction holds.
     """
     violations = []
-    baseline_ids = {tid for tid, _ in baseline.entries}
-    on_slice = run_suite(slice_program, reduced.kept, budget).outcomes
+    on_slice = run_suite(slice_program, reduced.kept, baseline.budget).outcomes
     for test in reduced.kept:
         outcome = on_slice[test.id]
-        if test.id in baseline_ids:
+        if test.id in baseline.signatures:
             if mapped_signature(test.id, outcome, mapping) != baseline.signature_for(test.id):
                 violations.append(
                     Violation(test.id, "failing test does not reproduce its baseline signature")

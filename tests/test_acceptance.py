@@ -45,11 +45,11 @@ def test_criterion_01_slice_behavior_preservation(corpus_artifacts):
     artifacts, elapsed = corpus_artifacts
     mismatches = []
     for name, art in artifacts.items():
-        for test in art.criterion.tests:
+        for test in art.baseline.tests:
             observed = mapped_signature(
                 test.id,
                 run_suite(
-                    art.slice_result.slice, TestSuite((test,)), art.budget
+                    art.slice_result.slice, TestSuite((test,)), art.baseline.budget
                 ).outcomes[test.id],
                 art.slice_result.mapping,
             )
@@ -77,8 +77,7 @@ def test_criterion_02_slice_one_minimality_vs_brute_force(corpus_artifacts):
             continue
         checked += 1
         verdict = minimality_check(
-            slice_program, art.criterion, art.baseline,
-            line_map=art.slice_result.mapping,
+            slice_program, art.baseline, line_map=art.slice_result.mapping,
         )
         # independent oracle: rebuild each single-deletion candidate from raw
         # text and recheck every criterion signature from scratch
@@ -98,11 +97,11 @@ def test_criterion_02_slice_one_minimality_vs_brute_force(corpus_artifacts):
             if all(
                 mapped_signature(
                     test.id,
-                    run_suite(cand, TestSuite((test,)), art.budget).outcomes[test.id],
+                    run_suite(cand, TestSuite((test,)), art.baseline.budget).outcomes[test.id],
                     cand_map,
                 )
                 == art.baseline.signature_for(test.id)
-                for test in art.criterion.tests
+                for test in art.baseline.tests
             ):
                 brute_deletable.append(drop)
         if verdict.minimal != (not brute_deletable):

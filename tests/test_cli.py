@@ -129,6 +129,17 @@ def test_repair_rejects_non_viable_config(bundle_path, tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["repair", "--config", "Ps-Ts-LP", "--max-passes", "0"],  # non-fixpoint slice
+    ["slice", "--delta", "0"],
+    ["repair", "--config", "X-T-L"],
+], ids=["non_fixpoint_slice", "zero_delta", "bad_config_name"])
+def test_unusable_arguments_are_exit_two(bundle_path, tmp_path, capsys, command):
+    name, *flags = command
+    assert main([name, bundle_path, *flags, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_repair_caps_flags(bundle_path, tmp_path):
     code = main(["repair", bundle_path, "--config", "P-T-L",
                  "--max-candidates", "0", "--out", str(tmp_path)])

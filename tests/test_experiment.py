@@ -192,26 +192,24 @@ def test_artifact_sharing_matches_fresh_computation(corpus_bundles):
     art = BundleArtifacts(bundle)
     from reducto.faultloc import localize, prune_list, regenerate_list, suspicious_json
     from reducto.harness import run_suite
-    from reducto.slicer import SliceSettings, build_criterion, orbs_slice
+    from reducto.slicer import build_criterion, orbs_slice
     from reducto.suite_reducer import reduce_suite
 
     on_original = run_suite(bundle.program, bundle.suite)
-    criterion, baseline = build_criterion(bundle.suite, on_original)
-    fresh_slice = orbs_slice(bundle.program, criterion, baseline, SliceSettings())
+    fresh_slice = orbs_slice(bundle.program, build_criterion(bundle.suite, on_original))
     assert fresh_slice.slice.lines == art.slice_result.slice.lines
     fresh_reduced = reduce_suite(
         bundle.program, fresh_slice.slice, fresh_slice.mapping, bundle.suite, on_original
     )
     assert fresh_reduced.kept.ids() == art.reduced.kept.ids()
-    assert suspicious_json(localize(bundle.program, bundle.suite)) == suspicious_json(
-        art.list_original
-    )
+    assert suspicious_json(localize(on_original)) == suspicious_json(art.list_original)
     assert suspicious_json(prune_list(art.list_original, fresh_slice.mapping)) == (
         suspicious_json(art.list_pruned)
     )
-    assert suspicious_json(
-        regenerate_list(fresh_slice.slice, fresh_reduced.kept, fresh_slice.mapping)
-    ) == suspicious_json(art.list_regenerated)
+    on_slice = run_suite(fresh_slice.slice, fresh_reduced.kept)
+    assert suspicious_json(regenerate_list(on_slice, fresh_slice.mapping)) == (
+        suspicious_json(art.list_regenerated)
+    )
 
 
 def test_cross_config_consistency(lattice_reports):
@@ -261,6 +259,16 @@ def test_lattice_marks_ps_configs_failed_on_non_fixpoint_slice(corpus_bundles):
             assert report.stop_reason.startswith("stage-error")
         else:
             assert not report.stop_reason.startswith("stage-error")
+
+
+def test_every_stage_runs_at_the_budget_the_bundle_was_loaded_with(corpus_dir):
+    # At 60 steps four of b04's tests run out of budget and join the failing
+    # ones.  Every stage reads the budget of the baseline run, so the slicer's
+    # self-check holds and each configuration runs to the end.
+    bundle = load_bundle(Path(corpus_dir) / "b04_rate_of", budget=60)
+    reports = bundle_reports(BundleArtifacts(bundle), viable_configs())
+    assert [r.config for r in reports] == [c.name for c in viable_configs()]
+    assert {r.stop_reason for r in reports} == {"exhausted"}
 
 
 def test_lattice_lets_unexpected_errors_escape(corpus_bundles, corpus_artifacts, monkeypatch):

@@ -37,7 +37,7 @@ def test_spectrum_trivial_tally():
         TestCase("fail", "f", (1,), "value", 99),  # covers the increment
         TestCase("pass", "f", (-1,), "value", -1),  # skips it
     ))
-    s = collect_spectrum(p, suite)
+    s = collect_spectrum(run_suite(p, suite))
     assert s.failed_total == 1 and s.passed_total == 1
     assert s.executed_failed[4] == 1 and s.executed_passed.get(4, 0) == 0
     assert s.executed_failed[3] == 1 and s.executed_passed[3] == 1
@@ -49,17 +49,15 @@ def test_spectrum_all_unbuildable():
         TestCase("a", "f", (), "value", 1),
         TestCase("b", "f", (), "value", 2),
     ))
-    s = collect_spectrum(p, suite)
+    s = collect_spectrum(run_suite(p, suite))
     assert s.failed_total == 2 and s.passed_total == 0
     assert s.executed_failed == {} and s.executed_passed == {}
 
 
 def test_spectrum_recount_from_per_test_dumps(max3_program, max3_suite):
-    from reducto.harness import run_suite
-
-    s = collect_spectrum(max3_program, max3_suite)
-    # independent recount from stored per-test coverage
     result = run_suite(max3_program, max3_suite)
+    s = collect_spectrum(result)
+    # independent recount from stored per-test coverage
     failing = set(result.failing)
     for line in s.lines():
         ef = sum(
@@ -75,7 +73,7 @@ def test_binary_per_test_contribution():
     # a loop executes one line many times, but each test counts once
     p = program("fn f(n)\nlet i = 0\nwhile i < n\ni = i + 1\nend\nreturn i\nend\n")
     suite = TestSuite((TestCase("fail", "f", (10,), "value", 0),))
-    s = collect_spectrum(p, suite)
+    s = collect_spectrum(run_suite(p, suite))
     assert s.executed_failed[4] == 1
 
 
@@ -130,7 +128,7 @@ def test_max3_bug_line_ranks_first(max3_program, max3_suite):
     # is covered by no passing test: 1/sqrt(1) = 1.0, rank one.  Every
     # other failing-covered line is covered by all five passing tests:
     # 1/sqrt(6), tie-broken by line number.
-    suspicious = localize(max3_program, max3_suite)
+    suspicious = localize(run_suite(max3_program, max3_suite))
     assert suspicious.entries[0].line == MAX3_BUG_LINE
     assert suspicious.entries[0].score == 1.0
     assert all(
@@ -200,9 +198,9 @@ def test_regenerate_identity_on_degenerate_slice():
         TestCase("fail", "f", (1,), "value", 0),
         TestCase("pass", "f", (2,), "value", 3),
     ))
-    original = localize(p, suite)
-    identity = LineMapping.identity(len(p))
-    regenerated = regenerate_list(p, suite, identity)
+    run = run_suite(p, suite)
+    original = localize(run)
+    regenerated = regenerate_list(run, LineMapping.identity(len(p)))
     assert regenerated.provenance == PROV_REGENERATED
     assert [(e.line, e.score, e.rank) for e in regenerated.entries] == [
         (e.line, e.score, e.rank) for e in original.entries
@@ -213,7 +211,7 @@ def test_regenerate_requires_failing_test():
     p = program("fn f(a)\nreturn a\nend\n")
     passing = TestSuite((TestCase("p", "f", (1,), "value", 1),))
     with pytest.raises(NoFailingTests):
-        regenerate_list(p, passing, LineMapping.identity(3))
+        regenerate_list(run_suite(p, passing), LineMapping.identity(3))
 
 
 def test_regenerated_rank_improves_when_noise_is_sliced(corpus_artifacts):
@@ -250,21 +248,21 @@ end
         TestCase("pass1", "f", (3, True), "value", 9),
         TestCase("pass2", "f", (4, True), "value", 12),
     ))
-    original = localize(p, suite)
+    original = localize(run_suite(p, suite))
     ranks = {e.line: e.rank for e in original.entries}
     bug_line = 6
     assert ranks[bug_line] == 2  # behind the if-end join, ahead of lines 1-3
 
-    from reducto.slicer import SliceSettings, build_criterion, orbs_slice
+    from reducto.slicer import build_criterion, orbs_slice
     from reducto.suite_reducer import reduce_suite
 
-    on_original = run_suite(p, suite)
-    criterion, baseline = build_criterion(suite, on_original)
-    result = orbs_slice(p, criterion, baseline, SliceSettings(budget=10_000))
+    on_original = run_suite(p, suite, 10_000)
+    result = orbs_slice(p, build_criterion(suite, on_original))
     assert {3, 4, 5} <= set(result.deleted)
     reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
     assert reduced.kept.ids() == ["fail"]
-    regenerated = regenerate_list(result.slice, reduced.kept, result.mapping)
+    on_slice = run_suite(result.slice, reduced.kept, 10_000)
+    regenerated = regenerate_list(on_slice, result.mapping)
     assert regenerated.rank_of(bug_line) > ranks[bug_line]
     # while the pruned list, by construction, can only improve the rank
     pruned = prune_list(original, result.mapping)
@@ -298,6 +296,6 @@ def test_ochiai_bounds_fuzz():
 
 def test_lists_are_deterministic(corpus_bundles):
     bundle = next(b for b in corpus_bundles if b.name == "b03_series_sum")
-    a = localize(bundle.program, bundle.suite)
-    b = localize(bundle.program, bundle.suite)
+    a = localize(run_suite(bundle.program, bundle.suite))
+    b = localize(run_suite(bundle.program, bundle.suite))
     assert suspicious_json(a) == suspicious_json(b)

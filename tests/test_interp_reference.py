@@ -21,6 +21,7 @@ import reference_interp as ref
 from reducto import interp
 from reducto.control_slice import MAX_STATE_ITEMS
 from reducto.faultloc import localize
+from reducto.harness import run_suite
 from reducto.parser import ParseError, parse
 from reducto.repair import generate_candidates
 from reducto.values import float_bits
@@ -73,7 +74,7 @@ def test_corpus_programs_and_tests(corpus_bundles):
 def test_every_repair_candidate(corpus_bundles):
     statuses = set()
     for bundle in corpus_bundles:
-        suspicious = localize(bundle.program, bundle.suite)
+        suspicious = localize(run_suite(bundle.program, bundle.suite))
         for candidate in generate_candidates(bundle.program, parse(bundle.program), suspicious):
             try:
                 codes = compiled(parse(candidate.program))

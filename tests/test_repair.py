@@ -144,7 +144,7 @@ def test_generation_cap():
 
 
 def test_first_candidate_is_first_instantiation_of_rank_one_line(max3_program, max3_suite):
-    suspicious = localize(max3_program, max3_suite)
+    suspicious = localize(run_suite(max3_program, max3_suite))
     assert suspicious.entries[0].line == MAX3_BUG_LINE
     first = next(iter(generate_candidates(max3_program, parse(max3_program), suspicious)))
     # hand enumeration at `m = b`: T1-T5 yield nothing, so T6 deletion leads
@@ -154,7 +154,7 @@ def test_first_candidate_is_first_instantiation_of_rank_one_line(max3_program, m
 
 
 def test_candidate_program_reproducible_from_edit(max3_program, max3_suite):
-    suspicious = localize(max3_program, max3_suite)
+    suspicious = localize(run_suite(max3_program, max3_suite))
     candidates = generate_candidates(
         max3_program, parse(max3_program), suspicious, RepairCaps(max_candidates=30)
     )
@@ -168,7 +168,7 @@ def test_candidate_program_reproducible_from_edit(max3_program, max3_suite):
 
 def test_early_exit_on_first_failing_test(max3_program, max3_suite):
     # deleting the buggy copy still fails t4, after exactly one execution
-    suspicious = localize(max3_program, max3_suite)
+    suspicious = localize(run_suite(max3_program, max3_suite))
     candidate = next(iter(generate_candidates(max3_program, parse(max3_program), suspicious)))
     result = validate_patch(candidate, max3_suite, ["t4"])
     assert result.verdict == "FailsFailingTest"
@@ -226,7 +226,7 @@ def test_validation_order_failing_first_in_suite_order(max3_suite):
 
 def test_early_exit_soundness_sampled(max3_program, max3_suite):
     # Plausible iff a full no-early-exit rerun passes everything
-    suspicious = localize(max3_program, max3_suite)
+    suspicious = localize(run_suite(max3_program, max3_suite))
     candidates = generate_candidates(
         max3_program, parse(max3_program), suspicious, RepairCaps(max_candidates=25)
     )
@@ -247,7 +247,7 @@ def test_repair_max3_hand_enumerated(max3_program, max3_suite):
        2. T9 b->a  `m = a`     -> t4 still fails     (1 execution)
        3. T9 b->c  `m = c`     -> plausible          (6 executions)
     so NPC=3, NTE=8, BR=1, and the patch sits at the bug line."""
-    suspicious = localize(max3_program, max3_suite)
+    suspicious = localize(run_suite(max3_program, max3_suite))
     result = repair(max3_program, parse(max3_program), max3_suite, suspicious, ["t4"])
     assert result.patched
     assert result.patch.line == MAX3_BUG_LINE
@@ -262,16 +262,18 @@ def test_repair_max3_hand_enumerated(max3_program, max3_suite):
 
 
 def test_repair_cap_zero(max3_program, max3_suite):
+    suspicious = localize(run_suite(max3_program, max3_suite))
     result = repair(max3_program, parse(max3_program), max3_suite,
-                    localize(max3_program, max3_suite), ["t4"], RepairCaps(max_candidates=0))
+                    suspicious, ["t4"], RepairCaps(max_candidates=0))
     assert not result.patched
     assert result.npc == 0 and result.nte == 0
     assert result.stop_reason == "max_candidates"
 
 
 def test_repair_nte_cap(max3_program, max3_suite):
+    suspicious = localize(run_suite(max3_program, max3_suite))
     result = repair(max3_program, parse(max3_program), max3_suite,
-                    localize(max3_program, max3_suite), ["t4"], RepairCaps(max_nte=1))
+                    suspicious, ["t4"], RepairCaps(max_nte=1))
     assert not result.patched
     assert result.stop_reason == "max_nte"
     assert result.nte >= 1
@@ -286,7 +288,7 @@ def test_repair_empty_list(max3_program, max3_suite):
 
 
 def test_nte_additivity_and_determinism(max3_program, max3_suite):
-    suspicious = localize(max3_program, max3_suite)
+    suspicious = localize(run_suite(max3_program, max3_suite))
     first = repair(max3_program, parse(max3_program), max3_suite, suspicious, ["t4"])
     second = repair(max3_program, parse(max3_program), max3_suite, suspicious, ["t4"])
     for field in ("npc", "nte", "unbuildable", "candidates_generated", "br", "stop_reason"):

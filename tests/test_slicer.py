@@ -24,23 +24,23 @@ from reducto.source import SourceProgram, count_sloc
 
 from conftest import program
 
-SETTINGS = SliceSettings(delta=3, budget=10_000)
+BUDGET = 10_000
 
 
 def value_criterion(p: SourceProgram, fn: str, args: tuple, wrong):
-    """Criterion from one failing test: ``fn(args)`` expected to return
-    ``wrong``, a value the program does not compute."""
+    """Baseline at ``BUDGET`` from one failing test: ``fn(args)`` expected
+    to return ``wrong``, a value the program does not compute."""
     suite = TestSuite((TestCase("t", fn, args, "value", wrong),))
-    return build_criterion(suite, run_suite(p, suite, SETTINGS.budget))
+    return build_criterion(suite, run_suite(p, suite, BUDGET))
 
 
 # ---------------------------------------------------------------------------
 # build_criterion
 
 def test_build_criterion_single_failing(max3_program, max3_suite):
-    criterion, baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
-    assert [t.id for t in criterion.tests] == ["t4"]
-    assert len(baseline.entries) == 1
+    baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
+    assert [t.id for t in baseline.tests] == ["t4"]
+    assert list(baseline.signatures) == ["t4"]
     sig = baseline.signature_for("t4")
     assert sig.outcome == "Fail"
 
@@ -68,10 +68,8 @@ def test_build_criterion_two_distinct_error_kinds():
         TestCase("tb", "beta", (1,), "value", 1),
         TestCase("ta", "alpha", ((1, 2),), "value", 1),
     ))
-    criterion, baseline = build_criterion(suite, run_suite(p, suite))
-    assert {t.id for t in criterion.tests} == {"ta", "tb"}
-    # baseline entries are ordered by test id regardless of suite order
-    assert [tid for tid, _ in baseline.entries] == ["ta", "tb"]
+    baseline = build_criterion(suite, run_suite(p, suite))
+    assert [t.id for t in baseline.tests] == ["tb", "ta"]  # suite order
     assert baseline.signature_for("ta").error_kind == "IndexOutOfBounds"
     assert baseline.signature_for("tb").error_kind == "TypeError"
 
@@ -91,26 +89,24 @@ end
 
 def test_comment_deletion_accepted():
     p = program(GUARDED)
-    criterion, baseline = value_criterion(p, "main", (3,), 5)  # computes 4
+    baseline = value_criterion(p, "main", (3,), 5)  # computes 4
     cand = p.without_lines([2])
-    verdict = candidate_accepts(
-        cand, criterion, baseline, SETTINGS, LineMapping.from_survivors([1, 3, 4, 5, 6])
-    )
+    verdict = candidate_accepts(cand, baseline, LineMapping.from_survivors([1, 3, 4, 5, 6]))
     assert verdict.accepted
 
 
 def test_deleting_watched_assignment_rejected():
     # the returned variable's assignment is what the failing test observes
     p = program(GUARDED)
-    criterion, baseline = value_criterion(p, "main", (3,), 5)
+    baseline = value_criterion(p, "main", (3,), 5)
     cand = p.without_lines([3])
     cand_map = LineMapping.from_survivors([1, 2, 4, 5, 6])
-    verdict = candidate_accepts(cand, criterion, baseline, SETTINGS, cand_map)
+    verdict = candidate_accepts(cand, baseline, cand_map)
     assert not verdict.accepted
     assert verdict.reason == "BehaviorChanged"
     # direct re-execution shows the difference: r is now undefined
-    test = criterion.tests[0]
-    outcome = run_suite(cand, TestSuite((test,)), SETTINGS.budget).outcomes[test.id]
+    test = baseline.tests[0]
+    outcome = run_suite(cand, TestSuite((test,)), BUDGET).outcomes[test.id]
     observed = mapped_signature(test.id, outcome, cand_map)
     assert (observed.outcome, observed.error_kind, observed.error_line) == (
         "Errored", "UndefinedVariable", 5,
@@ -118,11 +114,10 @@ def test_deleting_watched_assignment_rejected():
 
 
 def test_unbalanced_deletion_rejected(max3_program, max3_suite):
-    criterion, baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
+    baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
     cand = max3_program.without_lines([6])  # if header without its end
     verdict = candidate_accepts(
-        cand, criterion, baseline, SETTINGS,
-        LineMapping.from_survivors([1, 2, 3, 4, 5, 7, 8, 9, 10]),
+        cand, baseline, LineMapping.from_survivors([1, 2, 3, 4, 5, 7, 8, 9, 10])
     )
     assert not verdict.accepted
     assert verdict.reason == "Unbuildable"
@@ -132,25 +127,22 @@ def test_error_lines_compared_in_original_coordinates():
     text = "fn f(xs)\n# padding comment\nreturn xs[9]\nend\n"
     p = program(text)
     suite = TestSuite((TestCase("t", "f", ((1,),), "value", 1),))
-    criterion, baseline = build_criterion(suite, run_suite(p, suite))
+    baseline = build_criterion(suite, run_suite(p, suite))
     assert baseline.signature_for("t").error_line == 3
     cand = p.without_lines([2])  # error now occurs at candidate line 2
-    verdict = candidate_accepts(
-        cand, criterion, baseline, SETTINGS,
-        LineMapping.from_survivors([1, 3, 4]),
-    )
+    verdict = candidate_accepts(cand, baseline, LineMapping.from_survivors([1, 3, 4]))
     assert verdict.accepted
 
 
 def test_budget_exceeded_where_baseline_had_none_rejected():
     text = "fn f(n)\nlet i = 0\nwhile i < n\ni = i + 1\nend\nreturn i\nend\n"
     p = program(text)
-    criterion, baseline = value_criterion(p, "f", (3,), 4)  # computes 3
+    baseline = value_criterion(p, "f", (3,), 4)  # computes 3
     cand = SourceProgram(tuple(
         ln if i != 4 else "i = i + 0" for i, ln in enumerate(p.lines, start=1)
     ))
     # not a deletion, but candidate_accepts takes any program
-    verdict = candidate_accepts(cand, criterion, baseline, SETTINGS)
+    verdict = candidate_accepts(cand, baseline)
     assert not verdict.accepted and verdict.reason == "BehaviorChanged"
 
 
@@ -168,8 +160,8 @@ end
 
 def test_every_statement_feeding_criterion_keeps_program_intact():
     p = program(ALL_LIVE)
-    criterion, baseline = value_criterion(p, "main", (2,), 7)  # computes 6
-    result = orbs_slice(p, criterion, baseline, SETTINGS)
+    baseline = value_criterion(p, "main", (2,), 7)  # computes 6
+    result = orbs_slice(p, baseline)
     assert result.deleted == ()
     assert result.slice.lines == p.lines
     assert result.fixpoint
@@ -199,8 +191,8 @@ def brute_force_accept(base: SourceProgram, drop: set, tests: TestSuite):
         parse(cand)
     except ParseError:
         return False
-    before = run_suite(base, tests, SETTINGS.budget).outcomes
-    after = run_suite(cand, tests, SETTINGS.budget).outcomes
+    before = run_suite(base, tests, BUDGET).outcomes
+    after = run_suite(cand, tests, BUDGET).outcomes
     for test in tests:
         got = signature(test.id, after[test.id])
         if got.error_line:
@@ -212,9 +204,9 @@ def brute_force_accept(base: SourceProgram, drop: set, tests: TestSuite):
 
 def test_dead_branch_slice_matches_brute_force_maximal_set():
     p = program(DEAD_BRANCH)
-    criterion, baseline = value_criterion(p, "main", (5,), 12)  # computes 11
-    result = orbs_slice(p, criterion, baseline, SETTINGS)
-    tests = TestSuite(criterion.tests)
+    baseline = value_criterion(p, "main", (5,), 12)  # computes 11
+    result = orbs_slice(p, baseline)
+    tests = TestSuite(baseline.tests)
 
     # independent enumeration over all 2^10 deletion subsets
     n = len(p)
@@ -245,10 +237,10 @@ end
 
 def test_guard_and_end_need_window_of_two():
     p = program(GUARD_PAIR)
-    criterion, baseline = value_criterion(p, "main", (1,), 3)  # computes 2
-    narrow = orbs_slice(p, criterion, baseline, SliceSettings(delta=1, budget=10_000))
+    baseline = value_criterion(p, "main", (1,), 3)  # computes 2
+    narrow = orbs_slice(p, baseline, SliceSettings(delta=1))
     assert 3 not in narrow.deleted and 4 not in narrow.deleted
-    wide = orbs_slice(p, criterion, baseline, SliceSettings(delta=2, budget=10_000))
+    wide = orbs_slice(p, baseline, SliceSettings(delta=2))
     assert {3, 4} <= set(wide.deleted)
 
 
@@ -262,21 +254,18 @@ def test_budget_exceeded_signature_is_preserved_through_slicing():
         TestCase("t_spin", "f", (5,), "value", 5),
         TestCase("t_zero", "f", (0,), "value", 0),
     ))
-    criterion, baseline = build_criterion(suite, run_suite(p, suite, 2_000))
+    baseline = build_criterion(suite, run_suite(p, suite, 2_000))
     assert baseline.signature_for("t_spin").outcome == "BudgetExceeded"
-    result = orbs_slice(p, criterion, baseline, SliceSettings(delta=3, budget=2_000))
+    result = orbs_slice(p, baseline)
     # the junk store, the useless increment and the unreachable return all go
     assert {2, 5, 7} <= set(result.deleted)
     assert result.fixpoint
-    report = minimality_check(
-        result.slice, criterion, baseline,
-        SliceSettings(budget=2_000), result.mapping,
-    )
+    report = minimality_check(result.slice, baseline, result.mapping)
     assert report.minimal
 
 
 def test_each_buildable_candidate_is_compiled_once(max3_program, max3_suite, monkeypatch):
-    criterion, baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
+    baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
     compiles = []
     verdicts = []
     compile_ast, accepts = interp.compile_ast, slicer.candidate_accepts
@@ -292,16 +281,16 @@ def test_each_buildable_candidate_is_compiled_once(max3_program, max3_suite, mon
 
     monkeypatch.setattr(interp, "compile_ast", counting_compile)
     monkeypatch.setattr(slicer, "candidate_accepts", recording_accepts)
-    orbs_slice(max3_program, criterion, baseline, SETTINGS)
+    orbs_slice(max3_program, baseline)
     buildable = [v for v in verdicts if v.reason != "Unbuildable"]
     assert buildable and len(compiles) == len(buildable)
 
 
 def test_baseline_mismatch_raises(max3_program, max3_suite):
-    criterion, baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
+    baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
     other = program("fn max3(a, b, c)\nreturn a\nend\n")
     with pytest.raises(BaselineMismatch):
-        orbs_slice(other, criterion, baseline, SETTINGS)
+        orbs_slice(other, baseline)
 
 
 def test_slice_result_invariants(corpus_artifacts):
@@ -329,18 +318,18 @@ def test_slice_behavior_preservation_on_corpus(corpus_artifacts):
     artifacts, _ = corpus_artifacts
     for art in artifacts.values():
         outcomes = run_suite(
-            art.slice_result.slice, TestSuite(art.criterion.tests), art.budget
+            art.slice_result.slice, TestSuite(art.baseline.tests), art.baseline.budget
         ).outcomes
-        for test in art.criterion.tests:
+        for test in art.baseline.tests:
             observed = mapped_signature(test.id, outcomes[test.id], art.slice_result.mapping)
             assert observed == art.baseline.signature_for(test.id)
 
 
 def test_slice_determinism(corpus_bundles):
     bundle = next(b for b in corpus_bundles if b.name == "b01_pick_max3")
-    criterion, baseline = build_criterion(bundle.suite, run_suite(bundle.program, bundle.suite))
-    a = orbs_slice(bundle.program, criterion, baseline, SETTINGS)
-    b = orbs_slice(bundle.program, criterion, baseline, SETTINGS)
+    baseline = build_criterion(bundle.suite, run_suite(bundle.program, bundle.suite))
+    a = orbs_slice(bundle.program, baseline)
+    b = orbs_slice(bundle.program, baseline)
     assert a.slice.to_text() == b.slice.to_text()
     assert a.deleted == b.deleted
     assert a.mapping == b.mapping
@@ -360,22 +349,17 @@ def test_fixpoint_rejects_every_window_up_to_delta(corpus_artifacts):
             cand_map = LineMapping.from_survivors(
                 originals[:start - 1] + originals[start - 1 + width:]
             )
-            verdict = candidate_accepts(
-                cand, art.criterion, art.baseline,
-                SliceSettings(budget=art.budget), cand_map,
-            )
+            verdict = candidate_accepts(cand, art.baseline, cand_map)
             assert not verdict.accepted, (start, width)
 
 
 def test_pass_cap_flags_non_fixpoint():
     p = program(DEAD_BRANCH)
-    criterion, baseline = value_criterion(p, "main", (5,), 12)
-    capped = orbs_slice(
-        p, criterion, baseline, SliceSettings(delta=3, budget=10_000, max_passes=1)
-    )
+    baseline = value_criterion(p, "main", (5,), 12)
+    capped = orbs_slice(p, baseline, SliceSettings(max_passes=1))
     assert not capped.fixpoint
     # the partial result is still behavior-preserving
-    verdict = candidate_accepts(capped.slice, criterion, baseline, SETTINGS, capped.mapping)
+    verdict = candidate_accepts(capped.slice, baseline, capped.mapping)
     assert verdict.accepted
 
 
@@ -383,23 +367,23 @@ def test_pass_cap_flags_non_fixpoint():
 # minimality
 
 def test_orbs_output_is_single_line_minimal(max3_program, max3_suite):
-    criterion, baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
-    result = orbs_slice(max3_program, criterion, baseline, SETTINGS)
-    report = minimality_check(result.slice, criterion, baseline, SETTINGS, result.mapping)
+    baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
+    result = orbs_slice(max3_program, baseline)
+    report = minimality_check(result.slice, baseline, result.mapping)
     assert report.minimal
 
 
 def test_reinserted_comment_breaks_minimality():
     p = program(DEAD_BRANCH)
-    criterion, baseline = value_criterion(p, "main", (5,), 12)
-    result = orbs_slice(p, criterion, baseline, SETTINGS)
+    baseline = value_criterion(p, "main", (5,), 12)
+    result = orbs_slice(p, baseline)
     lines = list(result.slice.lines)
     lines.insert(1, "# a deletable comment")
     padded = SourceProgram(tuple(lines))
     originals = list(result.mapping.original_lines())
     # the inserted line has no original counterpart; give it a fresh number
     padded_map = LineMapping((originals[0], 0, *originals[1:]))
-    report = minimality_check(padded, criterion, baseline, SETTINGS, padded_map)
+    report = minimality_check(padded, baseline, padded_map)
     assert not report.minimal
     assert report.counterexample == 2
 
@@ -446,10 +430,10 @@ def test_minimality_agrees_with_brute_force_on_random_programs():
         run = interp.execute(interp.compile_ast(parse(p)), "main", list(args))
         # expect a value the program does not return (an error fails anyway)
         wrong = run.return_value + 1 if run.status == "completed" else 0
-        criterion, baseline = value_criterion(p, "main", args, wrong)
-        report = minimality_check(p, criterion, baseline, SETTINGS)
+        baseline = value_criterion(p, "main", args, wrong)
+        report = minimality_check(p, baseline)
         # independent oracle: enumerate single-line deletions from scratch
-        tests = TestSuite(criterion.tests)
+        tests = TestSuite(baseline.tests)
         oracle_deletable = [
             i for i in range(1, len(p) + 1) if brute_force_accept(p, {i}, tests)
         ]

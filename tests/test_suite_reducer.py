@@ -1,7 +1,7 @@
 import pytest
 
 from reducto.harness import TestCase, TestSuite, run_suite
-from reducto.slicer import LineMapping, build_criterion, orbs_slice, SliceSettings
+from reducto.slicer import LineMapping, build_criterion, orbs_slice
 from reducto.suite_reducer import (
     COVERS_ONLY_DELETED,
     FAILS_ON_SLICE,
@@ -33,18 +33,18 @@ def two_fn_setup():
         TestCase("t_keep", "target", (3,), "value", 6),
         TestCase("t_helper", "helper", (2,), "value", 20),
     ))
-    criterion, baseline = build_criterion(suite, run_suite(p, suite))
-    result = orbs_slice(p, criterion, baseline, SliceSettings(budget=10_000))
-    return p, suite, criterion, baseline, result
+    on_original = run_suite(p, suite, 10_000)
+    baseline = build_criterion(suite, on_original)
+    return p, suite, on_original, baseline, orbs_slice(p, baseline)
 
 
 def test_helper_only_test_removed_with_reason():
-    p, suite, criterion, baseline, result = two_fn_setup()
+    p, suite, on_original, baseline, result = two_fn_setup()
     # the helper function is sliced away (its header and body at least; which
     # interchangeable `end` line survives is a scan-order detail)
     assert {5, 6} <= set(result.deleted)
     assert len(result.slice) == 3
-    reduced = reduce_suite(p, result.slice, result.mapping, suite, run_suite(p, suite))
+    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
     assert reduced.kept.ids() == ["t_fail", "t_keep"]
     removed = {r.id: r.reason for r in reduced.removed}
     # every line the helper test covered was deleted
@@ -55,12 +55,12 @@ def test_helper_only_test_removed_with_reason():
 
 
 def test_unbuildable_slice_keeps_only_failing_tests():
-    p, suite, _, _, _ = two_fn_setup()
+    p, suite, on_original, _, _ = two_fn_setup()
     # target loses its `end` and helper is gone: the slice does not parse
     survivors = [1, 2, 4]
     broken = p.without_lines([3, 5, 6, 7])
     reduced = reduce_suite(
-        p, broken, LineMapping.from_survivors(survivors), suite, run_suite(p, suite)
+        p, broken, LineMapping.from_survivors(survivors), suite, on_original
     )
     assert reduced.kept.ids() == ["t_fail"]
     removed = {r.id: r.reason for r in reduced.removed}
@@ -68,8 +68,8 @@ def test_unbuildable_slice_keeps_only_failing_tests():
 
 
 def test_failing_tests_always_kept_and_passing_survivors_kept():
-    p, suite, criterion, baseline, result = two_fn_setup()
-    reduced = reduce_suite(p, result.slice, result.mapping, suite, run_suite(p, suite))
+    p, suite, on_original, baseline, result = two_fn_setup()
+    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
     assert "t_fail" in reduced.kept.ids()
     assert "t_keep" in reduced.kept.ids()
 
@@ -89,24 +89,24 @@ end
         TestCase("t_fail", "f", (2,), "value", 9),  # 3 != 9
         TestCase("t_neg", "f", (-4,), "value", 4),  # exercises the else path
     ))
-    criterion, baseline = build_criterion(suite, run_suite(p, suite))
-    result = orbs_slice(p, criterion, baseline, SliceSettings(budget=10_000))
+    on_original = run_suite(p, suite, 10_000)
+    result = orbs_slice(p, build_criterion(suite, on_original))
     assert 5 in result.deleted  # the negative branch is irrelevant to the bug
-    reduced = reduce_suite(p, result.slice, result.mapping, suite, run_suite(p, suite))
+    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
     removed = {r.id: r.reason for r in reduced.removed}
     assert removed == {"t_neg": FAILS_ON_SLICE}
 
 
 def test_invalid_mapping_rejected():
-    p, suite, criterion, baseline, result = two_fn_setup()
+    p, suite, on_original, baseline, result = two_fn_setup()
     bad = LineMapping(tuple(o + 1 for o in result.mapping.original_lines()))
     with pytest.raises(InvalidSlice):
-        reduce_suite(p, result.slice, bad, suite, run_suite(p, suite))
+        reduce_suite(p, result.slice, bad, suite, on_original)
 
 
 def test_idempotence_on_identity_slice():
-    p, suite, criterion, baseline, result = two_fn_setup()
-    reduced = reduce_suite(p, result.slice, result.mapping, suite, run_suite(p, suite))
+    p, suite, on_original, baseline, result = two_fn_setup()
+    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
     identity = LineMapping.identity(len(result.slice))
     again = reduce_suite(
         result.slice, result.slice, identity, reduced.kept,
@@ -117,8 +117,8 @@ def test_idempotence_on_identity_slice():
 
 
 def test_verify_reduction_clean_and_corrupted():
-    p, suite, criterion, baseline, result = two_fn_setup()
-    reduced = reduce_suite(p, result.slice, result.mapping, suite, run_suite(p, suite))
+    p, suite, on_original, baseline, result = two_fn_setup()
+    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
     assert verify_reduction(result.slice, reduced, baseline, result.mapping) == []
 
     corrupted = ReducedSuite(suite, reduced.removed)  # helper test forced back in
@@ -145,18 +145,16 @@ end
         TestCase("t_fail", "f", (1,), "value", 5),
         TestCase("t_slow", "slow", (50,), "value", 50),
     ))
-    criterion, baseline = build_criterion(suite, run_suite(p, suite, 5_000))
-    result = orbs_slice(p, criterion, baseline, SliceSettings(budget=5_000))
+    on_original = run_suite(p, suite, 5_000)
+    result = orbs_slice(p, build_criterion(suite, on_original))
     # slow() is sliced away entirely; its test cannot pass on the slice
-    reduced = reduce_suite(
-        p, result.slice, result.mapping, suite, run_suite(p, suite, 5_000), budget=5_000
-    )
+    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
     assert reduced.kept.ids() == ["t_fail"]
 
 
 def test_reduction_log_shape():
-    p, suite, criterion, baseline, result = two_fn_setup()
-    reduced = reduce_suite(p, result.slice, result.mapping, suite, run_suite(p, suite))
+    p, suite, on_original, baseline, result = two_fn_setup()
+    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
     log = reduction_log_json(reduced)
     assert log["kept"] == ["t_fail", "t_keep"]
     assert log["removed"] == [{"id": "t_helper", "reason": COVERS_ONLY_DELETED}]
@@ -166,8 +164,7 @@ def test_corpus_reductions_verify_clean(corpus_artifacts):
     artifacts, _ = corpus_artifacts
     for name, art in artifacts.items():
         assert verify_reduction(
-            art.slice_result.slice, art.reduced, art.baseline, art.slice_result.mapping,
-            art.budget,
+            art.slice_result.slice, art.reduced, art.baseline, art.slice_result.mapping
         ) == [], name
         # failing-test conservation
         kept = set(art.reduced.kept.ids())
