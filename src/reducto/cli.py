@@ -41,7 +41,7 @@ from .slicer import (
     slice_result_from_log,
 )
 from .suite_reducer import reduce_suite, reduction_log_json
-from .harness import MultiAssertTest, run_suite, save_suite
+from .harness import MultiAssertTest, save_suite
 
 
 class UsageError(Exception):
@@ -87,7 +87,7 @@ def _load_slice_dir(bundle, slice_dir: str):
     try:
         log = json.loads(log_path.read_text(encoding="utf-8"))
         return slice_result_from_log(bundle.program, log)
-    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ManifestError(f"{log_path}: {exc}") from exc
 
 
@@ -141,8 +141,7 @@ def cmd_localize(args) -> int:
             reduced = reduce_suite(
                 bundle.program, slice_program, mapping, bundle.suite, bundle.baseline_run
             )
-            on_slice = run_suite(slice_program, reduced.kept, bundle.baseline_run.budget)
-            lists["LR"] = regenerate_list(on_slice, mapping)
+            lists["LR"] = regenerate_list(reduced.on_slice, mapping)
         name = bundle.name
     else:
         art = _artifacts(args)

@@ -38,22 +38,10 @@ def _names(expr: P.Expr, steering_only: bool) -> set:
     while stack:
         node, take = stack.pop()
         t = type(node)
-        if t is P.Var:
-            if take:
-                found.add(node.name)
-        elif t is P.Binary:
-            take = take or node.op in _STEERING_OPS
-            stack += ((node.left, take), (node.right, take))
-        elif t is P.Index:
-            stack += ((node.base, True), (node.index, True))
-        elif t is P.Call:
-            stack += ((arg, True) for arg in node.args)
-        elif t is P.Unary:
-            stack.append((node.operand, take))
-        elif t is P.Len:
-            stack.append((node.arg, take))
-        elif t is P.ArrayLit:
-            stack += ((item, take) for item in node.items)
+        if t is P.Var and take:
+            found.add(node.name)
+        steers = t is P.Index or t is P.Call or (t is P.Binary and node.op in _STEERING_OPS)
+        stack += ((child, take or steers) for child in P.children(node))
     return found
 
 
@@ -109,23 +97,18 @@ def _variables(loop: P.While) -> tuple:
     sorted."""
     names = _names(loop.cond, False)
     sources: dict = {}  # assigned variable -> the variables its values come from
-    blocks = [loop.body]
-    while blocks:
-        for stmt in blocks.pop():
-            t = type(stmt)
-            if t is P.If or t is P.While:
-                names |= _names(stmt.cond, False)
-                blocks.append(stmt.then_body if t is P.If else stmt.body)
-                if t is P.If and stmt.else_body is not None:
-                    blocks.append(stmt.else_body)
-            elif t is P.IndexAssign:
-                names |= {stmt.name} | _names(stmt.index, False) | _names(stmt.expr, False)
-            elif t is P.Print:
-                names |= _names(stmt.expr, False)
-            else:
-                names |= _names(stmt.expr, True)
-                if t is not P.Return:
-                    sources.setdefault(stmt.name, set()).update(_names(stmt.expr, False))
+    for stmt in P.statements(loop.body):
+        t = type(stmt)
+        if t is P.If or t is P.While:
+            names |= _names(stmt.cond, False)
+        elif t is P.IndexAssign:
+            names |= {stmt.name} | _names(stmt.index, False) | _names(stmt.expr, False)
+        elif t is P.Print:
+            names |= _names(stmt.expr, False)
+        else:
+            names |= _names(stmt.expr, True)
+            if t is not P.Return:
+                sources.setdefault(stmt.name, set()).update(_names(stmt.expr, False))
     grown = True
     while grown:
         grown = False

@@ -161,7 +161,7 @@ def load_bundle(path, budget: int = interp.DEFAULT_BUDGET) -> BugBundle:
         raise ManifestError(f"{root}: no manifest.json")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ManifestError(f"{manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict) or "program" not in manifest or "tests" not in manifest:
         raise ManifestError(f"{manifest_path}: manifest needs 'program' and 'tests'")
@@ -181,15 +181,23 @@ def load_bundle(path, budget: int = interp.DEFAULT_BUDGET) -> BugBundle:
         suite = load_suite(tests_path)
     except MultiAssertTest:
         raise
-    except (SuiteFormatError, ValueError, json.JSONDecodeError) as exc:
+    except (SuiteFormatError, ValueError) as exc:
         raise ManifestError(f"{tests_path}: {exc}") from exc
 
     ground_truth = None
     if manifest.get("ground_truth") is not None:
         gt = manifest["ground_truth"]
-        if not isinstance(gt, dict) or "bug_line" not in gt or "patched_text" not in gt:
-            raise ManifestError(f"{manifest_path}: malformed ground_truth")
-        ground_truth = GroundTruth(int(gt["bug_line"]), str(gt["patched_text"]))
+        if (
+            not isinstance(gt, dict)
+            or type(gt.get("bug_line")) is not int
+            or not 1 <= gt["bug_line"] <= len(program)
+            or not isinstance(gt.get("patched_text"), str)
+        ):
+            raise ManifestError(
+                f"{manifest_path}: ground_truth needs an integer bug_line in "
+                f"1..{len(program)} and a string patched_text"
+            )
+        ground_truth = GroundTruth(gt["bug_line"], gt["patched_text"])
 
     baseline_run = run_suite(program, suite, budget)
     if all(o.kind == UNBUILDABLE for o in baseline_run.outcomes.values()):
@@ -255,9 +263,8 @@ class BundleArtifacts:
         self.list_pruned: SuspiciousList = prune_list(
             self.list_original, self.slice_result.mapping
         )
-        on_slice = run_suite(self.slice_result.slice, self.reduced.kept, self.baseline.budget)
         self.list_regenerated: SuspiciousList = regenerate_list(
-            on_slice, self.slice_result.mapping
+            self.reduced.on_slice, self.slice_result.mapping
         )
         self.timings.localize_s = time.perf_counter() - started
 

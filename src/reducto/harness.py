@@ -302,7 +302,11 @@ def suite_to_json(suite: TestSuite) -> list:
 
 def load_suite(path) -> TestSuite:
     with open(path, "r", encoding="utf-8") as fh:
-        return suite_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise SuiteFormatError("tests file nests too deeply to read") from exc
+    return suite_from_json(data)
 
 
 def save_suite(suite: TestSuite, path) -> None:

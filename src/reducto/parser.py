@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .source import SourceProgram, is_blank, is_comment
 from .values import wrap_int
@@ -34,8 +34,8 @@ ARITHMETIC_OPS = ("+", "-", "*", "/", "%")
 MAX_EXPR_DEPTH = 32
 
 # Deepest nesting of ``if``/``while`` blocks inside a function.  The
-# parser, the interpreter and the repair templates walk the block tree
-# recursively, one Python frame per level, so this bounds their stack too.
+# interpreter lowers the block tree recursively, one Python frame per
+# level, so this bounds its stack too.
 MAX_BLOCK_DEPTH = 64
 
 
@@ -317,6 +317,24 @@ class _ExprParser:
         raise ParseError(self.line, f"unexpected token {tok.text!r}")
 
 
+def children(expr: Expr) -> tuple:
+    """The direct sub-expressions of ``expr``, in source order."""
+    t = type(expr)
+    if t is Binary:
+        return (expr.left, expr.right)
+    if t is Index:
+        return (expr.base, expr.index)
+    if t is Unary:
+        return (expr.operand,)
+    if t is Len:
+        return (expr.arg,)
+    if t is Call:
+        return expr.args
+    if t is ArrayLit:
+        return expr.items
+    return ()
+
+
 def _height(expr: Expr) -> int:
     """Nodes on the longest root-to-leaf path, counted without recursion."""
     height = 0
@@ -324,22 +342,7 @@ def _height(expr: Expr) -> int:
     while stack:
         node, depth = stack.pop()
         height = max(height, depth)
-        t = type(node)
-        if t is Binary:
-            children = (node.left, node.right)
-        elif t is Unary:
-            children = (node.operand,)
-        elif t is Index:
-            children = (node.base, node.index)
-        elif t is Len:
-            children = (node.arg,)
-        elif t is Call:
-            children = node.args
-        elif t is ArrayLit:
-            children = node.items
-        else:
-            children = ()
-        stack.extend((child, depth + 1) for child in children)
+        stack += ((child, depth + 1) for child in children(node))
     return height
 
 
@@ -416,6 +419,20 @@ class Function:
     end_line: int
 
 
+def statements(block) -> Iterator[Stmt]:
+    """Every statement of ``block`` and of the blocks nested in it, in
+    source order, without recursion."""
+    stack = list(reversed(block))
+    while stack:
+        stmt = stack.pop()
+        yield stmt
+        if type(stmt) is If:
+            stack += reversed(stmt.else_body or ())
+            stack += reversed(stmt.then_body)
+        elif type(stmt) is While:
+            stack += reversed(stmt.body)
+
+
 @dataclass(frozen=True)
 class Ast:
     functions: dict = field(default_factory=dict)  # name -> Function
@@ -424,25 +441,14 @@ class Ast:
         """Every non-blank, non-comment line number: headers, bodies,
         ``else`` arms and ``end`` terminators alike."""
         lines: set[int] = set()
-
-        def walk(stmts):
-            for stmt in stmts:
-                lines.add(stmt.line)
-                if isinstance(stmt, If):
-                    walk(stmt.then_body)
-                    if stmt.else_line is not None:
-                        lines.add(stmt.else_line)
-                    if stmt.else_body is not None:
-                        walk(stmt.else_body)
-                    lines.add(stmt.end_line)
-                elif isinstance(stmt, While):
-                    walk(stmt.body)
-                    lines.add(stmt.end_line)
-
         for fn in self.functions.values():
-            lines.add(fn.line)
-            walk(fn.body)
-            lines.add(fn.end_line)
+            lines |= {fn.line, fn.end_line}
+            for stmt in statements(fn.body):
+                lines.add(stmt.line)
+                if isinstance(stmt, (If, While)):
+                    lines.add(stmt.end_line)
+                if isinstance(stmt, If) and stmt.else_line is not None:
+                    lines.add(stmt.else_line)
         return lines
 
 

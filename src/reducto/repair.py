@@ -99,24 +99,13 @@ def edit_new_text(edit: Edit, original: str) -> str:
 # Statement analysis
 
 def _walk_expr(expr: P.Expr):
-    yield expr
-    t = type(expr)
-    if t is P.Binary:
-        yield from _walk_expr(expr.left)
-        yield from _walk_expr(expr.right)
-    elif t is P.Unary:
-        yield from _walk_expr(expr.operand)
-    elif t is P.Index:
-        yield from _walk_expr(expr.base)
-        yield from _walk_expr(expr.index)
-    elif t is P.Len:
-        yield from _walk_expr(expr.arg)
-    elif t is P.Call:
-        for arg in expr.args:
-            yield from _walk_expr(arg)
-    elif t is P.ArrayLit:
-        for item in expr.items:
-            yield from _walk_expr(item)
+    """Every node of ``expr`` in pre-order: a parent before its children,
+    children left to right."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += reversed(P.children(node))
 
 
 def _statement_exprs(stmt) -> list[P.Expr]:
@@ -131,49 +120,20 @@ def _statement_exprs(stmt) -> list[P.Expr]:
 
 def _find_statement(ast: Ast, line: int):
     """(function, statement) at a line; None for headers/else/end/no code."""
-
-    def search(stmts):
-        for stmt in stmts:
-            if stmt.line == line:
-                return stmt
-            if isinstance(stmt, P.If):
-                found = search(stmt.then_body)
-                if found is None and stmt.else_body is not None:
-                    found = search(stmt.else_body)
-                if found is not None:
-                    return found
-            elif isinstance(stmt, P.While):
-                found = search(stmt.body)
-                if found is not None:
-                    return found
-        return None
-
     for fn in ast.functions.values():
         if fn.line <= line <= fn.end_line:
-            return fn, search(fn.body)
+            return fn, next((s for s in P.statements(fn.body) if s.line == line), None)
     return None, None
 
 
 def _scope_vars(fn: P.Function, line: int) -> list[str]:
     """Parameters plus every assigned name bound textually before the line,
     in order of first appearance."""
-    names = list(fn.params)
-
-    def collect(stmts):
-        for stmt in stmts:
-            if stmt.line >= line:
-                continue
-            if isinstance(stmt, (P.Let, P.Assign, P.IndexAssign)) and stmt.name not in names:
-                names.append(stmt.name)
-            if isinstance(stmt, P.If):
-                collect(stmt.then_body)
-                if stmt.else_body is not None:
-                    collect(stmt.else_body)
-            elif isinstance(stmt, P.While):
-                collect(stmt.body)
-
-    collect(fn.body)
-    return names
+    assigned = (
+        stmt.name for stmt in P.statements(fn.body)
+        if stmt.line < line and isinstance(stmt, (P.Let, P.Assign, P.IndexAssign))
+    )
+    return list(dict.fromkeys((*fn.params, *assigned)))
 
 
 def _replace_span(text: str, start: int, end: int, new: str) -> str:
@@ -260,9 +220,10 @@ def applicable_templates(program: SourceProgram, ast: Ast, line: int) -> list[In
         emit("T6", DeleteLine())
 
     # T7: return-expression substitution with another in-scope variable
+    scope = _scope_vars(fn, line)
     if isinstance(stmt, P.Return):
         current = stmt.expr.name if type(stmt.expr) is P.Var else None
-        for name in _scope_vars(fn, line):
+        for name in scope:
             if name != current:
                 emit("T7", ReplaceLine(f"{indent}return {name}"))
 
@@ -285,7 +246,6 @@ def applicable_templates(program: SourceProgram, ast: Ast, line: int) -> list[In
 
     # T9: variable-use substitution
     var_sites = sorted((n for n in nodes if type(n) is P.Var), key=lambda n: n.start)
-    scope = _scope_vars(fn, line)
     for site in var_sites:
         for name in scope:
             if name != site.name:

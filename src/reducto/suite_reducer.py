@@ -33,6 +33,7 @@ class RemovedTest:
 class ReducedSuite:
     kept: TestSuite
     removed: tuple[RemovedTest, ...]
+    on_slice: SuiteResult  # the kept tests' run on the slice, in suite order
 
 
 def _check_mapping(program: SourceProgram, slice_program: SourceProgram, mapping: LineMapping):
@@ -57,13 +58,13 @@ def reduce_suite(
 ) -> ReducedSuite:
     """Produce the reduced suite: every original failing test, plus every
     passing test that still passes on the slice.  ``on_original`` is the
-    suite run on ``program``; the slice runs at its budget."""
+    suite run on ``program``; the whole suite runs once on the slice, at
+    its budget, and the kept tests' part of that run is returned too."""
     _check_mapping(program, slice_program, mapping)
     failing = set(on_original.failing)
     survivors = set(mapping.original_lines())
     # an unbuildable slice fails every test, so every passing test is removed
-    passing = TestSuite(tuple(t for t in suite if t.id not in failing))
-    on_slice = run_suite(slice_program, passing, on_original.budget)
+    on_slice = run_suite(slice_program, suite, on_original.budget)
 
     kept_ids = []
     removed = []
@@ -76,7 +77,14 @@ def reduce_suite(
                 removed.append(RemovedTest(test.id, COVERS_ONLY_DELETED))
             else:
                 removed.append(RemovedTest(test.id, FAILS_ON_SLICE))
-    return ReducedSuite(suite.subset(kept_ids), tuple(removed))
+    kept = set(kept_ids)
+    on_kept = SuiteResult(
+        {i: on_slice.outcomes[i] for i in kept_ids},
+        tuple(i for i in on_slice.passing if i in kept),
+        tuple(i for i in on_slice.failing if i in kept),
+        on_slice.budget,
+    )
+    return ReducedSuite(suite.subset(kept_ids), tuple(removed), on_kept)
 
 
 @dataclass(frozen=True)

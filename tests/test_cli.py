@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,67 @@ def test_malformed_deletion_log_is_exit_two(bundle_path, tmp_path, capsys, shape
                      "--out", str(tmp_path / "out")])
         assert code == 2, command
         assert capsys.readouterr().err.startswith("error: "), command
+
+
+def _bundle_copy(bundle_path, tmp_path) -> Path:
+    copy = tmp_path / "bundle"
+    shutil.copytree(bundle_path, copy)
+    return copy
+
+
+def _rejected_by_every_loading_command(bundle, capsys) -> None:
+    for command in ("slice", "localize"):
+        capsys.readouterr()
+        assert main([command, str(bundle), "--out", str(bundle.parent / "out")]) == 2, command
+        assert capsys.readouterr().err.startswith("error: "), command
+
+
+# b04_rate_of has 72 lines, and its bug is on line 45.
+MALFORMED_GROUND_TRUTHS = {
+    "string_bug_line": {"bug_line": "x", "patched_text": "return 0"},
+    "bool_bug_line": {"bug_line": True, "patched_text": "return 0"},
+    "float_bug_line": {"bug_line": 45.0, "patched_text": "return 0"},
+    "bug_line_zero": {"bug_line": 0, "patched_text": "return 0"},
+    "bug_line_past_the_end": {"bug_line": 999, "patched_text": "return 0"},
+    "int_patched_text": {"bug_line": 45, "patched_text": 7},
+    "missing_patched_text": {"bug_line": 45},
+    "not_an_object": [45, "return 0"],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_GROUND_TRUTHS))
+def test_malformed_ground_truth_is_exit_two(bundle_path, tmp_path, capsys, shape):
+    bundle = _bundle_copy(bundle_path, tmp_path)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["ground_truth"] = MALFORMED_GROUND_TRUTHS[shape]
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    _rejected_by_every_loading_command(bundle, capsys)
+
+
+def test_ground_truth_on_the_last_line_is_accepted(bundle_path, tmp_path):
+    bundle = _bundle_copy(bundle_path, tmp_path)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["ground_truth"]["bug_line"] = 72
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["slice", str(bundle), "--out", str(tmp_path / "out")]) == 0
+
+
+NESTED_5000 = "[" * 5000 + "]" * 5000
+
+
+def test_deeply_nested_manifest_is_exit_two(bundle_path, tmp_path, capsys):
+    bundle = _bundle_copy(bundle_path, tmp_path)
+    (bundle / "manifest.json").write_text(NESTED_5000)
+    _rejected_by_every_loading_command(bundle, capsys)
+
+
+def test_deeply_nested_test_argument_is_exit_two(bundle_path, tmp_path, capsys):
+    bundle = _bundle_copy(bundle_path, tmp_path)
+    (bundle / "tests.json").write_text(
+        '[{"id": "t", "call": {"fn": "rate_of", "args": [' + NESTED_5000 + ']}, '
+        '"expect": {"value": {"int": 0}}}]'
+    )
+    _rejected_by_every_loading_command(bundle, capsys)
 
 
 def test_repair_writes_result(bundle_path, tmp_path):

@@ -156,6 +156,26 @@ def test_repair_parses_only_its_candidates(corpus_bundles, monkeypatch):
     assert counts["experiment"] == 2
 
 
+def test_bundle_artifacts_run_the_suite_on_the_slice_once(corpus_bundles, monkeypatch):
+    """reduce_suite runs the whole suite on the slice, and LR is localized
+    from the kept tests' part of that same run."""
+    from reducto import experiment, harness, suite_reducer
+
+    bundle = next(b for b in corpus_bundles if b.name == "b01_pick_max3")
+    runs = []
+
+    def counting_run_suite(program, suite, budget):
+        runs.append((program.lines, suite.ids()))
+        return harness.run_suite(program, suite, budget)
+
+    for module in (experiment, suite_reducer):
+        monkeypatch.setattr(module, "run_suite", counting_run_suite)
+    art = BundleArtifacts(bundle)
+    on_slice = [ids for lines, ids in runs if lines == art.slice_result.slice.lines]
+    assert on_slice == [bundle.suite.ids()]
+    assert list(art.reduced.on_slice.outcomes) == art.reduced.kept.ids()
+
+
 def test_load_corpus_requires_bundles(tmp_path):
     with pytest.raises(ManifestError):
         load_corpus(tmp_path)

@@ -443,6 +443,28 @@ end
 return 0
 end
 """, (2,)),
+    "negated_accumulator_printed": ("""\
+fn f(n)
+let i = 0
+let total = 0
+while i < n
+total = total + 1
+print -total
+end
+return 0
+end
+""", (2,)),
+    "accumulator_printed_in_an_array": ("""\
+fn f(n)
+let i = 0
+let total = 0
+while i < n
+total = total + 1
+print [total]
+end
+return 0
+end
+""", (2,)),
     "accumulator_feeds_a_division": ("""\
 fn f(n)
 let i = 0

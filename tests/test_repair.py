@@ -104,6 +104,85 @@ def test_variable_use_substitution_skips_targets():
     assert t9 == ["c = b + b", "c = c + b", "c = a + a", "c = a + c"]
 
 
+def _pinned(text: str, line: int) -> list:
+    p = program(text)
+    return [
+        (i.template, i.edit.text if isinstance(i.edit, ReplaceLine) else i.edit)
+        for i in applicable_templates(p, parse(p), line)
+    ]
+
+
+def test_every_site_inside_an_array_literal():
+    assert _pinned("fn f(x, y)\nlet a = [x + 2, y]\nreturn a\nend\n", 2) == [
+        ("T2", "let a = [x - 2, y]"), ("T2", "let a = [x * 2, y]"),
+        ("T2", "let a = [x / 2, y]"), ("T2", "let a = [x % 2, y]"),
+        ("T4", "let a = [x + 3, y]"), ("T4", "let a = [x + 1, y]"),
+        ("T4", "let a = [x + 0, y]"), ("T4", "let a = [x + -2, y]"),
+        ("T6", DeleteLine()),
+        ("T9", "let a = [y + 2, y]"), ("T9", "let a = [x + 2, x]"),
+    ]
+
+
+def test_every_site_under_a_negation():
+    assert _pinned("fn f(a, b)\nif not a < b\nreturn 1\nend\nreturn 0\nend\n", 2) == [
+        ("T1", "if not a <= b"), ("T1", "if not a > b"), ("T1", "if not a >= b"),
+        ("T1", "if not a == b"), ("T1", "if not a != b"),
+        ("T3", "if not (not a < b)"),
+        ("T9", "if not b < b"), ("T9", "if not a < a"),
+    ]
+
+
+def test_nested_indexes_enumerate_the_outer_index_first():
+    # Both Index nodes start at ``a``: the order comes from the pre-order walk.
+    assert _pinned("fn f(a, i, j)\nreturn a[i][j]\nend\n", 2) == [
+        ("T5", "return a[i][j + 1]"), ("T5", "return a[i][j - 1]"),
+        ("T5", "return a[i + 1][j]"), ("T5", "return a[i - 1][j]"),
+        ("T6", DeleteLine()),
+        ("T7", "return a"), ("T7", "return i"), ("T7", "return j"),
+        ("T8", InsertGuard("if j >= 0 and j < len(a[i])", "end")),
+        ("T8", InsertGuard("if i >= 0 and i < len(a)", "end")),
+        ("T9", "return i[i][j]"), ("T9", "return j[i][j]"),
+        ("T9", "return a[a][j]"), ("T9", "return a[j][j]"),
+        ("T9", "return a[i][a]"), ("T9", "return a[i][i]"),
+    ]
+
+
+def test_constants_inside_len_and_call_arguments():
+    text = "fn g(k, m)\nreturn k\nend\nfn f(x)\nprint len(g(x, 2))\nend\n"
+    assert _pinned(text, 5) == [
+        ("T4", "print len(g(x, 3))"), ("T4", "print len(g(x, 1))"),
+        ("T4", "print len(g(x, 0))"), ("T4", "print len(g(x, -2))"),
+        ("T6", DeleteLine()),
+    ]
+
+
+NESTED_BLOCKS = """\
+fn f(n)
+let i = 0
+while i < n
+if i > 2
+let a = i
+else
+let b = i
+end
+i = i + 1
+end
+return i
+end
+"""
+
+
+def test_statements_and_scope_reach_into_while_and_else_bodies():
+    assert _pinned(NESTED_BLOCKS, 7) == [
+        ("T6", DeleteLine()), ("T9", "let b = n"), ("T9", "let b = a"),
+    ]
+    assert _pinned(NESTED_BLOCKS, 11) == [
+        ("T6", DeleteLine()),
+        ("T7", "return n"), ("T7", "return a"), ("T7", "return b"),
+        ("T9", "return n"), ("T9", "return a"), ("T9", "return b"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # edits
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from reducto.harness import TestCase, TestSuite, run_suite
@@ -6,7 +8,6 @@ from reducto.suite_reducer import (
     COVERS_ONLY_DELETED,
     FAILS_ON_SLICE,
     InvalidSlice,
-    ReducedSuite,
     reduce_suite,
     reduction_log_json,
     verify_reduction,
@@ -97,6 +98,14 @@ end
     assert removed == {"t_neg": FAILS_ON_SLICE}
 
 
+def test_on_slice_is_the_run_of_the_kept_tests_on_the_slice():
+    p, suite, on_original, _, result = two_fn_setup()
+    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
+    assert reduced.on_slice == run_suite(result.slice, reduced.kept, on_original.budget)
+    assert reduced.on_slice.failing == ("t_fail",)
+    assert reduced.on_slice.passing == ("t_keep",)
+
+
 def test_invalid_mapping_rejected():
     p, suite, on_original, baseline, result = two_fn_setup()
     bad = LineMapping(tuple(o + 1 for o in result.mapping.original_lines()))
@@ -121,7 +130,7 @@ def test_verify_reduction_clean_and_corrupted():
     reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
     assert verify_reduction(result.slice, reduced, baseline, result.mapping) == []
 
-    corrupted = ReducedSuite(suite, reduced.removed)  # helper test forced back in
+    corrupted = replace(reduced, kept=suite)  # helper test forced back in
     violations = verify_reduction(result.slice, corrupted, baseline, result.mapping)
     assert [v.test_id for v in violations] == ["t_helper"]
 
