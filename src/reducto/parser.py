@@ -7,13 +7,16 @@ parseable program or fails the block-balance check.
 
 Every statement node carries its 1-based source line; expression nodes
 carry character spans into their line so that patch templates can rewrite
-operator and operand text exactly.
+operator and operand text exactly.  So what a line says does not depend on
+where it sits, and ``parse`` can take each line's form from a table that
+one scope (a slicer run, one configuration's repair) shares across the
+many programs it parses.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 from .source import SourceProgram, is_blank, is_comment
@@ -48,6 +51,14 @@ class ParseError(Exception):
         self.reason = reason
 
 
+class _LineError(Exception):
+    """A fault of one line's text, whatever line number it sits at."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+
+
 # ---------------------------------------------------------------------------
 # Tokens
 
@@ -74,13 +85,13 @@ class Token:
     end: int
 
 
-def tokenize(text: str, line: int) -> list[Token]:
+def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(line, f"unexpected character {text[pos]!r}")
+            raise _LineError(f"unexpected character {text[pos]!r}")
         pos = m.end()
         kind = m.lastgroup
         if kind == "ws":
@@ -89,7 +100,7 @@ def tokenize(text: str, line: int) -> list[Token]:
     return tokens
 
 
-def decode_string(token: Token, line: int) -> str:
+def decode_string(token: Token) -> str:
     body = token.text[1:-1]
     out = []
     i = 0
@@ -98,7 +109,7 @@ def decode_string(token: Token, line: int) -> str:
         if ch == "\\":
             esc = body[i + 1]
             if esc not in _ESCAPES:
-                raise ParseError(line, f"unknown escape \\{esc}")
+                raise _LineError(f"unknown escape \\{esc}")
             out.append(_ESCAPES[esc])
             i += 2
         else:
@@ -164,9 +175,8 @@ class Binary(Expr):
 
 
 class _ExprParser:
-    def __init__(self, tokens: list[Token], line: int):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.line = line
         self.pos = 0
         self.nesting = 0
 
@@ -176,14 +186,14 @@ class _ExprParser:
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            raise ParseError(self.line, "unexpected end of line in expression")
+            raise _LineError("unexpected end of line in expression")
         self.pos += 1
         return tok
 
     def expect_op(self, text: str) -> Token:
         tok = self.next()
         if tok.kind != "op" or tok.text != text:
-            raise ParseError(self.line, f"expected {text!r}, found {tok.text!r}")
+            raise _LineError(f"expected {text!r}, found {tok.text!r}")
         return tok
 
     def at_op(self, *texts: str) -> bool:
@@ -197,7 +207,7 @@ class _ExprParser:
     def nested(self, parse_inner) -> Expr:
         self.nesting += 1
         if self.nesting > MAX_EXPR_DEPTH:
-            raise ParseError(self.line, f"expression nested deeper than {MAX_EXPR_DEPTH}")
+            raise _LineError(f"expression nested deeper than {MAX_EXPR_DEPTH}")
         expr = parse_inner()
         self.nesting -= 1
         return expr
@@ -277,7 +287,7 @@ class _ExprParser:
         if tok.kind == "float":
             return Lit(tok.start, tok.end, float(tok.text))
         if tok.kind == "str":
-            return Lit(tok.start, tok.end, decode_string(tok, self.line))
+            return Lit(tok.start, tok.end, decode_string(tok))
         if tok.kind == "name":
             if tok.text == "true":
                 return Lit(tok.start, tok.end, True)
@@ -289,7 +299,7 @@ class _ExprParser:
                 close = self.expect_op(")")
                 return Len(tok.start, close.end, arg)
             if tok.text in KEYWORDS:
-                raise ParseError(self.line, f"keyword {tok.text!r} cannot start an expression")
+                raise _LineError(f"keyword {tok.text!r} cannot start an expression")
             if self.at_op("("):
                 self.next()
                 args = []
@@ -303,8 +313,8 @@ class _ExprParser:
             return Var(tok.start, tok.end, tok.text)
         if tok.kind == "op" and tok.text == "(":
             inner = self.parse()
-            self.expect_op(")")
-            return inner
+            close = self.expect_op(")")
+            return replace(inner, start=tok.start, end=close.end)
         if tok.kind == "op" and tok.text == "[":
             items = []
             if not self.at_op("]"):
@@ -314,7 +324,7 @@ class _ExprParser:
                     items.append(self.parse())
             close = self.expect_op("]")
             return ArrayLit(tok.start, close.end, tuple(items))
-        raise ParseError(self.line, f"unexpected token {tok.text!r}")
+        raise _LineError(f"unexpected token {tok.text!r}")
 
 
 def children(expr: Expr) -> tuple:
@@ -346,14 +356,14 @@ def _height(expr: Expr) -> int:
     return height
 
 
-def parse_expr_tokens(tokens: list[Token], line: int) -> Expr:
-    parser = _ExprParser(tokens, line)
+def parse_expr_tokens(tokens: list[Token]) -> Expr:
+    parser = _ExprParser(tokens)
     expr = parser.parse()
     if parser.peek() is not None:
-        raise ParseError(line, f"trailing tokens after expression: {parser.peek().text!r}")
+        raise _LineError(f"trailing tokens after expression: {parser.peek().text!r}")
     # Every node takes at least one token, so a short line cannot be too deep.
     if len(tokens) > MAX_EXPR_DEPTH and _height(expr) > MAX_EXPR_DEPTH:
-        raise ParseError(line, f"expression nested deeper than {MAX_EXPR_DEPTH}")
+        raise _LineError(f"expression nested deeper than {MAX_EXPR_DEPTH}")
     return expr
 
 
@@ -453,171 +463,168 @@ class Ast:
 
 
 _FN_RE = re.compile(r"^fn\s+([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _parse_fn_header(text: str, line: int) -> tuple[str, tuple[str, ...]]:
+def _parse_fn_header(text: str) -> tuple[str, tuple[str, ...]]:
     m = _FN_RE.match(text)
     if m is None:
-        raise ParseError(line, "malformed function header")
+        raise _LineError("malformed function header")
     name, params_text = m.group(1), m.group(2).strip()
     if name in KEYWORDS:
-        raise ParseError(line, f"keyword {name!r} cannot name a function")
+        raise _LineError(f"keyword {name!r} cannot name a function")
     if params_text == "":
         return name, ()
     params = []
     for raw in params_text.split(","):
         param = raw.strip()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", param) or param in KEYWORDS:
-            raise ParseError(line, f"malformed parameter {raw.strip()!r}")
+        if not _NAME_RE.fullmatch(param) or param in KEYWORDS:
+            raise _LineError(f"malformed parameter {raw.strip()!r}")
         if param in params:
-            raise ParseError(line, f"duplicate parameter {param!r}")
+            raise _LineError(f"duplicate parameter {param!r}")
         params.append(param)
     return name, tuple(params)
 
 
-class _BlockParser:
-    """Single pass over the lines, maintaining a block stack."""
+# A line's form is everything its text says on its own: ``(kind, reason,
+# data)``.  ``kind`` is "blank" (blank or comment), "fn", "end", "else",
+# "if", "while" or "stmt"; ``reason`` is why the line cannot parse, or None;
+# ``data`` is (name, params) for "fn", the condition for "if"/"while" and
+# (statement class, fields after the line number) for "stmt".  Expression
+# spans are offsets into the stripped line, so a form does not depend on
+# where its line sits and one table can serve many programs.
+_BLANK = ("blank", None, None)
+_BLOCK_WORDS = ("fn", "end", "else", "if", "while")
 
-    def __init__(self, program: SourceProgram):
-        self.program = program
-        self.functions: dict[str, Function] = {}
 
-    def parse(self) -> Ast:
-        # stack frames: ("fn", header_line, name, params, stmts)
-        #               ("if", line, cond, then_stmts, else_stmts|None, else_line)
-        #               ("while", line, cond, stmts)
-        stack: list[list] = []
-        for number, raw in enumerate(self.program.lines, start=1):
-            if is_blank(raw) or is_comment(raw):
-                continue
-            text = raw.strip()
-            self._parse_line(text, number, stack)
-        if stack:
-            last = len(self.program) if len(self.program) else 1
-            frame = stack[-1]
-            raise ParseError(last, f"unclosed {frame[0]!r} block opened at line {frame[1]}")
-        return Ast(self.functions)
+def _line_form(raw: str) -> tuple:
+    if is_blank(raw) or is_comment(raw):
+        return _BLANK
+    text = raw.strip()
+    first = text.split(None, 1)[0]
+    word = first if _NAME_RE.fullmatch(first) else None
+    kind = word if word in _BLOCK_WORDS else "stmt"
+    try:
+        return kind, None, _line_data(kind, word, text)
+    except _LineError as exc:
+        return kind, exc.reason, None
 
-    def _parse_line(self, text: str, number: int, stack: list) -> None:
-        first = text.split(None, 1)[0]
-        word = first if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", first) else None
 
-        if word == "fn":
+def _line_data(kind: str, word: Optional[str], text: str):
+    if kind == "fn":
+        return _parse_fn_header(text)
+    if kind == "end" or kind == "else":
+        if text != kind:
+            raise _LineError(f"malformed {kind}")
+        return None
+    tokens = tokenize(text)
+    if kind == "if" or kind == "while":
+        return parse_expr_tokens(tokens[1:])
+    if word == "let":
+        if (
+            len(tokens) < 4
+            or tokens[1].kind != "name"
+            or tokens[1].text in KEYWORDS
+            or tokens[2].text != "="
+        ):
+            raise _LineError("malformed let statement")
+        return Let, (tokens[1].text, parse_expr_tokens(tokens[3:]))
+    if word == "return" or word == "print":
+        return (Return if word == "return" else Print), (parse_expr_tokens(tokens[1:]),)
+
+    # assignment forms: X = EXPR and X[EXPR] = EXPR
+    if not tokens or tokens[0].kind != "name" or tokens[0].text in KEYWORDS:
+        raise _LineError(f"unrecognized statement {text!r}")
+    target = tokens[0].text
+    if len(tokens) >= 2 and tokens[1].kind == "op" and tokens[1].text == "=":
+        return Assign, (target, parse_expr_tokens(tokens[2:]))
+    if len(tokens) >= 2 and tokens[1].kind == "op" and tokens[1].text == "[":
+        depth = 0
+        close = None
+        for i, tok in enumerate(tokens[1:], start=1):
+            if tok.kind == "op" and tok.text == "[":
+                depth += 1
+            elif tok.kind == "op" and tok.text == "]":
+                depth -= 1
+                if depth == 0:
+                    close = i
+                    break
+        if close is None:
+            raise _LineError("unterminated index in assignment target")
+        if close + 1 >= len(tokens) or tokens[close + 1].text != "=":
+            raise _LineError("malformed indexed assignment")
+        index = parse_expr_tokens(tokens[2:close])
+        return IndexAssign, (target, index, parse_expr_tokens(tokens[close + 2:]))
+    raise _LineError(f"unrecognized statement {text!r}")
+
+
+def parse(program: SourceProgram, lines: Optional[dict] = None) -> Ast:
+    """Parse a program or raise ParseError at the first offending line.
+
+    ``lines`` maps raw line texts to their forms.  Passing one dict to every
+    parse of a scope (a slicer run, one configuration's repair) parses each
+    distinct line once; without one, the parse starts cold.  Only line
+    numbers, block balance, nesting and duplicate functions are worked out
+    per program."""
+    if lines is None:
+        lines = {}
+    functions: dict[str, Function] = {}
+    # frames: [kind, line, head, body, then_body, else_line], where ``head``
+    # is the header's form data, ``body`` takes the statements that follow
+    # and ``then_body`` is set at ``else``
+    stack: list[list] = []
+    for number, raw in enumerate(program.lines, start=1):
+        form = lines.get(raw)
+        if form is None:
+            form = lines[raw] = _line_form(raw)
+        kind, reason, data = form
+        if kind == "blank":
+            continue
+        if kind == "fn":
             if stack:
                 raise ParseError(number, "nested function definition")
-            name, params = _parse_fn_header(text, number)
-            if name in self.functions:
-                raise ParseError(number, f"duplicate function {name!r}")
-            stack.append(["fn", number, name, params, []])
-            return
-
+            if reason is not None:
+                raise ParseError(number, reason)
+            if data[0] in functions:
+                raise ParseError(number, f"duplicate function {data[0]!r}")
+            stack.append([kind, number, data, [], None, None])
+            continue
         if not stack:
             raise ParseError(number, "statement outside any function")
+        if (kind == "if" or kind == "while") and len(stack) > MAX_BLOCK_DEPTH:
+            # the function's frame plus the open blocks
+            raise ParseError(number, f"blocks nested deeper than {MAX_BLOCK_DEPTH}")
+        if reason is not None:
+            raise ParseError(number, reason)
 
-        if word == "end":
-            if text != "end":
-                raise ParseError(number, "malformed end")
-            frame = stack.pop()
-            if frame[0] == "fn":
-                _, header_line, name, params, stmts = frame
-                self.functions[name] = Function(name, params, tuple(stmts), header_line, number)
-            elif frame[0] == "if":
-                _, line, cond, then_stmts, else_stmts, else_line = frame
-                stmt = If(
-                    line, cond, tuple(then_stmts),
-                    tuple(else_stmts) if else_stmts is not None else None,
-                    else_line, number,
-                )
-                self._append(stack, stmt, number)
-            else:
-                _, line, cond, stmts = frame
-                self._append(stack, While(line, cond, tuple(stmts), number), number)
-            return
-
-        if word == "else":
-            if text != "else":
-                raise ParseError(number, "malformed else")
+        if kind == "if" or kind == "while":
+            stack.append([kind, number, data, [], None, None])
+            continue
+        if kind == "else":
             frame = stack[-1]
             if frame[0] != "if":
                 raise ParseError(number, "else outside if block")
-            if frame[4] is not None:
+            if frame[5] is not None:
                 raise ParseError(number, "duplicate else")
-            frame[4] = []
-            frame[5] = number
-            return
-
-        if word == "if" or word == "while":
-            if len(stack) > MAX_BLOCK_DEPTH:  # the function's frame plus the open blocks
-                raise ParseError(number, f"blocks nested deeper than {MAX_BLOCK_DEPTH}")
-            tokens = tokenize(text, number)
-            cond = parse_expr_tokens(tokens[1:], number)
-            if word == "if":
-                stack.append(["if", number, cond, [], None, None])
+            frame[3], frame[4], frame[5] = [], frame[3], number
+            continue
+        if kind == "end":
+            opener, line, head, body, then_body, else_line = stack.pop()
+            if opener == "fn":
+                name, params = head
+                functions[name] = Function(name, params, tuple(body), line, number)
+                continue
+            if opener == "while":
+                stmt = While(line, head, tuple(body), number)
+            elif else_line is None:
+                stmt = If(line, head, tuple(body), None, None, number)
             else:
-                stack.append(["while", number, cond, []])
-            return
-
-        if word == "let":
-            tokens = tokenize(text, number)
-            if (
-                len(tokens) < 4
-                or tokens[1].kind != "name"
-                or tokens[1].text in KEYWORDS
-                or tokens[2].text != "="
-            ):
-                raise ParseError(number, "malformed let statement")
-            expr = parse_expr_tokens(tokens[3:], number)
-            self._append(stack, Let(number, tokens[1].text, expr), number)
-            return
-
-        if word == "return" or word == "print":
-            tokens = tokenize(text, number)
-            expr = parse_expr_tokens(tokens[1:], number)
-            stmt = Return(number, expr) if word == "return" else Print(number, expr)
-            self._append(stack, stmt, number)
-            return
-
-        # assignment forms: X = EXPR and X[EXPR] = EXPR
-        tokens = tokenize(text, number)
-        if not tokens or tokens[0].kind != "name" or tokens[0].text in KEYWORDS:
-            raise ParseError(number, f"unrecognized statement {text!r}")
-        target = tokens[0]
-        if len(tokens) >= 2 and tokens[1].kind == "op" and tokens[1].text == "=":
-            expr = parse_expr_tokens(tokens[2:], number)
-            self._append(stack, Assign(number, target.text, expr), number)
-            return
-        if len(tokens) >= 2 and tokens[1].kind == "op" and tokens[1].text == "[":
-            depth = 0
-            close = None
-            for i, tok in enumerate(tokens[1:], start=1):
-                if tok.kind == "op" and tok.text == "[":
-                    depth += 1
-                elif tok.kind == "op" and tok.text == "]":
-                    depth -= 1
-                    if depth == 0:
-                        close = i
-                        break
-            if close is None:
-                raise ParseError(number, "unterminated index in assignment target")
-            if close + 1 >= len(tokens) or tokens[close + 1].text != "=":
-                raise ParseError(number, "malformed indexed assignment")
-            index = parse_expr_tokens(tokens[2:close], number)
-            expr = parse_expr_tokens(tokens[close + 2:], number)
-            self._append(stack, IndexAssign(number, target.text, index, expr), number)
-            return
-        raise ParseError(number, f"unrecognized statement {text!r}")
-
-    @staticmethod
-    def _append(stack: list, stmt: Stmt, number: int) -> None:
-        frame = stack[-1]
-        if frame[0] == "fn":
-            frame[4].append(stmt)
-        elif frame[0] == "if":
-            (frame[3] if frame[4] is None else frame[4]).append(stmt)
+                stmt = If(line, head, tuple(then_body), tuple(body), else_line, number)
         else:
-            frame[3].append(stmt)
-
-
-def parse(program: SourceProgram) -> Ast:
-    """Parse a program or raise ParseError at the first offending line."""
-    return _BlockParser(program).parse()
+            cls, fields = data
+            stmt = cls(number, *fields)
+        stack[-1][3].append(stmt)
+    if stack:
+        frame = stack[-1]
+        raise ParseError(len(program), f"unclosed {frame[0]!r} block opened at line {frame[1]}")
+    return Ast(functions)

@@ -317,11 +317,13 @@ def validate_patch(
     suite: TestSuite,
     failing_ids,
     budget: int = interp.DEFAULT_BUDGET,
+    lines: Optional[dict] = None,
 ) -> ValidationResult:
     """Parse and compile the candidate once, then run failing tests first,
-    early exit at the first non-Pass, every execution counted."""
+    early exit at the first non-Pass, every execution counted.  ``lines``
+    is the caller's table of parsed lines (see ``parser.parse``)."""
     try:
-        code = interp.compile_ast(parse(candidate.program))
+        code = interp.compile_ast(parse(candidate.program, lines))
     except ParseError:
         return ValidationResult(UNBUILDABLE_PATCH, 0)
     failing = set(failing_ids)
@@ -379,8 +381,10 @@ def repair(
     """Iterate candidates until one passes the whole suite or a cap stops
     the search.  ``ast`` is ``program`` parsed, and ``failing_ids`` the
     tests that fail on it, which validation runs first.  Unbuildable
-    candidates are skipped and tallied separately from NPC."""
+    candidates are skipped and tallied separately from NPC.  The candidates
+    share one line table, which starts cold on every call."""
     started = time.perf_counter()
+    parsed: dict = {}
     npc = 0
     nte = 0
     unbuildable = 0
@@ -391,7 +395,7 @@ def repair(
 
     for candidate in generate_candidates(program, ast, suspicious, caps):
         generated += 1
-        result = validate_patch(candidate, suite, failing_ids, budget)
+        result = validate_patch(candidate, suite, failing_ids, budget, parsed)
         if result.verdict == UNBUILDABLE_PATCH:
             unbuildable += 1
         else:

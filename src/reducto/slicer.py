@@ -155,10 +155,12 @@ def candidate_accepts(
     candidate: SourceProgram,
     baseline: Baseline,
     line_map: Optional[LineMapping] = None,
+    lines: Optional[dict] = None,
 ) -> Acceptance:
-    """Accept iff the candidate parses and reproduces the baseline exactly."""
+    """Accept iff the candidate parses and reproduces the baseline exactly.
+    ``lines`` is the caller's table of parsed lines (see ``parser.parse``)."""
     try:
-        ast = parse(candidate)
+        ast = parse(candidate, lines)
     except ParseError as exc:
         return Acceptance(False, "Unbuildable", f"line {exc.line}: {exc.reason}")
     code = interp.compile_ast(ast)
@@ -181,7 +183,8 @@ def orbs_slice(
     """
     n = len(program)
     identity = LineMapping.identity(n)
-    self_check = candidate_accepts(program, baseline, identity)
+    parsed: dict = {}  # one line table for the self-check and every window
+    self_check = candidate_accepts(program, baseline, identity, parsed)
     if not self_check:
         raise BaselineMismatch(
             f"program does not reproduce its own baseline: {self_check.reason} "
@@ -206,7 +209,7 @@ def orbs_slice(
                 cand_originals = originals[: i - 1] + originals[i - 1 + width:]
                 cand = SourceProgram(tuple(cand_lines), program.id)
                 line_map = LineMapping.from_survivors(cand_originals)
-                if candidate_accepts(cand, baseline, line_map):
+                if candidate_accepts(cand, baseline, line_map, parsed):
                     accepted_width = width
                     lines = cand_lines
                     originals = cand_originals
@@ -259,11 +262,12 @@ def minimality_check(
     if line_map is None:
         line_map = LineMapping.identity(n)
     originals = list(line_map.original_lines())
+    parsed: dict = {}
     for i in range(1, n + 1):
         cand = slice_program.without_lines([i])
         cand_originals = originals[: i - 1] + originals[i:]
         cand_map = LineMapping.from_survivors(cand_originals)
-        if candidate_accepts(cand, baseline, cand_map):
+        if candidate_accepts(cand, baseline, cand_map, parsed):
             return MinimalityReport(False, i)
     return MinimalityReport(True, None)
 

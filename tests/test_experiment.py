@@ -141,9 +141,9 @@ def test_repair_parses_only_its_candidates(corpus_bundles, monkeypatch):
     counts = {"experiment": 0, "repair": 0}
 
     def counting(module):
-        def counting_parse(program):
+        def counting_parse(program, lines=None):
             counts[module] += 1
-            return parser.parse(program)
+            return parser.parse(program, lines)
         return counting_parse
 
     for module in (experiment, repair):
@@ -154,6 +154,43 @@ def test_repair_parses_only_its_candidates(corpus_bundles, monkeypatch):
     candidates = sum(r.cost_proxy - r.nte for r in reports)  # cost proxy = NTE + candidates
     assert counts["repair"] == candidates > 0
     assert counts["experiment"] == 2
+
+
+def test_line_tables_are_scoped_to_a_slicer_run_and_a_repair(corpus_bundles, monkeypatch):
+    """The slicer run and each configuration's repair parse through a line
+    table of their own, empty at its first parse, so that every
+    configuration starts cold."""
+    from reducto import experiment, parser, repair, slicer
+
+    bundle = next(b for b in corpus_bundles if b.name == "b03_series_sum")
+    scopes = []  # (scope, [(table, its size at the parse), ...])
+
+    def opening(scope, function):
+        def opened(*args, **kwargs):
+            scopes.append((scope, []))
+            return function(*args, **kwargs)
+        return opened
+
+    def recording_parse(program, lines=None):
+        scopes[-1][1].append((lines, None if lines is None else len(lines)))
+        return parser.parse(program, lines)
+
+    monkeypatch.setattr(experiment, "orbs_slice", opening("orbs_slice", slicer.orbs_slice))
+    monkeypatch.setattr(experiment, "repair", opening("repair", repair.repair))
+    for module in (slicer, repair):
+        monkeypatch.setattr(module, "parse", recording_parse)
+    artifacts = BundleArtifacts(bundle)
+    for config in viable_configs():
+        run_config(artifacts, config)
+
+    assert [scope for scope, _ in scopes] == ["orbs_slice"] + ["repair"] * 8
+    tables = []
+    for scope, parses in scopes:
+        table, size = parses[0]
+        assert type(table) is dict and size == 0, scope
+        assert all(seen is table for seen, _ in parses), scope
+        assert not any(table is other for other in tables), scope
+        tables.append(table)
 
 
 def test_bundle_artifacts_run_the_suite_on_the_slice_once(corpus_bundles, monkeypatch):

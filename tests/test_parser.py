@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from reducto.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, Ast, ParseError, parse
 from reducto.source import SourceProgram, count_sloc, is_blank, is_comment
@@ -227,3 +228,99 @@ def test_ast_is_shareable_value(max3_program):
     lines_before = ast.statement_lines()
     parse(max3_program)
     assert ast.statement_lines() == lines_before
+
+
+# ---------------------------------------------------------------------------
+# The line table: parsing through a shared table equals parsing fresh
+
+def outcome(p: SourceProgram, lines=None):
+    """The Ast, or the (line, reason) of the ParseError."""
+    try:
+        return parse(p, lines)
+    except ParseError as exc:
+        return exc.line, exc.reason
+
+
+MALFORMED_LET = "let = 3"
+
+# Line texts, each also the source of context-dependent failures: a second
+# header is a nested or duplicate function, a body line before any header
+# is outside a function, and else/end can be stray or repeated.
+LINE_POOL = (
+    "fn f(a, b)", "fn g()", "  fn f(a, b)", "fn f(a, a)", "fn (a)", "fn h(let)",
+    "end", "  end", "end x", "else", "else if", "if a < b", "  if a < b",
+    "while a > 0", "if (a", "while", "let x = a + 1", "  let x = a + 1",
+    "x = x - 1", "a[0] = 2", "a[0 = 2", "a[0] 2", "return x", "return (a + b) * 2",
+    "print a", "return", MALFORMED_LET, "let 3 = x", "x ` 3", 'print "\\q"',
+    "not x", "", "   ", "# comment", "  # indented comment",
+)
+# Runs of lines: an else arm, a duplicated one, and blocks that, once
+# inside a function, reach or pass the block cap.
+RUNS = (
+    ("if a < b", "else"),
+    ("if a < b", "else", "else"),
+    ("if true",) * (MAX_BLOCK_DEPTH + 1),
+    ("while false",) * (MAX_BLOCK_DEPTH - 1),
+    ("end",) * MAX_BLOCK_DEPTH,
+)
+CHUNKS = tuple((line,) for line in LINE_POOL) + RUNS
+
+
+@st.composite
+def pooled_programs(draw):
+    head = draw(st.sampled_from(((), ("fn f(a, b)",), ("fn g()",))))
+    body = draw(st.lists(st.sampled_from(CHUNKS), max_size=10))
+    tail = draw(st.sampled_from(((), ("end",), ("end", "fn g()", "return 1", "end"))))
+    return SourceProgram(head + tuple(line for chunk in body for line in chunk) + tail)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(programs=st.lists(pooled_programs(), min_size=1, max_size=8))
+@example(programs=[  # one malformed line at two line numbers, one table
+    program(f"fn f(a)\n{MALFORMED_LET}\nend\n"),
+    program(f"fn f(a)\nreturn a\nend\nfn g()\n{MALFORMED_LET}\nend\n"),
+])
+def test_shared_table_parses_as_fresh(programs):
+    lines: dict = {}
+    for p in programs:
+        assert outcome(p, lines) == outcome(p)
+
+
+def test_corpus_deletions_through_one_table_parse_as_fresh(corpus_bundles):
+    lines: dict = {}
+    for bundle in corpus_bundles:
+        p = bundle.program
+        for i in range(1, len(p) + 1):
+            cand = p.without_lines([i])
+            assert outcome(cand, lines) == outcome(cand), (bundle.name, i)
+
+
+def test_parse_without_a_table_starts_cold(max3_program, monkeypatch):
+    from reducto import parser
+
+    forms = []
+    line_form = parser._line_form
+
+    def counting_form(raw):
+        forms.append(raw)
+        return line_form(raw)
+
+    monkeypatch.setattr(parser, "_line_form", counting_form)
+    distinct = len(set(max3_program.lines))
+    parse(max3_program)
+    parse(max3_program)
+    assert len(forms) == 2 * distinct
+    lines: dict = {}
+    parse(max3_program, lines)
+    parse(max3_program, lines)
+    assert len(forms) == 3 * distinct == 3 * len(lines)
+
+
+def test_parenthesized_expression_spans_its_parentheses():
+    text = "return (a + b) * -(c)"
+    ret = parse(program(f"fn f(a, b, c)\n{text}\nend\n")).functions["f"].body[0]
+    product = ret.expr
+    assert text[product.start:product.end] == "(a + b) * -(c)"
+    assert text[product.left.start:product.left.end] == "(a + b)"
+    assert text[product.left.op_start:product.left.op_end] == "+"
+    assert text[product.right.operand.start:product.right.operand.end] == "(c)"

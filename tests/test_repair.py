@@ -132,6 +132,22 @@ def test_every_site_under_a_negation():
     ]
 
 
+@pytest.mark.parametrize(
+    "line,negation",
+    [
+        ("if not (a < b)", "if not (not (a < b))"),
+        ("if (a < b) and c", "if not ((a < b) and c)"),
+        ("while (i < n)", "while not ((i < n))"),
+    ],
+)
+def test_t3_candidates_on_parenthesized_conditions_parse(line, negation):
+    p = program(f"fn f(a, b, c, i, n)\n{line}\nend\nreturn 0\nend\n")
+    t3 = [inst for inst in applicable_templates(p, parse(p), 2) if inst.template == "T3"]
+    assert t3[-1].edit.text == negation
+    for inst in t3:
+        parse(apply_edit(p, 2, inst.edit))
+
+
 def test_nested_indexes_enumerate_the_outer_index_first():
     # Both Index nodes start at ``a``: the order comes from the pre-order walk.
     assert _pinned("fn f(a, i, j)\nreturn a[i][j]\nend\n", 2) == [
