@@ -52,30 +52,35 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _usable(make, *args, **kwargs):
+    """``make(*args, **kwargs)``; the ValueError it raises for a value it
+    cannot take becomes a UsageError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(exc) from exc
+
+
 def _settings(args) -> SliceSettings:
-    try:
-        return SliceSettings(delta=args.delta, max_passes=args.max_passes)
-    except ValueError as exc:
-        raise UsageError(exc) from exc
-
-
-def _config(name: str):
-    try:
-        return config_by_name(name)
-    except ValueError as exc:
-        raise UsageError(exc) from exc
+    return _usable(SliceSettings, delta=args.delta, max_passes=args.max_passes)
 
 
 def _caps(args) -> RepairCaps:
-    return RepairCaps(
+    return _usable(
+        RepairCaps,
         max_candidates=args.max_candidates,
         max_nte=args.max_nte,
         wall_clock_s=args.wall_clock,
     )
 
 
+def _bundle(args):
+    return _usable(load_bundle, args.bundle, budget=args.budget)
+
+
 def _artifacts(args) -> BundleArtifacts:
-    return BundleArtifacts(load_bundle(args.bundle, budget=args.budget), _settings(args))
+    settings = _settings(args)
+    return BundleArtifacts(_bundle(args), settings)
 
 
 def _load_slice_dir(bundle, slice_dir: str):
@@ -110,7 +115,7 @@ def cmd_slice(args) -> int:
 
 def cmd_reduce_tests(args) -> int:
     if args.slice:
-        bundle = load_bundle(args.bundle, budget=args.budget)
+        bundle = _bundle(args)
         slice_program, mapping = _load_slice_dir(bundle, args.slice)
         reduced = reduce_suite(
             bundle.program, slice_program, mapping, bundle.suite, bundle.baseline_run
@@ -133,7 +138,7 @@ def cmd_reduce_tests(args) -> int:
 def cmd_localize(args) -> int:
     wanted = ("L", "LP", "LR") if args.list == "all" else (args.list,)
     if args.slice:
-        bundle = load_bundle(args.bundle, budget=args.budget)
+        bundle = _bundle(args)
         slice_program, mapping = _load_slice_dir(bundle, args.slice)
         original = localize(bundle.baseline_run)
         lists = {"L": original, "LP": prune_list(original, mapping)}
@@ -157,9 +162,10 @@ def cmd_localize(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    config = _config(args.config)
+    config = _usable(config_by_name, args.config)
+    caps = _caps(args)
     art = _artifacts(args)
-    report, result = run_config(art, config, _caps(args))
+    report, result = run_config(art, config, caps)
     out = Path(args.out or args.bundle)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -190,13 +196,14 @@ def cmd_repair(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    bundles = load_corpus(args.corpus, budget=args.budget)
     if args.configs == "all":
         configs = list(viable_configs())
     else:
-        configs = [_config(n) for n in args.configs.split(",")]
+        configs = [_usable(config_by_name, n) for n in args.configs.split(",")]
+    caps, settings = _caps(args), _settings(args)
+    bundles = _usable(load_corpus, args.corpus, budget=args.budget)
     started = time.perf_counter()
-    reports = run_lattice(bundles, _caps(args), _settings(args), configs=configs)
+    reports = run_lattice(bundles, caps, settings, configs=configs)
     document = emit_report(reports, args.format)
     if args.out:
         Path(args.out).write_text(document, encoding="utf-8")
@@ -267,7 +274,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_make_corpus(args) -> int:
-    names = corpus_mod.build_corpus(args.out, budget=args.budget)
+    names = _usable(corpus_mod.build_corpus, args.out, budget=args.budget)
     print(f"wrote {len(names)} bundles to {args.out}")
     return 0
 

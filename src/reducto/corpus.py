@@ -687,6 +687,8 @@ def _check_bundle(bdef: BundleDef, program: SourceProgram, built: BuiltBundle, b
 
 def build_corpus(out_dir, budget: int = interp.DEFAULT_BUDGET) -> list[str]:
     """Write every bundle under ``out_dir``; returns the bundle names."""
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = []

@@ -155,6 +155,8 @@ def load_bundle(path, budget: int = interp.DEFAULT_BUDGET) -> BugBundle:
     Enforces the manifest schema, the one-expectation-per-test rule, and
     the presence of at least one failing test on the original program.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():

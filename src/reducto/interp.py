@@ -29,7 +29,12 @@ The state holds the exact value of each variable in the loop's control
 slice and only the type of every other variable the loop assigns (see
 ``control_slice.py``).  The interpreter is deterministic, so two equal
 states at the same back-edge, with the loop never left in between, prove
-that the path between them repeats until the budget runs out.
+that the path between them repeats until the budget runs out.  So do two
+states that differ only in the ints of drifting variables, counters the
+loop only ever moves by a fixed step, when ``ControlSlice.drifts`` shows
+that no comparison they feed changes outcome, and no update turns back or
+wraps, anywhere the rest of the budget can take them.  Such a drift is
+taken only when the budget left holds at least one more period.
 """
 
 from __future__ import annotations
@@ -419,7 +424,11 @@ def _watch(run: _Run, env: dict, loop: ControlSlice) -> None:
     state = loop.state(env)
     if state is None:
         watch.saved = None
-    elif state == watch.saved:
+    elif state == watch.saved or (
+        # a drift proves only that the loop outlasts the budget left; it is
+        # taken when that spans a whole period, so the jump skips steps
+        run.left >= watch.left - run.left and loop.drifts(watch.saved, state, env, run.left)
+    ):
         _fast_forward(run, watch)
     else:
         watch.lam += 1

@@ -443,6 +443,17 @@ def statements(block) -> Iterator[Stmt]:
             stack += reversed(stmt.body)
 
 
+def expressions(stmt: Stmt) -> tuple:
+    """The expressions ``stmt`` itself evaluates, in source order; those of
+    the blocks nested in it are their statements' own."""
+    t = type(stmt)
+    if t is If or t is While:
+        return (stmt.cond,)
+    if t is IndexAssign:
+        return (stmt.index, stmt.expr)
+    return (stmt.expr,)
+
+
 @dataclass(frozen=True)
 class Ast:
     functions: dict = field(default_factory=dict)  # name -> Function

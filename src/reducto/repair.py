@@ -108,16 +108,6 @@ def _walk_expr(expr: P.Expr):
         stack += reversed(P.children(node))
 
 
-def _statement_exprs(stmt) -> list[P.Expr]:
-    if isinstance(stmt, (P.Let, P.Assign, P.Return, P.Print)):
-        return [stmt.expr]
-    if isinstance(stmt, P.IndexAssign):
-        return [stmt.index, stmt.expr]
-    if isinstance(stmt, (P.If, P.While)):
-        return [stmt.cond]
-    return []
-
-
 def _find_statement(ast: Ast, line: int):
     """(function, statement) at a line; None for headers/else/end/no code."""
     for fn in ast.functions.values():
@@ -156,8 +146,7 @@ def applicable_templates(program: SourceProgram, ast: Ast, line: int) -> list[In
 
     text = raw.strip()
     indent = raw[: len(raw) - len(raw.lstrip())]
-    exprs = _statement_exprs(stmt)
-    nodes = [node for expr in exprs for node in _walk_expr(expr)]
+    nodes = [node for expr in P.expressions(stmt) for node in _walk_expr(expr)]
     structural = isinstance(stmt, (P.If, P.While))
     out: list[Instantiation] = []
 
@@ -264,6 +253,11 @@ class RepairCaps:
     max_candidates: int = 2000
     max_nte: int = 500_000
     wall_clock_s: float = 120.0
+
+    def __post_init__(self):
+        for name in ("max_candidates", "max_nte", "wall_clock_s"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0")
 
 
 def generate_candidates(

@@ -49,6 +49,8 @@ class SliceSettings:
     def __post_init__(self):
         if self.delta < 1:
             raise ValueError("delta must be >= 1")
+        if self.max_passes < 0:
+            raise ValueError("max_passes must be >= 0")
 
 
 @dataclass(frozen=True)

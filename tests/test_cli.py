@@ -195,7 +195,18 @@ def test_repair_rejects_non_viable_config(bundle_path, tmp_path):
     ["repair", "--config", "Ps-Ts-LP", "--max-passes", "0"],  # non-fixpoint slice
     ["slice", "--delta", "0"],
     ["repair", "--config", "X-T-L"],
-], ids=["non_fixpoint_slice", "zero_delta", "bad_config_name"])
+    ["slice", "--budget", "-5"],
+    ["localize", "--budget", "-1"],
+    ["slice", "--max-passes", "-1"],
+    ["repair", "--config", "P-T-L", "--max-candidates", "-1"],
+    ["repair", "--config", "P-T-L", "--max-nte", "-1"],
+    ["repair", "--config", "P-T-L", "--wall-clock", "-0.5"],
+    ["repair", "--config", "P-T-L", "--wall-clock", "nan"],
+], ids=[
+    "non_fixpoint_slice", "zero_delta", "bad_config_name", "negative_budget",
+    "negative_budget_localize", "negative_max_passes", "negative_max_candidates",
+    "negative_max_nte", "negative_wall_clock", "nan_wall_clock",
+])
 def test_unusable_arguments_are_exit_two(bundle_path, tmp_path, capsys, command):
     name, *flags = command
     assert main([name, bundle_path, *flags, "--out", str(tmp_path)]) == 2
@@ -231,6 +242,13 @@ def test_experiment_rejects_bad_config_names(corpus_dir, tmp_path):
 
 def test_experiment_missing_corpus_is_exit_two(tmp_path):
     assert main(["experiment", str(tmp_path / "nowhere")]) == 2
+
+
+def test_corpus_commands_reject_a_negative_budget(corpus_dir, tmp_path, capsys):
+    assert main(["experiment", str(corpus_dir), "--budget", "-1"]) == 2
+    assert main(["make-corpus", str(tmp_path / "out"), "--budget", "-1"]) == 2
+    assert capsys.readouterr().err.count("error: budget must be >= 0") == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_json_format(corpus_dir, tmp_path):

@@ -19,12 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 import reference_interp as ref
 from reducto import interp
-from reducto.control_slice import MAX_STATE_ITEMS
+from reducto.control_slice import MAX_STATE_ITEMS, ControlSlice
 from reducto.faultloc import localize
 from reducto.harness import run_suite
 from reducto.parser import ParseError, parse
 from reducto.repair import generate_candidates
-from reducto.values import float_bits
+from reducto.values import INT_MIN, float_bits
 
 from conftest import program
 
@@ -161,6 +161,15 @@ def test_every_form_on_random_operands(body, a, b):
 # ---------------------------------------------------------------------------
 # Divergence proofs: runs that the closure interpreter fast-forwards
 
+WRAPPING = """\
+fn f(n)
+let i = n
+while i <= 0
+i = i - 1
+end
+return i
+end
+"""
 KERNELS = {
     "counter_never_incremented": ("""\
 fn f(n)
@@ -552,9 +561,226 @@ end
 return s
 end
 """, (12,)),
+    # Counters that drift away from their bound never repeat a state.  The
+    # first two are the faulty forms of b03's series_sum that repair tries.
+    "series_sum_counts_down": ("""\
+fn f(n)
+let total = 0
+let i = 2
+while i <= n
+total = total + i
+i = i - 1
+end
+return total
+end
+""", (5,)),
+    "series_sum_adds_minus_one": ("""\
+fn f(n)
+let total = 0
+let i = 2
+while i <= n
+total = total + i
+i = i + -1
+end
+return total
+end
+""", (5,)),
+    "counter_climbs_above_its_floor": ("""\
+fn f(n)
+let i = 0
+let total = 0.5
+while i >= n
+total = total + i * 2
+i = i + 1
+end
+return total
+end
+""", (-3,)),
+    "counter_steps_by_three": ("""\
+fn f(n)
+let i = 0
+let hits = 0
+while i > n
+hits = hits + 1
+i = 3 + i
+if i < n
+return hits
+end
+end
+return hits
+end
+""", (-2,)),
+    "counter_steps_by_a_parameter": ("""\
+fn f(n, step)
+let i = 0
+while i < n
+i = i - step
+end
+return i
+end
+""", (5, 2)),
+    "counter_moves_away_from_an_unequal_bound": ("""\
+fn f(n)
+let i = 0
+let s = ""
+while i != n
+s = s + "x"
+if i == 1
+return s
+end
+i = i + 2
+end
+return s
+end
+""", (-1,)),
+    # Diverges, but the bound is loop-assigned: not proven.
+    "bound_drifts_with_the_counter": ("""\
+fn f(n)
+let i = 0
+let j = n
+while i < j
+i = i + 1
+j = j + 1
+end
+return i
+end
+""", (5,)),
+    # The inner loop runs one pass longer each time: its condition compares
+    # the outer counter with the loop-assigned ``j``, which is 0 at every
+    # outer back-edge.
+    "inner_loop_bounded_by_the_counter": ("""\
+fn f(n)
+let i = 0
+let j = 0
+while n > 0
+while j < i
+print j
+j = j + 1
+end
+j = 0
+i = i + 1
+end
+return i
+end
+""", (1,)),
+    # ``b`` is 0 at every back-edge but 40 where ``i`` meets it.
+    "bound_reset_each_pass": ("""\
+fn f(n)
+let i = 0
+let b = 0
+while n > 0
+b = 40
+if i > b
+return b
+end
+b = 0
+i = i + 1
+end
+return 0
+end
+""", (1,)),
+    "counter_reaches_its_bound": ("""\
+fn f(n)
+let i = 0
+let total = 0
+while i < n
+total = total + i
+i = i + 1
+end
+return total
+end
+""", (60,)),
+    "float_counter_reaches_its_bound": ("""\
+fn f(n)
+let x = 0.5
+while x != n
+x = x + 1.0
+end
+return x
+end
+""", (20.5,)),
+    "counter_doubles": ("""\
+fn f(n)
+let i = 1
+while i < n
+i = i * 2
+end
+return i
+end
+""", (100_000,)),
+    "counter_copies_a_faster_one": ("""\
+fn f(n)
+let k = 0
+let i = 0
+while i < n
+k = k + 100
+i = k + 1
+end
+return i
+end
+""", (1_000,)),
+    "counter_dips_and_climbs": ("""\
+fn f(n)
+let i = 0
+let hits = 0
+while n > 0
+i = i + 10
+if i > 5
+hits = hits + 1
+else
+return hits
+end
+i = i - 11
+end
+return 0
+end
+""", (1,)),
+    "accumulator_stored_and_tested_in_an_array": ("""\
+fn f(n)
+let xs = [0]
+let total = 0
+while n > 0
+total = total + 1
+xs[0] = total
+if xs[0] > 40
+return xs
+end
+xs[0] = 0
+end
+return xs
+end
+""", (1,)),
+    "accumulator_divides_directly": ("""\
+fn f(n)
+let i = 0
+let total = 0
+let q = 0
+while i < n
+total = total + 1
+q = q + 100 / (30 - total)
+end
+return q
+end
+""", (2,)),
+    "accumulator_takes_a_modulo": ("""\
+fn f(n)
+let i = 0
+let total = 0
+let q = 0
+while i < n
+total = total + 1
+q = q + 100 % (30 - total)
+end
+return q
+end
+""", (2,)),
+    # Counted down from INT_MIN + 10 and INT_MIN + 200, the counter wraps
+    # to INT_MAX and ends the loop after 11 and 201 passes, three steps each.
+    "counter_wraps_within_the_budget": (WRAPPING, (INT_MIN + 10,)),
+    "counter_wraps_past_the_budget": (WRAPPING, (INT_MIN + 200,)),
 }
-# Kernels that never end and that detection proves so.  The other kernels
-# end, or diverge without ever repeating a state.
+# Kernels that never end and that detection proves so, by a repeated state
+# or by a drift.  The other kernels end, or diverge unproven.
 DETECTED = {
     "counter_never_incremented", "int_float_str_array_accumulators",
     "print_inside_the_cycle", "flips_between_1_1_0_and_true",
@@ -562,47 +788,75 @@ DETECTED = {
     "array_that_contains_itself", "inner_loop_ends_outer_does_not",
     "inner_loop_never_ends", "loop_calls_a_looping_function",
     "called_function_never_returns", "recursion_inside_the_loop",
+    "series_sum_counts_down", "series_sum_adds_minus_one",
+    "counter_climbs_above_its_floor", "counter_steps_by_three",
+    "counter_steps_by_a_parameter", "counter_moves_away_from_an_unequal_bound",
+}
+# Kernels whose counter drifts towards the end of the loop, or towards a
+# wrap that ends it, and the budgets below 400 at which a drift proves the
+# loop outlasts the budget.  The counter of the wrapping kernels stands at
+# INT_MIN + 10 - k at the k-th back-edge, step 3k + 2, with B - 3k - 2 steps
+# left: a drift holds while B <= 12 + 2k, and is taken when the budget left
+# spans the period since Brent's saved state (k = 2 for B in 11..16, k = 3
+# for 17 and 18, k = 4 for 20, k = 5 for 21 and 22).
+OUTLASTED = {
+    "counter_reaches_its_bound": set(range(15, 174)) - set(range(135, 139)),
+    "counter_wraps_within_the_budget": {*range(11, 19), 20, 21, 22},
+    "counter_wraps_past_the_budget": set(range(11, 400)),
 }
 
 
 @contextlib.contextmanager
 def watching(after: int, spell: int = interp.SPELL_EDGES):
     """Run with detection starting after ``after`` steps, in spells of
-    ``spell`` back-edges, and yield the list of (period, budget left) of
-    every fast-forward."""
+    ``spell`` back-edges, and yield the list of (period, budget left,
+    whether a drift proved it) of every fast-forward."""
     jumps = []
-    saved = interp._fast_forward, interp.DETECT_AFTER, interp.SPELL_EDGES
-    forward = saved[0]
+    drifted = []  # the drift just accepted, whose fast-forward follows
+    saved = interp._fast_forward, ControlSlice.drifts, interp.DETECT_AFTER, interp.SPELL_EDGES
+    forward, drifts = saved[:2]
 
     def recording(run, watch):
-        jumps.append((watch.left - run.left, run.left))
+        jumps.append((watch.left - run.left, run.left, bool(drifted)))
+        drifted.clear()
         forward(run, watch)
 
-    interp._fast_forward, interp.DETECT_AFTER, interp.SPELL_EDGES = recording, after, spell
+    def recording_drifts(loop, *args):
+        took = drifts(loop, *args)
+        if took:
+            drifted.append(loop)
+        return took
+
+    interp._fast_forward, ControlSlice.drifts = recording, recording_drifts
+    interp.DETECT_AFTER, interp.SPELL_EDGES = after, spell
     try:
         yield jumps
     finally:
-        interp._fast_forward, interp.DETECT_AFTER, interp.SPELL_EDGES = saved
+        interp._fast_forward, ControlSlice.drifts, interp.DETECT_AFTER, interp.SPELL_EDGES = saved
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_kernel_at_every_budget_with_detection_from_the_start(kernel):
     text, args = KERNELS[kernel]
     codes = compiled(parse(program(text)))
+    forwarded = set()
     with watching(0) as jumps:
         for budget in range(400):
+            before = len(jumps)
             assert_agree(codes, "f", args, budget)
+            if len(jumps) > before:
+                forwarded.add(budget)
     if kernel in DETECTED:
         # Every remainder of the period is met at some budget, in at least
         # three periods' worth of budgets past the first detection.
-        periods = {period for period, _ in jumps}
+        periods = {period for period, _, _ in jumps}
         assert len(periods) == 1, periods
         (period,) = periods
-        remainders = {left % period for _, left in jumps}
+        remainders = {left % period for _, left, _ in jumps}
         assert remainders == set(range(period))
         assert len(jumps) >= 3 * period
     else:
-        assert not jumps
+        assert forwarded == OUTLASTED.get(kernel, set())
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -631,7 +885,9 @@ def test_kernel_past_the_detection_threshold(kernel):
     assert bool(jumps) == (kernel in DETECTED)
 
 
-@pytest.mark.parametrize("kernel", ["counter_never_incremented", "int_float_str_array_accumulators"])
+@pytest.mark.parametrize("kernel", [
+    "counter_never_incremented", "int_float_str_array_accumulators", "series_sum_counts_down",
+])
 def test_proven_divergence_ends_a_huge_budget_at_once(kernel):
     text, args = KERNELS[kernel]
     code = interp.compile_ast(parse(program(text)))
@@ -644,7 +900,8 @@ def test_proven_divergence_ends_a_huge_budget_at_once(kernel):
 # Random loops over a few ints, a float, a str, a bool and two arrays that
 # may alias, with nested conditions and loops and statements that can raise.
 LOOP_STATEMENTS = (
-    "i = i + 1", "i = i - 1", "i = (i + 1) % 4", "i = 0", "x = x + i", "x = x * 3",
+    "i = i + 1", "i = i - 1", "i = i - 2", "i = i + -1", "i = (i + 1) % 4", "i = 0",
+    "x = x + i", "x = x * 3",
     "x = x / 2", "x = x - y", "y = y * 1.5", "y = -y", "y = y + x", "y = 0.0 / 0.0",
     "xs[i % 2] = x", "xs[0] = xs[1] + 1", "ys[1] = i", "ys = xs", "xs = [x, i]",
     "xs = xs + [x]", "s = s + \"ab\"", "x = len(s)", "print i", "print xs",
@@ -654,7 +911,7 @@ LOOP_STATEMENTS = (
     "if ok\nys[0] = y\nend",
 )
 LOOP_CONDITIONS = (
-    "true", "i < a", "i != b", "x >= 0", "xs[0] < 3", "len(xs) < 4",
+    "true", "i < a", "i != b", "i <= a", "i >= b", "x >= 0", "xs[0] < 3", "len(xs) < 4",
     "i % 3 != 2", "ok or i < 2", "y != 1.5", "ys[0] != 9",
 )
 
@@ -677,9 +934,16 @@ def loops(draw):
     )
 
 
-@settings(max_examples=500, derandomize=True, deadline=None)
-@given(text=loops(), a=st.integers(-3, 3), b=st.integers(-3, 3), budget=st.integers(0, 2000))
-def test_random_loops_with_detection_from_the_start(text, a, b, budget):
-    codes = compiled(parse(program(text)))
-    with watching(0):
-        assert_agree(codes, "f", (a, b), budget)
+def test_random_loops_with_detection_from_the_start():
+    drifts = []
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(text=loops(), a=st.integers(-3, 3), b=st.integers(-3, 3), budget=st.integers(0, 2000))
+    def check(text, a, b, budget):
+        codes = compiled(parse(program(text)))
+        with watching(0) as jumps:
+            assert_agree(codes, "f", (a, b), budget)
+        drifts.extend(jump for jump in jumps if jump[2])
+
+    check()
+    assert drifts  # the generator reaches fast-forwards proven by a drift
