@@ -22,7 +22,6 @@ from . import interp
 from .experiment import (
     BundleArtifacts,
     ManifestError,
-    NonFixpointSlice,
     NonViableConfig,
     config_by_name,
     emit_report,
@@ -62,7 +61,7 @@ def _usable(make, *args, **kwargs):
 
 
 def _settings(args) -> SliceSettings:
-    return _usable(SliceSettings, delta=args.delta, max_passes=args.max_passes)
+    return _usable(SliceSettings, delta=args.delta)
 
 
 def _caps(args) -> RepairCaps:
@@ -104,11 +103,10 @@ def cmd_slice(args) -> int:
     (out / "slice.sl").write_text(result.slice.to_text(), encoding="utf-8")
     _write_json(out / "deletion_log.json", deletion_log_json(result))
     _write_json(out / "slice_stats.json", result.stats())
-    flag = "" if result.fixpoint else " (pass cap hit: result is not a fixpoint)"
     print(
         f"{art.bundle.name}: {result.original_sloc} -> {result.slice_sloc} SLoC "
         f"({result.percent:.1f}%), {len(result.deleted)} lines deleted, "
-        f"{result.passes} passes{flag} [{art.timings.slice_s:.2f}s]"
+        f"{result.passes} passes [{art.timings.slice_s:.2f}s]"
     )
     return 0
 
@@ -274,7 +272,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_make_corpus(args) -> int:
-    names = _usable(corpus_mod.build_corpus, args.out, budget=args.budget)
+    names = corpus_mod.build_corpus(args.out)
     print(f"wrote {len(names)} bundles to {args.out}")
     return 0
 
@@ -291,8 +289,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="interpreter step budget per execution")
         p.add_argument("--delta", type=int, default=3,
                        help="maximum deletion-window length")
-        p.add_argument("--max-passes", type=int, default=50,
-                       help="slicer pass cap")
         if caps:
             p.add_argument("--max-candidates", type=int, default=2000)
             p.add_argument("--max-nte", type=int, default=500_000)
@@ -346,7 +342,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-corpus", help="write the seeded bug corpus")
     p.add_argument("out")
-    p.add_argument("--budget", type=int, default=interp.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_make_corpus)
 
     return parser
@@ -358,8 +353,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        ManifestError, MultiAssertTest, NoFailingTests, NonViableConfig,
-        NonFixpointSlice, UsageError,
+        ManifestError, MultiAssertTest, NoFailingTests, NonViableConfig, UsageError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import interp
-from .harness import TestCase, TestSuite, run_suite, suite_to_json
+from .harness import TestCase, TestSuite, run_suite, save_suite
 from .parser import parse
 from .source import SourceProgram
 
@@ -175,8 +175,6 @@ LIBRARY: dict[str, list[str]] = {
     ],
 }
 
-LIBRARY_ORDER = list(LIBRARY)
-
 # Functions whose tests pin the printed output instead of the return value.
 OUTPUT_FNS = {"echo_pair"}
 
@@ -226,12 +224,6 @@ class BuggyFn:
     patched_text: str  # ground-truth replacement for that line
     failing_calls: tuple  # arg tuples that must fail on the buggy program
     passing_calls: tuple  # arg tuples that must pass on the buggy program
-
-    def fixed_lines(self) -> tuple[str, ...]:
-        """Ground-truth version; the oracle for bug-relevant expectations."""
-        fixed = list(self.lines)
-        fixed[self.bug_offset:self.bug_offset + 1] = self.patched_text.split("\n")
-        return tuple(fixed)
 
 
 @dataclass(frozen=True)
@@ -610,9 +602,9 @@ def _assemble_program(bdef: BundleDef) -> tuple[list[str], int]:
     return lines, bug_line
 
 
-def _expectation_from_run(program: SourceProgram, fn: str, args: tuple, budget: int):
+def _expectation_from_run(program: SourceProgram, fn: str, args: tuple):
     """(kind, payload) pinned from an actual run; OUTPUT_FNS pin stdout."""
-    result = interp.execute(interp.compile_ast(parse(program)), fn, list(args), budget)
+    result = interp.execute(interp.compile_ast(parse(program)), fn, list(args))
     if result.status == "runtime_error":
         return "error", result.error_kind
     assert result.status == "completed", f"{fn}{args}: {result.status}"
@@ -621,12 +613,12 @@ def _expectation_from_run(program: SourceProgram, fn: str, args: tuple, budget: 
     return "value", result.return_value
 
 
-def build_bundle(bdef: BundleDef, budget: int = interp.DEFAULT_BUDGET) -> BuiltBundle:
+def build_bundle(bdef: BundleDef) -> BuiltBundle:
     lines, bug_line = _assemble_program(bdef)
     program = SourceProgram(tuple(lines), bdef.name)
-    fixed_lines = list(lines)
-    fixed_lines[bug_line - 1:bug_line] = bdef.buggy.patched_text.split("\n")
-    fixed = SourceProgram(tuple(fixed_lines), bdef.name + "-fixed")
+    patched_lines = list(lines)
+    patched_lines[bug_line - 1:bug_line] = bdef.buggy.patched_text.split("\n")
+    fixed = SourceProgram(tuple(patched_lines), bdef.name + "-fixed")
 
     rng = random.Random(bdef.seed)
     tests = []
@@ -639,7 +631,7 @@ def build_bundle(bdef: BundleDef, budget: int = interp.DEFAULT_BUDGET) -> BuiltB
             if key in seen_args:
                 continue
             seen_args.add(key)
-            kind, payload = _expectation_from_run(program, fn, args, budget)
+            kind, payload = _expectation_from_run(program, fn, args)
             tests.append(TestCase(f"u{len(tests):03d}_{fn}", fn, args, kind, payload))
             produced += 1
 
@@ -647,7 +639,7 @@ def build_bundle(bdef: BundleDef, budget: int = interp.DEFAULT_BUDGET) -> BuiltB
     failing_ids = []
     bug_fn = bdef.buggy.name
     for k, args in enumerate(bdef.buggy.failing_calls + bdef.buggy.passing_calls):
-        kind, payload = _expectation_from_run(fixed, bug_fn, args, budget)
+        kind, payload = _expectation_from_run(fixed, bug_fn, args)
         test_id = f"r{k:03d}_{bug_fn}"
         tests.append(TestCase(test_id, bug_fn, args, kind, payload))
         relevant_ids.append(test_id)
@@ -664,13 +656,13 @@ def build_bundle(bdef: BundleDef, budget: int = interp.DEFAULT_BUDGET) -> BuiltB
         relevant_ids=relevant_ids,
         failing_ids=failing_ids,
     )
-    _check_bundle(bdef, program, built, budget)
+    _check_bundle(bdef, program, built)
     return built
 
 
-def _check_bundle(bdef: BundleDef, program: SourceProgram, built: BuiltBundle, budget: int):
+def _check_bundle(bdef: BundleDef, program: SourceProgram, built: BuiltBundle):
     """Fail loudly if a bundle drifts from its design."""
-    result = run_suite(program, built.tests, budget)
+    result = run_suite(program, built.tests)
     failing = set(result.failing)
     expect_failing = set(built.failing_ids)
     if failing != expect_failing:
@@ -685,22 +677,18 @@ def _check_bundle(bdef: BundleDef, program: SourceProgram, built: BuiltBundle, b
         raise AssertionError(f"{bdef.name}: {relevant}/{total} relevant tests exceeds 20%")
 
 
-def build_corpus(out_dir, budget: int = interp.DEFAULT_BUDGET) -> list[str]:
-    """Write every bundle under ``out_dir``; returns the bundle names."""
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+def build_corpus(out_dir) -> list[str]:
+    """Write every bundle under ``out_dir``, every run at the default step
+    budget; returns the bundle names."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = []
     for bdef in BUNDLE_DEFS:
-        built = build_bundle(bdef, budget)
+        built = build_bundle(bdef)
         bundle_dir = out / built.name
         bundle_dir.mkdir(parents=True, exist_ok=True)
         (bundle_dir / "program.sl").write_text(built.program_text, encoding="utf-8")
-        tests_json = suite_to_json(built.tests)
-        (bundle_dir / "tests.json").write_text(
-            json.dumps(tests_json, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        save_suite(built.tests, bundle_dir / "tests.json")
         manifest = {
             "program": "program.sl",
             "tests": "tests.json",

@@ -39,8 +39,6 @@ from .parser import ParseError, parse
 from .repair import (
     RepairCaps,
     RepairResult,
-    UnmappableEdit,
-    edit_new_text,
     map_patch_to_original,
     repair,
 )
@@ -307,9 +305,6 @@ class RepairReport:
     same_location: Optional[bool]
     transferred: Optional[bool]
     stop_reason: str
-    # not serialized: ground-truth comparison when the bundle carries one
-    gt_location_match: Optional[bool] = None
-    gt_text_match: Optional[bool] = None
 
 
 CSV_COLUMNS = (
@@ -333,16 +328,6 @@ def _translate_list(suspicious: SuspiciousList, mapping: LineMapping) -> Suspici
     return SuspiciousList(suspicious.provenance, tuple(entries))
 
 
-class NonFixpointSlice(Exception):
-    """The slicer hit its pass cap; sliced-program configurations refuse
-    to run on the flagged result."""
-
-
-# The failures of one configuration that the lattice reports as a
-# stage-error row; any other exception is a fault and propagates.
-_CONFIG_ERRORS = (NonViableConfig, NonFixpointSlice, UnmappableEdit)
-
-
 def run_config(
     artifacts: BundleArtifacts,
     config: RepairConfig,
@@ -356,11 +341,6 @@ def run_config(
 
     bundle = artifacts.bundle
     slice_result = artifacts.slice_result
-    if config.program == "Ps" and not slice_result.fixpoint:
-        raise NonFixpointSlice(
-            f"{bundle.name}: slice is flagged non-fixpoint; "
-            "refusing to repair on it"
-        )
     suite = artifacts.suite(config.suite)
     suspicious = artifacts.suspicious(config.suspicious)
     if config.program == "Ps":
@@ -385,19 +365,6 @@ def run_config(
         else:
             patch_line_orig = result.patch.line
 
-    gt_location = None
-    gt_text = None
-    if bundle.ground_truth is not None and result.patched:
-        gt_location = patch_line_orig == bundle.ground_truth.bug_line
-        if gt_location:
-            original_text = bundle.program.line(patch_line_orig)
-            gt_text = (
-                edit_new_text(result.patch.edit, original_text).strip()
-                == bundle.ground_truth.patched_text.strip()
-            )
-        else:
-            gt_text = False
-
     report = RepairReport(
         bundle=bundle.name,
         config=config.name,
@@ -416,27 +383,8 @@ def run_config(
         same_location=None,
         transferred=transferred,
         stop_reason=result.stop_reason,
-        gt_location_match=gt_location,
-        gt_text_match=gt_text,
     )
     return report, result
-
-
-def _failure_report(artifacts: BundleArtifacts, config: RepairConfig, error: str) -> RepairReport:
-    bundle = artifacts.bundle
-    slice_result = artifacts.slice_result
-    return RepairReport(
-        bundle=bundle.name,
-        config=config.name,
-        sloc_p=slice_result.original_sloc,
-        sloc_ps=slice_result.slice_sloc,
-        slice_pct=slice_result.percent,
-        tss_t=len(bundle.suite),
-        tss_ts=len(artifacts.reduced.kept),
-        br=None, npc=None, nte=None, rt_ms=None, cost_proxy=None,
-        patched=False, patch_line=None, same_location=None, transferred=None,
-        stop_reason=f"stage-error: {error}",
-    )
 
 
 _BASELINE = RepairConfig("P", "T", "L")
@@ -451,14 +399,11 @@ def bundle_reports(
 
     P-T-L runs first, also when ``configs`` leaves it out of the report,
     because every other patched row says whether it patched the same
-    line.  One configuration's failure (see _CONFIG_ERRORS) never aborts
-    the others."""
-    reports = {}
-    for config in dict.fromkeys((_BASELINE, *configs)):
-        try:
-            reports[config] = run_config(artifacts, config, caps)[0]
-        except _CONFIG_ERRORS as exc:
-            reports[config] = _failure_report(artifacts, config, str(exc))
+    line."""
+    reports = {
+        config: run_config(artifacts, config, caps)[0]
+        for config in dict.fromkeys((_BASELINE, *configs))
+    }
     baseline_line = reports[_BASELINE].patch_line
     return [
         replace(report, same_location=report.patch_line == baseline_line)

@@ -77,7 +77,6 @@ class Outcome:
     actual: Optional[str] = None  # canonical JSON of what was observed
     error_kind: Optional[str] = None
     error_line: Optional[int] = None
-    error_message: Optional[str] = None
 
     @property
     def passed(self) -> bool:
@@ -145,11 +144,7 @@ def run_test(
                 PASS, covered, error_kind=result.error_kind, error_line=result.error_line
             )
         return Outcome(
-            ERRORED,
-            covered,
-            error_kind=result.error_kind,
-            error_line=result.error_line,
-            error_message=result.error_message,
+            ERRORED, covered, error_kind=result.error_kind, error_line=result.error_line
         )
 
     # completed

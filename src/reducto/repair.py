@@ -33,8 +33,6 @@ from .source import SourceProgram, is_blank, is_comment
 RELATIONAL = list(P.RELATIONAL_OPS)
 ARITHMETIC = list(P.ARITHMETIC_OPS)
 
-TEMPLATE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9")
-
 
 @dataclass(frozen=True)
 class ReplaceLine:

@@ -5,7 +5,9 @@ The scan order is fixed for reproducibility: passes run top to bottom over
 the current slice; at each index the window grows from one line up to the
 configured maximum, the first accepted width wins, and the scan stays at
 the same index after a successful deletion (lines shift up into it).  A
-pass that deletes nothing terminates the loop.
+pass that deletes nothing terminates the loop.  Every earlier pass deletes
+at least one line, so the scan ends within ``len(program) + 1`` passes and
+its result is always a fixpoint.
 
 Acceptance is structural: a candidate is kept only if it parses and every
 criterion test reproduces its baseline failure signature exactly (with
@@ -44,13 +46,10 @@ class BaselineMismatch(Exception):
 @dataclass(frozen=True)
 class SliceSettings:
     delta: int = 3  # maximum deletion-window length, in lines
-    max_passes: int = 50
 
     def __post_init__(self):
         if self.delta < 1:
             raise ValueError("delta must be >= 1")
-        if self.max_passes < 0:
-            raise ValueError("max_passes must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,6 @@ class SliceResult:
     original_sloc: int
     slice_sloc: int
     percent: float
-    fixpoint: bool  # False when the pass cap stopped the scan early
     passes: int
 
     def stats(self) -> dict:
@@ -196,9 +194,8 @@ def orbs_slice(
     lines = list(program.lines)
     originals = list(range(1, n + 1))
     passes = 0
-    fixpoint = False
 
-    while passes < settings.max_passes:
+    while True:
         passes += 1
         deleted_this_pass = 0
         i = 1
@@ -222,7 +219,6 @@ def orbs_slice(
             else:
                 i += 1
         if deleted_this_pass == 0:
-            fixpoint = True
             break
 
     slice_program = SourceProgram(tuple(lines), program.id)
@@ -239,7 +235,6 @@ def orbs_slice(
         original_sloc=orig_sloc,
         slice_sloc=slice_sloc,
         percent=percent,
-        fixpoint=fixpoint,
         passes=passes,
     )
 

@@ -192,20 +192,17 @@ def test_repair_rejects_non_viable_config(bundle_path, tmp_path):
 
 
 @pytest.mark.parametrize("command", [
-    ["repair", "--config", "Ps-Ts-LP", "--max-passes", "0"],  # non-fixpoint slice
     ["slice", "--delta", "0"],
     ["repair", "--config", "X-T-L"],
     ["slice", "--budget", "-5"],
     ["localize", "--budget", "-1"],
-    ["slice", "--max-passes", "-1"],
     ["repair", "--config", "P-T-L", "--max-candidates", "-1"],
     ["repair", "--config", "P-T-L", "--max-nte", "-1"],
     ["repair", "--config", "P-T-L", "--wall-clock", "-0.5"],
     ["repair", "--config", "P-T-L", "--wall-clock", "nan"],
 ], ids=[
-    "non_fixpoint_slice", "zero_delta", "bad_config_name", "negative_budget",
-    "negative_budget_localize", "negative_max_passes", "negative_max_candidates",
-    "negative_max_nte", "negative_wall_clock", "nan_wall_clock",
+    "zero_delta", "bad_config_name", "negative_budget", "negative_budget_localize",
+    "negative_max_candidates", "negative_max_nte", "negative_wall_clock", "nan_wall_clock",
 ])
 def test_unusable_arguments_are_exit_two(bundle_path, tmp_path, capsys, command):
     name, *flags = command
@@ -246,9 +243,25 @@ def test_experiment_missing_corpus_is_exit_two(tmp_path):
 
 def test_corpus_commands_reject_a_negative_budget(corpus_dir, tmp_path, capsys):
     assert main(["experiment", str(corpus_dir), "--budget", "-1"]) == 2
-    assert main(["make-corpus", str(tmp_path / "out"), "--budget", "-1"]) == 2
-    assert capsys.readouterr().err.count("error: budget must be >= 0") == 2
+    assert capsys.readouterr().err.count("error: budget must be >= 0") == 1
+    # make-corpus runs at the default budget and takes no --budget at all
+    with pytest.raises(SystemExit) as exited:
+        main(["make-corpus", str(tmp_path / "out"), "--budget", "-1"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["slice"], ["reduce-tests"], ["localize"], ["repair", "--config", "P-T-L"], ["experiment"],
+], ids=["slice", "reduce_tests", "localize", "repair", "experiment"])
+def test_slicer_takes_no_pass_cap(bundle_path, capsys, command):
+    """The slicer always runs to its fixpoint, so no command has --max-passes."""
+    name, *flags = command
+    with pytest.raises(SystemExit) as exited:
+        main([name, bundle_path, *flags, "--max-passes", "1"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --max-passes" in capsys.readouterr().err
 
 
 def test_experiment_json_format(corpus_dir, tmp_path):

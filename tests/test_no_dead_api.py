@@ -1,5 +1,6 @@
-"""Every function, class and method of the package is used by the package
-or the benchmark, or is named in ALLOWED with the reason tests alone call it.
+"""Every function, class, method and module-level constant of the package
+is used by the package or the benchmark, or is named in ALLOWED with the
+reason tests alone use it.
 
 The check is by name: a definition counts as used when its name appears in
 ``src/reducto/`` or ``perfbench/`` outside the definition itself, as a
@@ -38,18 +39,24 @@ def _trees(root: Path):
 
 
 def _definitions(package: Path) -> dict:
-    """Qualified name -> definition node, for every top-level function and
-    class and every method of a top-level class but the dunder ones."""
+    """Qualified name -> (name, defining node), for every top-level
+    function, class and assigned name and every method of a top-level class,
+    the dunder ones excepted."""
     found = {}
     for tree in _trees(package):
         for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                        found[target.id] = (target.id, node)
             if not isinstance(node, _DEFS):
                 continue
-            found[node.name] = node
+            found[node.name] = (node.name, node)
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, _DEFS) and not item.name.startswith("__"):
-                        found[f"{node.name}.{item.name}"] = item
+                        found[f"{node.name}.{item.name}"] = (item.name, item)
     return found
 
 
@@ -77,8 +84,8 @@ def unused(package: Path, users) -> list:
             mentions += _names(tree)
     return sorted(
         qualified
-        for qualified, node in _definitions(package).items()
-        if mentions[node.name] == _names(node)[node.name]
+        for qualified, (name, node) in _definitions(package).items()
+        if mentions[name] == _names(node)[name]
     )
 
 
@@ -98,6 +105,7 @@ def test_guard_sees_calls_attributes_imports_strings_and_recursion(tmp_path):
     package.mkdir()
     user.mkdir()
     (package / "mod.py").write_text(
+        "__version__ = '1'\nLIMIT = 3\nSPARE: int = LIMIT\nSHOWN = 4\n\n\n"
         "def lonely(n):\n    return lonely(n - 1)\n\n\n"
         "def called():\n    return 1\n\n\n"
         "def traced():\n    return 2\n\n\n"
@@ -107,6 +115,6 @@ def test_guard_sees_calls_attributes_imports_strings_and_recursion(tmp_path):
         "    def shut(self):\n        return 0\n"
     )
     (user / "bench.py").write_text(
-        "from mod import Box\n\nTARGETS = ('traced',)\nBox().opened()\n"
+        "from mod import Box, SHOWN\n\nTARGETS = ('traced',)\nBox().opened()\n"
     )
-    assert unused(package, (package, user)) == ["Box.shut", "lonely"]
+    assert unused(package, (package, user)) == ["Box.shut", "SPARE", "lonely"]
