@@ -32,13 +32,8 @@ from .experiment import (
     viable_configs,
 )
 from .faultloc import localize, prune_list, regenerate_list, suspicious_json
-from .repair import RepairCaps, edit_new_text
-from .slicer import (
-    NoFailingTests,
-    SliceSettings,
-    deletion_log_json,
-    slice_result_from_log,
-)
+from .repair import edit_new_text
+from .slicer import NoFailingTests, deletion_log_json, slice_result_from_log
 from .suite_reducer import reduce_suite, reduction_log_json
 from .harness import MultiAssertTest, save_suite
 
@@ -60,26 +55,12 @@ def _usable(make, *args, **kwargs):
         raise UsageError(exc) from exc
 
 
-def _settings(args) -> SliceSettings:
-    return _usable(SliceSettings, delta=args.delta)
-
-
-def _caps(args) -> RepairCaps:
-    return _usable(
-        RepairCaps,
-        max_candidates=args.max_candidates,
-        max_nte=args.max_nte,
-        wall_clock_s=args.wall_clock,
-    )
-
-
 def _bundle(args):
     return _usable(load_bundle, args.bundle, budget=args.budget)
 
 
 def _artifacts(args) -> BundleArtifacts:
-    settings = _settings(args)
-    return BundleArtifacts(_bundle(args), settings)
+    return BundleArtifacts(_bundle(args))
 
 
 def _load_slice_dir(bundle, slice_dir: str):
@@ -161,9 +142,8 @@ def cmd_localize(args) -> int:
 
 def cmd_repair(args) -> int:
     config = _usable(config_by_name, args.config)
-    caps = _caps(args)
     art = _artifacts(args)
-    report, result = run_config(art, config, caps)
+    report, result = run_config(art, config)
     out = Path(args.out or args.bundle)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -198,10 +178,9 @@ def cmd_experiment(args) -> int:
         configs = list(viable_configs())
     else:
         configs = [_usable(config_by_name, n) for n in args.configs.split(",")]
-    caps, settings = _caps(args), _settings(args)
     bundles = _usable(load_corpus, args.corpus, budget=args.budget)
     started = time.perf_counter()
-    reports = run_lattice(bundles, caps, settings, configs=configs)
+    reports = run_lattice(bundles, configs)
     document = emit_report(reports, args.format)
     if args.out:
         Path(args.out).write_text(document, encoding="utf-8")
@@ -284,16 +263,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, caps=False):
+    def common(p):
         p.add_argument("--budget", type=int, default=interp.DEFAULT_BUDGET,
                        help="interpreter step budget per execution")
-        p.add_argument("--delta", type=int, default=3,
-                       help="maximum deletion-window length")
-        if caps:
-            p.add_argument("--max-candidates", type=int, default=2000)
-            p.add_argument("--max-nte", type=int, default=500_000)
-            p.add_argument("--wall-clock", type=float, default=120.0,
-                           help="repair wall-clock cap in seconds")
 
     p = sub.add_parser("slice", help="slice a bundle's program against its failing tests")
     p.add_argument("bundle")
@@ -321,7 +293,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True,
                    help="configuration name, e.g. P-T-L or Ps-Ts-LP")
     p.add_argument("--out")
-    common(p, caps=True)
+    common(p)
     p.set_defaults(func=cmd_repair)
 
     p = sub.add_parser("experiment", help="run the configuration lattice over a corpus")
@@ -330,7 +302,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="'all' or comma-separated configuration names")
     p.add_argument("--out", help="report file (stdout when omitted)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    common(p, caps=True)
+    common(p)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("compare", help="compare two lattice report CSVs")

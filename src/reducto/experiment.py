@@ -36,18 +36,12 @@ from .harness import (
     run_suite,
 )
 from .parser import ParseError, parse
-from .repair import (
-    RepairCaps,
-    RepairResult,
-    map_patch_to_original,
-    repair,
-)
+from .repair import RepairResult, map_patch_to_original, repair
 from .slicer import (
     Baseline,
     LineMapping,
     NoFailingTests,
     SliceResult,
-    SliceSettings,
     build_criterion,
     orbs_slice,
 )
@@ -239,13 +233,13 @@ class BundleArtifacts:
     observation of the unmodified program; every stage runs at its budget.
     """
 
-    def __init__(self, bundle: BugBundle, settings: SliceSettings = SliceSettings()):
+    def __init__(self, bundle: BugBundle):
         self.bundle = bundle
         self.timings = StageTimings()
         self.baseline: Baseline = build_criterion(bundle.suite, bundle.baseline_run)
 
         started = time.perf_counter()
-        self.slice_result: SliceResult = orbs_slice(bundle.program, self.baseline, settings)
+        self.slice_result: SliceResult = orbs_slice(bundle.program, self.baseline)
         self.timings.slice_s = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -291,15 +285,15 @@ class RepairReport:
     bundle: str
     config: str
     sloc_p: int
-    sloc_ps: Optional[int]
-    slice_pct: Optional[float]
+    sloc_ps: int
+    slice_pct: float
     tss_t: int
-    tss_ts: Optional[int]
+    tss_ts: int
     br: Optional[int]
-    npc: Optional[int]
-    nte: Optional[int]
-    rt_ms: Optional[float]
-    cost_proxy: Optional[int]
+    npc: int
+    nte: int
+    rt_ms: float
+    cost_proxy: int
     patched: bool
     patch_line: Optional[int]  # original-program coordinates
     same_location: Optional[bool]
@@ -329,9 +323,7 @@ def _translate_list(suspicious: SuspiciousList, mapping: LineMapping) -> Suspici
 
 
 def run_config(
-    artifacts: BundleArtifacts,
-    config: RepairConfig,
-    caps: RepairCaps = RepairCaps(),
+    artifacts: BundleArtifacts, config: RepairConfig
 ) -> tuple[RepairReport, RepairResult]:
     """Run one viable configuration against prebuilt artifacts.  The
     report leaves ``same_location`` unset: it compares with the P-T-L run,
@@ -351,7 +343,7 @@ def run_config(
     budget = artifacts.baseline.budget
     result = repair(
         program, artifacts.asts[config.program], suite, suspicious,
-        artifacts.failing_ids, caps, budget,
+        artifacts.failing_ids, budget,
     )
     patch_line_orig = None
     transferred = None
@@ -390,18 +382,14 @@ def run_config(
 _BASELINE = RepairConfig("P", "T", "L")
 
 
-def bundle_reports(
-    artifacts: BundleArtifacts,
-    configs,
-    caps: RepairCaps = RepairCaps(),
-) -> list[RepairReport]:
+def bundle_reports(artifacts: BundleArtifacts, configs) -> list[RepairReport]:
     """One report per configuration, in ``configs`` order, each run once.
 
     P-T-L runs first, also when ``configs`` leaves it out of the report,
     because every other patched row says whether it patched the same
     line."""
     reports = {
-        config: run_config(artifacts, config, caps)[0]
+        config: run_config(artifacts, config)[0]
         for config in dict.fromkeys((_BASELINE, *configs))
     }
     baseline_line = reports[_BASELINE].patch_line
@@ -412,12 +400,7 @@ def bundle_reports(
     ]
 
 
-def run_lattice(
-    bundles,
-    caps: RepairCaps = RepairCaps(),
-    settings: SliceSettings = SliceSettings(),
-    configs=viable_configs(),
-) -> list[RepairReport]:
+def run_lattice(bundles, configs=viable_configs()) -> list[RepairReport]:
     """The reports of ``configs`` for every bundle, in bundle-name order,
     each bundle at the budget it was loaded with."""
     for config in configs:
@@ -425,7 +408,7 @@ def run_lattice(
             raise NonViableConfig(f"{config.name} is not viable")
     reports = []
     for bundle in sorted(bundles, key=lambda b: b.name):
-        reports += bundle_reports(BundleArtifacts(bundle, settings), configs, caps)
+        reports += bundle_reports(BundleArtifacts(bundle), configs)
     return reports
 
 
@@ -447,13 +430,13 @@ def report_row(report: RepairReport) -> dict:
         "config": report.config,
         "sloc_p": report.sloc_p,
         "sloc_ps": report.sloc_ps,
-        "slice_pct": None if report.slice_pct is None else round(report.slice_pct, 1),
+        "slice_pct": round(report.slice_pct, 1),
         "tss_t": report.tss_t,
         "tss_ts": report.tss_ts,
         "br": report.br,
         "npc": report.npc,
         "nte": report.nte,
-        "rt_ms": None if report.rt_ms is None else round(report.rt_ms, 3),
+        "rt_ms": round(report.rt_ms, 3),
         "cost_proxy": report.cost_proxy,
         "patched": report.patched,
         "patch_line": report.patch_line,

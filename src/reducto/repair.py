@@ -246,32 +246,14 @@ def applicable_templates(program: SourceProgram, ast: Ast, line: int) -> list[In
 # ---------------------------------------------------------------------------
 # Candidate stream
 
-@dataclass(frozen=True)
-class RepairCaps:
-    max_candidates: int = 2000
-    max_nte: int = 500_000
-    wall_clock_s: float = 120.0
-
-    def __post_init__(self):
-        for name in ("max_candidates", "max_nte", "wall_clock_s"):
-            if not getattr(self, name) >= 0:  # NaN fails too
-                raise ValueError(f"{name} must be >= 0")
-
-
 def generate_candidates(
     program: SourceProgram,
     ast: Ast,
     suspicious: SuspiciousList,
-    caps: RepairCaps = RepairCaps(),
 ) -> Iterator[PatchCandidate]:
-    """Candidates in list-rank order, template order within one location,
-    stopping at caps.max_candidates."""
-    produced = 0
+    """Candidates in list-rank order, template order within one location."""
     for entry in suspicious.entries:
         for inst in applicable_templates(program, ast, entry.line):
-            if produced >= caps.max_candidates:
-                return
-            produced += 1
             yield PatchCandidate(
                 inst.template,
                 entry.line,
@@ -341,7 +323,9 @@ STOP_PATCHED = "patched"
 STOP_EXHAUSTED = "exhausted"
 STOP_MAX_CANDIDATES = "max_candidates"
 STOP_MAX_NTE = "max_nte"
-STOP_WALL_CLOCK = "wall_clock"
+
+MAX_CANDIDATES = 2000  # candidates generated per repair
+MAX_NTE = 500_000  # test executions per repair
 
 
 @dataclass(frozen=True)
@@ -367,14 +351,15 @@ def repair(
     suite: TestSuite,
     suspicious: SuspiciousList,
     failing_ids,
-    caps: RepairCaps = RepairCaps(),
     budget: int = interp.DEFAULT_BUDGET,
 ) -> RepairResult:
-    """Iterate candidates until one passes the whole suite or a cap stops
-    the search.  ``ast`` is ``program`` parsed, and ``failing_ids`` the
-    tests that fail on it, which validation runs first.  Unbuildable
-    candidates are skipped and tallied separately from NPC.  The candidates
-    share one line table, which starts cold on every call."""
+    """Iterate candidates until one passes the whole suite, the stream runs
+    out, or ``MAX_CANDIDATES`` or ``MAX_NTE`` stops the search.  ``ast`` is
+    ``program`` parsed, and ``failing_ids`` the tests that fail on it,
+    which validation runs first.  Unbuildable candidates are skipped and
+    tallied separately from NPC.  The candidates share one line table,
+    which starts cold on every call.  The clock is read only for
+    ``rt_ms``: every other field depends on counts alone."""
     started = time.perf_counter()
     parsed: dict = {}
     npc = 0
@@ -383,30 +368,27 @@ def repair(
     generated = 0
     patch = None
     br = None
-    stop = STOP_MAX_CANDIDATES if caps.max_candidates == 0 else STOP_EXHAUSTED
+    stop = STOP_EXHAUSTED
 
-    for candidate in generate_candidates(program, ast, suspicious, caps):
+    for candidate in generate_candidates(program, ast, suspicious):
+        if generated >= MAX_CANDIDATES:
+            stop = STOP_MAX_CANDIDATES
+            break
         generated += 1
         result = validate_patch(candidate, suite, failing_ids, budget, parsed)
         if result.verdict == UNBUILDABLE_PATCH:
             unbuildable += 1
-        else:
-            npc += 1
-            nte += result.tests_executed
-            if result.verdict == PLAUSIBLE:
-                patch = candidate
-                br = suspicious.rank_of(candidate.line)
-                stop = STOP_PATCHED
-                break
-            if nte >= caps.max_nte:
-                stop = STOP_MAX_NTE
-                break
-        if time.perf_counter() - started > caps.wall_clock_s:
-            stop = STOP_WALL_CLOCK
+            continue
+        npc += 1
+        nte += result.tests_executed
+        if result.verdict == PLAUSIBLE:
+            patch = candidate
+            br = suspicious.rank_of(candidate.line)
+            stop = STOP_PATCHED
             break
-    else:
-        if generated >= caps.max_candidates:
-            stop = STOP_MAX_CANDIDATES
+        if nte >= MAX_NTE:
+            stop = STOP_MAX_NTE
+            break
 
     rt_ms = (time.perf_counter() - started) * 1000.0
     return RepairResult(

@@ -2,10 +2,10 @@
 the criterion, iterate to a fixpoint.
 
 The scan order is fixed for reproducibility: passes run top to bottom over
-the current slice; at each index the window grows from one line up to the
-configured maximum, the first accepted width wins, and the scan stays at
-the same index after a successful deletion (lines shift up into it).  A
-pass that deletes nothing terminates the loop.  Every earlier pass deletes
+the current slice; at each index the window grows from one line up to
+``DELTA`` lines, the first accepted width wins, and the scan stays at the
+same index after a successful deletion (lines shift up into it).  A pass
+that deletes nothing terminates the loop.  Every earlier pass deletes
 at least one line, so the scan ends within ``len(program) + 1`` passes and
 its result is always a fixpoint.
 
@@ -43,13 +43,7 @@ class BaselineMismatch(Exception):
     """The unmodified program does not reproduce its own baseline."""
 
 
-@dataclass(frozen=True)
-class SliceSettings:
-    delta: int = 3  # maximum deletion-window length, in lines
-
-    def __post_init__(self):
-        if self.delta < 1:
-            raise ValueError("delta must be >= 1")
+DELTA = 3  # maximum deletion-window length, in lines
 
 
 @dataclass(frozen=True)
@@ -171,11 +165,7 @@ def candidate_accepts(
     return Acceptance(True)
 
 
-def orbs_slice(
-    program: SourceProgram,
-    baseline: Baseline,
-    settings: SliceSettings = SliceSettings(),
-) -> SliceResult:
+def orbs_slice(program: SourceProgram, baseline: Baseline) -> SliceResult:
     """Delete-observe loop over the whole program.
 
     Raises BaselineMismatch if the unmodified program fails its own
@@ -201,7 +191,7 @@ def orbs_slice(
         i = 1
         while i <= len(lines):
             accepted_width = 0
-            for width in range(1, settings.delta + 1):
+            for width in range(1, DELTA + 1):
                 if i + width - 1 > len(lines):
                     break
                 cand_lines = lines[: i - 1] + lines[i - 1 + width:]

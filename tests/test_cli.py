@@ -1,11 +1,13 @@
+import argparse
 import csv
 import json
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
-from reducto.cli import main
+from reducto.cli import build_arg_parser, main
 from reducto.experiment import emit_report
 from reducto.harness import load_suite
 
@@ -192,32 +194,24 @@ def test_repair_rejects_non_viable_config(bundle_path, tmp_path):
 
 
 @pytest.mark.parametrize("command", [
-    ["slice", "--delta", "0"],
     ["repair", "--config", "X-T-L"],
     ["slice", "--budget", "-5"],
     ["localize", "--budget", "-1"],
-    ["repair", "--config", "P-T-L", "--max-candidates", "-1"],
-    ["repair", "--config", "P-T-L", "--max-nte", "-1"],
-    ["repair", "--config", "P-T-L", "--wall-clock", "-0.5"],
-    ["repair", "--config", "P-T-L", "--wall-clock", "nan"],
-], ids=[
-    "zero_delta", "bad_config_name", "negative_budget", "negative_budget_localize",
-    "negative_max_candidates", "negative_max_nte", "negative_wall_clock", "nan_wall_clock",
-])
+], ids=["bad_config_name", "negative_budget", "negative_budget_localize"])
 def test_unusable_arguments_are_exit_two(bundle_path, tmp_path, capsys, command):
     name, *flags = command
     assert main([name, bundle_path, *flags, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_repair_caps_flags(bundle_path, tmp_path):
-    code = main(["repair", bundle_path, "--config", "P-T-L",
-                 "--max-candidates", "0", "--out", str(tmp_path)])
-    assert code == 1  # no patch under a zero candidate cap
-    result = json.loads((tmp_path / "repair_result.json").read_text())
-    assert result["patched"] is False
-    assert result["npc"] == 0
-    assert result["stop_reason"] == "max_candidates"
+def test_repair_takes_no_wall_clock_cap(bundle_path, tmp_path, capsys):
+    """A repair stops only on counts, so there is no time cap to set."""
+    with pytest.raises(SystemExit) as exited:
+        main(["repair", bundle_path, "--config", "P-T-L", "--wall-clock", "5",
+              "--out", str(tmp_path)])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --wall-clock" in capsys.readouterr().err
+    assert not (tmp_path / "repair_result.json").exists()
 
 
 def test_experiment_csv_and_exit_codes(corpus_dir, tmp_path, capsys):
@@ -262,6 +256,23 @@ def test_slicer_takes_no_pass_cap(bundle_path, capsys, command):
         main([name, bundle_path, *flags, "--max-passes", "1"])
     assert exited.value.code == 2
     assert "unrecognized arguments: --max-passes" in capsys.readouterr().err
+
+
+def test_readme_names_only_existing_flags():
+    """Every --flag README gives for `reducto` is an option of some subcommand."""
+    sub = next(a for a in build_arg_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    known = {flag for p in sub.choices.values() for a in p._actions
+             for flag in a.option_strings}
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    named = {
+        flag
+        for line in readme.read_text(encoding="utf-8").splitlines()
+        if not line.lstrip().startswith(("pip ", "pytest"))
+        for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", line)
+    }
+    assert named, "README names no flags"
+    assert named <= known, sorted(named - known)
 
 
 def test_experiment_json_format(corpus_dir, tmp_path):

@@ -395,17 +395,26 @@ def test_lattice_report_matches_golden_csv(lattice_reports):
 def compare_cells(tmp_path, capsys, base, other, code=0) -> list[str]:
     """The row `reducto compare` prints for base's bundle: dRT%, dNTE%,
     dNPC%, dBR and same_loc."""
+    return compare_documents(
+        tmp_path, capsys, emit_report([base]), emit_report([other]),
+        base.config, other.config, base.bundle, code,
+    )
+
+
+def compare_documents(tmp_path, capsys, base, other, base_config, other_config,
+                      bundle, code=0) -> list[str]:
+    """``compare_cells`` over two report CSV documents."""
     paths = []
-    for name, report in (("base", base), ("other", other)):
+    for name, document in (("base", base), ("other", other)):
         path = tmp_path / f"{name}.csv"
-        path.write_text(emit_report([report]), encoding="utf-8")
+        path.write_text(document, encoding="utf-8")
         paths.append(str(path))
     capsys.readouterr()
     assert main([
-        "compare", *paths, "--base-config", base.config, "--other-config", other.config,
+        "compare", *paths, "--base-config", base_config, "--other-config", other_config,
     ]) == code
     out = capsys.readouterr().out.splitlines()
-    return next((line.split()[1:] for line in out if line.startswith(base.bundle + " ")), [])
+    return next((line.split()[1:] for line in out if line.startswith(bundle + " ")), [])
 
 
 def test_compare_reproduces_published_reduction_shapes(tmp_path, capsys):
@@ -439,8 +448,12 @@ def test_compare_requires_same_bundle(tmp_path, capsys):
 
 
 def test_compare_handles_missing_metrics(tmp_path, capsys):
-    base = fake_report()
-    other = fake_report(config="P-T-LP", patched=False, br=None, npc=None,
-                        nte=None, rt_ms=None, cost_proxy=None, patch_line=None,
-                        stop_reason="exhausted")
-    assert compare_cells(tmp_path, capsys, base, other) == ["-", "-", "-", "-", "-"]
+    # `compare` also reads report CSVs written elsewhere, which may leave
+    # metric cells empty
+    other = (
+        ",".join(CSV_COLUMNS) + "\n"
+        + "bx,P-T-LP,20442,836,4.1,2196,73,,,,,,false,,,,exhausted\n"
+    )
+    assert compare_documents(
+        tmp_path, capsys, emit_report([fake_report()]), other, "P-T-L", "P-T-LP", "bx",
+    ) == ["-", "-", "-", "-", "-"]

@@ -1,12 +1,16 @@
+import itertools
+from dataclasses import fields
+from types import SimpleNamespace
+
 import pytest
 
+from reducto import repair as repair_mod
 from reducto.faultloc import RankedLine, SuspiciousList, localize
 from reducto.harness import TestCase, TestSuite, run_suite
 from reducto.parser import parse
 from reducto.repair import (
     DeleteLine,
     InsertGuard,
-    RepairCaps,
     ReplaceLine,
     UnmappableEdit,
     apply_edit,
@@ -228,14 +232,18 @@ def test_generation_order_follows_rank_then_template(max3_program):
     assert all(l == 9 for l in lines[:boundary])
 
 
-def test_generation_cap():
-    p = program("fn f(a, b)\nif a < b\nreturn 1\nend\nreturn 0\nend\n")
-    suspicious = make_list([2])
-    full = list(generate_candidates(p, parse(p), suspicious))
-    assert len(full) > 5
-    capped = list(generate_candidates(p, parse(p), suspicious, RepairCaps(max_candidates=5)))
-    assert len(capped) == 5
-    assert [c.edit for c in capped] == [c.edit for c in full[:5]]
+def test_generation_cap(max3_program, max3_suite, monkeypatch):
+    # the third candidate is the patch (see test_repair_max3_hand_enumerated)
+    suspicious = localize(run_suite(max3_program, max3_suite))
+    monkeypatch.setattr(repair_mod, "MAX_CANDIDATES", 2)
+    capped = repair(max3_program, parse(max3_program), max3_suite, suspicious, ["t4"])
+    assert not capped.patched
+    assert capped.candidates_generated == capped.npc == 2
+    assert capped.stop_reason == "max_candidates"
+    monkeypatch.setattr(repair_mod, "MAX_CANDIDATES", 3)
+    reached = repair(max3_program, parse(max3_program), max3_suite, suspicious, ["t4"])
+    assert reached.candidates_generated == 3
+    assert reached.stop_reason == "patched"
 
 
 def test_first_candidate_is_first_instantiation_of_rank_one_line(max3_program, max3_suite):
@@ -250,8 +258,8 @@ def test_first_candidate_is_first_instantiation_of_rank_one_line(max3_program, m
 
 def test_candidate_program_reproducible_from_edit(max3_program, max3_suite):
     suspicious = localize(run_suite(max3_program, max3_suite))
-    candidates = generate_candidates(
-        max3_program, parse(max3_program), suspicious, RepairCaps(max_candidates=30)
+    candidates = itertools.islice(
+        generate_candidates(max3_program, parse(max3_program), suspicious), 30
     )
     for candidate in candidates:
         rebuilt = apply_edit(max3_program, candidate.line, candidate.edit)
@@ -322,8 +330,8 @@ def test_validation_order_failing_first_in_suite_order(max3_suite):
 def test_early_exit_soundness_sampled(max3_program, max3_suite):
     # Plausible iff a full no-early-exit rerun passes everything
     suspicious = localize(run_suite(max3_program, max3_suite))
-    candidates = generate_candidates(
-        max3_program, parse(max3_program), suspicious, RepairCaps(max_candidates=25)
+    candidates = itertools.islice(
+        generate_candidates(max3_program, parse(max3_program), suspicious), 25
     )
     for candidate in candidates:
         verdict = validate_patch(candidate, max3_suite, ["t4"]).verdict
@@ -356,22 +364,38 @@ def test_repair_max3_hand_enumerated(max3_program, max3_suite):
     assert result.stop_reason == "patched"
 
 
-def test_repair_cap_zero(max3_program, max3_suite):
+def test_repair_cap_zero(max3_program, max3_suite, monkeypatch):
     suspicious = localize(run_suite(max3_program, max3_suite))
-    result = repair(max3_program, parse(max3_program), max3_suite,
-                    suspicious, ["t4"], RepairCaps(max_candidates=0))
+    monkeypatch.setattr(repair_mod, "MAX_CANDIDATES", 0)
+    result = repair(max3_program, parse(max3_program), max3_suite, suspicious, ["t4"])
     assert not result.patched
     assert result.npc == 0 and result.nte == 0
     assert result.stop_reason == "max_candidates"
 
 
-def test_repair_nte_cap(max3_program, max3_suite):
+def test_repair_nte_cap(max3_program, max3_suite, monkeypatch):
     suspicious = localize(run_suite(max3_program, max3_suite))
-    result = repair(max3_program, parse(max3_program), max3_suite,
-                    suspicious, ["t4"], RepairCaps(max_nte=1))
+    monkeypatch.setattr(repair_mod, "MAX_NTE", 1)
+    result = repair(max3_program, parse(max3_program), max3_suite, suspicious, ["t4"])
     assert not result.patched
     assert result.stop_reason == "max_nte"
     assert result.nte >= 1
+
+
+def test_repair_result_does_not_depend_on_the_clock(max3_program, max3_suite, monkeypatch):
+    """A clock that jumps 1,000 s per read changes rt_ms and nothing else."""
+    # `return m` (line 9) yields only implausible candidates before the bug line
+    suspicious = make_list([9, MAX3_BUG_LINE])
+    ast = parse(max3_program)
+    real = repair(max3_program, ast, max3_suite, suspicious, ["t4"])
+    assert real.patched and real.npc > 3
+    ticks = itertools.count(0.0, 1000.0)
+    monkeypatch.setattr(repair_mod, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    slow = repair(max3_program, ast, max3_suite, suspicious, ["t4"])
+    assert slow.rt_ms >= 1000.0 * 1000.0
+    for field in fields(real):
+        if field.name != "rt_ms":
+            assert getattr(slow, field.name) == getattr(real, field.name), field.name
 
 
 def test_repair_empty_list(max3_program, max3_suite):

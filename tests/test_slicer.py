@@ -11,7 +11,6 @@ from reducto.slicer import (
     BaselineMismatch,
     LineMapping,
     NoFailingTests,
-    SliceSettings,
     build_criterion,
     candidate_accepts,
     deletion_log_json,
@@ -235,12 +234,14 @@ end
 """
 
 
-def test_guard_and_end_need_window_of_two():
+def test_guard_and_end_need_window_of_two(monkeypatch):
     p = program(GUARD_PAIR)
     baseline = value_criterion(p, "main", (1,), 3)  # computes 2
-    narrow = orbs_slice(p, baseline, SliceSettings(delta=1))
+    monkeypatch.setattr(slicer, "DELTA", 1)
+    narrow = orbs_slice(p, baseline)
     assert 3 not in narrow.deleted and 4 not in narrow.deleted
-    wide = orbs_slice(p, baseline, SliceSettings(delta=2))
+    monkeypatch.setattr(slicer, "DELTA", 2)
+    wide = orbs_slice(p, baseline)
     assert {3, 4} <= set(wide.deleted)
 
 
@@ -342,7 +343,7 @@ def test_fixpoint_rejects_every_window_up_to_delta(corpus_artifacts):
     slice_program = result.slice
     originals = list(result.mapping.original_lines())
     for start in range(1, len(slice_program) + 1):
-        for width in range(1, 4):
+        for width in range(1, slicer.DELTA + 1):
             if start + width - 1 > len(slice_program):
                 break
             cand = slice_program.without_lines(range(start, start + width))
