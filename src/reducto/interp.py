@@ -1,12 +1,35 @@
-"""Deterministic, budgeted interpreter for SLANG, lowered to Python closures.
+"""Deterministic, budgeted interpreter for SLANG, in two tiers.
 
-A function is lowered on its first call and cached in its ``Code`` for
-every later call and execution.  Each expression becomes a closure
-specialised on its operator, with a fast path for two ints; each statement
-becomes a closure that returns the index of the next one in the function's
-flat statement list, so loops run iteratively and only calls recurse.
-Execution is budgeted in statement steps and records per-line coverage
-and the ordered sequence of printed values.
+Tier 0 lowers a function to Python closures on its first call.  Each
+expression becomes a closure specialised on its operator, with a fast path
+for two ints; each statement becomes a closure that returns the index of
+the next one in the function's flat statement list, so loops run
+iteratively and only calls recurse.  Tier 1 is one generated Python
+function per hot SLANG function: SLANG variables become Python locals, and
+each step becomes straight-line Python with the same fast paths inline,
+calling tier 0's helpers (``_binary``, ``_index``, ``_unary``, ...) for
+every other case.  The two tiers take the same steps, cover the same lines
+and raise the same errors, so a run's result does not depend on which tier
+ran which call.  Execution is budgeted in statement steps and records
+per-line coverage and the ordered sequence of printed values.
+
+Function units.  A unit is one function as lowered, shared by every
+program of a ``Scope`` that holds the same function: its key is the raw
+texts of the function's lines, header to ``end``, and each callee's
+existence and arity, which its calls bake in.  Its steps' lines and its
+errors' lines are kept relative to the header, and placed where the
+calling program holds the function, so a function that a candidate edit
+left alone, or only shifted, is not lowered per candidate.  A scope keeps
+a unit once a second program holds its text, or once the unit is hot; the
+unit of a text met once, most often a candidate's own edit, goes with its
+program.  A scope is one slicer run, one configuration's repair or one
+compiled program; it starts cold, so it speeds up every configuration
+alike.
+
+Tiering up.  A unit counts its back-edges over every call in its scope.
+Once they reach TIER_UP_EDGES, its next call runs tier 1, generated and
+compiled then; a call already running stays in tier 0.  A function Python
+cannot compile, nested too deeply say, stays in tier 0.
 
 Semantics pinned down for reproducibility:
 
@@ -39,9 +62,11 @@ taken only when the budget left holds at least one more period.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,13 +90,20 @@ DETECT_AFTER = 2_000
 # about a third of a spell is found in the first spell after its run-up.
 SPELL_EDGES = 512
 
-# Python frames one SLANG call level holds at most: its statement loop, the
-# statement, and one closure per level of expression nesting down to the
-# call, which the parser bounds by MAX_EXPR_DEPTH.  The slack covers the
-# entry frames, the helpers a closure calls, and lowering a function on its
-# first call, which recurses once per level of block and expression nesting
-# (MAX_BLOCK_DEPTH + MAX_EXPR_DEPTH frames at most).
-_STACK_HEADROOM = MAX_CALL_DEPTH * (P.MAX_EXPR_DEPTH + 2) + 500
+# Back-edges a unit takes in tier 0, summed over its calls in one scope,
+# before its next call runs tier 1.  Generating and compiling a function
+# costs about as much as a few thousand tier-0 steps, which a unit that
+# looped this often is likely to take again; most units never get here.
+TIER_UP_EDGES = 256
+
+# Python frames one SLANG call level holds at most: in tier 0 its
+# statement loop, the statement, one closure per level of expression
+# nesting down to the call, which the parser bounds by MAX_EXPR_DEPTH, and
+# ``_invoke``; tier 1 takes two.  The slack covers the entry frames, the
+# helpers a closure calls, and lowering or generating a function on its
+# first or hot call, which recurses once per level of block and expression
+# nesting (MAX_BLOCK_DEPTH + MAX_EXPR_DEPTH frames at most).
+_STACK_HEADROOM = MAX_CALL_DEPTH * (P.MAX_EXPR_DEPTH + 3) + 500
 
 ERROR_KINDS = (
     "DivByZero",
@@ -93,8 +125,31 @@ class SlangError(Exception):
         self.message = message
 
 
+class _Fault(Exception):
+    """A SlangError whose line is still relative to its function's header;
+    the function it arose in places it on the way out."""
+
+    def __init__(self, kind: str, line: int, message: str):
+        super().__init__(kind, line, message)
+        self.kind = kind
+        self.line = line
+        self.message = message
+
+
+def _placed(fault: _Fault, lines: tuple) -> SlangError:
+    """``fault`` at its line in the program: ``lines[0]`` is the header's.
+    The fault loses its traceback, which holds the frame that raises the
+    error, and so would make the error a reference cycle."""
+    fault.__traceback__ = None
+    return SlangError(fault.kind, lines[0] + fault.line, fault.message)
+
+
 class _BudgetExhausted(Exception):
     pass
+
+
+def _exhausted():
+    raise _BudgetExhausted()
 
 
 class CallSetupError(Exception):
@@ -118,23 +173,112 @@ class ExecutionResult:
     steps: int
 
 
+class Scope:
+    """What the programs of one scope share: a slicer run, one
+    configuration's repair, or a single compiled program.  ``lines`` is the
+    line table ``parser.parse`` takes, and ``units`` holds each function
+    lowered once for every program that holds it (see ``Code.entry``).
+    A scope starts cold."""
+
+    __slots__ = ("lines", "units")
+
+    def __init__(self):
+        self.lines: dict = {}
+        self.units: dict = {}  # function text -> its units, one per callees' arities
+
+
 class Code:
     """Compiled form of an Ast, the only program form ``execute`` runs.
 
-    Each function is lowered to closures on its first call and kept here
-    for every later call and execution."""
+    Each function is linked to its scope's unit on its first call, and the
+    unit is placed at the function's lines; both are kept here for every
+    later call and execution."""
 
-    def __init__(self, ast: P.Ast):
+    def __init__(self, ast: P.Ast, scope: Scope):
         self.functions = ast.functions
-        self._lowered: dict = {}
+        self.scope = scope
+        self._entries: dict = {}
 
-    def lowered(self, name: str):
-        """The body of function ``name`` as one closure ``(run, env)``."""
-        return self._lowered.get(name) or self._lower(name)
+    def entry(self, name: str) -> tuple:
+        """(the unit of function ``name``, the line of each of its steps)."""
+        return self._entries.get(name) or self._link(name)
 
-    def _lower(self, name: str):
-        body = self._lowered[name] = _lower_function(self.functions[name], self.functions)
-        return body
+    def _link(self, name: str) -> tuple:
+        fn = self.functions[name]
+        known = self.scope.units.get(fn.text)
+        for unit in known or ():
+            if all(_arity(self.functions, callee) == arity for callee, arity in unit.callees):
+                break
+        else:
+            unit = _Unit(fn, _Callees(self.functions))
+            # Most texts are met once, a candidate's own edit say: the scope
+            # keeps a unit once a second program holds its text, or once it
+            # is hot, and so holds few that no later program will run.
+            if known is None:
+                self.scope.units[fn.text] = []
+            else:
+                known.append(unit)
+        entry = self._entries[name] = (unit, tuple(fn.line + offset for offset in unit.offsets))
+        return entry
+
+
+def _arity(functions: dict, name: str) -> int:
+    """The number of parameters of function ``name``; -1 when there is none."""
+    fn = functions.get(name)
+    return -1 if fn is None else len(fn.params)
+
+
+class _Callees(dict):
+    """The arity of each function a lowering calls, -1 for none, recorded
+    as it looks them up in ``functions``: the unit's key holds them."""
+
+    def __init__(self, functions: dict):
+        super().__init__()
+        self.functions = functions
+
+    def arity(self, name: str) -> int:
+        arity = self[name] = _arity(self.functions, name)
+        return arity
+
+
+class _Unit:
+    """One function lowered: tier 0 at once, tier 1 once it is hot.
+
+    ``call(run, lines, args)`` runs one call of it in ``run``, ``lines``
+    giving the line of each step where the program holds the function; it
+    is None when the next call is to tier up.
+    ``offsets`` are those lines relative to the header, and ``callees``
+    the (name, arity) of each function the unit calls, -1 for none.
+
+    Nothing the unit holds refers back to it but weakly: a scope's units
+    are freed as soon as the scope is, without the cyclic collector."""
+
+    __slots__ = ("fn", "callees", "offsets", "tier0", "call", "edges", "__weakref__")
+
+    def __init__(self, fn: P.Function, callees: _Callees):
+        self.fn = fn
+        self.edges = [0]  # back-edges taken in tier 0
+        offsets, steps = [0], [_goto(1)]
+        _lower_block(fn.body, fn.line, offsets, steps, callees, self)
+        self.callees = tuple(callees.items())
+        self.offsets = (*offsets, fn.end_line - fn.line)
+        self.tier0 = _tier0(fn.params, (*steps, _fall_off))
+        self.call = None if TIER_UP_EDGES <= 0 else self.tier0
+
+    def heat(self, scope: Scope) -> None:
+        """Tier up at the next call, which may come from a later program:
+        ``scope`` keeps the unit from now on."""
+        self.call = None
+        units = scope.units[self.fn.text]
+        if self not in units:
+            units.append(self)
+
+    def promote(self, scope: Scope):
+        """Tier 1 for this call and every later one, or tier 0 when the
+        generated function does not compile."""
+        self.heat(scope)
+        self.call = _generate(self) or self.tier0
+        return self.call
 
 
 class _Run:
@@ -155,11 +299,12 @@ class _Run:
         self.watch_at = budget - DETECT_AFTER  # back-edges watch once left <= this
         self.spell = SPELL_EDGES  # back-edges this spell still watches
         self.pause = DETECT_AFTER  # steps of the last pause
-        self.frames: dict = {}  # call depth -> (env, watches of its active loop nest)
+        self.frames: dict = {}  # call depth -> (the call, watches of its active loop nest)
 
 
 # ---------------------------------------------------------------------------
-# Full semantics, for the operands the closures' fast paths do not take
+# Full semantics, for the operands the fast paths of both tiers do not take.
+# Lines here are relative to the function's header.
 
 def _type_name(v) -> str:
     t = type(v)
@@ -213,7 +358,7 @@ def _binary(op: str, left, right, line: int):
             if lt is not rt:
                 left, right = float(left), float(right)
         elif lt is not str or rt is not str:
-            raise SlangError(
+            raise _Fault(
                 "TypeError", line, f"cannot order {_type_name(left)} and {_type_name(right)}"
             )
         return _PYTHON_OPS[op](left, right)
@@ -227,13 +372,13 @@ def _binary(op: str, left, right, line: int):
         if op not in _DIVISIONS:
             return wrap_int(_PYTHON_OPS[op](left, right))
         if right == 0:
-            raise SlangError("DivByZero", line, f"integer {_DIVISIONS[op]} by zero")
+            raise _Fault("DivByZero", line, f"integer {_DIVISIONS[op]} by zero")
         q = abs(left) // abs(right)
         q = -q if (left < 0) != (right < 0) else q
         return wrap_int(q if op == "/" else left - q * right)
     elif lt in _NUMERIC and rt in _NUMERIC:
         return _FLOAT_OPS[op](float(left), float(right))
-    raise SlangError(
+    raise _Fault(
         "TypeError", line, f"cannot apply {op!r} to {_type_name(left)} and {_type_name(right)}"
     )
 
@@ -241,39 +386,84 @@ def _binary(op: str, left, right, line: int):
 def _unary(op: str, v, line: int):
     if op == "not":
         if type(v) is not bool:
-            raise SlangError("TypeError", line, f"'not' needs bool, got {_type_name(v)}")
+            raise _Fault("TypeError", line, f"'not' needs bool, got {_type_name(v)}")
         return not v
     if type(v) is int or type(v) is float:
         return wrap_int(-v) if type(v) is int else -v
-    raise SlangError("TypeError", line, f"cannot negate {_type_name(v)}")
+    raise _Fault("TypeError", line, f"cannot negate {_type_name(v)}")
 
 
 def _index(base, index, line: int):
     if type(index) is not int:
-        raise SlangError("TypeError", line, f"index must be int, got {_type_name(index)}")
+        raise _Fault("TypeError", line, f"index must be int, got {_type_name(index)}")
     if type(base) is not list and type(base) is not tuple and type(base) is not str:
-        raise SlangError("TypeError", line, f"cannot index {_type_name(base)}")
+        raise _Fault("TypeError", line, f"cannot index {_type_name(base)}")
     if index < 0 or index >= len(base):
-        raise SlangError(
+        raise _Fault(
             "IndexOutOfBounds", line, f"index {index} out of bounds for length {len(base)}"
         )
     return base[index]
 
 
-def _call_error(functions: dict, name: str, nargs: int) -> Optional[tuple]:
-    """(kind, message) when ``name`` cannot be called with ``nargs`` arguments."""
-    fn = functions.get(name)
-    if fn is None:
+def _len(v, line: int) -> int:
+    if type(v) is list or type(v) is tuple or type(v) is str:
+        return len(v)
+    raise _Fault("TypeError", line, f"len() needs array or str, got {_type_name(v)}")
+
+
+def _bad_logic(op: str, v, line: int):
+    raise _Fault("TypeError", line, f"{op!r} needs bool, got {_type_name(v)}")
+
+
+def _bad_condition(v, line: int):
+    raise _Fault("TypeError", line, f"condition must be bool, got {_type_name(v)}")
+
+
+def _bad_index_assign(base, line: int):
+    raise _Fault("TypeError", line, f"cannot index-assign {_type_name(base)}")
+
+
+def _fail(kind: str, line: int, message: str, *evaluated):
+    """Raise once the operands an error follows have been ``evaluated``."""
+    raise _Fault(kind, line, message)
+
+
+def _observed(value, line: int):
+    """``value`` frozen where a print or the entry call's return observes
+    it; an array that contains itself cannot be observed."""
+    try:
+        return freeze(value)
+    except CyclicArray:
+        raise _Fault("CyclicArray", line, "array contains itself") from None
+
+
+def _call_error(name: str, arity: int, nargs: int) -> Optional[tuple]:
+    """(kind, message) when ``name``, a function of ``arity`` parameters or
+    none at -1, cannot be called with ``nargs`` arguments."""
+    if arity < 0:
         return "UndefinedVariable", f"function {name!r} is not defined"
-    if nargs != len(fn.params):
-        return "ArityMismatch", f"{name!r} takes {len(fn.params)} arguments, got {nargs}"
+    if nargs != arity:
+        return "ArityMismatch", f"{name!r} takes {arity} arguments, got {nargs}"
     return None
 
 
-# ---------------------------------------------------------------------------
-# Expressions: each becomes a closure ``(run, env) -> value``
+def _invoke(run, name: str, args: list):
+    """Call function ``name`` one level deeper, in its unit's tier."""
+    # Deep recursion is resource exhaustion, reported as a blown budget.
+    run.depth += 1
+    if run.depth > MAX_CALL_DEPTH:
+        raise _BudgetExhausted()
+    try:
+        unit, lines = run.code.entry(name)
+        return (unit.call or unit.promote(run.code.scope))(run, lines, args)
+    finally:
+        run.depth -= 1
 
-def _lower_expr(expr: P.Expr, line: int, functions: dict):
+
+# ---------------------------------------------------------------------------
+# Tier 0, expressions: each becomes a closure ``(run, env) -> value``
+
+def _lower_expr(expr: P.Expr, line: int, callees: _Callees):
     t = type(expr)
     if t is P.Lit:
         value = expr.value
@@ -285,18 +475,18 @@ def _lower_expr(expr: P.Expr, line: int, functions: dict):
             try:
                 return env[name]
             except KeyError:
-                raise SlangError("UndefinedVariable", line, f"undefined variable {name!r}") from None
+                raise _Fault("UndefinedVariable", line, f"undefined variable {name!r}") from None
         return var
     if t is P.Binary:
-        left = _lower_expr(expr.left, line, functions)
-        right = _lower_expr(expr.right, line, functions)
+        left = _lower_expr(expr.left, line, callees)
+        right = _lower_expr(expr.right, line, callees)
         return _lower_binary(expr.op, left, right, line)
     if t is P.Unary:
-        op, operand = expr.op, _lower_expr(expr.operand, line, functions)
+        op, operand = expr.op, _lower_expr(expr.operand, line, callees)
         return lambda run, env: _unary(op, operand(run, env), line)
     if t is P.Index:
-        base = _lower_expr(expr.base, line, functions)
-        index = _lower_expr(expr.index, line, functions)
+        base = _lower_expr(expr.base, line, callees)
+        index = _lower_expr(expr.index, line, callees)
 
         def index_(run, env):
             b = base(run, env)
@@ -306,16 +496,16 @@ def _lower_expr(expr: P.Expr, line: int, functions: dict):
             return _index(b, i, line)
         return index_
     if t is P.Len:
-        arg = _lower_expr(expr.arg, line, functions)
+        arg = _lower_expr(expr.arg, line, callees)
 
         def len_(run, env):
             v = arg(run, env)
-            if type(v) is list or type(v) is tuple or type(v) is str:
+            if type(v) is list:
                 return len(v)
-            raise SlangError("TypeError", line, f"len() needs array or str, got {_type_name(v)}")
+            return _len(v, line)
         return len_
     if t is P.ArrayLit:
-        items = tuple(_lower_expr(item, line, functions) for item in expr.items)
+        items = tuple(_lower_expr(item, line, callees) for item in expr.items)
 
         def array(run, env):
             values = []
@@ -323,7 +513,7 @@ def _lower_expr(expr: P.Expr, line: int, functions: dict):
                 values.append(item(run, env))
             return values
         return array
-    return _lower_call(expr, line, functions)
+    return _lower_call(expr, line, callees)
 
 
 def _lower_binary(op: str, left, right, line: int):
@@ -333,12 +523,12 @@ def _lower_binary(op: str, left, right, line: int):
         def logic(run, env):
             a = left(run, env)
             if type(a) is not bool:
-                raise SlangError("TypeError", line, f"{op!r} needs bool, got {_type_name(a)}")
+                _bad_logic(op, a, line)
             if a is stop:
                 return stop
             b = right(run, env)
             if type(b) is not bool:
-                raise SlangError("TypeError", line, f"{op!r} needs bool, got {_type_name(b)}")
+                _bad_logic(op, b, line)
             return b
         return logic
 
@@ -357,26 +547,18 @@ def _lower_binary(op: str, left, right, line: int):
     return binary
 
 
-def _lower_call(expr: P.Call, line: int, functions: dict):
+def _lower_call(expr: P.Call, line: int, callees: _Callees):
     name = expr.name
-    arguments = tuple(_lower_expr(arg, line, functions) for arg in expr.args)
-    error = _call_error(functions, name, len(arguments))
-    params = () if error else functions[name].params
+    arguments = tuple(_lower_expr(arg, line, callees) for arg in expr.args)
+    error = _call_error(name, callees.arity(name), len(arguments))
 
     def call(run, env):
         args = []  # a loop, not a comprehension: no extra frame per call level
         for argument in arguments:
             args.append(argument(run, env))
         if error:
-            raise SlangError(error[0], line, error[1])
-        # Deep recursion is resource exhaustion, reported as a blown budget.
-        run.depth += 1
-        if run.depth > MAX_CALL_DEPTH:
-            raise _BudgetExhausted()
-        try:
-            return run.code.lowered(name)(run, dict(zip(params, args)))
-        finally:
-            run.depth -= 1
+            raise _Fault(error[0], line, error[1])
+        return _invoke(run, name, args)
     return call
 
 
@@ -400,16 +582,18 @@ class _Watch:
         self.saved, self.left, self.printed, self.lam = state, run.left, len(run.output), 0
 
 
-def _watch(run: _Run, env: dict, loop: ControlSlice) -> None:
+def _watch(run: _Run, call, env: dict, loop: ControlSlice) -> None:
     """Feed the frame's state at ``loop``'s back-edge to the loop's watch,
-    and fast-forward the run when the state repeats."""
+    and fast-forward the run when the state repeats.  ``call`` is an
+    object one call alone holds, which tells a new call at the same depth
+    apart; ``env`` maps the frame's defined variables to their values."""
     run.spell -= 1
     if run.spell < 0:
         _pause(run)
         return
     frame = run.frames.get(run.depth)
-    if frame is None or frame[0] is not env:  # a new call at this depth
-        frame = run.frames[run.depth] = (env, [])
+    if frame is None or frame[0] is not call:  # a new call at this depth
+        frame = run.frames[run.depth] = (call, [])
     nest = frame[1]
     # Watched loops that do not contain this one have been left; re-entering
     # one takes a back-edge of a loop around it, which drops it here too.
@@ -459,28 +643,22 @@ def _fast_forward(run: _Run, watch: _Watch) -> None:
     run.watch_at = -1
 
 
-def _back_edge(loop: ControlSlice):
-    head = loop.head
+def _back_edge(loop: ControlSlice, unit: _Unit):
+    head, edges, owner = loop.head, unit.edges, weakref.ref(unit)
 
     def back_edge(run, env):
+        edges[0] += 1
+        if edges[0] == TIER_UP_EDGES:
+            owner().heat(run.code.scope)
         if run.left <= run.watch_at:
-            _watch(run, env, loop)
+            _watch(run, env, env, loop)
         return head
     return back_edge
 
 
 # ---------------------------------------------------------------------------
-# Statements: each becomes a closure ``(run, env) -> index of the next``;
-# a negative index ends the function, returning ``run.returned``.
-
-def _observed(value, line: int):
-    """``value`` frozen where a print or the entry call's return observes
-    it; an array that contains itself cannot be observed."""
-    try:
-        return freeze(value)
-    except CyclicArray:
-        raise SlangError("CyclicArray", line, "array contains itself") from None
-
+# Tier 0, statements: each becomes a closure ``(run, env) -> index of the
+# next``; a negative index ends the function, returning ``run.returned``.
 
 def _goto(target: int):
     return lambda run, env: target
@@ -493,13 +671,13 @@ def _branch(cond, line: int, then_pc: int, else_pc: int):
             return then_pc
         if c is False:
             return else_pc
-        raise SlangError("TypeError", line, f"condition must be bool, got {_type_name(c)}")
+        _bad_condition(c, line)
     return branch
 
 
-def _lower_stmt(stmt: P.Stmt, nxt: int, functions: dict):
-    t, line = type(stmt), stmt.line
-    expr = _lower_expr(stmt.expr, line, functions)
+def _lower_stmt(stmt: P.Stmt, line: int, nxt: int, callees: _Callees):
+    t = type(stmt)
+    expr = _lower_expr(stmt.expr, line, callees)
     if t is P.Return:
         def return_(run, env):
             value = expr(run, env)
@@ -521,18 +699,18 @@ def _lower_stmt(stmt: P.Stmt, nxt: int, functions: dict):
     if t is P.Assign:
         def assign(run, env):
             if name not in env:
-                raise SlangError("UndefinedVariable", line, f"assignment to undeclared {name!r}")
+                raise _Fault("UndefinedVariable", line, f"assignment to undeclared {name!r}")
             env[name] = expr(run, env)
             return nxt
         return assign
-    index = _lower_expr(stmt.index, line, functions)
+    index = _lower_expr(stmt.index, line, callees)
 
     def index_assign(run, env):
         if name not in env:
-            raise SlangError("UndefinedVariable", line, f"undefined variable {name!r}")
+            raise _Fault("UndefinedVariable", line, f"undefined variable {name!r}")
         base = env[name]
         if type(base) is not list:
-            raise SlangError("TypeError", line, f"cannot index-assign {_type_name(base)}")
+            _bad_index_assign(base, line)
         i = index(run, env)
         _index(base, i, line)
         base[i] = expr(run, env)
@@ -545,64 +723,411 @@ def _fall_off(run, env):
     return -1
 
 
-def _lower_block(block: tuple, lines: list, stmts: list, functions: dict) -> None:
-    """Append each step's closure to ``stmts`` and its line to ``lines``.
-    Not nested in _lower_function: a nested function calling itself is a
-    reference cycle, which would keep every closure alive until collected."""
-    def emit(line: int, stmt) -> int:
-        lines.append(line)
-        stmts.append(stmt)
-        return len(stmts) - 1
+def _lower_block(block: tuple, base: int, offsets: list, steps: list, callees: _Callees,
+                 unit: _Unit) -> None:
+    """Append each step's closure to ``steps`` and its line, relative to
+    the header line ``base``, to ``offsets``.  Not nested in _Unit: a
+    nested function calling itself is a reference cycle, which would keep
+    every closure alive until collected.  ``_Source`` lays the steps out
+    in the same order."""
+    def emit(line: int, step) -> int:
+        offsets.append(line - base)
+        steps.append(step)
+        return len(steps) - 1
 
     for stmt in block:
+        line = stmt.line - base
         if type(stmt) is P.If:
             at = emit(stmt.line, None)  # the branch, set once its targets are known
-            _lower_block(stmt.then_body, lines, stmts, functions)
-            false_target = len(stmts)
+            _lower_block(stmt.then_body, base, offsets, steps, callees, unit)
+            false_target = len(steps)
             if stmt.else_body is not None:
                 jump_at = emit(stmt.line, None)
                 false_target = emit(stmt.else_line, _goto(jump_at + 2))
-                _lower_block(stmt.else_body, lines, stmts, functions)
-                stmts[jump_at] = _goto(len(stmts))
-            emit(stmt.end_line, _goto(len(stmts) + 1))
-            cond = _lower_expr(stmt.cond, stmt.line, functions)
-            stmts[at] = _branch(cond, stmt.line, at + 1, false_target)
+                _lower_block(stmt.else_body, base, offsets, steps, callees, unit)
+                steps[jump_at] = _goto(len(steps))
+            emit(stmt.end_line, _goto(len(steps) + 1))
+            cond = _lower_expr(stmt.cond, line, callees)
+            steps[at] = _branch(cond, line, at + 1, false_target)
         elif type(stmt) is P.While:
             head = emit(stmt.line, None)
-            _lower_block(stmt.body, lines, stmts, functions)
-            emit(stmt.end_line, _back_edge(ControlSlice(stmt, head, len(stmts))))
-            cond = _lower_expr(stmt.cond, stmt.line, functions)
-            stmts[head] = _branch(cond, stmt.line, head + 1, len(stmts))
+            _lower_block(stmt.body, base, offsets, steps, callees, unit)
+            emit(stmt.end_line, _back_edge(ControlSlice(stmt, head, len(steps)), unit))
+            cond = _lower_expr(stmt.cond, line, callees)
+            steps[head] = _branch(cond, line, head + 1, len(steps))
         else:
-            emit(stmt.line, _lower_stmt(stmt, len(stmts) + 1, functions))
+            emit(stmt.line, _lower_stmt(stmt, line, len(steps) + 1, callees))
 
 
-def _lower_function(fn: P.Function, functions: dict):
-    """The function as one closure ``(run, env) -> return value``.
+def _tier0(params: tuple, steps: tuple):
+    """The function as one closure ``(run, lines, args) -> return value``.
 
     Every statement, ``else`` and ``end`` line is one step; so are the
     function's header and end lines and the jump over an ``else`` arm."""
-    lines, stmts = [fn.line], [_goto(1)]
-    _lower_block(fn.body, lines, stmts, functions)
-    lines_t, stmts_t = (*lines, fn.end_line), (*stmts, _fall_off)
-
-    def body(run, env):
+    def body(run, lines, args):
+        env = dict(zip(params, args))
         cover = run.covered.add
         pc = 0
-        while pc >= 0:
-            left = run.left
-            if left <= 0:
-                raise _BudgetExhausted()
-            run.left = left - 1
-            cover(lines_t[pc])
-            pc = stmts_t[pc](run, env)
+        try:
+            while pc >= 0:
+                left = run.left
+                if left <= 0:
+                    raise _BudgetExhausted()
+                run.left = left - 1
+                cover(lines[pc])
+                pc = steps[pc](run, env)
+        except _Fault as fault:
+            raise _placed(fault, lines) from None
         return run.returned
     return body
 
 
-def compile_ast(ast: P.Ast) -> Code:
-    """Compile an Ast once; every execution of the program reuses the result."""
-    return Code(ast)
+# ---------------------------------------------------------------------------
+# Tier 1: one generated Python function per hot unit
+
+_UNDEFINED = object()  # a tier-1 local whose SLANG variable no ``let`` defined yet
+
+
+def _env(names: tuple, values: tuple) -> dict:
+    """A tier-1 frame's defined variables, as tier 0 holds them."""
+    return {name: v for name, v in zip(names, values) if v is not _UNDEFINED}
+
+
+def _generate(unit: _Unit):
+    """Tier 1 of ``unit``, or None when Python cannot compile it: CPython
+    nests at most 20 loops, and its parser and compiler bound the depth of
+    the source and the stack they may take."""
+    source = _Source(unit)
+    try:
+        code = compile(source.function(), f"<tier 1 of {unit.fn.name}>", "exec")
+    except (SyntaxError, RecursionError, MemoryError):
+        return None
+    namespace = {  # every global the source names
+        "_BudgetExhausted": _BudgetExhausted, "_exhausted": _exhausted, "_Fault": _Fault,
+        "_placed": _placed, "_compress": itertools.compress, "_UNDEFINED": _UNDEFINED,
+        "_env": _env, "_watch": _watch, "_invoke": _invoke, "_observed": _observed,
+        "_binary": _binary, "_unary": _unary, "_index": _index, "_len": _len, "_fail": _fail,
+        "_bad_logic": _bad_logic, "_bad_condition": _bad_condition,
+        "_bad_index_assign": _bad_index_assign, **source.constants,
+    }
+    exec(code, namespace)
+    return namespace.pop("tier1")  # which holds the namespace: no cycle
+
+
+def _variable(name: str) -> str:
+    return "v_" + name  # no generated name starts with ``v_``
+
+
+class _Source:
+    """Python source of a unit's tier-1 function ``tier1(run, lines, args)``.
+
+    It takes the steps of tier 0 in the same order, so ``lines`` serves
+    both.  ``left``, the budget, is a local, written back to the run before
+    a call, a watch, a return or a raise; callees and watches change the
+    run's, which is read back after them.  A variable a ``let`` defines
+    starts as ``_UNDEFINED``, and a read or an assignment of it checks that
+    only where some path reaches it without the ``let``."""
+
+    def __init__(self, unit: _Unit):
+        fn = unit.fn
+        self.fn, self.base, self.arities = fn, fn.line, dict(unit.callees)
+        self.out: list[str] = []
+        self.pc = 0  # index of the next step
+        self.temps = 0
+        self.constants: dict = {}  # global name -> value
+        names = set()  # every variable the function names
+        for stmt in P.statements(fn.body):
+            if type(stmt) in (P.Let, P.Assign, P.IndexAssign):
+                names.add(stmt.name)
+            names.update(node.name for expr in P.expressions(stmt)
+                         for node in _nodes(expr) if type(node) is P.Var)
+        self.locals = (*fn.params, *sorted(names - set(fn.params)))
+
+    def function(self) -> str:
+        fn = self.fn
+        self.emit(0, "def tier1(run, lines, args):")
+        if fn.params:
+            self.emit(1, ", ".join(map(_variable, fn.params)) + ", = args")
+        if len(self.locals) > len(fn.params):
+            self.emit(1, " = ".join(map(_variable, self.locals[len(fn.params):])) + " = _UNDEFINED")
+        self.emit(1, "left = run.left")
+        self.emit(1, "seen = [0] * len(lines)")
+        self.emit(1, f"lo, hi = {INT_MIN}, {INT_MAX}")
+        self.emit(1, "try:")
+        self.step(2)  # the header
+        self.block(fn.body, 2, set(fn.params))
+        self.step(2)  # the end: falling off it returns integer zero
+        self.emit(2, "run.left = left")
+        self.emit(2, "return 0")
+        for caught, rethrow in (("_Fault as fault", "raise _placed(fault, lines) from None"),
+                                ("_BudgetExhausted", "raise")):
+            self.emit(1, f"except {caught}:")
+            self.emit(2, "if left < run.left:")  # else a callee raised, and set it
+            self.emit(3, "run.left = left")
+            self.emit(2, rethrow)
+        self.emit(1, "finally:")
+        self.emit(2, "run.covered.update(_compress(lines, seen))")
+        return "\n".join(self.out) + "\n"
+
+    # -- emitting -------------------------------------------------------
+
+    def emit(self, depth: int, text: str) -> None:
+        self.out.append(" " * depth + text)  # compile time grows with the text
+
+    def step(self, depth: int) -> int:
+        pc = self.pc
+        self.pc += 1
+        self.emit(depth, f"left = left - 1 if left > 0 else _exhausted(); seen[{pc}] = 1")
+        return pc
+
+    def evaluate(self, depth: int, exprs, code: list) -> None:
+        """Emit ``code``, which evaluates ``exprs``, with the budget synced
+        around it when one of them calls a function."""
+        calls = any(type(node) is P.Call for expr in exprs for node in _nodes(expr))
+        if calls:
+            self.emit(depth, "run.left = left")
+        for text in code:
+            self.emit(depth, text)
+        if calls:
+            self.emit(depth, "left = run.left")
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def constant(self, value) -> str:
+        if type(value) is bool:
+            return repr(value)
+        if type(value) is int:
+            return f"({value})" if value < 0 else repr(value)
+        name = f"k{len(self.constants)}"
+        self.constants[name] = value
+        return name
+
+    # -- statements -----------------------------------------------------
+
+    def block(self, block: tuple, depth: int, defined: set) -> Optional[set]:
+        """Emit ``block``; the variables defined after it, or None when
+        every path through it returns.  Statements after a return keep
+        their steps, as in tier 0, though no path reaches them."""
+        returns = False
+        for stmt in block:
+            after = self.statement(stmt, depth, defined)
+            if after is None:
+                returns = True
+            else:
+                defined = after
+        return None if returns else defined
+
+    def statement(self, stmt: P.Stmt, depth: int, defined: set) -> Optional[set]:
+        t, line = type(stmt), stmt.line - self.base
+        if t is P.If:
+            return self.if_(stmt, line, depth, defined)
+        if t is P.While:
+            self.while_(stmt, line, depth, defined)
+            return defined
+        self.step(depth)
+        if t is P.Return:
+            value = self.expr(stmt.expr, line, defined)
+            self.emit(depth, "run.left = left")
+            self.emit(depth, f"value = {value}")
+            self.emit(depth, "if run.depth == 1:")  # the entry call's result is observed
+            self.emit(depth + 1, f"value = _observed(value, {line})")
+            self.emit(depth, "return value")
+            return None
+        if t is P.Print:
+            value = self.expr(stmt.expr, line, defined)
+            self.evaluate(depth, (stmt.expr,), [f"run.output.append(_observed({value}, {line}))"])
+            return defined
+        name, target = stmt.name, _variable(stmt.name)
+        if t is not P.Let and name not in defined:
+            message = ("assignment to undeclared" if t is P.Assign else "undefined variable")
+            self.emit(depth, f"if {target} is _UNDEFINED: "
+                             f"_fail('UndefinedVariable', {line}, {f'{message} {name!r}'!r})")
+            defined = defined | {name}  # from here on, or the check raised
+        if t is not P.IndexAssign:
+            value = self.expr(stmt.expr, line, defined)
+            self.evaluate(depth, (stmt.expr,), [f"{target} = {value}"])
+            return defined | {name}
+        i = self.temp()
+        self.evaluate(depth, (stmt.index, stmt.expr), [
+            f"if type({target}) is not list: _bad_index_assign({target}, {line})",
+            f"{i} = {self.expr(stmt.index, line, defined)}",
+            f"if type({i}) is not int or not 0 <= {i} < len({target}): "
+            f"_index({target}, {i}, {line})",
+            f"{target}[{i}] = {self.expr(stmt.expr, line, defined)}",
+        ])
+        return defined
+
+    def condition(self, stmt, line: int, depth: int, defined: set) -> None:
+        self.evaluate(depth, (stmt.cond,), [f"c = {self.expr(stmt.cond, line, defined)}"])
+
+    def if_(self, stmt: P.If, line: int, depth: int, defined: set) -> Optional[set]:
+        self.step(depth)
+        self.condition(stmt, line, depth, defined)
+        self.emit(depth, "if c is True:")
+        then = self.block(stmt.then_body, depth + 1, defined)
+        if stmt.else_body is None:
+            self.emit(depth + 1, "pass")
+            self.emit(depth, "elif c is not False:")
+            self.emit(depth + 1, f"_bad_condition(c, {line})")
+            other = defined
+        else:
+            self.step(depth + 1)  # the jump over the else arm
+            self.emit(depth, "elif c is False:")
+            self.step(depth + 1)  # the else line
+            other = self.block(stmt.else_body, depth + 1, defined)
+            self.emit(depth, "else:")
+            self.emit(depth + 1, f"_bad_condition(c, {line})")
+        self.step(depth)  # the end line
+        if then is None or other is None:
+            return other if then is None else then
+        return then & other
+
+    def while_(self, stmt: P.While, line: int, depth: int, defined: set) -> None:
+        self.emit(depth, "while True:")
+        head = self.step(depth + 1)
+        self.condition(stmt, line, depth + 1, defined)
+        self.emit(depth + 1, "if c is not True:")
+        self.emit(depth + 2, "if c is False: break")
+        self.emit(depth + 2, f"_bad_condition(c, {line})")
+        self.block(stmt.body, depth + 1, defined)
+        loop = self.constant(ControlSlice(stmt, head, self.pc))
+        self.step(depth + 1)  # the back-edge
+        names = self.constant(self.locals)
+        values = "".join(_variable(name) + ", " for name in self.locals)
+        self.emit(depth + 1, "if left <= run.watch_at:")
+        self.emit(depth + 2, "run.left = left")
+        self.emit(depth + 2, f"_watch(run, args, _env({names}, ({values})), {loop})")
+        self.emit(depth + 2, "left = run.left")
+
+    # -- expressions ----------------------------------------------------
+
+    def atom(self, expr: P.Expr, defined: set) -> Optional[str]:
+        """Source for ``expr`` when evaluating it has no effect and cannot
+        fail: a literal, possibly negated, or a defined variable."""
+        t = type(expr)
+        if t is P.Lit:
+            return self.constant(expr.value)
+        if t is P.Var:
+            return _variable(expr.name) if expr.name in defined else None
+        if t is P.Unary and expr.op == "-" and type(expr.operand) is P.Lit:
+            v = expr.operand.value
+            if type(v) is int:
+                return self.constant(wrap_int(-v))
+            if type(v) is float:
+                return self.constant(-v)
+        return None
+
+    def operand(self, expr: P.Expr, line: int, defined: set) -> tuple:
+        """(source that evaluates ``expr`` and keeps its value, source
+        that reads the kept value)."""
+        atom = self.atom(expr, defined)
+        if atom is not None:
+            return atom, atom
+        t = self.temp()
+        return f"({t} := {self.expr(expr, line, defined)})", t
+
+    def known(self, expr: P.Expr) -> Optional[type]:
+        """The type of a literal, possibly negated; None for anything else."""
+        if type(expr) is P.Unary and expr.op == "-":
+            expr = expr.operand
+        return type(expr.value) if type(expr) is P.Lit else None
+
+    def expr(self, expr: P.Expr, line: int, defined: set) -> str:
+        atom = self.atom(expr, defined)
+        if atom is not None:
+            return atom
+        t = type(expr)
+        if t is P.Var:
+            message = repr(f"undefined variable {expr.name!r}")
+            v = _variable(expr.name)
+            undefined = f"_fail('UndefinedVariable', {line}, {message})"
+            return f"({v} if {v} is not _UNDEFINED else {undefined})"
+        if t is P.Binary:
+            if expr.op == "and" or expr.op == "or":
+                return self.logic(expr, line, defined)
+            return self.binary(expr, line, defined)
+        if t is P.Unary:
+            first, v = self.operand(expr.operand, line, defined)
+            if expr.op == "not":
+                return f"((not {v}) if type({first}) is bool else _unary('not', {v}, {line}))"
+            return f"(-{v} if type({first}) is int and {v} != lo else _unary('-', {v}, {line}))"
+        if t is P.Index:
+            return self.index(expr, line, defined)
+        if t is P.Len:
+            first, v = self.operand(expr.arg, line, defined)
+            return f"(len({v}) if type({first}) is list else _len({v}, {line}))"
+        if t is P.ArrayLit:
+            return "[" + ", ".join(self.expr(item, line, defined) for item in expr.items) + "]"
+        args = ", ".join(self.expr(arg, line, defined) for arg in expr.args)
+        error = _call_error(expr.name, self.arities[expr.name], len(expr.args))
+        if error:
+            return f"_fail({error[0]!r}, {line}, {error[1]!r}, {args})"
+        return f"_invoke(run, {expr.name!r}, [{args}])"
+
+    def binary(self, expr: P.Binary, line: int, defined: set) -> str:
+        op = expr.op
+        a_first, a = self.operand(expr.left, line, defined)
+        b_first, b = self.operand(expr.right, line, defined)
+        ta, tb = self.known(expr.left), self.known(expr.right)
+        if op not in _PYTHON_OPS or ta not in (None, int) or tb not in (None, int):
+            return f"_binary({op!r}, {a_first}, {b_first}, {line})"
+        # Each test evaluates both operands, in order, before it can fail.
+        if ta is None and tb is None:
+            test = f"type({a_first}) is type({b_first}) is int"
+        elif ta is None:
+            test = f"type({a_first}) is int"
+        elif tb is None:
+            test = f"type({b_first}) is int"
+        else:
+            test = "True"
+        slow = f"_binary({op!r}, {a}, {b}, {line})"
+        if op in ("+", "-", "*"):
+            r = self.temp()
+            return f"({r} if {test} and lo <= ({r} := {a} {op} {b}) <= hi else {slow})"
+        return f"({a} {op} {b} if {test} else {slow})"
+
+    def logic(self, expr: P.Binary, line: int, defined: set) -> str:
+        op = expr.op
+        a, b = self.temp(), self.temp()
+        left = self.expr(expr.left, line, defined)
+        right = self.expr(expr.right, line, defined)
+        checked = f"({b} if type({b} := {right}) is bool else _bad_logic({op!r}, {b}, {line}))"
+        bad = f"_bad_logic({op!r}, {a}, {line})"
+        if op == "and":
+            return f"({checked} if ({a} := {left}) is True else False if {a} is False else {bad})"
+        return f"(True if ({a} := {left}) is True else {checked} if {a} is False else {bad})"
+
+    def index(self, expr: P.Index, line: int, defined: set) -> str:
+        b_atom, i_atom = self.atom(expr.base, defined), self.atom(expr.index, defined)
+        if b_atom is None and i_atom is None:
+            base, index = self.expr(expr.base, line, defined), self.expr(expr.index, line, defined)
+            return f"_index({base}, {index}, {line})"
+        # The operand that may have an effect is tested first, so that it
+        # is evaluated, and before the other, whatever the tests find.
+        b_first, b = self.operand(expr.base, line, defined)
+        i_first, i = self.operand(expr.index, line, defined)
+        base_test, index_test = f"type({b_first}) is list", f"type({i_first}) is int"
+        tests = (index_test, base_test) if b_atom is not None else (base_test, index_test)
+        return (f"({b}[{i}] if {tests[0]} and {tests[1]} and 0 <= {i} < len({b}) "
+                f"else _index({b}, {i}, {line}))")
+
+
+def _nodes(expr: P.Expr):
+    """``expr`` and every expression nested in it."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += P.children(node)
+
+
+def compile_ast(ast: P.Ast, scope: Optional[Scope] = None) -> Code:
+    """Compile an Ast once; every execution of the program reuses the
+    result.  The programs compiled in one ``scope`` share its units; with
+    none, the program is a scope of its own."""
+    return Code(ast, Scope() if scope is None else scope)
 
 
 def execute(
@@ -617,7 +1142,7 @@ def execute(
     CallSetupError otherwise.  Identical inputs produce identical results,
     bit for bit.
     """
-    setup_error = _call_error(code.functions, function, len(args))
+    setup_error = _call_error(function, _arity(code.functions, function), len(args))
     if setup_error:
         raise CallSetupError(*setup_error)
     run = _Run(code, budget)
@@ -630,8 +1155,8 @@ def execute(
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + _STACK_HEADROOM)
     try:
-        env = dict(zip(code.functions[function].params, [thaw(a) for a in args]))
-        return_value = code.lowered(function)(run, env)
+        unit, lines = code.entry(function)
+        return_value = (unit.call or unit.promote(code.scope))(run, lines, [thaw(a) for a in args])
     except SlangError as exc:
         status = "runtime_error"
         error = (exc.kind, exc.line, exc.message)

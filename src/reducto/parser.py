@@ -427,6 +427,9 @@ class Function:
     body: tuple
     line: int
     end_line: int
+    # the raw texts of lines ``line`` to ``end_line``: what the function
+    # says, wherever it sits
+    text: tuple[str, ...] = ()
 
 
 def statements(block) -> Iterator[Stmt]:
@@ -623,7 +626,9 @@ def parse(program: SourceProgram, lines: Optional[dict] = None) -> Ast:
             opener, line, head, body, then_body, else_line = stack.pop()
             if opener == "fn":
                 name, params = head
-                functions[name] = Function(name, params, tuple(body), line, number)
+                functions[name] = Function(
+                    name, params, tuple(body), line, number, program.lines[line - 1:number]
+                )
                 continue
             if opener == "while":
                 stmt = While(line, head, tuple(body), number)

@@ -291,13 +291,16 @@ def validate_patch(
     suite: TestSuite,
     failing_ids,
     budget: int = interp.DEFAULT_BUDGET,
-    lines: Optional[dict] = None,
+    scope: Optional[interp.Scope] = None,
 ) -> ValidationResult:
     """Parse and compile the candidate once, then run failing tests first,
-    early exit at the first non-Pass, every execution counted.  ``lines``
-    is the caller's table of parsed lines (see ``parser.parse``)."""
+    early exit at the first non-Pass, every execution counted.  ``scope``
+    is the caller's (see ``interp.Scope``); without one, the candidate is
+    a scope of its own."""
+    if scope is None:
+        scope = interp.Scope()
     try:
-        code = interp.compile_ast(parse(candidate.program, lines))
+        code = interp.compile_ast(parse(candidate.program, scope.lines), scope)
     except ParseError:
         return ValidationResult(UNBUILDABLE_PATCH, 0)
     failing = set(failing_ids)
@@ -357,11 +360,11 @@ def repair(
     out, or ``MAX_CANDIDATES`` or ``MAX_NTE`` stops the search.  ``ast`` is
     ``program`` parsed, and ``failing_ids`` the tests that fail on it,
     which validation runs first.  Unbuildable candidates are skipped and
-    tallied separately from NPC.  The candidates share one line table,
-    which starts cold on every call.  The clock is read only for
+    tallied separately from NPC.  The candidates share one scope (see
+    ``interp.Scope``), which starts cold on every call.  The clock is read only for
     ``rt_ms``: every other field depends on counts alone."""
     started = time.perf_counter()
-    parsed: dict = {}
+    scope = interp.Scope()
     npc = 0
     nte = 0
     unbuildable = 0
@@ -375,7 +378,7 @@ def repair(
             stop = STOP_MAX_CANDIDATES
             break
         generated += 1
-        result = validate_patch(candidate, suite, failing_ids, budget, parsed)
+        result = validate_patch(candidate, suite, failing_ids, budget, scope)
         if result.verdict == UNBUILDABLE_PATCH:
             unbuildable += 1
             continue

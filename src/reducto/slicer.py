@@ -149,15 +149,18 @@ def candidate_accepts(
     candidate: SourceProgram,
     baseline: Baseline,
     line_map: Optional[LineMapping] = None,
-    lines: Optional[dict] = None,
+    scope: Optional[interp.Scope] = None,
 ) -> Acceptance:
     """Accept iff the candidate parses and reproduces the baseline exactly.
-    ``lines`` is the caller's table of parsed lines (see ``parser.parse``)."""
+    ``scope`` is the caller's (see ``interp.Scope``); without one, the
+    candidate is a scope of its own."""
+    if scope is None:
+        scope = interp.Scope()
     try:
-        ast = parse(candidate, lines)
+        ast = parse(candidate, scope.lines)
     except ParseError as exc:
         return Acceptance(False, "Unbuildable", f"line {exc.line}: {exc.reason}")
-    code = interp.compile_ast(ast)
+    code = interp.compile_ast(ast, scope)
     for test in baseline.tests:
         outcome = run_test(code, test, baseline.budget)
         if mapped_signature(test.id, outcome, line_map) != baseline.signature_for(test.id):
@@ -173,8 +176,8 @@ def orbs_slice(program: SourceProgram, baseline: Baseline) -> SliceResult:
     """
     n = len(program)
     identity = LineMapping.identity(n)
-    parsed: dict = {}  # one line table for the self-check and every window
-    self_check = candidate_accepts(program, baseline, identity, parsed)
+    scope = interp.Scope()  # one for the self-check and every window
+    self_check = candidate_accepts(program, baseline, identity, scope)
     if not self_check:
         raise BaselineMismatch(
             f"program does not reproduce its own baseline: {self_check.reason} "
@@ -198,7 +201,7 @@ def orbs_slice(program: SourceProgram, baseline: Baseline) -> SliceResult:
                 cand_originals = originals[: i - 1] + originals[i - 1 + width:]
                 cand = SourceProgram(tuple(cand_lines), program.id)
                 line_map = LineMapping.from_survivors(cand_originals)
-                if candidate_accepts(cand, baseline, line_map, parsed):
+                if candidate_accepts(cand, baseline, line_map, scope):
                     accepted_width = width
                     lines = cand_lines
                     originals = cand_originals
@@ -249,12 +252,12 @@ def minimality_check(
     if line_map is None:
         line_map = LineMapping.identity(n)
     originals = list(line_map.original_lines())
-    parsed: dict = {}
+    scope = interp.Scope()
     for i in range(1, n + 1):
         cand = slice_program.without_lines([i])
         cand_originals = originals[: i - 1] + originals[i:]
         cand_map = LineMapping.from_survivors(cand_originals)
-        if candidate_accepts(cand, baseline, cand_map, parsed):
+        if candidate_accepts(cand, baseline, cand_map, scope):
             return MinimalityReport(False, i)
     return MinimalityReport(True, None)
 

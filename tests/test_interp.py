@@ -286,6 +286,16 @@ def test_first_call_at_the_deepest_level_lowers_the_deepest_function(extra_frame
     assert (result.status, result.return_value) == ("completed", depth)
 
 
+@pytest.mark.parametrize("extra_frames", [0, 300])
+def test_first_call_at_the_deepest_level_generates_the_deepest_function(extra_frames, monkeypatch):
+    """Every function tiers up on its first call: generating the deepest
+    one, and failing to compile it, happens on top of the deepest stack."""
+    from reducto import interp
+
+    monkeypatch.setattr(interp, "TIER_UP_EDGES", 0)
+    test_first_call_at_the_deepest_level_lowers_the_deepest_function(extra_frames)
+
+
 def test_recursion_within_depth_works():
     text = """\
 fn fact(n)

@@ -1,5 +1,5 @@
-"""Differential test: the closure-lowered interpreter against the
-tree-walking reference kept in ``reference_interp.py``.
+"""Differential test: the two-tier interpreter against the tree-walking
+reference kept in ``reference_interp.py``.
 
 Every ExecutionResult field must agree, floats by bit pattern, on the
 corpus programs and tests, on every patch candidate the repair templates
@@ -8,6 +8,10 @@ budget around a looping function, and on random operands for every
 operator.  The reference never proves divergence, so the kernels and
 random loops at the end check that a fast-forwarded run ends exactly as
 running its budget out does.
+
+Each check runs at the default tier-up threshold, where a unit runs tier 0
+until it is hot, and again at ``interp.TIER_UP_EDGES = 0``, where every
+function runs tier 1 (the tests named ``..._in_tier_1``).
 """
 
 import contextlib
@@ -41,8 +45,31 @@ def _key(v):
 
 
 def compiled(ast) -> tuple:
-    """The program compiled for each interpreter: (closures, reference)."""
+    """The program compiled for each interpreter: (two-tier, reference)."""
     return interp.compile_ast(ast), ref.compile_ast(ast)
+
+
+@contextlib.contextmanager
+def tiering_up_at(edges: int):
+    """Compile and run with ``interp.TIER_UP_EDGES = edges``: at 0 every
+    unit runs tier 1 from its first call, at a huge value tier 0 only."""
+    saved = interp.TIER_UP_EDGES
+    interp.TIER_UP_EDGES = edges
+    try:
+        yield
+    finally:
+        interp.TIER_UP_EDGES = saved
+
+
+TIER_0_ONLY = 10**18
+
+
+def tier_ups(scope: interp.Scope) -> int:
+    """The units of ``scope`` that run tier 1."""
+    return sum(
+        unit.call is not None and unit.call is not unit.tier0
+        for units in scope.units.values() for unit in units
+    )
 
 
 def _observe(module, code, function, args, budget) -> tuple:
@@ -71,6 +98,11 @@ def test_corpus_programs_and_tests(corpus_bundles):
             assert_agree(codes, test.function, test.args)
 
 
+def test_corpus_programs_and_tests_in_tier_1(corpus_bundles):
+    with tiering_up_at(0):
+        test_corpus_programs_and_tests(corpus_bundles)
+
+
 def test_every_repair_candidate(corpus_bundles):
     statuses = set()
     for bundle in corpus_bundles:
@@ -82,6 +114,28 @@ def test_every_repair_candidate(corpus_bundles):
                 continue
             for test in bundle.suite:
                 statuses.add(assert_agree(codes, test.function, test.args, CANDIDATE_BUDGET))
+    assert statuses == {"completed", "runtime_error", "budget_exceeded"}
+
+
+def test_every_repair_candidate_in_tier_1(corpus_bundles):
+    """As ``repair`` runs them: the candidates of a bundle share one scope,
+    so each runs the units its unedited functions share with the others."""
+    statuses = set()
+    with tiering_up_at(0):
+        for bundle in corpus_bundles:
+            scope = interp.Scope()
+            suspicious = localize(run_suite(bundle.program, bundle.suite))
+            for candidate in generate_candidates(
+                bundle.program, parse(bundle.program), suspicious
+            ):
+                try:
+                    ast = parse(candidate.program, scope.lines)
+                except ParseError:
+                    continue
+                codes = interp.compile_ast(ast, scope), ref.compile_ast(ast)
+                for test in bundle.suite:
+                    statuses.add(assert_agree(codes, test.function, test.args, CANDIDATE_BUDGET))
+            assert tier_ups(scope) == sum(map(len, scope.units.values()))
     assert statuses == {"completed", "runtime_error", "budget_exceeded"}
 
 
@@ -108,6 +162,14 @@ end
 @pytest.mark.parametrize("budget", range(61))
 def test_every_budget_on_a_loop(budget):
     assert_agree(compiled(parse(program(LOOPING))), "f", (7,), budget)
+
+
+def test_every_budget_on_a_loop_in_tier_1():
+    """Budget exhaustion at every step of a call, tier 1 keeping its
+    budget in a local."""
+    with tiering_up_at(0):
+        for budget in range(61):
+            assert_agree(compiled(parse(program(LOOPING))), "f", (7,), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +202,17 @@ def test_every_form_on_every_edge_pair(body):
     for a in EDGES:
         for b in EDGES:
             assert_agree(_program(body), "f", (a, b))
+
+
+@pytest.mark.parametrize("body", BODIES)
+def test_every_form_on_every_edge_pair_in_tier_1(body):
+    """Every error kind, and every fast path and its way out to the full
+    semantics, in generated code."""
+    with tiering_up_at(0):
+        codes = compiled(parse(program(f"fn f(a, b)\n{body}\nend\n")))
+        for a in EDGES:
+            for b in EDGES:
+                assert_agree(codes, "f", (a, b))
 
 
 scalars = st.one_of(
@@ -837,6 +910,16 @@ def watching(after: int, spell: int = interp.SPELL_EDGES):
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_kernel_at_every_budget_with_detection_from_the_start(kernel):
+    _kernel_at_every_budget(kernel)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kernel_at_every_budget_in_tier_1(kernel):
+    with tiering_up_at(0):
+        _kernel_at_every_budget(kernel)
+
+
+def _kernel_at_every_budget(kernel):
     text, args = KERNELS[kernel]
     codes = compiled(parse(program(text)))
     forwarded = set()
@@ -863,6 +946,16 @@ def test_kernel_at_every_budget_with_detection_from_the_start(kernel):
 def test_kernel_with_short_spells_and_pauses(kernel):
     """Spells of a few back-edges, with pauses between them in which loops
     are left and entered unwatched."""
+    _kernel_with_short_spells(kernel)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kernel_with_short_spells_in_tier_1(kernel):
+    with tiering_up_at(0):
+        _kernel_with_short_spells(kernel)
+
+
+def _kernel_with_short_spells(kernel):
     text, args = KERNELS[kernel]
     codes = compiled(parse(program(text)))
     for after in (1, 3):
@@ -947,3 +1040,206 @@ def test_random_loops_with_detection_from_the_start():
 
     check()
     assert drifts  # the generator reaches fast-forwards proven by a drift
+
+
+def test_random_loops_in_tier_1():
+    drifts = []
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(text=loops(), a=st.integers(-3, 3), b=st.integers(-3, 3), budget=st.integers(0, 2000))
+    def check(text, a, b, budget):
+        codes = compiled(parse(program(text)))
+        with watching(0) as jumps:
+            assert_agree(codes, "f", (a, b), budget)
+        drifts.extend(jump for jump in jumps if jump[2])
+
+    with tiering_up_at(0):
+        check()
+    assert drifts
+
+
+# ---------------------------------------------------------------------------
+# Tiering up: where Python cannot compile, what a unit's key must hold, and
+# tier-ups inside a divergent run and at the deepest call level
+
+
+def _agree_in_every_tier(text: str, args: tuple, budgets=(interp.DEFAULT_BUDGET,)) -> None:
+    """Tier 0 only, tier 1 from the first call, and the reference agree."""
+    for edges in (TIER_0_ONLY, 0):
+        with tiering_up_at(edges):
+            codes = compiled(parse(program(text)))
+            for budget in budgets:
+                assert_agree(codes, "f", args, budget)
+
+
+def _nested(opener: str, levels: int) -> str:
+    body = f"{opener}\n" * levels + "n = n - 1\n" + "end\n" * levels
+    return f"fn f(n)\n{body}return n\nend\n"
+
+
+@pytest.mark.parametrize("opener", ["while n > 0", "if n > 0"])
+def test_blocks_nested_as_deep_as_the_parser_allows(opener):
+    """CPython compiles at most 20 nested loops; a unit it cannot compile
+    stays in tier 0, and the result is the same whichever tier runs."""
+    from reducto.parser import MAX_BLOCK_DEPTH
+
+    text = _nested(opener, MAX_BLOCK_DEPTH)
+    with pytest.raises(ParseError):
+        parse(program(_nested(opener, MAX_BLOCK_DEPTH + 1)))
+    for n in (0, 1, 3):
+        _agree_in_every_tier(text, (n,), budgets=(interp.DEFAULT_BUDGET, 50, 150))
+
+
+# Each wraps the expression so far in one more level of nesting.
+WRAPPERS = ("({} + n)", "[{}, n][0]", "-({})", "({} * 3)", "({} - 1) % 7", "len([{}]) + {}")
+
+
+def _deep_expression(levels: int) -> str:
+    expr = "n"
+    for level in range(levels):
+        wrapper = WRAPPERS[level % len(WRAPPERS)]
+        expr = wrapper.format(expr, "n") if wrapper.count("{}") == 2 else wrapper.format(expr)
+    return expr
+
+
+def test_a_line_nested_as_deep_as_the_parser_allows():
+    from reducto.parser import MAX_EXPR_DEPTH
+
+    levels = 1
+    while True:
+        try:
+            parse(program(f"fn f(n)\nreturn {_deep_expression(levels + 1)}\nend\n"))
+        except ParseError as exc:
+            assert f"deeper than {MAX_EXPR_DEPTH}" in exc.reason
+            break
+        levels += 1
+    expr, shallower = _deep_expression(levels), _deep_expression(levels - 2)
+    for body in (f"return {expr}", f"let x = {shallower} > 0 and {shallower} != n\nreturn x"):
+        for n in (0, 5, -3, 2**62, "s", True):
+            _agree_in_every_tier(f"fn f(n)\n{body}\nend\n", (n,))
+
+
+CALLER = """\
+fn f(n)
+let i = 0
+let total = 0
+while i < n
+total = total + g(i)
+i = i + 1
+end
+return total
+end
+"""
+
+
+def test_a_unit_key_holds_its_callees_arities():
+    """Programs holding byte-identical text for ``f`` share one scope.  Its
+    unit is shared only where ``g`` has the same arity: another arity, or
+    no ``g``, each need their own, and a shift by blank or comment lines
+    changes nothing, so ``f``, hot after the first program, runs tier 1 in
+    the shifted one.  Each program gets its own result, in its own lines."""
+    programs = [
+        ("tiers f up", CALLER + "fn g(x)\nreturn x * 2\nend\n", 300),
+        ("arity", CALLER + "fn g(x, y)\nreturn x\nend\n", 3),
+        ("deleted", CALLER, 3),
+        ("shifted", "\n# f moves down\n\n" + CALLER + "\nfn g(x)\nreturn x - 1\nend\n", 4),
+        ("shifted and deleted", "# f moves down\n" + CALLER, 3),
+    ]
+    f_text = tuple(CALLER.splitlines())
+    for edges in (interp.TIER_UP_EDGES, 0):
+        with tiering_up_at(edges):
+            scope = interp.Scope()
+            statuses = []
+            for _, text, n in programs:
+                ast = parse(program(text), scope.lines)
+                assert ast.functions["f"].text == f_text
+                new = _observe(interp, interp.compile_ast(ast, scope), "f", (n,),
+                               interp.DEFAULT_BUDGET)
+                assert new == _observe(ref, ref.compile_ast(ast), "f", (n,),
+                                       interp.DEFAULT_BUDGET)
+                result = dict(new)
+                statuses.append((result["status"][1], result["error_kind"][1],
+                                 result["error_line"][1]))
+            units = scope.units[f_text]
+            assert [unit.callees for unit in units] == [(("g", 1),), (("g", 2),), (("g", -1),)]
+            assert units[0].call is not units[0].tier0
+    assert statuses == [
+        ("completed", None, None),
+        ("runtime_error", "ArityMismatch", 5),
+        ("runtime_error", "UndefinedVariable", 5),
+        ("completed", None, None),
+        ("runtime_error", "UndefinedVariable", 6),
+    ]
+
+
+DIVERGES_LATE = """\
+fn f(k)
+let total = 0
+let j = 0
+while j < 30
+total = total + g(j)
+j = j + 1
+end
+return total + g(k)
+end
+fn g(n)
+let i = 0
+while i != n
+i = i + 1
+end
+return i
+end
+"""
+
+
+@pytest.mark.parametrize("args", [(-1,), (30,)])
+def test_a_unit_tiers_up_and_a_later_call_diverges(args):
+    """``g`` takes 435 back-edges in its first 30 calls, so later calls run
+    tier 1; with ``k = -1`` the last one never ends, which tier 1's watch
+    proves, by a drift, and fast-forwards."""
+    ast = parse(program(DIVERGES_LATE))
+    code = interp.compile_ast(ast)
+    with watching(interp.DETECT_AFTER) as jumps:
+        assert_agree((code, ref.compile_ast(ast)), "f", args, CANDIDATE_BUDGET)
+    unit, _ = code.entry("g")
+    assert unit.call is not unit.tier0
+    assert len(jumps) == (args == (-1,))
+
+
+DEEP_TIER_UP = """\
+fn f(n)
+if n == 0
+return hot(300) + hot(5)
+end
+return f(n - 1)
+end
+fn hot(m)
+let i = 0
+while i < m
+i = i + 1
+end
+return i
+end
+"""
+
+
+def _from_stack_depth(frames: int, call):
+    return call() if frames == 0 else _from_stack_depth(frames - 1, call)
+
+
+@pytest.mark.parametrize("extra_frames", [0, 300])
+def test_a_tier_up_at_the_deepest_call_level(extra_frames):
+    """``f(198)`` calls ``hot`` at call depth 200, the deepest a run
+    allows; its second call there is its first in tier 1, generated and
+    compiled on top of the deepest stack, below the caller's own frames.
+    ``f(199)`` calls it one level too deep, which ends the run first."""
+    ast = parse(program(DEEP_TIER_UP))
+    for n, status in ((interp.MAX_CALL_DEPTH - 2, "completed"),
+                      (interp.MAX_CALL_DEPTH - 1, "budget_exceeded")):
+        code = interp.compile_ast(ast)
+        got = _from_stack_depth(extra_frames, lambda: assert_agree(
+            (code, ref.compile_ast(ast)), "f", (n,)))
+        assert got == status
+        if status == "completed":
+            unit, _ = code.entry("hot")
+            assert unit.call is not None and unit.call is not unit.tier0

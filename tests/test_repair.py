@@ -398,6 +398,36 @@ def test_repair_result_does_not_depend_on_the_clock(max3_program, max3_suite, mo
             assert getattr(slow, field.name) == getattr(real, field.name), field.name
 
 
+def test_each_repair_call_starts_a_cold_scope(corpus_bundles, monkeypatch):
+    """Two repairs of the same inputs each lower their own units and tier
+    up as many of them, so the second is not sped up by the first."""
+    from reducto import experiment, interp
+
+    bundle = next(b for b in corpus_bundles if b.name == "b01_pick_max3")
+    artifacts = experiment.BundleArtifacts(bundle)
+    scopes = []
+
+    class RecordedScope(interp.Scope):
+        def __init__(self):
+            super().__init__()
+            scopes.append(self)
+
+    monkeypatch.setattr(interp, "Scope", RecordedScope)
+    results = [
+        repair(bundle.program, artifacts.asts["P"], artifacts.suite("T"),
+               artifacts.suspicious("L"), artifacts.failing_ids, artifacts.baseline.budget)
+        for _ in range(2)
+    ]
+    for field in fields(results[0]):
+        if field.name != "rt_ms":
+            assert getattr(results[0], field.name) == getattr(results[1], field.name), field.name
+    assert len(scopes) == 2 and scopes[0] is not scopes[1]
+    units = [[unit for group in scope.units.values() for unit in group] for scope in scopes]
+    tier_ups = [sum(unit.call not in (None, unit.tier0) for unit in group) for group in units]
+    assert len(units[0]) == len(units[1]) and not set(map(id, units[0])) & set(map(id, units[1]))
+    assert tier_ups[0] == tier_ups[1] > 0
+
+
 def test_repair_empty_list(max3_program, max3_suite):
     empty = SuspiciousList("L", ())
     result = repair(max3_program, parse(max3_program), max3_suite, empty, ["t4"])

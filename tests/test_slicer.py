@@ -271,9 +271,9 @@ def test_each_buildable_candidate_is_compiled_once(max3_program, max3_suite, mon
     verdicts = []
     compile_ast, accepts = interp.compile_ast, slicer.candidate_accepts
 
-    def counting_compile(ast):
+    def counting_compile(ast, *scope):
         compiles.append(ast)
-        return compile_ast(ast)
+        return compile_ast(ast, *scope)
 
     def recording_accepts(*args):
         verdict = accepts(*args)
