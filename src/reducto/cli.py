@@ -4,8 +4,8 @@ Subcommands mirror the pipeline stages: ``slice``, ``reduce-tests``,
 ``localize``, ``repair``, the full ``experiment`` lattice runner, a
 ``compare`` helper over two report CSVs, and ``make-corpus`` to write the
 seeded bundle corpus.  Exit codes: 0 success, 1 per-configuration failures
-present, 2 corpus, manifest or argument errors.  ``--budget`` is fixed when
-a bundle loads: every stage of that bundle runs at it.
+present, 2 corpus, manifest, report or argument errors.  ``--budget`` is
+fixed when a bundle loads: every stage of that bundle runs at it.
 """
 
 from __future__ import annotations
@@ -192,18 +192,32 @@ def cmd_experiment(args) -> int:
     return 1 if failures else 0
 
 
+# The report columns ``compare`` reads
+_COMPARE_COLUMNS = ("bundle", "config", "rt_ms", "nte", "npc", "br", "patch_line")
+
+
 def _read_report_csv(path: str) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+    """The rows of a report CSV; a UsageError when it is not UTF-8 CSV, lacks
+    a column ``compare`` reads, or has a row of another width."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in _COMPARE_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise UsageError(f"{path} has no column {', '.join(missing)}")
+            rows = []
+            for row in reader:
+                if None in row or None in row.values():
+                    raise UsageError(f"{path} line {reader.line_num}: not one cell per column")
+                rows.append(row)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+    return rows
 
 
 def cmd_compare(args) -> int:
-    try:
-        base_rows = _read_report_csv(args.base)
-        other_rows = _read_report_csv(args.other)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    base_rows = _read_report_csv(args.base)
+    other_rows = _read_report_csv(args.other)
     base_by_bundle = {r["bundle"]: r for r in base_rows if r["config"] == args.base_config}
     other_by_bundle = {r["bundle"]: r for r in other_rows if r["config"] == args.other_config}
     shared = sorted(set(base_by_bundle) & set(other_by_bundle))
@@ -215,7 +229,7 @@ def cmd_compare(args) -> int:
         try:
             base_val = float(base_row[column])
             other_val = float(other_row[column])
-        except (ValueError, KeyError):
+        except ValueError:
             return None
         if base_val == 0:
             return None

@@ -69,7 +69,11 @@ UNBUILDABLE = "Unbuildable"
 BUDGET_EXCEEDED = "BudgetExceeded"
 
 
-@dataclass(frozen=True)
+# One per test run, so slotted rather than frozen: a frozen dataclass's
+# ``__init__`` pays one ``object.__setattr__`` per field.  No one writes to
+# an outcome once it is returned.  The records built per suite or per
+# candidate stay frozen.
+@dataclass(slots=True)
 class Outcome:
     kind: str  # Pass | Fail | Errored | Unbuildable | BudgetExceeded
     covered: frozenset

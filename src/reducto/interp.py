@@ -161,7 +161,10 @@ class CallSetupError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
+# One per execution, so slotted rather than frozen: a frozen dataclass's
+# ``__init__`` pays one ``object.__setattr__`` per field.  No one writes to
+# a result once it is returned.
+@dataclass(slots=True)
 class ExecutionResult:
     status: str  # "completed" | "runtime_error" | "budget_exceeded"
     return_value: object

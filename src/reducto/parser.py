@@ -59,6 +59,15 @@ class _LineError(Exception):
         self.reason = reason
 
 
+# Tokens, expressions, statements, functions and Asts are built per token,
+# per line and per parse, so they are slotted dataclasses, not frozen ones:
+# a frozen dataclass's ``__init__`` pays one ``object.__setattr__`` per
+# field.  Nothing may write to them all the same: the line table shares a
+# line's expression nodes with every program of the scope that holds the
+# line, and a test checks that no stage writes to a shared node.  Nothing
+# hashes them (slotted dataclasses with ``eq`` cannot be), and ``==`` still
+# tells a ``Let`` from an ``Assign`` with equal fields.
+
 # ---------------------------------------------------------------------------
 # Tokens
 
@@ -77,7 +86,7 @@ _TOKEN_RE = re.compile(
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # float | int | name | str | op
     text: str
@@ -121,51 +130,51 @@ def decode_string(token: Token) -> str:
 # ---------------------------------------------------------------------------
 # Expressions
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Expr:
     start: int
     end: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Lit(Expr):
     value: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ArrayLit(Expr):
     items: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Index(Expr):
     base: Expr
     index: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Call(Expr):
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Len(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Unary(Expr):
     op: str  # "-" | "not"
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Binary(Expr):
     op: str
     left: Expr
@@ -370,31 +379,31 @@ def parse_expr_tokens(tokens: list[Token]) -> Expr:
 # ---------------------------------------------------------------------------
 # Statements
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Stmt:
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Let(Stmt):
     name: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Assign(Stmt):
     name: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IndexAssign(Stmt):
     name: str
     index: Expr
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class If(Stmt):
     cond: Expr
     then_body: tuple
@@ -403,24 +412,24 @@ class If(Stmt):
     end_line: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class While(Stmt):
     cond: Expr
     body: tuple
     end_line: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Return(Stmt):
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Print(Stmt):
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Function:
     name: str
     params: tuple[str, ...]
@@ -457,7 +466,7 @@ def expressions(stmt: Stmt) -> tuple:
     return (stmt.expr,)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ast:
     functions: dict = field(default_factory=dict)  # name -> Function
 

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from reducto.cli import build_arg_parser, main
-from reducto.experiment import emit_report
+from reducto.experiment import CSV_COLUMNS, emit_report
 from reducto.harness import load_suite
 
+from conftest import fake_report
 from test_acceptance import strip_rt_column
 
 
@@ -315,6 +316,39 @@ def test_compare_over_two_reports(corpus_dir, tmp_path, capsys, subset_report):
     printed = capsys.readouterr().out
     assert "mean" in printed
     assert "b04_rate_of" in printed
+
+
+def _drop_column(document: str, column: str) -> str:
+    rows = list(csv.reader(document.splitlines()))
+    at = rows[0].index(column)
+    return "".join(",".join(row[:at] + row[at + 1:]) + "\n" for row in rows)
+
+
+REPORT = emit_report([fake_report()])
+
+
+MALFORMED_REPORTS = {
+    "latin_1": REPORT.replace("bx", "b\xe9").encode("latin-1"),
+    "oversized_field": (REPORT + "x" * (csv.field_size_limit() + 1) + "\n").encode(),
+    "short_row": (REPORT + "bx,P-T-L,1\n").encode(),
+    "long_row": (REPORT + "bx,P-T-L" + ",1" * len(CSV_COLUMNS) + "\n").encode(),
+    **{f"no_{column}": _drop_column(REPORT, column).encode()
+       for column in ("bundle", "config", "br", "patch_line", "rt_ms", "nte", "npc")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_REPORTS))
+def test_compare_rejects_a_malformed_report(tmp_path, capsys, name):
+    """Exit 1 would mean "no patch": a report compare cannot read is exit 2
+    with one error line, whichever side it is on."""
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text(REPORT, encoding="utf-8")
+    bad.write_bytes(MALFORMED_REPORTS[name])
+    for pair in ((good, bad), (bad, good)):
+        capsys.readouterr()
+        assert main(["compare", *map(str, pair)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err and err.count("\n") == 1, err
 
 
 def test_make_corpus_round_trip(tmp_path):

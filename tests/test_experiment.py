@@ -24,6 +24,7 @@ from reducto.cli import main
 from reducto.harness import MultiAssertTest
 from reducto.repair import edit_new_text
 from reducto.slicer import NoFailingTests
+from reducto.source import SourceProgram
 
 from conftest import fake_report
 from test_acceptance import strip_rt_column
@@ -191,6 +192,48 @@ def test_line_tables_are_scoped_to_a_slicer_run_and_a_repair(corpus_bundles, mon
         assert all(seen is table for seen, _ in parses), scope
         assert not any(table is other for other in tables), scope
         tables.append(table)
+
+
+def test_records_a_scope_shares_stay_unchanged(corpus_bundles, monkeypatch):
+    """Parse records are slotted, not frozen, so nothing but this test stops
+    a consumer writing to one.  After a bundle's slicer run and its eight
+    repairs, each line-table entry equals a fresh form of its line, each
+    unit's function equals a fresh parse of its text at the same lines, and
+    the Asts every configuration generates candidates from equal fresh
+    parses."""
+    from reducto import interp, parser
+
+    scopes = []
+
+    class RecordedScope(interp.Scope):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            scopes.append(self)
+
+    monkeypatch.setattr(interp, "Scope", RecordedScope)
+    bundle = next(b for b in corpus_bundles if b.name == "b03_series_sum")
+    artifacts = BundleArtifacts(bundle)
+    for config in viable_configs():
+        run_config(artifacts, config)
+
+    forms = units = 0
+    for scope in scopes:
+        for raw, form in scope.lines.items():
+            assert form == parser._line_form(raw), raw
+            forms += 1
+        for text, kept in scope.units.items():
+            for unit in kept:
+                fn = unit.fn
+                fresh = parser.parse(SourceProgram(("",) * (fn.line - 1) + text))
+                assert fn == fresh.functions[fn.name], text
+                units += 1
+    assert forms > 0 and units > 0
+    assert artifacts.asts == {
+        "P": parser.parse(bundle.program),
+        "Ps": parser.parse(artifacts.slice_result.slice),
+    }
 
 
 def test_bundle_artifacts_run_the_suite_on_the_slice_once(corpus_bundles, monkeypatch):
