@@ -46,6 +46,15 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _writable(path: str) -> None:
+    """A UsageError unless ``path`` can be opened for writing; a missing
+    file is created, an existing one keeps what it holds."""
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _usable(make, *args, **kwargs):
     """``make(*args, **kwargs)``; the ValueError it raises for a value it
     cannot take becomes a UsageError."""
@@ -178,6 +187,8 @@ def cmd_experiment(args) -> int:
         configs = list(viable_configs())
     else:
         configs = [_usable(config_by_name, n) for n in args.configs.split(",")]
+    if args.out:
+        _writable(args.out)
     bundles = _usable(load_corpus, args.corpus, budget=args.budget)
     started = time.perf_counter()
     reports = run_lattice(bundles, configs)

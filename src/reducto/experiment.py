@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -97,21 +97,9 @@ def all_configs() -> tuple[RepairConfig, ...]:
     )
 
 
-_VIABLE_ORDER = (
-    ("P", "T", "L"),
-    ("P", "T", "LR"),
-    ("P", "T", "LP"),
-    ("P", "Ts", "L"),
-    ("P", "Ts", "LR"),
-    ("P", "Ts", "LP"),
-    ("Ps", "Ts", "LR"),
-    ("Ps", "Ts", "LP"),
-)
-
-
 def viable_configs() -> tuple[RepairConfig, ...]:
     """The eight viable configurations, in report order."""
-    return tuple(RepairConfig(*combo) for combo in _VIABLE_ORDER)
+    return tuple(config for config in all_configs() if config.viable)
 
 
 def config_by_name(name: str) -> RepairConfig:
@@ -301,11 +289,7 @@ class RepairReport:
     stop_reason: str
 
 
-CSV_COLUMNS = (
-    "bundle", "config", "sloc_p", "sloc_ps", "slice_pct", "tss_t", "tss_ts",
-    "br", "npc", "nte", "rt_ms", "cost_proxy", "patched", "patch_line",
-    "same_location", "transferred", "stop_reason",
-)
+CSV_COLUMNS = tuple(field.name for field in fields(RepairReport))
 
 
 def _translate_list(suspicious: SuspiciousList, mapping: LineMapping) -> SuspiciousList:
@@ -425,25 +409,10 @@ def _cell(value) -> str:
 
 def report_row(report: RepairReport) -> dict:
     """Typed row used by both emitters; rt_ms is the only run-varying column."""
-    return {
-        "bundle": report.bundle,
-        "config": report.config,
-        "sloc_p": report.sloc_p,
-        "sloc_ps": report.sloc_ps,
-        "slice_pct": round(report.slice_pct, 1),
-        "tss_t": report.tss_t,
-        "tss_ts": report.tss_ts,
-        "br": report.br,
-        "npc": report.npc,
-        "nte": report.nte,
-        "rt_ms": round(report.rt_ms, 3),
-        "cost_proxy": report.cost_proxy,
-        "patched": report.patched,
-        "patch_line": report.patch_line,
-        "same_location": report.same_location,
-        "transferred": report.transferred,
-        "stop_reason": report.stop_reason,
-    }
+    row = {column: getattr(report, column) for column in CSV_COLUMNS}
+    row["slice_pct"] = round(report.slice_pct, 1)
+    row["rt_ms"] = round(report.rt_ms, 3)
+    return row
 
 
 def _sorted_reports(reports) -> list[RepairReport]:

@@ -15,16 +15,17 @@ per-line coverage and the ordered sequence of printed values.
 
 Function units.  A unit is one function as lowered, shared by every
 program of a ``Scope`` that holds the same function: its key is the raw
-texts of the function's lines, header to ``end``, and each callee's
-existence and arity, which its calls bake in.  Its steps' lines and its
-errors' lines are kept relative to the header, and placed where the
-calling program holds the function, so a function that a candidate edit
-left alone, or only shifted, is not lowered per candidate.  A scope keeps
-a unit once a second program holds its text, or once the unit is hot; the
-unit of a text met once, most often a candidate's own edit, goes with its
-program.  A scope is one slicer run, one configuration's repair or one
-compiled program; it starts cold, so it speeds up every configuration
-alike.
+texts of the function's lines, header to ``end``, alone.  A call is
+checked where it is made, by ``_invoke``, against the functions of the
+calling program, so a unit does not depend on the program's other
+functions.  Its steps' lines and its errors' lines are kept relative to
+the header, and placed where the calling program holds the function, so
+a function that a candidate edit left alone, or only shifted, is not
+lowered per candidate.  A scope keeps a unit once a second program holds
+its text, or once the unit is hot; the unit of a text met once, most
+often a candidate's own edit, goes with its program.  A scope is one
+slicer run, one configuration's repair or one compiled program; it
+starts cold, so it speeds up every configuration alike.
 
 Tiering up.  A unit counts its back-edges over every call in its scope.
 Once they reach TIER_UP_EDGES, its next call runs tier 1, generated and
@@ -187,7 +188,7 @@ class Scope:
 
     def __init__(self):
         self.lines: dict = {}
-        self.units: dict = {}  # function text -> its units, one per callees' arities
+        self.units: dict = {}  # function text -> its unit, None until kept
 
 
 class Code:
@@ -202,46 +203,25 @@ class Code:
         self.scope = scope
         self._entries: dict = {}
 
-    def entry(self, name: str) -> tuple:
-        """(the unit of function ``name``, the line of each of its steps)."""
+    def entry(self, name: str) -> Optional[tuple]:
+        """(the unit of function ``name``, the line of each of its steps);
+        None when the program has no such function."""
         return self._entries.get(name) or self._link(name)
 
-    def _link(self, name: str) -> tuple:
-        fn = self.functions[name]
-        known = self.scope.units.get(fn.text)
-        for unit in known or ():
-            if all(_arity(self.functions, callee) == arity for callee, arity in unit.callees):
-                break
-        else:
-            unit = _Unit(fn, _Callees(self.functions))
+    def _link(self, name: str) -> Optional[tuple]:
+        fn = self.functions.get(name)
+        if fn is None:
+            return None
+        units = self.scope.units
+        unit = units.get(fn.text)
+        if unit is None:
+            unit = _Unit(fn)
             # Most texts are met once, a candidate's own edit say: the scope
             # keeps a unit once a second program holds its text, or once it
             # is hot, and so holds few that no later program will run.
-            if known is None:
-                self.scope.units[fn.text] = []
-            else:
-                known.append(unit)
+            units[fn.text] = unit if fn.text in units else None
         entry = self._entries[name] = (unit, tuple(fn.line + offset for offset in unit.offsets))
         return entry
-
-
-def _arity(functions: dict, name: str) -> int:
-    """The number of parameters of function ``name``; -1 when there is none."""
-    fn = functions.get(name)
-    return -1 if fn is None else len(fn.params)
-
-
-class _Callees(dict):
-    """The arity of each function a lowering calls, -1 for none, recorded
-    as it looks them up in ``functions``: the unit's key holds them."""
-
-    def __init__(self, functions: dict):
-        super().__init__()
-        self.functions = functions
-
-    def arity(self, name: str) -> int:
-        arity = self[name] = _arity(self.functions, name)
-        return arity
 
 
 class _Unit:
@@ -250,31 +230,29 @@ class _Unit:
     ``call(run, lines, args)`` runs one call of it in ``run``, ``lines``
     giving the line of each step where the program holds the function; it
     is None when the next call is to tier up.
-    ``offsets`` are those lines relative to the header, and ``callees``
-    the (name, arity) of each function the unit calls, -1 for none.
+    ``offsets`` are those lines relative to the header.
 
     Nothing the unit holds refers back to it but weakly: a scope's units
     are freed as soon as the scope is, without the cyclic collector."""
 
-    __slots__ = ("fn", "callees", "offsets", "tier0", "call", "edges", "__weakref__")
+    __slots__ = ("fn", "offsets", "tier0", "call", "edges", "__weakref__")
 
-    def __init__(self, fn: P.Function, callees: _Callees):
+    def __init__(self, fn: P.Function):
         self.fn = fn
         self.edges = [0]  # back-edges taken in tier 0
         offsets, steps = [0], [_goto(1)]
-        _lower_block(fn.body, fn.line, offsets, steps, callees, self)
-        self.callees = tuple(callees.items())
+        _lower_block(fn.body, fn.line, offsets, steps, self)
         self.offsets = (*offsets, fn.end_line - fn.line)
         self.tier0 = _tier0(fn.params, (*steps, _fall_off))
         self.call = None if TIER_UP_EDGES <= 0 else self.tier0
 
     def heat(self, scope: Scope) -> None:
         """Tier up at the next call, which may come from a later program:
-        ``scope`` keeps the unit from now on."""
+        ``scope`` keeps the unit from now on, unless it keeps another unit
+        of the same text already."""
         self.call = None
-        units = scope.units[self.fn.text]
-        if self not in units:
-            units.append(self)
+        if scope.units[self.fn.text] is None:
+            scope.units[self.fn.text] = self
 
     def promote(self, scope: Scope):
         """Tier 1 for this call and every later one, or tier 0 when the
@@ -426,8 +404,7 @@ def _bad_index_assign(base, line: int):
     raise _Fault("TypeError", line, f"cannot index-assign {_type_name(base)}")
 
 
-def _fail(kind: str, line: int, message: str, *evaluated):
-    """Raise once the operands an error follows have been ``evaluated``."""
+def _fail(kind: str, line: int, message: str):
     raise _Fault(kind, line, message)
 
 
@@ -440,24 +417,30 @@ def _observed(value, line: int):
         raise _Fault("CyclicArray", line, "array contains itself") from None
 
 
-def _call_error(name: str, arity: int, nargs: int) -> Optional[tuple]:
-    """(kind, message) when ``name``, a function of ``arity`` parameters or
-    none at -1, cannot be called with ``nargs`` arguments."""
-    if arity < 0:
+def _call_error(functions: dict, name: str, nargs: int) -> Optional[tuple]:
+    """(kind, message) when ``functions`` hold no function ``name`` that
+    takes ``nargs`` arguments."""
+    fn = functions.get(name)
+    if fn is None:
         return "UndefinedVariable", f"function {name!r} is not defined"
-    if nargs != arity:
-        return "ArityMismatch", f"{name!r} takes {arity} arguments, got {nargs}"
+    if nargs != len(fn.params):
+        return "ArityMismatch", f"{name!r} takes {len(fn.params)} arguments, got {nargs}"
     return None
 
 
-def _invoke(run, name: str, args: list):
-    """Call function ``name`` one level deeper, in its unit's tier."""
+def _invoke(run, name: str, args: list, line: int):
+    """Call function ``name`` one level deeper, in its unit's tier, with
+    ``args`` evaluated at ``line`` of the caller."""
+    entry = run.code.entry(name)
+    if entry is None or len(args) != len(entry[0].fn.params):
+        kind, message = _call_error(run.code.functions, name, len(args))
+        raise _Fault(kind, line, message)
     # Deep recursion is resource exhaustion, reported as a blown budget.
     run.depth += 1
     if run.depth > MAX_CALL_DEPTH:
         raise _BudgetExhausted()
     try:
-        unit, lines = run.code.entry(name)
+        unit, lines = entry
         return (unit.call or unit.promote(run.code.scope))(run, lines, args)
     finally:
         run.depth -= 1
@@ -466,7 +449,7 @@ def _invoke(run, name: str, args: list):
 # ---------------------------------------------------------------------------
 # Tier 0, expressions: each becomes a closure ``(run, env) -> value``
 
-def _lower_expr(expr: P.Expr, line: int, callees: _Callees):
+def _lower_expr(expr: P.Expr, line: int):
     t = type(expr)
     if t is P.Lit:
         value = expr.value
@@ -481,15 +464,15 @@ def _lower_expr(expr: P.Expr, line: int, callees: _Callees):
                 raise _Fault("UndefinedVariable", line, f"undefined variable {name!r}") from None
         return var
     if t is P.Binary:
-        left = _lower_expr(expr.left, line, callees)
-        right = _lower_expr(expr.right, line, callees)
+        left = _lower_expr(expr.left, line)
+        right = _lower_expr(expr.right, line)
         return _lower_binary(expr.op, left, right, line)
     if t is P.Unary:
-        op, operand = expr.op, _lower_expr(expr.operand, line, callees)
+        op, operand = expr.op, _lower_expr(expr.operand, line)
         return lambda run, env: _unary(op, operand(run, env), line)
     if t is P.Index:
-        base = _lower_expr(expr.base, line, callees)
-        index = _lower_expr(expr.index, line, callees)
+        base = _lower_expr(expr.base, line)
+        index = _lower_expr(expr.index, line)
 
         def index_(run, env):
             b = base(run, env)
@@ -499,7 +482,7 @@ def _lower_expr(expr: P.Expr, line: int, callees: _Callees):
             return _index(b, i, line)
         return index_
     if t is P.Len:
-        arg = _lower_expr(expr.arg, line, callees)
+        arg = _lower_expr(expr.arg, line)
 
         def len_(run, env):
             v = arg(run, env)
@@ -508,7 +491,7 @@ def _lower_expr(expr: P.Expr, line: int, callees: _Callees):
             return _len(v, line)
         return len_
     if t is P.ArrayLit:
-        items = tuple(_lower_expr(item, line, callees) for item in expr.items)
+        items = tuple(_lower_expr(item, line) for item in expr.items)
 
         def array(run, env):
             values = []
@@ -516,7 +499,7 @@ def _lower_expr(expr: P.Expr, line: int, callees: _Callees):
                 values.append(item(run, env))
             return values
         return array
-    return _lower_call(expr, line, callees)
+    return _lower_call(expr, line)
 
 
 def _lower_binary(op: str, left, right, line: int):
@@ -550,18 +533,15 @@ def _lower_binary(op: str, left, right, line: int):
     return binary
 
 
-def _lower_call(expr: P.Call, line: int, callees: _Callees):
+def _lower_call(expr: P.Call, line: int):
     name = expr.name
-    arguments = tuple(_lower_expr(arg, line, callees) for arg in expr.args)
-    error = _call_error(name, callees.arity(name), len(arguments))
+    arguments = tuple(_lower_expr(arg, line) for arg in expr.args)
 
     def call(run, env):
         args = []  # a loop, not a comprehension: no extra frame per call level
         for argument in arguments:
             args.append(argument(run, env))
-        if error:
-            raise _Fault(error[0], line, error[1])
-        return _invoke(run, name, args)
+        return _invoke(run, name, args, line)
     return call
 
 
@@ -678,9 +658,9 @@ def _branch(cond, line: int, then_pc: int, else_pc: int):
     return branch
 
 
-def _lower_stmt(stmt: P.Stmt, line: int, nxt: int, callees: _Callees):
+def _lower_stmt(stmt: P.Stmt, line: int, nxt: int):
     t = type(stmt)
-    expr = _lower_expr(stmt.expr, line, callees)
+    expr = _lower_expr(stmt.expr, line)
     if t is P.Return:
         def return_(run, env):
             value = expr(run, env)
@@ -706,7 +686,7 @@ def _lower_stmt(stmt: P.Stmt, line: int, nxt: int, callees: _Callees):
             env[name] = expr(run, env)
             return nxt
         return assign
-    index = _lower_expr(stmt.index, line, callees)
+    index = _lower_expr(stmt.index, line)
 
     def index_assign(run, env):
         if name not in env:
@@ -726,8 +706,7 @@ def _fall_off(run, env):
     return -1
 
 
-def _lower_block(block: tuple, base: int, offsets: list, steps: list, callees: _Callees,
-                 unit: _Unit) -> None:
+def _lower_block(block: tuple, base: int, offsets: list, steps: list, unit: _Unit) -> None:
     """Append each step's closure to ``steps`` and its line, relative to
     the header line ``base``, to ``offsets``.  Not nested in _Unit: a
     nested function calling itself is a reference cycle, which would keep
@@ -742,24 +721,24 @@ def _lower_block(block: tuple, base: int, offsets: list, steps: list, callees: _
         line = stmt.line - base
         if type(stmt) is P.If:
             at = emit(stmt.line, None)  # the branch, set once its targets are known
-            _lower_block(stmt.then_body, base, offsets, steps, callees, unit)
+            _lower_block(stmt.then_body, base, offsets, steps, unit)
             false_target = len(steps)
             if stmt.else_body is not None:
                 jump_at = emit(stmt.line, None)
                 false_target = emit(stmt.else_line, _goto(jump_at + 2))
-                _lower_block(stmt.else_body, base, offsets, steps, callees, unit)
+                _lower_block(stmt.else_body, base, offsets, steps, unit)
                 steps[jump_at] = _goto(len(steps))
             emit(stmt.end_line, _goto(len(steps) + 1))
-            cond = _lower_expr(stmt.cond, line, callees)
+            cond = _lower_expr(stmt.cond, line)
             steps[at] = _branch(cond, line, at + 1, false_target)
         elif type(stmt) is P.While:
             head = emit(stmt.line, None)
-            _lower_block(stmt.body, base, offsets, steps, callees, unit)
+            _lower_block(stmt.body, base, offsets, steps, unit)
             emit(stmt.end_line, _back_edge(ControlSlice(stmt, head, len(steps)), unit))
-            cond = _lower_expr(stmt.cond, line, callees)
+            cond = _lower_expr(stmt.cond, line)
             steps[head] = _branch(cond, line, head + 1, len(steps))
         else:
-            emit(stmt.line, _lower_stmt(stmt, line, len(steps) + 1, callees))
+            emit(stmt.line, _lower_stmt(stmt, line, len(steps) + 1))
 
 
 def _tier0(params: tuple, steps: tuple):
@@ -833,7 +812,7 @@ class _Source:
 
     def __init__(self, unit: _Unit):
         fn = unit.fn
-        self.fn, self.base, self.arities = fn, fn.line, dict(unit.callees)
+        self.fn, self.base = fn, fn.line
         self.out: list[str] = []
         self.pc = 0  # index of the next step
         self.temps = 0
@@ -843,7 +822,7 @@ class _Source:
             if type(stmt) in (P.Let, P.Assign, P.IndexAssign):
                 names.add(stmt.name)
             names.update(node.name for expr in P.expressions(stmt)
-                         for node in _nodes(expr) if type(node) is P.Var)
+                         for node in P.nodes(expr) if type(node) is P.Var)
         self.locals = (*fn.params, *sorted(names - set(fn.params)))
 
     def function(self) -> str:
@@ -886,7 +865,7 @@ class _Source:
     def evaluate(self, depth: int, exprs, code: list) -> None:
         """Emit ``code``, which evaluates ``exprs``, with the budget synced
         around it when one of them calls a function."""
-        calls = any(type(node) is P.Call for expr in exprs for node in _nodes(expr))
+        calls = any(type(node) is P.Call for expr in exprs for node in P.nodes(expr))
         if calls:
             self.emit(depth, "run.left = left")
         for text in code:
@@ -1064,10 +1043,7 @@ class _Source:
         if t is P.ArrayLit:
             return "[" + ", ".join(self.expr(item, line, defined) for item in expr.items) + "]"
         args = ", ".join(self.expr(arg, line, defined) for arg in expr.args)
-        error = _call_error(expr.name, self.arities[expr.name], len(expr.args))
-        if error:
-            return f"_fail({error[0]!r}, {line}, {error[1]!r}, {args})"
-        return f"_invoke(run, {expr.name!r}, [{args}])"
+        return f"_invoke(run, {expr.name!r}, [{args}], {line})"
 
     def binary(self, expr: P.Binary, line: int, defined: set) -> str:
         op = expr.op
@@ -1117,15 +1093,6 @@ class _Source:
                 f"else _index({b}, {i}, {line}))")
 
 
-def _nodes(expr: P.Expr):
-    """``expr`` and every expression nested in it."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack += P.children(node)
-
-
 def compile_ast(ast: P.Ast, scope: Optional[Scope] = None) -> Code:
     """Compile an Ast once; every execution of the program reuses the
     result.  The programs compiled in one ``scope`` share its units; with
@@ -1145,7 +1112,7 @@ def execute(
     CallSetupError otherwise.  Identical inputs produce identical results,
     bit for bit.
     """
-    setup_error = _call_error(function, _arity(code.functions, function), len(args))
+    setup_error = _call_error(code.functions, function, len(args))
     if setup_error:
         raise CallSetupError(*setup_error)
     run = _Run(code, budget)

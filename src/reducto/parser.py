@@ -354,6 +354,16 @@ def children(expr: Expr) -> tuple:
     return ()
 
 
+def nodes(expr: Expr) -> Iterator[Expr]:
+    """``expr`` and every expression nested in it, in pre-order: a parent
+    before its children, children left to right."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += reversed(children(node))
+
+
 def _height(expr: Expr) -> int:
     """Nodes on the longest root-to-leaf path, counted without recursion."""
     height = 0

@@ -96,16 +96,6 @@ def edit_new_text(edit: Edit, original: str) -> str:
 # ---------------------------------------------------------------------------
 # Statement analysis
 
-def _walk_expr(expr: P.Expr):
-    """Every node of ``expr`` in pre-order: a parent before its children,
-    children left to right."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack += reversed(P.children(node))
-
-
 def _find_statement(ast: Ast, line: int):
     """(function, statement) at a line; None for headers/else/end/no code."""
     for fn in ast.functions.values():
@@ -144,7 +134,7 @@ def applicable_templates(program: SourceProgram, ast: Ast, line: int) -> list[In
 
     text = raw.strip()
     indent = raw[: len(raw) - len(raw.lstrip())]
-    nodes = [node for expr in P.expressions(stmt) for node in _walk_expr(expr)]
+    nodes = [node for expr in P.expressions(stmt) for node in P.nodes(expr)]
     structural = isinstance(stmt, (P.If, P.While))
     out: list[Instantiation] = []
 

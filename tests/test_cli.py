@@ -236,6 +236,22 @@ def test_experiment_missing_corpus_is_exit_two(tmp_path):
     assert main(["experiment", str(tmp_path / "nowhere")]) == 2
 
 
+def test_experiment_unwritable_out_is_exit_two_before_the_corpus_loads(
+    corpus_dir, tmp_path, capsys, monkeypatch
+):
+    from reducto import cli
+
+    def load_corpus(*args, **kwargs):
+        raise AssertionError("the corpus loaded")
+
+    monkeypatch.setattr(cli, "load_corpus", load_corpus)
+    for out in (tmp_path / "nowhere" / "r.csv", tmp_path):
+        assert main(["experiment", str(corpus_dir), "--configs", "P-T-L",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert not (tmp_path / "nowhere").exists()
+
+
 def test_corpus_commands_reject_a_negative_budget(corpus_dir, tmp_path, capsys):
     assert main(["experiment", str(corpus_dir), "--budget", "-1"]) == 2
     assert capsys.readouterr().err.count("error: budget must be >= 0") == 1

@@ -223,8 +223,8 @@ def test_records_a_scope_shares_stay_unchanged(corpus_bundles, monkeypatch):
         for raw, form in scope.lines.items():
             assert form == parser._line_form(raw), raw
             forms += 1
-        for text, kept in scope.units.items():
-            for unit in kept:
+        for text, unit in scope.units.items():
+            if unit is not None:
                 fn = unit.fn
                 fresh = parser.parse(SourceProgram(("",) * (fn.line - 1) + text))
                 assert fn == fresh.functions[fn.name], text

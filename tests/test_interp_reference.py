@@ -67,8 +67,8 @@ TIER_0_ONLY = 10**18
 def tier_ups(scope: interp.Scope) -> int:
     """The units of ``scope`` that run tier 1."""
     return sum(
-        unit.call is not None and unit.call is not unit.tier0
-        for units in scope.units.values() for unit in units
+        unit is not None and unit.call is not None and unit.call is not unit.tier0
+        for unit in scope.units.values()
     )
 
 
@@ -135,7 +135,7 @@ def test_every_repair_candidate_in_tier_1(corpus_bundles):
                 codes = interp.compile_ast(ast, scope), ref.compile_ast(ast)
                 for test in bundle.suite:
                     statuses.add(assert_agree(codes, test.function, test.args, CANDIDATE_BUDGET))
-            assert tier_ups(scope) == sum(map(len, scope.units.values()))
+            assert tier_ups(scope) == sum(unit is not None for unit in scope.units.values())
     assert statuses == {"completed", "runtime_error", "budget_exceeded"}
 
 
@@ -1132,12 +1132,13 @@ end
 """
 
 
-def test_a_unit_key_holds_its_callees_arities():
-    """Programs holding byte-identical text for ``f`` share one scope.  Its
-    unit is shared only where ``g`` has the same arity: another arity, or
-    no ``g``, each need their own, and a shift by blank or comment lines
-    changes nothing, so ``f``, hot after the first program, runs tier 1 in
-    the shifted one.  Each program gets its own result, in its own lines."""
+def test_one_unit_per_text_serves_every_callee():
+    """Programs holding byte-identical text for ``f`` share one scope, and
+    one unit of ``f`` serves them all: with ``g(x)``, with ``g(x, y)``,
+    with no ``g``, and shifted by blank or comment lines.  ``f``'s call of
+    ``g`` is checked where it is made, so each program gets its own result,
+    in its own lines, in both tiers, equal to the reference's.  ``f`` is
+    hot after the first program, so it runs tier 1 in the later ones."""
     programs = [
         ("tiers f up", CALLER + "fn g(x)\nreturn x * 2\nend\n", 300),
         ("arity", CALLER + "fn g(x, y)\nreturn x\nend\n", 3),
@@ -1149,27 +1150,27 @@ def test_a_unit_key_holds_its_callees_arities():
     for edges in (interp.TIER_UP_EDGES, 0):
         with tiering_up_at(edges):
             scope = interp.Scope()
-            statuses = []
+            statuses, units = [], []
             for _, text, n in programs:
                 ast = parse(program(text), scope.lines)
                 assert ast.functions["f"].text == f_text
-                new = _observe(interp, interp.compile_ast(ast, scope), "f", (n,),
-                               interp.DEFAULT_BUDGET)
+                code = interp.compile_ast(ast, scope)
+                new = _observe(interp, code, "f", (n,), interp.DEFAULT_BUDGET)
                 assert new == _observe(ref, ref.compile_ast(ast), "f", (n,),
                                        interp.DEFAULT_BUDGET)
                 result = dict(new)
                 statuses.append((result["status"][1], result["error_kind"][1],
                                  result["error_line"][1]))
-            units = scope.units[f_text]
-            assert [unit.callees for unit in units] == [(("g", 1),), (("g", 2),), (("g", -1),)]
+                units.append(code.entry("f")[0])
+            assert statuses == [
+                ("completed", None, None),
+                ("runtime_error", "ArityMismatch", 5),
+                ("runtime_error", "UndefinedVariable", 5),
+                ("completed", None, None),
+                ("runtime_error", "UndefinedVariable", 6),
+            ]
+            assert all(unit is scope.units[f_text] for unit in units)
             assert units[0].call is not units[0].tier0
-    assert statuses == [
-        ("completed", None, None),
-        ("runtime_error", "ArityMismatch", 5),
-        ("runtime_error", "UndefinedVariable", 5),
-        ("completed", None, None),
-        ("runtime_error", "UndefinedVariable", 6),
-    ]
 
 
 DIVERGES_LATE = """\

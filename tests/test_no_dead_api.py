@@ -20,7 +20,6 @@ PACKAGE = ROOT / "src" / "reducto"
 USERS = (PACKAGE, ROOT / "perfbench")
 
 ALLOWED = {
-    "all_configs": "acceptance criterion 08 enumerates all twelve configurations",
     "minimality_check": "acceptance criterion 02 checks the slicer's 1-minimality",
     "Ast.statement_lines": "tests pin the parser's line invariant with it",
     "verify_reduction": "tests check the suite reduction's postcondition with it",

@@ -422,7 +422,7 @@ def test_each_repair_call_starts_a_cold_scope(corpus_bundles, monkeypatch):
         if field.name != "rt_ms":
             assert getattr(results[0], field.name) == getattr(results[1], field.name), field.name
     assert len(scopes) == 2 and scopes[0] is not scopes[1]
-    units = [[unit for group in scope.units.values() for unit in group] for scope in scopes]
+    units = [[unit for unit in scope.units.values() if unit is not None] for scope in scopes]
     tier_ups = [sum(unit.call not in (None, unit.tier0) for unit in group) for group in units]
     assert len(units[0]) == len(units[1]) and not set(map(id, units[0])) & set(map(id, units[1]))
     assert tier_ups[0] == tier_ups[1] > 0
