@@ -186,7 +186,11 @@ def cmd_experiment(args) -> int:
     if args.configs == "all":
         configs = list(viable_configs())
     else:
-        configs = [_usable(config_by_name, n) for n in args.configs.split(",")]
+        names = args.configs.split(",")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise UsageError(f"--configs names {', '.join(repeated)} more than once")
+        configs = [_usable(config_by_name, n) for n in names]
     if args.out:
         _writable(args.out)
     bundles = _usable(load_corpus, args.corpus, budget=args.budget)
@@ -231,6 +235,10 @@ def cmd_compare(args) -> int:
     other_rows = _read_report_csv(args.other)
     base_by_bundle = {r["bundle"]: r for r in base_rows if r["config"] == args.base_config}
     other_by_bundle = {r["bundle"]: r for r in other_rows if r["config"] == args.other_config}
+    for path, config, rows in ((args.base, args.base_config, base_by_bundle),
+                               (args.other, args.other_config, other_by_bundle)):
+        if not rows:
+            raise UsageError(f"{path} has no rows for configuration {config}")
     shared = sorted(set(base_by_bundle) & set(other_by_bundle))
     if not shared:
         print("error: no shared bundles between the two reports", file=sys.stderr)

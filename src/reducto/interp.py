@@ -47,18 +47,29 @@ Semantics pinned down for reproducibility:
   budget: the result, printed values included, is the one running the
   budget out would give, bit for bit.
 
-Proving divergence.  Once a run has used DETECT_AFTER steps, every
-``while`` back-edge hands its frame's state to Brent's cycle detection.
-The state holds the exact value of each variable in the loop's control
-slice and only the type of every other variable the loop assigns (see
-``control_slice.py``).  The interpreter is deterministic, so two equal
-states at the same back-edge, with the loop never left in between, prove
-that the path between them repeats until the budget runs out.  So do two
-states that differ only in the ints of drifting variables, counters the
-loop only ever moves by a fixed step, when ``ControlSlice.drifts`` shows
-that no comparison they feed changes outcome, and no update turns back or
-wraps, anywhere the rest of the budget can take them.  Such a drift is
-taken only when the budget left holds at least one more period.
+Proving divergence.  Once a run has used DETECT_FRESH steps, if its
+entry function has not yet returned a call in its scope, or DETECT_AFTER
+steps otherwise, every ``while`` back-edge hands its frame's state to
+Brent's cycle detection.  The state holds the exact value of each
+variable in the loop's control slice and only the type of every other
+variable the loop assigns (see ``control_slice.py``).  The interpreter is
+deterministic, so two equal states at the same back-edge, with the loop
+never left in between, prove that the path between them repeats until
+the budget runs out.  So do two states that differ only in the ints of
+drifting variables, counters the loop only ever moves by a fixed step,
+when ``ControlSlice.drift`` shows that every period the budget left
+reaches into repeats the last one: no update turns back or wraps, and no
+comparison changes outcome.  Such a drift is taken only when the budget
+left holds at least one whole period.
+
+A watch pauses the run's watching, which changes no result, only how
+soon a proof comes.  A drift that does not outlast the budget pauses it
+for the periods it surely repeats, and a counter loop that will end
+within the budget (see ``ControlSlice.exit_pause``) for the passes it
+surely has left.  Either pause ends at a back-edge of the same loop,
+before the loop can have been left, so every watch of the run stays
+valid; the watches of loops nested in the paused one are dropped at its
+back-edge, as always.
 """
 
 from __future__ import annotations
@@ -79,13 +90,18 @@ DEFAULT_BUDGET = 100_000
 MAX_CALL_DEPTH = 200
 
 # Steps a run uses before its back-edges look for a repeated state.  Until
-# then a back-edge costs one comparison more.  It lies above the longest
-# terminating run of the benchmark workloads (1,446 steps) and far below
-# the default budget, which a divergent run otherwise spends in full.
+# then a back-edge costs one comparison more.  A run whose entry function
+# has not yet returned a call in its scope, most often a candidate's own
+# edit on its first test, watches after DETECT_FRESH steps: that is where
+# divergent runs are, and a divergent run otherwise spends the budget in
+# full.  Every other run has returned before and is likely to again; it
+# watches after DETECT_AFTER steps, far below the default budget.
+DETECT_FRESH = 200
 DETECT_AFTER = 2_000
 
 # A run watches in spells of this many back-edges, each followed by a
-# pause twice as long as the one before, the first as long as DETECT_AFTER.
+# pause twice as long as the one before, the first as long as the steps the
+# run took before its first watch.
 # So a loop whose state never repeats, a runaway counter say, costs a few
 # spells of states and not one state per back-edge, and a cycle of up to
 # about a third of a spell is found in the first spell after its run-up.
@@ -235,11 +251,12 @@ class _Unit:
     Nothing the unit holds refers back to it but weakly: a scope's units
     are freed as soon as the scope is, without the cyclic collector."""
 
-    __slots__ = ("fn", "offsets", "tier0", "call", "edges", "__weakref__")
+    __slots__ = ("fn", "offsets", "tier0", "call", "edges", "returned", "__weakref__")
 
     def __init__(self, fn: P.Function):
         self.fn = fn
         self.edges = [0]  # back-edges taken in tier 0
+        self.returned = False  # whether a call of it has returned normally
         offsets, steps = [0], [_goto(1)]
         _lower_block(fn.body, fn.line, offsets, steps, self)
         self.offsets = (*offsets, fn.end_line - fn.line)
@@ -270,16 +287,16 @@ class _Run:
         "watch_at", "spell", "pause", "frames",
     )
 
-    def __init__(self, code: Code, budget: int):
+    def __init__(self, code: Code, budget: int, after: int):
         self.code = code
         self.left = budget  # steps still allowed
         self.depth = 1  # the entry call
         self.covered: set[int] = set()
         self.output: list = []
         self.returned = None
-        self.watch_at = budget - DETECT_AFTER  # back-edges watch once left <= this
+        self.watch_at = budget - after  # back-edges watch once left <= this
         self.spell = SPELL_EDGES  # back-edges this spell still watches
-        self.pause = DETECT_AFTER  # steps of the last pause
+        self.pause = after  # steps of the last pause
         self.frames: dict = {}  # call depth -> (the call, watches of its active loop nest)
 
 
@@ -441,7 +458,9 @@ def _invoke(run, name: str, args: list, line: int):
         raise _BudgetExhausted()
     try:
         unit, lines = entry
-        return (unit.call or unit.promote(run.code.scope))(run, lines, args)
+        value = (unit.call or unit.promote(run.code.scope))(run, lines, args)
+        unit.returned = True
+        return value
     finally:
         run.depth -= 1
 
@@ -583,7 +602,14 @@ def _watch(run: _Run, call, env: dict, loop: ControlSlice) -> None:
     while nest and not nest[-1].loop.contains(loop):
         nest.pop()
     if not nest or nest[-1].loop is not loop:
-        nest.append(_Watch(loop, loop.state(env), run))
+        # A counter loop is not watched over the passes it surely has left,
+        # when the budget holds them; the pause ends at one of its own
+        # back-edges, so no watch misses the loop being left.
+        pause = loop.exit_pause(env)
+        if pause is None or pause > run.left:
+            nest.append(_Watch(loop, loop.state(env), run))
+        else:
+            run.watch_at = run.left - pause
         return
     watch = nest[-1]
     if watch.saved is None:  # given up: the state outgrew control_slice.MAX_STATE_ITEMS
@@ -591,13 +617,22 @@ def _watch(run: _Run, call, env: dict, loop: ControlSlice) -> None:
     state = loop.state(env)
     if state is None:
         watch.saved = None
-    elif state == watch.saved or (
-        # a drift proves only that the loop outlasts the budget left; it is
-        # taken when that spans a whole period, so the jump skips steps
-        run.left >= watch.left - run.left and loop.drifts(watch.saved, state, env, run.left)
-    ):
+    elif state == watch.saved:
         _fast_forward(run, watch)
     else:
+        # A drift proves the loop outlasts the budget when every period the
+        # budget reaches into repeats the last one: the jump skips the whole
+        # ones, and the rest of the budget runs the same steps as the part
+        # of a period it stands for.  When fewer repeat, the loop is not
+        # watched until they are over.
+        period = watch.left - run.left
+        whole = run.left // period
+        repeats = loop.drift(watch.saved, state, env, whole + 1)
+        if repeats > whole:
+            if whole:
+                _fast_forward(run, watch)
+            return
+        run.watch_at = run.left - repeats * period
         watch.lam += 1
         if watch.lam == watch.power:
             watch.power *= 2
@@ -1115,7 +1150,6 @@ def execute(
     setup_error = _call_error(code.functions, function, len(args))
     if setup_error:
         raise CallSetupError(*setup_error)
-    run = _Run(code, budget)
     status, return_value, error = "completed", None, (None, None, None)
     # The caller runs below the current limit, so raising it by the headroom
     # leaves the run at least that many frames, however deep the caller is.
@@ -1126,7 +1160,9 @@ def execute(
     sys.setrecursionlimit(limit + _STACK_HEADROOM)
     try:
         unit, lines = code.entry(function)
+        run = _Run(code, budget, DETECT_AFTER if unit.returned else DETECT_FRESH)
         return_value = (unit.call or unit.promote(code.scope))(run, lines, [thaw(a) for a in args])
+        unit.returned = True
     except SlangError as exc:
         status = "runtime_error"
         error = (exc.kind, exc.line, exc.message)

@@ -321,6 +321,31 @@ def test_config_subset_gives_the_full_lattice_rows(subset_report, lattice_report
     assert strip_rt_column(out.read_text()) == strip_rt_column(emit_report(wanted))
 
 
+def test_a_configuration_named_twice_is_a_usage_error(corpus_dir, tmp_path, capsys):
+    """Each configuration runs once, so naming one twice would report it
+    twice; it is exit 2 before the corpus loads."""
+    out = tmp_path / "report.csv"
+    code = main(["experiment", str(corpus_dir), "--configs", "P-T-L,Ps-Ts-LP,P-T-L",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err == "error: --configs names P-T-L more than once\n"
+
+
+def test_compare_names_the_report_without_the_configuration(tmp_path, capsys):
+    """A report with no rows for ``--base-config`` or ``--other-config`` is
+    exit 2, naming the file and the configuration, not the bundles."""
+    base, other = tmp_path / "base.csv", tmp_path / "other.csv"
+    base.write_text(REPORT, encoding="utf-8")
+    other.write_text(REPORT.replace(",P-T-L,", ",P-T-LR,"), encoding="utf-8")
+    for flags, missing in (([], f"{other} has no rows for configuration Ps-Ts-LP"),
+                           (["--base-config", "P-T-LR", "--other-config", "P-T-LR"],
+                            f"{base} has no rows for configuration P-T-LR")):
+        capsys.readouterr()
+        assert main(["compare", str(base), str(other), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {missing}\n"
+
+
 def test_compare_over_two_reports(corpus_dir, tmp_path, capsys, subset_report):
     base = tmp_path / "base.csv"
     other, code = subset_report

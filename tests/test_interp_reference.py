@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_interp as ref
 from reducto import interp
+from reducto.corpus import LIBRARY
 from reducto.control_slice import MAX_STATE_ITEMS, ControlSlice
 from reducto.faultloc import localize
 from reducto.harness import run_suite
@@ -851,6 +852,122 @@ end
     # to INT_MAX and ends the loop after 11 and 201 passes, three steps each.
     "counter_wraps_within_the_budget": (WRAPPING, (INT_MIN + 10,)),
     "counter_wraps_past_the_budget": (WRAPPING, (INT_MIN + 200,)),
+    # A loop that writes into an array it never assigns, by an
+    # index-assignment or through a call: the state must hold the items,
+    # not the array's identity, or the first two back-edges look alike.
+    "loop_index_assigns_into_an_array": ("""\
+fn f(n)
+let xs = [0]
+while xs[0] < n
+xs[0] = xs[0] + 1
+end
+return xs
+end
+""", (40,)),
+    "loop_calls_a_function_that_writes_its_argument": ("""\
+fn bump(ys)
+ys[0] = ys[0] + 1
+return 0
+end
+fn f(n)
+let xs = [0]
+let q = 0
+while xs[0] < n
+q = bump(xs)
+end
+return xs
+end
+""", (40,)),
+    # ``xs`` is one item long where ``i`` meets it, ten items long at every
+    # back-edge: its length is no invariant bound of the drifting ``i``.
+    "len_bound_of_an_array_the_loop_reassigns": ("""\
+fn f(n)
+let xs = [0]
+let i = 0
+let hits = 0
+while n > 0
+xs = [0]
+if i > len(xs)
+return hits
+end
+xs = [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+i = i + 1
+hits = hits + 1
+end
+return 0
+end
+""", (1,)),
+    # The inner loop's drift turns at i = 5, in a pass shorter than the
+    # others, and the loop ends; the outer loop enters it again, where the
+    # inner states repeat those of the last activation.  A pause that ran
+    # past the turn would miss the outer back-edge, which drops the inner
+    # loop's watch, and compare states of two activations.
+    "drift_turns_and_the_loop_is_entered_again": ("""\
+fn f(n)
+let k = 0
+let x = 0
+while k != n
+let i = 0
+let go = true
+while go
+i = i + 1
+if i != 5
+x = x + 0
+x = x + 0
+x = x + 0
+x = x + 0
+x = x + 0
+x = x + 0
+x = x + 0
+x = x + 0
+else
+go = false
+end
+end
+k = k + 1
+end
+return k
+end
+""", (3,)),
+    # ``g``'s loop returns in its second pass: had it been taken for a
+    # counter loop with 49 passes to go, the pause would outlast the call
+    # and the watches of ``f``'s divergent loop.
+    "caller_loop_diverges_around_a_callee_that_returns_early": ("""\
+fn g(k)
+let i = 0
+while i < 50
+if i == k
+return i
+end
+i = i + 1
+end
+return 0
+end
+fn f(n)
+let total = 0
+while n != 0
+total = total + g(1)
+end
+return total
+end
+""", (1,)),
+    # ``spin`` diverges for a positive argument, a call nested in ``f``.
+    "fresh_callee_diverges": ("""\
+fn spin(k)
+let t = 0
+while k > 0
+t = t + 1
+end
+return t
+end
+fn f(n)
+let i = 0
+while i < 3
+i = i + 1
+end
+return spin(n)
+end
+""", (2,)),
 }
 # Kernels that never end and that detection proves so, by a repeated state
 # or by a drift.  The other kernels end, or diverge unproven.
@@ -864,48 +981,68 @@ DETECTED = {
     "series_sum_counts_down", "series_sum_adds_minus_one",
     "counter_climbs_above_its_floor", "counter_steps_by_three",
     "counter_steps_by_a_parameter", "counter_moves_away_from_an_unequal_bound",
+    "fresh_callee_diverges", "caller_loop_diverges_around_a_callee_that_returns_early",
 }
 # Kernels whose counter drifts towards the end of the loop, or towards a
 # wrap that ends it, and the budgets below 400 at which a drift proves the
-# loop outlasts the budget.  The counter of the wrapping kernels stands at
-# INT_MIN + 10 - k at the k-th back-edge, step 3k + 2, with B - 3k - 2 steps
-# left: a drift holds while B <= 12 + 2k, and is taken when the budget left
-# spans the period since Brent's saved state (k = 2 for B in 11..16, k = 3
-# for 17 and 18, k = 4 for 20, k = 5 for 21 and 22).
+# loop outlasts the budget: every period the budget reaches into, the one
+# it ends in too, repeats the last.  A period repeats when the values its
+# comparisons may see, from its first to its last, keep their outcomes and
+# do not wrap.
+# * ``counter_reaches_its_bound`` takes 4 steps a pass from step 3 on, and
+#   ``i`` meets 60 in its 60th pass, which ends at step 243: from 15, where
+#   Brent's watch holds two states a period apart, to 238.
+# * The wrapping counter stands at INT_MIN + 10 - k after the k-th pass,
+#   which ends at step 3k + 2, and wraps in pass 11 (ending at 35), or in
+#   pass 201 for ``counter_wraps_past_the_budget``.
+# * The outer loop of ``loops_in_repeated_calls_end`` is a counter loop
+#   whose 11 passes left take at least 66 steps.  At 99 and 100 the budget
+#   ends first, which a drift proves; at larger budgets the loop goes
+#   unwatched until its last pass.
+# * The inner loop of ``drift_turns_and_the_loop_is_entered_again`` takes
+#   14 steps a pass until ``i`` meets 5; in each of its three activations a
+#   drift proves the budgets that end before that pass.
 OUTLASTED = {
-    "counter_reaches_its_bound": set(range(15, 174)) - set(range(135, 139)),
-    "counter_wraps_within_the_budget": {*range(11, 19), 20, 21, 22},
+    "counter_reaches_its_bound": set(range(15, 239)),
+    "counter_wraps_within_the_budget": set(range(11, 32)),
     "counter_wraps_past_the_budget": set(range(11, 400)),
+    "loops_in_repeated_calls_end": {99, 100},
+    "drift_turns_and_the_loop_is_entered_again": {
+        *range(48, 62), *range(117, 131), *range(186, 200)},
 }
 
 
 @contextlib.contextmanager
-def watching(after: int, spell: int = interp.SPELL_EDGES):
-    """Run with detection starting after ``after`` steps, in spells of
-    ``spell`` back-edges, and yield the list of (period, budget left,
-    whether a drift proved it) of every fast-forward."""
+def watching(after=None, spell: int = interp.SPELL_EDGES):
+    """Run with detection starting after ``after`` steps, whether the entry
+    function has returned before or not (by default, after the module's two
+    thresholds), in spells of ``spell`` back-edges, and yield the list of
+    (period, budget left, whether a drift proved it) of every fast-forward."""
     jumps = []
     drifted = []  # the drift just accepted, whose fast-forward follows
-    saved = interp._fast_forward, ControlSlice.drifts, interp.DETECT_AFTER, interp.SPELL_EDGES
-    forward, drifts = saved[:2]
+    saved = (interp._fast_forward, ControlSlice.drift, interp.SPELL_EDGES,
+             interp.DETECT_AFTER, interp.DETECT_FRESH)
+    forward, drift = saved[:2]
 
     def recording(run, watch):
         jumps.append((watch.left - run.left, run.left, bool(drifted)))
         drifted.clear()
         forward(run, watch)
 
-    def recording_drifts(loop, *args):
-        took = drifts(loop, *args)
-        if took:
+    def recording_drift(loop, saved, state, env, most):
+        repeats = drift(loop, saved, state, env, most)
+        if repeats == most and most > 1:
             drifted.append(loop)
-        return took
+        return repeats
 
-    interp._fast_forward, ControlSlice.drifts = recording, recording_drifts
-    interp.DETECT_AFTER, interp.SPELL_EDGES = after, spell
+    interp._fast_forward, ControlSlice.drift, interp.SPELL_EDGES = recording, recording_drift, spell
+    if after is not None:
+        interp.DETECT_AFTER = interp.DETECT_FRESH = after
     try:
         yield jumps
     finally:
-        interp._fast_forward, ControlSlice.drifts, interp.DETECT_AFTER, interp.SPELL_EDGES = saved
+        (interp._fast_forward, ControlSlice.drift, interp.SPELL_EDGES,
+         interp.DETECT_AFTER, interp.DETECT_FRESH) = saved
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -976,6 +1113,19 @@ def test_kernel_past_the_detection_threshold(kernel):
             assert_agree(codes, "f", args, budget)
         assert_agree(codes, "f", args, CANDIDATE_BUDGET)
     assert bool(jumps) == (kernel in DETECTED)
+
+
+@pytest.mark.parametrize("edges", [interp.TIER_UP_EDGES, 0])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kernel_around_the_default_thresholds(kernel, edges):
+    """The thresholds as shipped, on one compiled program: its runs watch
+    from DETECT_FRESH steps until one returns, from DETECT_AFTER after."""
+    text, args = KERNELS[kernel]
+    with tiering_up_at(edges):
+        codes = compiled(parse(program(text)))
+        fresh = interp.DETECT_FRESH
+        for budget in (*range(fresh - 10, fresh + 60), CANDIDATE_BUDGET):
+            assert_agree(codes, "f", args, budget)
 
 
 @pytest.mark.parametrize("kernel", [
@@ -1056,6 +1206,139 @@ def test_random_loops_in_tier_1():
     with tiering_up_at(0):
         check()
     assert drifts
+
+
+# ---------------------------------------------------------------------------
+# When a run starts watching, and what a watch costs, counted
+
+
+def test_a_function_that_never_returned_is_watched_early_run_after_run():
+    """``f(3)`` never ends, ``f(0)`` returns.  Until a call of ``f``
+    returns, each run watches from DETECT_FRESH steps and is proven within
+    a few periods of 3 steps; after one has, from DETECT_AFTER."""
+    ast = parse(program(KERNELS["counter_never_incremented"][0]))
+    codes = interp.compile_ast(ast), ref.compile_ast(ast)
+    steps = []
+    for n in (3, 3, 0, 3):
+        with watching() as jumps:
+            assert_agree(codes, "f", (n,), CANDIDATE_BUDGET)
+        steps.append(CANDIDATE_BUDGET - jumps[0][1] if jumps else None)
+    assert all(interp.DETECT_FRESH < n <= interp.DETECT_FRESH + 9 for n in steps[:2]), steps
+    assert steps[2] is None
+    assert interp.DETECT_AFTER < steps[3] <= interp.DETECT_AFTER + 9, steps
+
+
+@pytest.mark.parametrize("edges", [interp.TIER_UP_EDGES, 0])
+@pytest.mark.parametrize("kernel", sorted(DETECTED))
+def test_a_divergent_kernel_is_proven_soon_after_the_threshold(kernel, edges):
+    """Compiled afresh, so that ``f`` has not yet returned, each divergent
+    kernel is proven within three periods of DETECT_FRESH steps: no pause,
+    of its own loops or of a callee's, holds the proof back."""
+    text, args = KERNELS[kernel]
+    with tiering_up_at(edges), watching() as jumps:
+        assert_agree(compiled(parse(program(text))), "f", args, CANDIDATE_BUDGET)
+    ((period, left, _),) = jumps
+    assert CANDIDATE_BUDGET - left <= interp.DETECT_FRESH + 3 * period
+
+
+FRESH_CALLEE = """\
+fn spin(k)
+let t = 0
+while k > 0
+t = t + 1
+end
+return t
+end
+fn f(n)
+if n > 0
+return spin(n)
+end
+return 0
+end
+"""
+
+
+def test_a_fresh_callee_diverges_under_a_caller_that_returned_before():
+    """The entry function decides when a run starts watching: ``spin``
+    never returned, but ``f`` did, so ``f(2)`` is proven after
+    DETECT_AFTER steps, at every budget around it, in both tiers."""
+    ast = parse(program(FRESH_CALLEE))
+    around = range(interp.DETECT_AFTER - 5, interp.DETECT_AFTER + 25)
+    for edges in (interp.TIER_UP_EDGES, 0):
+        with tiering_up_at(edges):
+            codes = interp.compile_ast(ast), ref.compile_ast(ast)
+            assert assert_agree(codes, "f", (0,)) == "completed"
+            with watching() as jumps:
+                for budget in (*around, CANDIDATE_BUDGET):
+                    assert assert_agree(codes, "f", (2,), budget) == "budget_exceeded"
+            assert jumps[-1][1] <= CANDIDATE_BUDGET - interp.DETECT_AFTER
+
+
+# Inputs of 240 items for every corpus library function with a loop;
+# gcd_of takes F(91), the first Fibonacci number above 2**62, and F(90),
+# on which it takes 89 passes.
+_FIB = [0, 1]
+while _FIB[-1] < 2**62:
+    _FIB.append(_FIB[-1] + _FIB[-2])
+_ITEMS = list(range(-120, 120))
+LOOP_INPUTS = {
+    "sum_to": (240,), "fib_at": (240,), "count_pos": (_ITEMS,), "sum_arr": (_ITEMS,),
+    "max_arr": (_ITEMS,), "pow_int": (3, 240), "dot_of": (_ITEMS, _ITEMS),
+    "repeat_join": ("ab", 240), "gcd_of": (_FIB[-1], _FIB[-2]),
+}
+
+
+def _watch_work(name: str, after) -> tuple:
+    """(states built, back-edges watched) in one run of library function
+    ``name`` on its LOOP_INPUTS, freshly compiled, watching from ``after``."""
+    counts = [0, 0]
+    state, watch = ControlSlice.state, interp._watch
+
+    def counted_state(loop, env):
+        counts[0] += 1
+        return state(loop, env)
+
+    def counted_watch(*args):
+        counts[1] += 1
+        return watch(*args)
+
+    code = interp.compile_ast(parse(program("\n".join(LIBRARY[name]) + "\n")))
+    ControlSlice.state, interp._watch = counted_state, counted_watch
+    try:
+        with watching(after):
+            result = interp.execute(code, name, list(LOOP_INPUTS[name]))
+    finally:
+        ControlSlice.state, interp._watch = state, watch
+    assert result.status == "completed"
+    return tuple(counts)
+
+
+def test_every_corpus_loop_is_in_the_watch_work_table():
+    assert set(LOOP_INPUTS) == {name for name, lines in LIBRARY.items()
+                                if any(line.startswith("while ") for line in lines)}
+
+
+@pytest.mark.parametrize("after", [None, 0])
+@pytest.mark.parametrize("name", sorted(set(LOOP_INPUTS) - {"gcd_of"}))
+def test_a_counter_loop_builds_at_most_two_states(name, after):
+    """Watch work, counted rather than timed.  Every corpus loop but
+    gcd_of's is a counter loop, for which a run builds at most two states
+    per activation.  One whose passes all take the same steps is watched
+    at its first watched back-edge and at its last, which the pause between
+    them reaches exactly; an ``if`` in the body makes its passes uneven."""
+    states, watched = _watch_work(name, after)
+    assert states <= 2
+    if any(line.startswith("if ") for line in LIBRARY[name]):
+        assert watched <= 6
+    else:
+        assert watched == 2
+
+
+@pytest.mark.parametrize("after, bound", [(None, 50), (0, 89)])
+def test_an_unbounded_loop_builds_a_bounded_number_of_states(after, bound):
+    """gcd_of's loop is no counter loop: each of its 89 passes on these
+    inputs is watched, from the first after the threshold on."""
+    assert _watch_work("gcd_of", after) == (bound, bound)
 
 
 # ---------------------------------------------------------------------------
