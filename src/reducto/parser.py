@@ -11,6 +11,26 @@ operator and operand text exactly.  So what a line says does not depend on
 where it sits, and ``parse`` can take each line's form from a table that
 one scope (a slicer run, one configuration's repair) shares across the
 many programs it parses.
+
+Expressions bind, loosest first::
+
+    1  or
+    2  and
+       not       prefix; its operand is a level-3 expression
+    3  <  <=  >  >=  ==  !=
+    4  +  -
+    5  *  /  %
+       -         prefix; its operand is another ``-`` or an atom
+       x[i]      postfix indexing of an atom
+
+Every binary chain groups to the left: ``a - b - c`` is ``(a - b) - c``
+and ``a < b < c`` is ``(a < b) < c``.  ``not`` may start an expression or
+an operand of ``or``, ``and`` or ``not``, and nowhere else, so ``a == not
+b`` does not parse.  An expression nests at most ``MAX_EXPR_DEPTH``
+levels: each parenthesis, array, call argument, ``len`` argument, index
+and prefix operand is one level, and so is each node on the longest path
+down the tree.  An integer literal has at most as many digits as CPython
+converts (4,300 by default), and it wraps to 64 bits.
 """
 
 from __future__ import annotations
@@ -29,6 +49,12 @@ KEYWORDS = {
 
 RELATIONAL_OPS = ("<", "<=", ">", ">=", "==", "!=")
 ARITHMETIC_OPS = ("+", "-", "*", "/", "%")
+
+# Binary operators by precedence level, loosest first; see the docstring.
+_LEVELS = {
+    "or": 1, "and": 2, **dict.fromkeys(RELATIONAL_OPS, 3),
+    "+": 4, "-": 4, "*": 5, "/": 5, "%": 5,
+}
 
 # Deepest expression a line may hold: both the nesting of sub-expressions
 # the parser recurses into (parentheses, brackets, call arguments, prefix
@@ -73,12 +99,12 @@ class _LineError(Exception):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<float>\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
+    (?P<float>\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
   | (?P<int>\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<str>"(?:\\.|[^"\\])*")
   | (?P<op><=|>=|==|!=|[-+*/%<>()\[\],=])
+  | (?P<bad>\S)
     """,
     re.VERBOSE,
 )
@@ -95,17 +121,13 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise _LineError(f"unexpected character {text[pos]!r}")
-        pos = m.end()
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        tokens.append(Token(kind, m.group(), m.start(), m.end()))
+    # No alternative matches whitespace, so ``finditer`` skips it, and any
+    # other character the tokens do not cover is ``bad``.
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise _LineError(f"unexpected character {m.group()!r}")
+        tokens.append(Token(m.lastgroup, m.group(), m.start(), m.end()))
     return tokens
 
 
@@ -184,115 +206,85 @@ class Binary(Expr):
 
 
 class _ExprParser:
+    """Precedence climbing over one line's tokens.  Only an "op" token's
+    text is a bracket, comma or operator, and only a "name" token's is a
+    keyword, so a token's text alone tells what it is."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
         self.nesting = 0
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
+        if self.pos == len(self.tokens):
             raise _LineError("unexpected end of line in expression")
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect_op(self, text: str) -> Token:
+    def at(self, text: str) -> bool:
+        return self.pos < len(self.tokens) and self.tokens[self.pos].text == text
+
+    def expect(self, text: str) -> Token:
         tok = self.next()
-        if tok.kind != "op" or tok.text != text:
+        if tok.text != text:
             raise _LineError(f"expected {text!r}, found {tok.text!r}")
         return tok
 
-    def at_op(self, *texts: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "op" and tok.text in texts
-
-    def at_name(self, *names: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "name" and tok.text in names
-
-    def nested(self, parse_inner) -> Expr:
+    def parse(self, level: int = 1) -> Expr:
+        """One level of nesting: an expression whose binary operators bind at
+        ``level`` or tighter."""
         self.nesting += 1
         if self.nesting > MAX_EXPR_DEPTH:
             raise _LineError(f"expression nested deeper than {MAX_EXPR_DEPTH}")
-        expr = parse_inner()
+        expr = self.chain(level)
         self.nesting -= 1
         return expr
 
-    # precedence: or < and < not < comparisons < additive < multiplicative
-    # < unary minus < postfix indexing < atoms
-    def parse(self) -> Expr:
-        return self.nested(self.parse_or)
-
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.at_name("or"):
-            op = self.next()
-            right = self.parse_and()
-            left = Binary(left.start, right.end, "or", left, right, op.start, op.end)
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_not()
-        while self.at_name("and"):
-            op = self.next()
-            right = self.parse_not()
-            left = Binary(left.start, right.end, "and", left, right, op.start, op.end)
-        return left
-
-    def parse_not(self) -> Expr:
-        if self.at_name("not"):
-            op = self.next()
-            operand = self.nested(self.parse_not)
-            return Unary(op.start, operand.end, "not", operand)
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        left = self.parse_additive()
-        while self.at_op(*RELATIONAL_OPS):
-            op = self.next()
-            right = self.parse_additive()
-            left = Binary(left.start, right.end, op.text, left, right, op.start, op.end)
-        return left
-
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        while self.at_op("+", "-"):
-            op = self.next()
-            right = self.parse_multiplicative()
-            left = Binary(left.start, right.end, op.text, left, right, op.start, op.end)
-        return left
-
-    def parse_multiplicative(self) -> Expr:
-        left = self.parse_unary()
-        while self.at_op("*", "/", "%"):
-            op = self.next()
-            right = self.parse_unary()
-            left = Binary(left.start, right.end, op.text, left, right, op.start, op.end)
-        return left
-
-    def parse_unary(self) -> Expr:
-        if self.at_op("-"):
-            op = self.next()
-            operand = self.nested(self.parse_unary)
-            return Unary(op.start, operand.end, "-", operand)
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Expr:
-        expr = self.parse_atom()
-        while self.at_op("["):
-            self.next()
-            index = self.parse()
-            close = self.expect_op("]")
-            expr = Index(expr.start, close.end, expr, index)
-        return expr
-
-    def parse_atom(self) -> Expr:
+    def chain(self, level: int) -> Expr:
+        """An operand, then every binary operator of ``level`` or tighter
+        with its right operand, grouped to the left."""
         tok = self.next()
+        if tok.text == "not" and level <= 3:
+            operand = self.parse(3)
+            left = Unary(tok.start, operand.end, "not", operand)
+        elif tok.text == "-":
+            operand = self.parse(6)  # tighter than every binary operator
+            left = Unary(tok.start, operand.end, "-", operand)
+        else:
+            left = self.atom(tok)
+            while self.at("["):
+                self.pos += 1
+                index = self.parse()
+                close = self.expect("]")
+                left = Index(left.start, close.end, left, index)
+        tokens = self.tokens
+        while self.pos < len(tokens):
+            op = tokens[self.pos]
+            op_level = _LEVELS.get(op.text, 0)
+            if op_level < level:
+                break
+            self.pos += 1
+            right = self.chain(op_level + 1)
+            left = Binary(left.start, right.end, op.text, left, right, op.start, op.end)
+        return left
+
+    def items(self, close: str) -> tuple[tuple, Token]:
+        """Comma-separated expressions up to ``close``, and that token."""
+        items = []
+        if not self.at(close):
+            items.append(self.parse())
+            while self.at(","):
+                self.pos += 1
+                items.append(self.parse())
+        return tuple(items), self.expect(close)
+
+    def atom(self, tok: Token) -> Expr:
         if tok.kind == "int":
-            return Lit(tok.start, tok.end, wrap_int(int(tok.text)))
+            try:
+                value = int(tok.text)
+            except ValueError:  # more digits than CPython converts
+                raise _LineError("integer literal too long") from None
+            return Lit(tok.start, tok.end, wrap_int(value))
         if tok.kind == "float":
             return Lit(tok.start, tok.end, float(tok.text))
         if tok.kind == "str":
@@ -303,36 +295,22 @@ class _ExprParser:
             if tok.text == "false":
                 return Lit(tok.start, tok.end, False)
             if tok.text == "len":
-                self.expect_op("(")
+                self.expect("(")
                 arg = self.parse()
-                close = self.expect_op(")")
-                return Len(tok.start, close.end, arg)
+                return Len(tok.start, self.expect(")").end, arg)
             if tok.text in KEYWORDS:
                 raise _LineError(f"keyword {tok.text!r} cannot start an expression")
-            if self.at_op("("):
-                self.next()
-                args = []
-                if not self.at_op(")"):
-                    args.append(self.parse())
-                    while self.at_op(","):
-                        self.next()
-                        args.append(self.parse())
-                close = self.expect_op(")")
-                return Call(tok.start, close.end, tok.text, tuple(args))
+            if self.at("("):
+                self.pos += 1
+                args, close = self.items(")")
+                return Call(tok.start, close.end, tok.text, args)
             return Var(tok.start, tok.end, tok.text)
-        if tok.kind == "op" and tok.text == "(":
+        if tok.text == "(":
             inner = self.parse()
-            close = self.expect_op(")")
-            return replace(inner, start=tok.start, end=close.end)
-        if tok.kind == "op" and tok.text == "[":
-            items = []
-            if not self.at_op("]"):
-                items.append(self.parse())
-                while self.at_op(","):
-                    self.next()
-                    items.append(self.parse())
-            close = self.expect_op("]")
-            return ArrayLit(tok.start, close.end, tuple(items))
+            return replace(inner, start=tok.start, end=self.expect(")").end)
+        if tok.text == "[":
+            items, close = self.items("]")
+            return ArrayLit(tok.start, close.end, items)
         raise _LineError(f"unexpected token {tok.text!r}")
 
 
@@ -378,8 +356,8 @@ def _height(expr: Expr) -> int:
 def parse_expr_tokens(tokens: list[Token]) -> Expr:
     parser = _ExprParser(tokens)
     expr = parser.parse()
-    if parser.peek() is not None:
-        raise _LineError(f"trailing tokens after expression: {parser.peek().text!r}")
+    if parser.pos < len(tokens):
+        raise _LineError(f"trailing tokens after expression: {tokens[parser.pos].text!r}")
     # Every node takes at least one token, so a short line cannot be too deep.
     if len(tokens) > MAX_EXPR_DEPTH and _height(expr) > MAX_EXPR_DEPTH:
         raise _LineError(f"expression nested deeper than {MAX_EXPR_DEPTH}")

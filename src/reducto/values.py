@@ -91,9 +91,12 @@ def freeze(v: Any) -> FrozenValue:
 
 def thaw(v: Any) -> Value:
     """Deep-thaw a frozen value back into mutable runtime form."""
-    if not _is_array(v):
+    if type(v) is not list and type(v) is not tuple:
         return v
-    return _rebuild(v, _same, list)
+    for item in v:
+        if type(item) is list or type(item) is tuple:
+            return _rebuild(v, _same, list)
+    return list(v)
 
 
 def values_equal(a: Any, b: Any) -> bool:
@@ -209,9 +212,14 @@ def value_from_json(obj: Any) -> FrozenValue:
         return wrap_int(payload)
     if tag == "float":
         if isinstance(payload, str) and payload.startswith("0x"):
-            return float_from_bits(bytes.fromhex(payload[2:]))
-        if isinstance(payload, (int, float)) and not isinstance(payload, bool):
-            return float(payload)
+            raw = bytes.fromhex(payload[2:])
+            if len(raw) == 8:
+                return float_from_bits(raw)
+        elif isinstance(payload, (int, float)) and not isinstance(payload, bool):
+            try:
+                return float(payload)
+            except OverflowError:  # an integer beyond the largest double
+                pass
         raise ValueError(f"bad float literal: {payload!r}")
     if tag == "bool":
         if not isinstance(payload, bool):

@@ -175,6 +175,32 @@ def test_deeply_nested_test_argument_is_exit_two(bundle_path, tmp_path, capsys):
     _rejected_by_every_loading_command(bundle, capsys)
 
 
+def test_float_beyond_a_double_in_the_tests_is_exit_two(bundle_path, tmp_path, capsys):
+    bundle = _bundle_copy(bundle_path, tmp_path)
+    (bundle / "tests.json").write_text(
+        '[{"id": "t", "call": {"fn": "rate_of", "args": []}, '
+        '"expect": {"value": {"float": 1' + "0" * 400 + '}}}]'
+    )
+    for command in ("slice", "localize"):
+        capsys.readouterr()
+        assert main([command, str(bundle), "--out", str(tmp_path / "out")]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bundle / 'tests.json'}: bad float literal"), command
+        assert err.count("\n") == 1, command
+
+
+def test_integer_literal_beyond_cpython_digits_names_the_line(bundle_path, tmp_path, capsys):
+    bundle = _bundle_copy(bundle_path, tmp_path)
+    program = bundle / "program.sl"
+    program.write_text(program.read_text() + "fn big()\nreturn " + "9" * 4301 + "\nend\n")
+    for command in ("slice", "localize"):
+        capsys.readouterr()
+        assert main([command, str(bundle), "--out", str(tmp_path / "out")]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {program}: program does not parse: line 74: "
+                              "integer literal too long"), command
+
+
 def test_repair_writes_result(bundle_path, tmp_path):
     out = tmp_path / "out"
     assert main(["repair", bundle_path, "--config", "Ps-Ts-LP", "--out", str(out)]) == 0

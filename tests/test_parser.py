@@ -1,8 +1,10 @@
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from reducto.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, Ast, ParseError, parse
+from reducto import parser as P
+from reducto.parser import KEYWORDS, MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, Ast, ParseError, parse
 from reducto.source import SourceProgram, count_sloc, is_blank, is_comment
+from reducto.values import values_equal, wrap_int
 
 from conftest import program
 
@@ -61,17 +63,55 @@ def test_parse_errors_carry_first_offending_line(text, line):
     assert err.value.line == line
 
 
-@pytest.mark.parametrize(
-    "expr",
-    [
-        lambda depth: "(" * (depth - 1) + "1" + ")" * (depth - 1),  # parser recursion
-        lambda depth: " + ".join(["1"] * depth),  # tree height of a chain
-        lambda depth: "not " * (depth - 1) + "true",
-    ],
-)
-def test_expression_depth_cap_is_exact(expr):
-    assert parses(program(f"fn main()\nreturn {expr(MAX_EXPR_DEPTH)}\nend\n"))
-    assert not parses(program(f"fn main()\nreturn {expr(MAX_EXPR_DEPTH + 1)}\nend\n"))
+# Each shape at ``depth`` holds an expression exactly ``depth`` levels deep.
+NESTED_SHAPES = {
+    "parentheses": lambda depth: "(" * (depth - 1) + "1" + ")" * (depth - 1),
+    "plus_chain": lambda depth: " + ".join(["1"] * depth),  # tree height only
+    "not": lambda depth: "not " * (depth - 1) + "true",
+    "minus": lambda depth: "- " * (depth - 1) + "1",
+    "array": lambda depth: "[" * (depth - 1) + "1" + "]" * (depth - 1),
+    "call": lambda depth: "main(" * (depth - 1) + "1" + ")" * (depth - 1),
+    "len": lambda depth: "len(" * (depth - 1) + "1" + ")" * (depth - 1),
+    "index": lambda depth: "xs" + "[xs" * (depth - 1) + "]" * (depth - 1),
+}
+
+
+def _returning(expr: str) -> SourceProgram:
+    return program(f"fn main(xs)\nreturn {expr}\nend\n")
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+def test_expression_depth_cap_is_exact(shape):
+    expr = NESTED_SHAPES[shape]
+    assert parses(_returning(expr(MAX_EXPR_DEPTH)))
+    with pytest.raises(ParseError) as err:
+        parse(_returning(expr(MAX_EXPR_DEPTH + 1)))
+    assert (err.value.line, err.value.reason) == (
+        2, f"expression nested deeper than {MAX_EXPR_DEPTH}"
+    )
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+def test_five_thousand_levels_are_a_parse_error(shape):
+    with pytest.raises(ParseError) as err:
+        parse(_returning(NESTED_SHAPES[shape](5000)))
+    assert err.value.reason == f"expression nested deeper than {MAX_EXPR_DEPTH}"
+
+
+def test_integer_literals_wrap_up_to_cpythons_digit_limit():
+    digits = "9" * 4300
+    ret = parse(_returning(digits)).functions["main"].body[0]
+    assert ret.expr.value == wrap_int(int(digits))
+    with pytest.raises(ParseError) as err:
+        parse(_returning("1" + digits))
+    assert (err.value.line, err.value.reason) == (2, "integer literal too long")
+
+
+@pytest.mark.parametrize("char", ["`", "@", "$", "'", "\\", "\"", "!"])
+def test_a_character_no_token_covers_is_an_error(char):
+    with pytest.raises(ParseError) as err:
+        parse(_returning(f"1 + 2 {char} 3"))
+    assert err.value.reason == f"unexpected character {char!r}"
 
 
 def _nested_blocks(depth: int) -> SourceProgram:
@@ -214,10 +254,14 @@ def test_expression_grammar_corners():
         "return (1 + 2) * 3",
         "return \"a\" + \"b\"",
         "return 1e3 + 2.5e-2",
+        "return a and not b or not not c",
+        "return xs[not a]",
     ]
     for stmt in good:
         assert parses(program(f"fn t(a, b, c, d, xs)\n{stmt}\nend\n")), stmt
-    bad = ["return 1 ++ 2", "return [1,", "return f(", "return a[1", "return ,"]
+    bad = ["return 1 ++ 2", "return [1,", "return f(", "return a[1", "return ,",
+           # ``not`` starts only an expression or an operand of or, and, not
+           "return a == not b", "return a + not b", "return - not a"]
     for stmt in bad:
         assert not parses(program(f"fn t(a)\n{stmt}\nend\n")), stmt
 
@@ -324,3 +368,161 @@ def test_parenthesized_expression_spans_its_parentheses():
     assert text[product.left.start:product.left.end] == "(a + b)"
     assert text[product.left.op_start:product.left.op_end] == "+"
     assert text[product.right.operand.start:product.right.operand.end] == "(c)"
+
+
+# ---------------------------------------------------------------------------
+# Rendered expression trees parse back to themselves
+
+# Written out, not taken from the parser, so that a wrong table there fails.
+LEVEL = {"or": 1, "and": 2, **dict.fromkeys(P.RELATIONAL_OPS, 3),
+         "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
+ATOMIC = ("lit", "var", "array", "index", "call", "len")
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True).filter(
+    lambda name: name not in KEYWORDS
+)
+LITERALS = st.one_of(
+    st.integers(0, 2**64), st.booleans(),
+    st.floats(0, 1e300, allow_nan=False, allow_infinity=False),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"), max_size=4),
+)
+
+
+def _trees(children):
+    binary = st.tuples(st.just("bin"), st.sampled_from(sorted(LEVEL)), children, children)
+    return st.one_of(
+        binary, binary, binary,
+        st.tuples(st.just("array"), st.lists(children, max_size=3)),
+        st.tuples(st.just("index"), children, children),
+        st.tuples(st.just("call"), NAMES, st.lists(children, max_size=3)),
+        st.tuples(st.just("len"), children),
+        st.tuples(st.sampled_from(("neg", "not")), children),
+    )
+
+
+EXPR_TREES = st.recursive(
+    st.one_of(st.tuples(st.just("lit"), LITERALS), st.tuples(st.just("var"), NAMES)),
+    _trees, max_leaves=16,
+)
+
+
+def _literal_text(value) -> str:
+    if type(value) is bool:
+        return "true" if value else "false"
+    if type(value) is str:
+        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
+        return '"' + escaped.replace("\n", "\\n").replace("\t", "\\t") + '"'
+    return repr(value)
+
+
+def _wordy(char: str) -> bool:
+    return char.isalnum() or char in "_."
+
+
+class _Renderer:
+    """Renders a tree after ``return`` with the parentheses its shape needs,
+    and with redundant ones and spacing drawn from ``draw``."""
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.text = "return "
+
+    def token(self, text: str) -> None:
+        glued = _wordy(self.text[-1]) and _wordy(text[0])
+        self.text += self.draw(st.sampled_from((" ", "  ", "\t") if glued else ("", " ")))
+        self.text += text
+
+    def render(self, tree, ctx: int = 1, follow: int = 0) -> tuple:
+        """``(text, tree, child results)``.  ``ctx`` is the loosest level the
+        position takes, 7 for an atom only; ``follow`` is the level of the
+        operator after it, 0 for none."""
+        kind = tree[0]
+        needed = (
+            (kind == "bin" and LEVEL[tree[1]] < ctx)
+            or (kind == "not" and (ctx > 3 or follow >= 3))
+            or (ctx == 7 and kind not in ATOMIC)
+        )
+        before = len(self.text)
+        if needed or self.draw(st.integers(0, 5)) == 0:
+            self.token("(")
+            children = self.bare(tree, 1, 0)
+            self.token(")")
+        else:
+            children = self.bare(tree, ctx, follow)
+        return self.text[before:].lstrip(), tree, children
+
+    def bare(self, tree, ctx: int, follow: int) -> list:
+        kind = tree[0]
+        if kind == "lit" or kind == "var":
+            self.token(_literal_text(tree[1]) if kind == "lit" else tree[1])
+            return []
+        if kind == "array" or kind == "call":
+            if kind == "call":
+                self.token(tree[1])
+            self.token("[" if kind == "array" else "(")
+            children = []
+            for i, item in enumerate(tree[-1]):
+                if i:
+                    self.token(",")
+                children.append(self.render(item))
+            self.token("]" if kind == "array" else ")")
+            return children
+        if kind == "index":
+            base = self.render(tree[1], 7)
+            self.token("[")
+            index = self.render(tree[2])
+            self.token("]")
+            return [base, index]
+        if kind == "len":
+            self.token("len")
+            self.token("(")
+            arg = self.render(tree[1])
+            self.token(")")
+            return [arg]
+        if kind == "neg" or kind == "not":
+            self.token("-" if kind == "neg" else "not")
+            return [self.render(tree[1], 6 if kind == "neg" else 3, follow)]
+        level = LEVEL[tree[1]]
+        left = self.render(tree[2], level, level)
+        self.token(tree[1])
+        return [left, self.render(tree[3], level + 1, follow)]
+
+
+NODE_TYPES = {"lit": P.Lit, "var": P.Var, "array": P.ArrayLit, "index": P.Index,
+              "call": P.Call, "len": P.Len, "neg": P.Unary, "not": P.Unary, "bin": P.Binary}
+
+
+def _same_tree(node, rendered, line: str) -> None:
+    text, tree, children = rendered
+    kind = tree[0]
+    assert type(node) is NODE_TYPES[kind]
+    assert line[node.start:node.end] == text
+    if kind == "lit":
+        value = wrap_int(tree[1]) if type(tree[1]) is int else tree[1]
+        assert type(node.value) is type(value) and values_equal(node.value, value)
+    elif kind == "var" or kind == "call":
+        assert node.name == tree[1]
+    elif kind == "neg" or kind == "not":
+        assert node.op == ("-" if kind == "neg" else "not")
+    elif kind == "bin":
+        assert node.op == tree[1] == line[node.op_start:node.op_end]
+    assert len(P.children(node)) == len(children)
+    for child, rendered_child in zip(P.children(node), children):
+        _same_tree(child, rendered_child, line)
+
+
+def _tree_height(tree) -> int:
+    subtrees = [t for t in tree[1:] if type(t) is tuple]
+    subtrees += [t for part in tree[1:] if type(part) is list for t in part]
+    return 1 + max(map(_tree_height, subtrees), default=0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(tree=EXPR_TREES, data=st.data())
+def test_rendered_expression_trees_parse_back(tree, data):
+    # at most one pair of parentheses per node keeps the nesting within the cap
+    assume(2 * _tree_height(tree) + 1 <= MAX_EXPR_DEPTH)
+    renderer = _Renderer(data.draw)
+    rendered = renderer.render(tree)
+    line = renderer.text
+    ret = parse(SourceProgram(("fn f()", line, "end"))).functions["f"].body[0]
+    _same_tree(ret.expr, rendered, line)

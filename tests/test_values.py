@@ -134,6 +134,44 @@ def test_malformed_literals_rejected():
             value_from_json(bad)
 
 
+@pytest.mark.parametrize(
+    "payload", [10**400, -(10**400), "0x00", "0x" + "00" * 9, True],
+    ids=["1e400", "-1e400", "one_byte", "nine_bytes", "bool"],
+)
+def test_float_literal_no_double_holds_is_a_value_error(payload):
+    with pytest.raises(ValueError, match="bad float literal"):
+        value_from_json({"float": payload})
+
+
+def test_the_largest_integer_a_double_holds_is_a_float_literal():
+    assert value_from_json({"float": int(1.7976931348623157e308)}) == 1.7976931348623157e308
+
+
+def _arrays(value):
+    """Every array in ``value``, itself included."""
+    found, stack = [], [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is list or type(item) is tuple:
+            found.append(item)
+            stack += item
+    return found
+
+
+@pytest.mark.parametrize(
+    "value", [(), [], (1, 2.5, "x"), [1, 2.5, "x"], ((1,), (2, (3,))), [[1], (2, [3])]]
+)
+def test_thaw_builds_fresh_lists_all_the_way_down(value):
+    before = freeze(value)
+    thawed = thaw(value)
+    assert values_equal(thawed, value)
+    assert all(type(array) is list for array in _arrays(thawed))
+    assert not {id(a) for a in _arrays(thawed)} & {id(a) for a in _arrays(value)}
+    for array in _arrays(thawed):
+        array.append(0)
+    assert freeze(value) == before
+
+
 def test_value_equality_fuzz_reflexive_symmetric():
     rng = random.Random(7)
 
