@@ -4,8 +4,10 @@ Subcommands mirror the pipeline stages: ``slice``, ``reduce-tests``,
 ``localize``, ``repair``, the full ``experiment`` lattice runner, a
 ``compare`` helper over two report CSVs, and ``make-corpus`` to write the
 seeded bundle corpus.  Exit codes: 0 success, 1 per-configuration failures
-present, 2 corpus, manifest, report or argument errors.  ``--budget`` is
-fixed when a bundle loads: every stage of that bundle runs at it.
+present, 2 corpus, manifest, report or argument errors.  ``--budget`` caps
+every execution: a bundle's suite runs on the original program at it, and
+each later run of a test at the budget ``experiment.load_bundle`` derives
+from that run.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import interp
 from .experiment import (
+    FACTOR,
+    FLOOR,
     BundleArtifacts,
     ManifestError,
     NonViableConfig,
@@ -298,7 +302,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--budget", type=int, default=interp.DEFAULT_BUDGET,
-                       help="interpreter step budget per execution")
+                       help=f"cap on the interpreter steps of any one execution; "
+                       f"each test runs at most {FACTOR} times the steps it took on "
+                       f"the original program, and at least {FLOOR}")
 
     p = sub.add_parser("slice", help="slice a bundle's program against its failing tests")
     p.add_argument("bundle")

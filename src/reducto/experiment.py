@@ -118,19 +118,29 @@ class GroundTruth:
     patched_text: str
 
 
+# A test's budget for every run after the one on the original program:
+# FACTOR times the steps it took there, at least FLOOR, at most the budget
+# the bundle was loaded with.  On the shipped corpus no run that ends takes
+# more than twice the steps of its test on the original program, and a
+# candidate that never ends stops within 1,610 steps, not 100,000.
+FLOOR = 100
+FACTOR = 10
+
+
 @dataclass
 class BugBundle:
     name: str
     program: SourceProgram
-    suite: TestSuite
+    suite: TestSuite  # each test at its budget (see FACTOR)
     ground_truth: Optional[GroundTruth]
     baseline_run: SuiteResult  # the one run of the suite on the original program
 
 
 def load_bundle(path, budget: int = interp.DEFAULT_BUDGET) -> BugBundle:
     """Load and validate one bundle directory, running its suite on the
-    original program at ``budget``.  Every later stage of the bundle reads
-    its budget from that run.
+    original program at ``budget``.  Each test then takes its budget for
+    every later stage from its steps in that run (see FACTOR), so the
+    budgets depend on the bundle's files and ``budget`` alone.
 
     Enforces the manifest schema, the one-expectation-per-test rule, and
     the presence of at least one failing test on the original program.
@@ -160,7 +170,7 @@ def load_bundle(path, budget: int = interp.DEFAULT_BUDGET) -> BugBundle:
     )
 
     try:
-        suite = load_suite(tests_path)
+        suite = load_suite(tests_path, budget)
     except MultiAssertTest:
         raise
     except (SuiteFormatError, ValueError) as exc:
@@ -181,7 +191,7 @@ def load_bundle(path, budget: int = interp.DEFAULT_BUDGET) -> BugBundle:
             )
         ground_truth = GroundTruth(gt["bug_line"], gt["patched_text"])
 
-    baseline_run = run_suite(program, suite, budget)
+    baseline_run = run_suite(program, suite)
     if all(o.kind == UNBUILDABLE for o in baseline_run.outcomes.values()):
         try:  # the program does not parse; parse it again only for the reason
             parse(program)
@@ -189,6 +199,11 @@ def load_bundle(path, budget: int = interp.DEFAULT_BUDGET) -> BugBundle:
             raise ManifestError(f"{program_path}: program does not parse: {exc}") from exc
     if not baseline_run.failing:
         raise NoFailingTests(f"{root.name}: every test passes on the original program")
+    on_original = baseline_run.outcomes
+    suite = TestSuite(tuple(
+        replace(t, budget=min(budget, max(FLOOR, FACTOR * on_original[t.id].steps)))
+        for t in suite
+    ))
     return BugBundle(root.name, program, suite, ground_truth, baseline_run)
 
 
@@ -218,7 +233,8 @@ class BundleArtifacts:
     All three suspicious lists are derived regardless of which
     configurations run, so rank comparisons across provenances come for
     free from a single build.  The bundle's baseline run is the one
-    observation of the unmodified program; every stage runs at its budget.
+    observation of the unmodified program; every stage runs each test at
+    its budget.
     """
 
     def __init__(self, bundle: BugBundle):
@@ -324,10 +340,8 @@ def run_config(
         suspicious = _translate_list(suspicious, slice_result.mapping)
     else:
         program = bundle.program
-    budget = artifacts.baseline.budget
     result = repair(
-        program, artifacts.asts[config.program], suite, suspicious,
-        artifacts.failing_ids, budget,
+        program, artifacts.asts[config.program], suite, suspicious, artifacts.failing_ids
     )
     patch_line_orig = None
     transferred = None
@@ -336,7 +350,7 @@ def run_config(
             patched_original, patch_line_orig = map_patch_to_original(
                 result.patch, slice_result.mapping, bundle.program
             )
-            full = run_suite(patched_original, bundle.suite, budget)
+            full = run_suite(patched_original, bundle.suite)
             transferred = not full.failing
         else:
             patch_line_orig = result.patch.line
@@ -386,7 +400,7 @@ def bundle_reports(artifacts: BundleArtifacts, configs) -> list[RepairReport]:
 
 def run_lattice(bundles, configs=viable_configs()) -> list[RepairReport]:
     """The reports of ``configs`` for every bundle, in bundle-name order,
-    each bundle at the budget it was loaded with."""
+    each test at the budget its bundle gave it."""
     for config in configs:
         if not config.viable:
             raise NonViableConfig(f"{config.name} is not viable")

@@ -10,6 +10,7 @@ happen to render identically still compare by their bits.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,7 +18,9 @@ from . import interp
 from .interp import ERROR_KINDS, CallSetupError, execute
 from .parser import ParseError, parse
 from .source import SourceProgram
-from .values import canonical_json, value_from_json, value_to_json, values_equal
+from .values import (
+    canonical_json, int_from_digits, value_from_json, value_to_json, values_equal,
+)
 
 EXPECT_VALUE = "value"
 EXPECT_ERROR = "error"
@@ -35,6 +38,9 @@ class TestCase:
     args: tuple
     expect_kind: str  # value | error | output
     expect: object  # frozen value | error kind string | tuple of frozen values
+    # Steps each run of the test may take; ``experiment.load_bundle`` sets
+    # it from the test's run on the bundle's original program.
+    budget: int = interp.DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,7 @@ BUDGET_EXCEEDED = "BudgetExceeded"
 class Outcome:
     kind: str  # Pass | Fail | Errored | Unbuildable | BudgetExceeded
     covered: frozenset
+    steps: int
     expected: Optional[str] = None  # canonical JSON of what was expected
     actual: Optional[str] = None  # canonical JSON of what was observed
     error_kind: Optional[str] = None
@@ -118,14 +125,10 @@ def _output_text(values) -> str:
     return '{"output":[' + ",".join(canonical_json(v) for v in values) + "]}"
 
 
-def run_test(
-    code: interp.Code,
-    test: TestCase,
-    budget: int = interp.DEFAULT_BUDGET,
-) -> Outcome:
-    """Execute one test on a compiled program."""
+def run_test(code: interp.Code, test: TestCase) -> Outcome:
+    """Execute one test on a compiled program, at the test's budget."""
     try:
-        result = execute(code, test.function, list(test.args), budget)
+        result = execute(code, test.function, list(test.args), test.budget)
     except CallSetupError as exc:
         # The call itself cannot start: an error at line 0 that covers nothing.
         result = interp.ExecutionResult(
@@ -139,34 +142,36 @@ def run_test(
             steps=0,
         )
 
-    covered = result.covered
+    covered, steps = result.covered, result.steps
     if result.status == "budget_exceeded":
-        return Outcome(BUDGET_EXCEEDED, covered)
+        return Outcome(BUDGET_EXCEEDED, covered, steps)
     if result.status == "runtime_error":
         if test.expect_kind == EXPECT_ERROR and test.expect == result.error_kind:
             return Outcome(
-                PASS, covered, error_kind=result.error_kind, error_line=result.error_line
+                PASS, covered, steps, error_kind=result.error_kind, error_line=result.error_line
             )
         return Outcome(
-            ERRORED, covered, error_kind=result.error_kind, error_line=result.error_line
+            ERRORED, covered, steps, error_kind=result.error_kind, error_line=result.error_line
         )
 
     # completed
     if test.expect_kind == EXPECT_VALUE:
         if values_equal(result.return_value, test.expect):
-            return Outcome(PASS, covered)
+            return Outcome(PASS, covered, steps)
         return Outcome(
             FAIL,
             covered,
+            steps,
             expected=_value_text(test.expect),
             actual=_value_text(result.return_value),
         )
     if test.expect_kind == EXPECT_OUTPUT:
         if values_equal(result.output, test.expect):
-            return Outcome(PASS, covered)
+            return Outcome(PASS, covered, steps)
         return Outcome(
             FAIL,
             covered,
+            steps,
             expected=_output_text(test.expect),
             actual=_output_text(result.output),
         )
@@ -174,6 +179,7 @@ def run_test(
     return Outcome(
         FAIL,
         covered,
+        steps,
         expected=_canon({"error": test.expect}),
         actual=_value_text(result.return_value),
     )
@@ -184,31 +190,27 @@ class SuiteResult:
     outcomes: dict  # test id -> Outcome
     passing: tuple[str, ...]
     failing: tuple[str, ...]  # everything that is not a Pass
-    budget: int  # the step budget every test ran at
 
 
-def run_suite(
-    program: SourceProgram,
-    suite: TestSuite,
-    budget: int = interp.DEFAULT_BUDGET,
-) -> SuiteResult:
-    """Run every test independently; the partition is exhaustive and disjoint.
+def run_suite(program: SourceProgram, suite: TestSuite) -> SuiteResult:
+    """Run every test independently, each at its budget; the partition is
+    exhaustive and disjoint.
 
     The program is parsed and compiled once; when it does not parse, every
     test is Unbuildable."""
     try:
         code = interp.compile_ast(parse(program))
     except ParseError:
-        outcomes = {t.id: Outcome(UNBUILDABLE, frozenset()) for t in suite}
-        return SuiteResult(outcomes, (), tuple(suite.ids()), budget)
+        outcomes = {t.id: Outcome(UNBUILDABLE, frozenset(), 0) for t in suite}
+        return SuiteResult(outcomes, (), tuple(suite.ids()))
     outcomes = {}
     passing = []
     failing = []
     for test in suite:
-        outcome = run_test(code, test, budget)
+        outcome = run_test(code, test)
         outcomes[test.id] = outcome
         (passing if outcome.passed else failing).append(test.id)
-    return SuiteResult(outcomes, tuple(passing), tuple(failing), budget)
+    return SuiteResult(outcomes, tuple(passing), tuple(failing))
 
 
 def signature(test_id: str, outcome: Outcome) -> FailureSignature:
@@ -259,7 +261,8 @@ class MultiAssertTest(SuiteFormatError):
         self.test_id = test_id
 
 
-def suite_from_json(data) -> TestSuite:
+def suite_from_json(data, budget: int = interp.DEFAULT_BUDGET) -> TestSuite:
+    """The tests of a tests file's JSON, each at ``budget``."""
     if not isinstance(data, list):
         raise SuiteFormatError("tests file must be a JSON array")
     tests = []
@@ -276,7 +279,7 @@ def suite_from_json(data) -> TestSuite:
         if "expect" not in entry:
             raise SuiteFormatError(f"test {test_id!r}: missing expectation")
         kind, expect = _parse_expect(entry["expect"], test_id)
-        tests.append(TestCase(test_id, call["fn"], args, kind, expect))
+        tests.append(TestCase(test_id, call["fn"], args, kind, expect, budget))
     return TestSuite(tuple(tests))
 
 
@@ -299,13 +302,21 @@ def suite_to_json(suite: TestSuite) -> list:
     return out
 
 
-def load_suite(path) -> TestSuite:
+def load_suite(path, budget: int = interp.DEFAULT_BUDGET) -> TestSuite:
+    """The tests file at ``path``, each test at ``budget``."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError as exc:
-            raise SuiteFormatError("tests file nests too deeply to read") from exc
-    return suite_from_json(data)
+        text = fh.read()
+    # An integer lies within one comma-separated piece of the text.  When
+    # no piece is longer than any digit limit may reject, json's own ints
+    # read every integer as ``int_from_digits`` would, and calling that on
+    # each integer makes a file of long arrays several times slower to read.
+    longest = max(map(len, text.split(",")))
+    parse_int = int_from_digits if longest > sys.int_info.str_digits_check_threshold else None
+    try:
+        data = json.loads(text, parse_int=parse_int)
+    except RecursionError as exc:
+        raise SuiteFormatError("tests file nests too deeply to read") from exc
+    return suite_from_json(data, budget)
 
 
 def save_suite(suite: TestSuite, path) -> None:

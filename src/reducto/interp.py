@@ -42,34 +42,7 @@ Semantics pinned down for reproducibility:
   ``==``/``!=`` stay type-strict and structural;
 * a function that falls off its end returns the integer 0;
 * a call nested deeper than MAX_CALL_DEPTH ends the run as
-  budget_exceeded, however deep the caller's own Python stack is;
-* a loop proven to repeat forever is fast-forwarded to the end of the
-  budget: the result, printed values included, is the one running the
-  budget out would give, bit for bit.
-
-Proving divergence.  Once a run has used DETECT_FRESH steps, if its
-entry function has not yet returned a call in its scope, or DETECT_AFTER
-steps otherwise, every ``while`` back-edge hands its frame's state to
-Brent's cycle detection.  The state holds the exact value of each
-variable in the loop's control slice and only the type of every other
-variable the loop assigns (see ``control_slice.py``).  The interpreter is
-deterministic, so two equal states at the same back-edge, with the loop
-never left in between, prove that the path between them repeats until
-the budget runs out.  So do two states that differ only in the ints of
-drifting variables, counters the loop only ever moves by a fixed step,
-when ``ControlSlice.drift`` shows that every period the budget left
-reaches into repeats the last one: no update turns back or wraps, and no
-comparison changes outcome.  Such a drift is taken only when the budget
-left holds at least one whole period.
-
-A watch pauses the run's watching, which changes no result, only how
-soon a proof comes.  A drift that does not outlast the budget pauses it
-for the periods it surely repeats, and a counter loop that will end
-within the budget (see ``ControlSlice.exit_pause``) for the passes it
-surely has left.  Either pause ends at a back-edge of the same loop,
-before the loop can have been left, so every watch of the run stays
-valid; the watches of loops nested in the paused one are dropped at its
-back-edge, as always.
+  budget_exceeded, however deep the caller's own Python stack is.
 """
 
 from __future__ import annotations
@@ -83,29 +56,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import parser as P
-from .control_slice import ControlSlice
 from .values import INT_MAX, INT_MIN, CyclicArray, freeze, thaw, values_equal, wrap_int
 
 DEFAULT_BUDGET = 100_000
 MAX_CALL_DEPTH = 200
-
-# Steps a run uses before its back-edges look for a repeated state.  Until
-# then a back-edge costs one comparison more.  A run whose entry function
-# has not yet returned a call in its scope, most often a candidate's own
-# edit on its first test, watches after DETECT_FRESH steps: that is where
-# divergent runs are, and a divergent run otherwise spends the budget in
-# full.  Every other run has returned before and is likely to again; it
-# watches after DETECT_AFTER steps, far below the default budget.
-DETECT_FRESH = 200
-DETECT_AFTER = 2_000
-
-# A run watches in spells of this many back-edges, each followed by a
-# pause twice as long as the one before, the first as long as the steps the
-# run took before its first watch.
-# So a loop whose state never repeats, a runaway counter say, costs a few
-# spells of states and not one state per back-edge, and a cycle of up to
-# about a third of a spell is found in the first spell after its run-up.
-SPELL_EDGES = 512
 
 # Back-edges a unit takes in tier 0, summed over its calls in one scope,
 # before its next call runs tier 1.  Generating and compiling a function
@@ -251,12 +205,11 @@ class _Unit:
     Nothing the unit holds refers back to it but weakly: a scope's units
     are freed as soon as the scope is, without the cyclic collector."""
 
-    __slots__ = ("fn", "offsets", "tier0", "call", "edges", "returned", "__weakref__")
+    __slots__ = ("fn", "offsets", "tier0", "call", "edges", "__weakref__")
 
     def __init__(self, fn: P.Function):
         self.fn = fn
         self.edges = [0]  # back-edges taken in tier 0
-        self.returned = False  # whether a call of it has returned normally
         offsets, steps = [0], [_goto(1)]
         _lower_block(fn.body, fn.line, offsets, steps, self)
         self.offsets = (*offsets, fn.end_line - fn.line)
@@ -282,22 +235,15 @@ class _Unit:
 class _Run:
     """The state of one execution, passed to every closure."""
 
-    __slots__ = (
-        "code", "left", "depth", "covered", "output", "returned",
-        "watch_at", "spell", "pause", "frames",
-    )
+    __slots__ = ("code", "left", "depth", "covered", "output", "returned")
 
-    def __init__(self, code: Code, budget: int, after: int):
+    def __init__(self, code: Code, budget: int):
         self.code = code
         self.left = budget  # steps still allowed
         self.depth = 1  # the entry call
         self.covered: set[int] = set()
         self.output: list = []
         self.returned = None
-        self.watch_at = budget - after  # back-edges watch once left <= this
-        self.spell = SPELL_EDGES  # back-edges this spell still watches
-        self.pause = after  # steps of the last pause
-        self.frames: dict = {}  # call depth -> (the call, watches of its active loop nest)
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +404,7 @@ def _invoke(run, name: str, args: list, line: int):
         raise _BudgetExhausted()
     try:
         unit, lines = entry
-        value = (unit.call or unit.promote(run.code.scope))(run, lines, args)
-        unit.returned = True
-        return value
+        return (unit.call or unit.promote(run.code.scope))(run, lines, args)
     finally:
         run.depth -= 1
 
@@ -564,112 +508,13 @@ def _lower_call(expr: P.Call, line: int):
     return call
 
 
-# ---------------------------------------------------------------------------
-# Proving divergence at loop back-edges
-
-class _Watch:
-    """Brent's cycle detection on one loop's back-edge states in one frame:
-    each state is compared with the saved one, which moves up to the
-    current state after 1, 2, 4, ... comparisons.  Saving records the
-    budget left and the number of printed values, to measure a period."""
-
-    __slots__ = ("loop", "saved", "left", "printed", "power", "lam")
-
-    def __init__(self, loop: ControlSlice, state: Optional[list], run: _Run):
-        self.loop = loop
-        self.power = 1
-        self.save(state, run)
-
-    def save(self, state: Optional[list], run: _Run) -> None:
-        self.saved, self.left, self.printed, self.lam = state, run.left, len(run.output), 0
-
-
-def _watch(run: _Run, call, env: dict, loop: ControlSlice) -> None:
-    """Feed the frame's state at ``loop``'s back-edge to the loop's watch,
-    and fast-forward the run when the state repeats.  ``call`` is an
-    object one call alone holds, which tells a new call at the same depth
-    apart; ``env`` maps the frame's defined variables to their values."""
-    run.spell -= 1
-    if run.spell < 0:
-        _pause(run)
-        return
-    frame = run.frames.get(run.depth)
-    if frame is None or frame[0] is not call:  # a new call at this depth
-        frame = run.frames[run.depth] = (call, [])
-    nest = frame[1]
-    # Watched loops that do not contain this one have been left; re-entering
-    # one takes a back-edge of a loop around it, which drops it here too.
-    while nest and not nest[-1].loop.contains(loop):
-        nest.pop()
-    if not nest or nest[-1].loop is not loop:
-        # A counter loop is not watched over the passes it surely has left,
-        # when the budget holds them; the pause ends at one of its own
-        # back-edges, so no watch misses the loop being left.
-        pause = loop.exit_pause(env)
-        if pause is None or pause > run.left:
-            nest.append(_Watch(loop, loop.state(env), run))
-        else:
-            run.watch_at = run.left - pause
-        return
-    watch = nest[-1]
-    if watch.saved is None:  # given up: the state outgrew control_slice.MAX_STATE_ITEMS
-        return
-    state = loop.state(env)
-    if state is None:
-        watch.saved = None
-    elif state == watch.saved:
-        _fast_forward(run, watch)
-    else:
-        # A drift proves the loop outlasts the budget when every period the
-        # budget reaches into repeats the last one: the jump skips the whole
-        # ones, and the rest of the budget runs the same steps as the part
-        # of a period it stands for.  When fewer repeat, the loop is not
-        # watched until they are over.
-        period = watch.left - run.left
-        whole = run.left // period
-        repeats = loop.drift(watch.saved, state, env, whole + 1)
-        if repeats > whole:
-            if whole:
-                _fast_forward(run, watch)
-            return
-        run.watch_at = run.left - repeats * period
-        watch.lam += 1
-        if watch.lam == watch.power:
-            watch.power *= 2
-            watch.save(state, run)
-
-
-def _pause(run: _Run) -> None:
-    """End the spell: stop watching for twice as many steps as last time.
-    The watches would miss the back-edges taken meanwhile, so they go."""
-    run.pause *= 2
-    run.watch_at = run.left - run.pause
-    run.spell = SPELL_EDGES
-    run.frames.clear()
-
-
-def _fast_forward(run: _Run, watch: _Watch) -> None:
-    """Skip the whole periods a proven cycle has left in the budget: each
-    repeats the steps and the prints since the saved state, so the run
-    appends those prints once per period and keeps the rest of its budget,
-    which it runs normally to the same end.  That end is less than one
-    period away, so the run watches no more."""
-    period = watch.left - run.left
-    repeats = run.left // period
-    run.output += run.output[watch.printed:] * repeats
-    run.left -= period * repeats
-    run.watch_at = -1
-
-
-def _back_edge(loop: ControlSlice, unit: _Unit):
-    head, edges, owner = loop.head, unit.edges, weakref.ref(unit)
+def _back_edge(head: int, unit: _Unit):
+    edges, owner = unit.edges, weakref.ref(unit)
 
     def back_edge(run, env):
         edges[0] += 1
         if edges[0] == TIER_UP_EDGES:
             owner().heat(run.code.scope)
-        if run.left <= run.watch_at:
-            _watch(run, env, env, loop)
         return head
     return back_edge
 
@@ -769,7 +614,7 @@ def _lower_block(block: tuple, base: int, offsets: list, steps: list, unit: _Uni
         elif type(stmt) is P.While:
             head = emit(stmt.line, None)
             _lower_block(stmt.body, base, offsets, steps, unit)
-            emit(stmt.end_line, _back_edge(ControlSlice(stmt, head, len(steps)), unit))
+            emit(stmt.end_line, _back_edge(head, unit))
             cond = _lower_expr(stmt.cond, line)
             steps[head] = _branch(cond, line, head + 1, len(steps))
         else:
@@ -805,11 +650,6 @@ def _tier0(params: tuple, steps: tuple):
 _UNDEFINED = object()  # a tier-1 local whose SLANG variable no ``let`` defined yet
 
 
-def _env(names: tuple, values: tuple) -> dict:
-    """A tier-1 frame's defined variables, as tier 0 holds them."""
-    return {name: v for name, v in zip(names, values) if v is not _UNDEFINED}
-
-
 def _generate(unit: _Unit):
     """Tier 1 of ``unit``, or None when Python cannot compile it: CPython
     nests at most 20 loops, and its parser and compiler bound the depth of
@@ -822,7 +662,7 @@ def _generate(unit: _Unit):
     namespace = {  # every global the source names
         "_BudgetExhausted": _BudgetExhausted, "_exhausted": _exhausted, "_Fault": _Fault,
         "_placed": _placed, "_compress": itertools.compress, "_UNDEFINED": _UNDEFINED,
-        "_env": _env, "_watch": _watch, "_invoke": _invoke, "_observed": _observed,
+        "_invoke": _invoke, "_observed": _observed,
         "_binary": _binary, "_unary": _unary, "_index": _index, "_len": _len, "_fail": _fail,
         "_bad_logic": _bad_logic, "_bad_condition": _bad_condition,
         "_bad_index_assign": _bad_index_assign, **source.constants,
@@ -840,8 +680,8 @@ class _Source:
 
     It takes the steps of tier 0 in the same order, so ``lines`` serves
     both.  ``left``, the budget, is a local, written back to the run before
-    a call, a watch, a return or a raise; callees and watches change the
-    run's, which is read back after them.  A variable a ``let`` defines
+    a call, a return or a raise; callees change the run's, which is read
+    back after them.  A variable a ``let`` defines
     starts as ``_UNDEFINED``, and a read or an assignment of it checks that
     only where some path reaches it without the ``let``."""
 
@@ -1003,20 +843,13 @@ class _Source:
 
     def while_(self, stmt: P.While, line: int, depth: int, defined: set) -> None:
         self.emit(depth, "while True:")
-        head = self.step(depth + 1)
+        self.step(depth + 1)  # the loop head
         self.condition(stmt, line, depth + 1, defined)
         self.emit(depth + 1, "if c is not True:")
         self.emit(depth + 2, "if c is False: break")
         self.emit(depth + 2, f"_bad_condition(c, {line})")
         self.block(stmt.body, depth + 1, defined)
-        loop = self.constant(ControlSlice(stmt, head, self.pc))
         self.step(depth + 1)  # the back-edge
-        names = self.constant(self.locals)
-        values = "".join(_variable(name) + ", " for name in self.locals)
-        self.emit(depth + 1, "if left <= run.watch_at:")
-        self.emit(depth + 2, "run.left = left")
-        self.emit(depth + 2, f"_watch(run, args, _env({names}, ({values})), {loop})")
-        self.emit(depth + 2, "left = run.left")
 
     # -- expressions ----------------------------------------------------
 
@@ -1160,9 +993,8 @@ def execute(
     sys.setrecursionlimit(limit + _STACK_HEADROOM)
     try:
         unit, lines = code.entry(function)
-        run = _Run(code, budget, DETECT_AFTER if unit.returned else DETECT_FRESH)
+        run = _Run(code, budget)
         return_value = (unit.call or unit.promote(code.scope))(run, lines, [thaw(a) for a in args])
-        unit.returned = True
     except SlangError as exc:
         status = "runtime_error"
         error = (exc.kind, exc.line, exc.message)

@@ -29,8 +29,9 @@ an operand of ``or``, ``and`` or ``not``, and nowhere else, so ``a == not
 b`` does not parse.  An expression nests at most ``MAX_EXPR_DEPTH``
 levels: each parenthesis, array, call argument, ``len`` argument, index
 and prefix operand is one level, and so is each node on the longest path
-down the tree.  An integer literal has at most as many digits as CPython
-converts (4,300 by default), and it wraps to 64 bits.
+down the tree.  An integer literal has at most 4,300 digits
+(``values.MAX_INT_DIGITS``), whatever digit limit the process sets, and it
+wraps to 64 bits.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 from .source import SourceProgram, is_blank, is_comment
-from .values import wrap_int
+from .values import int_from_digits, wrap_int
 
 KEYWORDS = {
     "fn", "let", "if", "else", "while", "return", "print", "end",
@@ -281,8 +282,8 @@ class _ExprParser:
     def atom(self, tok: Token) -> Expr:
         if tok.kind == "int":
             try:
-                value = int(tok.text)
-            except ValueError:  # more digits than CPython converts
+                value = int_from_digits(tok.text)
+            except ValueError:  # more than MAX_INT_DIGITS digits
                 raise _LineError("integer literal too long") from None
             return Lit(tok.start, tok.end, wrap_int(value))
         if tok.kind == "float":

@@ -280,7 +280,6 @@ def validate_patch(
     candidate: PatchCandidate,
     suite: TestSuite,
     failing_ids,
-    budget: int = interp.DEFAULT_BUDGET,
     scope: Optional[interp.Scope] = None,
 ) -> ValidationResult:
     """Parse and compile the candidate once, then run failing tests first,
@@ -296,7 +295,7 @@ def validate_patch(
     failing = set(failing_ids)
     executed = 0
     for test in validation_order(suite, failing_ids):
-        outcome = run_test(code, test, budget)
+        outcome = run_test(code, test)
         executed += 1
         if not outcome.passed:
             if outcome.kind == BUDGET_EXCEEDED:
@@ -344,7 +343,6 @@ def repair(
     suite: TestSuite,
     suspicious: SuspiciousList,
     failing_ids,
-    budget: int = interp.DEFAULT_BUDGET,
 ) -> RepairResult:
     """Iterate candidates until one passes the whole suite, the stream runs
     out, or ``MAX_CANDIDATES`` or ``MAX_NTE`` stops the search.  ``ast`` is
@@ -368,7 +366,7 @@ def repair(
             stop = STOP_MAX_CANDIDATES
             break
         generated += 1
-        result = validate_patch(candidate, suite, failing_ids, budget, scope)
+        result = validate_patch(candidate, suite, failing_ids, scope)
         if result.verdict == UNBUILDABLE_PATCH:
             unbuildable += 1
             continue

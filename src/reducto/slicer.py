@@ -79,13 +79,11 @@ class LineMapping:
 @dataclass(frozen=True)
 class Baseline:
     """The slicing criterion and what it must reproduce: the failing tests
-    of the unmodified program in suite order, their failure signatures, and
-    the step budget they were observed at.  Every candidate runs at that
-    budget."""
+    of the unmodified program in suite order, each at its budget, and their
+    failure signatures."""
 
     tests: tuple[TestCase, ...]
     signatures: dict  # test id -> FailureSignature
-    budget: int
 
     def __post_init__(self):
         if not self.tests:
@@ -137,12 +135,12 @@ def mapped_signature(
 
 def build_criterion(suite: TestSuite, result: SuiteResult) -> Baseline:
     """The baseline of every failing test in ``result``, the suite run on
-    the unmodified program, at the budget of that run."""
+    the unmodified program."""
     if not result.failing:
         raise NoFailingTests("every test passes; nothing to slice against")
     failing = tuple(t for t in suite if t.id in set(result.failing))
     signatures = {t.id: signature(t.id, result.outcomes[t.id]) for t in failing}
-    return Baseline(failing, signatures, result.budget)
+    return Baseline(failing, signatures)
 
 
 def candidate_accepts(
@@ -162,7 +160,7 @@ def candidate_accepts(
         return Acceptance(False, "Unbuildable", f"line {exc.line}: {exc.reason}")
     code = interp.compile_ast(ast, scope)
     for test in baseline.tests:
-        outcome = run_test(code, test, baseline.budget)
+        outcome = run_test(code, test)
         if mapped_signature(test.id, outcome, line_map) != baseline.signature_for(test.id):
             return Acceptance(False, "BehaviorChanged", test.id)
     return Acceptance(True)

@@ -58,13 +58,13 @@ def reduce_suite(
 ) -> ReducedSuite:
     """Produce the reduced suite: every original failing test, plus every
     passing test that still passes on the slice.  ``on_original`` is the
-    suite run on ``program``; the whole suite runs once on the slice, at
-    its budget, and the kept tests' part of that run is returned too."""
+    suite run on ``program``; the whole suite runs once on the slice, and
+    the kept tests' part of that run is returned too."""
     _check_mapping(program, slice_program, mapping)
     failing = set(on_original.failing)
     survivors = set(mapping.original_lines())
     # an unbuildable slice fails every test, so every passing test is removed
-    on_slice = run_suite(slice_program, suite, on_original.budget)
+    on_slice = run_suite(slice_program, suite)
 
     kept_ids = []
     removed = []
@@ -82,7 +82,6 @@ def reduce_suite(
         {i: on_slice.outcomes[i] for i in kept_ids},
         tuple(i for i in on_slice.passing if i in kept),
         tuple(i for i in on_slice.failing if i in kept),
-        on_slice.budget,
     )
     return ReducedSuite(suite.subset(kept_ids), tuple(removed), on_kept)
 
@@ -99,15 +98,14 @@ def verify_reduction(
     baseline: Baseline,
     mapping: LineMapping,
 ) -> list[Violation]:
-    """Check the reduction postcondition on the slice itself, at the
-    baseline's budget.
+    """Check the reduction postcondition on the slice itself.
 
     Every kept failing test must reproduce its baseline signature (in
     original coordinates), and every other kept test must pass.  Returns
     the violations, empty when the reduction holds.
     """
     violations = []
-    on_slice = run_suite(slice_program, reduced.kept, baseline.budget).outcomes
+    on_slice = run_suite(slice_program, reduced.kept).outcomes
     for test in reduced.kept:
         outcome = on_slice[test.id]
         if test.id in baseline.signatures:

@@ -19,12 +19,17 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from typing import Any, Union
 
 INT_BITS = 64
 INT_MIN = -(1 << (INT_BITS - 1))
 INT_MAX = (1 << (INT_BITS - 1)) - 1
 INT_MASK = (1 << INT_BITS) - 1
+
+# Most digits a decimal integer literal may have, in a program or a tests
+# file: CPython's default limit on converting text to an int.
+MAX_INT_DIGITS = 4_300
 
 FrozenValue = Union[int, float, bool, str, tuple]
 Value = Union[int, float, bool, str, tuple, list]
@@ -37,6 +42,25 @@ class CyclicArray(ValueError):
 def wrap_int(n: int) -> int:
     """Wrap an arbitrary Python int to two's-complement 64-bit."""
     return ((n - INT_MIN) & INT_MASK) + INT_MIN
+
+
+def int_from_digits(text: str) -> int:
+    """The int a decimal literal, with an optional leading ``-``, spells.
+
+    A ValueError when it has more than MAX_INT_DIGITS digits.  The digits
+    are converted in pieces no longer than CPython's threshold for its
+    digit limit, which no ``PYTHONINTMAXSTRDIGITS`` can reject, so the
+    outcome does not depend on the process's limit."""
+    negative = text.startswith("-")
+    digits = text[1:] if negative else text
+    if len(digits) > MAX_INT_DIGITS:
+        raise ValueError(f"integer literal has more than {MAX_INT_DIGITS} digits")
+    piece = sys.int_info.str_digits_check_threshold
+    value = 0
+    for start in range(0, len(digits), piece):
+        chunk = digits[start:start + piece]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if negative else value
 
 
 def float_bits(x: float) -> bytes:

@@ -48,9 +48,7 @@ def test_criterion_01_slice_behavior_preservation(corpus_artifacts):
         for test in art.baseline.tests:
             observed = mapped_signature(
                 test.id,
-                run_suite(
-                    art.slice_result.slice, TestSuite((test,)), art.baseline.budget
-                ).outcomes[test.id],
+                run_suite(art.slice_result.slice, TestSuite((test,))).outcomes[test.id],
                 art.slice_result.mapping,
             )
             if observed != art.baseline.signature_for(test.id):
@@ -97,7 +95,7 @@ def test_criterion_02_slice_one_minimality_vs_brute_force(corpus_artifacts):
             if all(
                 mapped_signature(
                     test.id,
-                    run_suite(cand, TestSuite((test,)), art.baseline.budget).outcomes[test.id],
+                    run_suite(cand, TestSuite((test,))).outcomes[test.id],
                     cand_map,
                 )
                 == art.baseline.signature_for(test.id)

@@ -1,8 +1,11 @@
 import argparse
 import csv
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -199,6 +202,55 @@ def test_integer_literal_beyond_cpython_digits_names_the_line(bundle_path, tmp_p
         err = capsys.readouterr().err
         assert err.startswith(f"error: {program}: program does not parse: line 74: "
                               "integer literal too long"), command
+
+
+_SLICE_EACH_BUNDLE = """\
+import contextlib, io, json, sys
+from reducto.cli import main
+outcomes = []
+for bundle, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        outcomes.append([main(["slice", bundle, "--out", out]), err.getvalue()])
+print(json.dumps(outcomes))
+"""
+
+
+def test_long_integer_literals_do_not_depend_on_the_process_digit_limit(tmp_path):
+    """A 1,000-digit literal is read and a 5,000-digit one rejected, in the
+    program and in the tests file, whatever PYTHONINTMAXSTRDIGITS says."""
+    bundles = []
+    for digits in (1_000, 5_000):
+        literal = "9" * digits
+        for where in ("program", "tests"):
+            bundle = tmp_path / f"{where}_{digits}"
+            bundle.mkdir()
+            returned, arg = (literal, "0") if where == "program" else ("x", literal)
+            (bundle / "program.sl").write_text(f"fn f(x)\nreturn {returned}\nend\n")
+            (bundle / "tests.json").write_text(
+                '[{"id": "t", "call": {"fn": "f", "args": [{"int": %s}]}, '
+                '"expect": {"value": {"int": 1}}}]' % arg
+            )
+            (bundle / "manifest.json").write_text(
+                '{"program": "program.sl", "tests": "tests.json"}'
+            )
+            bundles.append(bundle)
+    outcomes = []
+    for limit in (None, "0", "640"):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        argv = [arg for b in bundles for arg in (str(b), f"{b}-out-{limit}")]
+        done = subprocess.run([sys.executable, "-c", _SLICE_EACH_BUNDLE, *argv], env=env,
+                              check=True, stdout=subprocess.PIPE, text=True)
+        written = [
+            sorted((p.name, p.read_text()) for p in Path(f"{b}-out-{limit}").glob("*"))
+            for b in bundles
+        ]
+        outcomes.append(list(zip(json.loads(done.stdout), written)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert [status for (status, _), _ in outcomes[0]] == [0, 0, 2, 2]
 
 
 def test_repair_writes_result(bundle_path, tmp_path):

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from reducto.experiment import (
+    FACTOR,
+    FLOOR,
     BundleArtifacts,
     CSV_COLUMNS,
     ManifestError,
@@ -244,9 +246,9 @@ def test_bundle_artifacts_run_the_suite_on_the_slice_once(corpus_bundles, monkey
     bundle = next(b for b in corpus_bundles if b.name == "b01_pick_max3")
     runs = []
 
-    def counting_run_suite(program, suite, budget):
+    def counting_run_suite(program, suite):
         runs.append((program.lines, suite.ids()))
-        return harness.run_suite(program, suite, budget)
+        return harness.run_suite(program, suite)
 
     for module in (experiment, suite_reducer):
         monkeypatch.setattr(module, "run_suite", counting_run_suite)
@@ -351,12 +353,53 @@ def test_baseline_dominance_bookkeeping(lattice_reports):
 
 def test_every_stage_runs_at_the_budget_the_bundle_was_loaded_with(corpus_dir):
     # At 60 steps four of b04's tests run out of budget and join the failing
-    # ones.  Every stage reads the budget of the baseline run, so the slicer's
-    # self-check holds and each configuration runs to the end.
+    # ones.  Every stage runs each test at the budget the load gave it, never
+    # above 60, so the slicer's self-check holds and each configuration runs
+    # to the end.
     bundle = load_bundle(Path(corpus_dir) / "b04_rate_of", budget=60)
     reports = bundle_reports(BundleArtifacts(bundle), viable_configs())
     assert [r.config for r in reports] == [c.name for c in viable_configs()]
     assert {r.stop_reason for r in reports} == {"exhausted"}
+
+
+COUNTING = """\
+fn f(n)
+let i = 0
+while i != n
+i = i + 1
+end
+return i
+end
+"""
+
+
+def test_each_test_runs_at_factor_times_its_steps_on_the_original(tmp_path):
+    """Between FLOOR and the budget the bundle was loaded with.  ``f(-1)``
+    exhausts that budget on the original program and keeps it."""
+    (tmp_path / "program.sl").write_text(COUNTING)
+    (tmp_path / "tests.json").write_text(json.dumps([
+        {"id": t, "call": {"fn": "f", "args": [{"int": n}]}, "expect": {"value": {"int": v}}}
+        for t, n, v in (("t_spin", -1, 0), ("t_short", 1, 1), ("t_long", 50, 50),
+                        ("t_longer", 200, 200))
+    ]))
+    (tmp_path / "manifest.json").write_text('{"program": "program.sl", "tests": "tests.json"}')
+    bundle = load_bundle(tmp_path, budget=5_000)
+    steps = {t: o.steps for t, o in bundle.baseline_run.outcomes.items()}
+    assert steps["t_spin"] == 5_000 and steps["t_short"] * FACTOR < FLOOR
+    assert FACTOR * steps["t_long"] < 5_000 < FACTOR * steps["t_longer"]
+    assert {t.id: t.budget for t in bundle.suite} == {
+        "t_spin": 5_000, "t_short": FLOOR, "t_long": FACTOR * steps["t_long"],
+        "t_longer": 5_000,
+    }
+
+
+def test_a_tests_budget_depends_on_the_bundle_alone(corpus_dir):
+    """Loading a bundle again, after a lattice has run on it, gives each of
+    its tests the same budget."""
+    path = Path(corpus_dir) / "b03_series_sum"
+    first = load_bundle(path)
+    bundle_reports(BundleArtifacts(first), viable_configs())
+    assert [t.budget for t in load_bundle(path).suite] == [t.budget for t in first.suite]
 
 
 def test_lattice_lets_unexpected_errors_escape(corpus_bundles, corpus_artifacts, monkeypatch):

@@ -244,9 +244,9 @@ end
 """
     p = program(text)
     suite = TestSuite((
-        TestCase("fail", "f", (2, False), "value", 3),   # actual 5
-        TestCase("pass1", "f", (3, True), "value", 9),
-        TestCase("pass2", "f", (4, True), "value", 12),
+        TestCase("fail", "f", (2, False), "value", 3, budget=10_000),   # actual 5
+        TestCase("pass1", "f", (3, True), "value", 9, budget=10_000),
+        TestCase("pass2", "f", (4, True), "value", 12, budget=10_000),
     ))
     original = localize(run_suite(p, suite))
     ranks = {e.line: e.rank for e in original.entries}
@@ -256,12 +256,12 @@ end
     from reducto.slicer import build_criterion, orbs_slice
     from reducto.suite_reducer import reduce_suite
 
-    on_original = run_suite(p, suite, 10_000)
+    on_original = run_suite(p, suite)
     result = orbs_slice(p, build_criterion(suite, on_original))
     assert {3, 4, 5} <= set(result.deleted)
     reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
     assert reduced.kept.ids() == ["fail"]
-    on_slice = run_suite(result.slice, reduced.kept, 10_000)
+    on_slice = run_suite(result.slice, reduced.kept)
     regenerated = regenerate_list(on_slice, result.mapping)
     assert regenerated.rank_of(bug_line) > ranks[bug_line]
     # while the pruned list, by construction, can only improve the rank

@@ -73,7 +73,7 @@ def test_unbuildable_and_budget_outcomes():
     suite = TestSuite((TestCase("t", "f", (), "value", 1),))
     assert run_suite(broken, suite).outcomes["t"].kind == "Unbuildable"
     spin = compiled("fn f()\nwhile true\nend\nreturn 1\nend\n")
-    out = run_test(spin, TestCase("t", "f", (), "value", 1), budget=200)
+    out = run_test(spin, TestCase("t", "f", (), "value", 1, budget=200))
     assert out.kind == "BudgetExceeded"
 
 

@@ -317,8 +317,8 @@ def test_budget_exceeded_verdict():
 
     looped = apply_edit(p, 4, ReplaceLine("i = i + 0"))
     candidate = PatchCandidate("T4", 4, ReplaceLine("i = i + 0"), looped)
-    suite = TestSuite((TestCase("t", "f", (3,), "value", 3),))
-    result = validate_patch(candidate, suite, ["t"], budget=500)
+    suite = TestSuite((TestCase("t", "f", (3,), "value", 3, budget=500),))
+    result = validate_patch(candidate, suite, ["t"])
     assert result.verdict == "BudgetExceeded"
 
 
@@ -415,7 +415,7 @@ def test_each_repair_call_starts_a_cold_scope(corpus_bundles, monkeypatch):
     monkeypatch.setattr(interp, "Scope", RecordedScope)
     results = [
         repair(bundle.program, artifacts.asts["P"], artifacts.suite("T"),
-               artifacts.suspicious("L"), artifacts.failing_ids, artifacts.baseline.budget)
+               artifacts.suspicious("L"), artifacts.failing_ids)
         for _ in range(2)
     ]
     for field in fields(results[0]):

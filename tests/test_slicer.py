@@ -27,10 +27,10 @@ BUDGET = 10_000
 
 
 def value_criterion(p: SourceProgram, fn: str, args: tuple, wrong):
-    """Baseline at ``BUDGET`` from one failing test: ``fn(args)`` expected
+    """Baseline from one failing test at ``BUDGET``: ``fn(args)`` expected
     to return ``wrong``, a value the program does not compute."""
-    suite = TestSuite((TestCase("t", fn, args, "value", wrong),))
-    return build_criterion(suite, run_suite(p, suite, BUDGET))
+    suite = TestSuite((TestCase("t", fn, args, "value", wrong, budget=BUDGET),))
+    return build_criterion(suite, run_suite(p, suite))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def test_deleting_watched_assignment_rejected():
     assert verdict.reason == "BehaviorChanged"
     # direct re-execution shows the difference: r is now undefined
     test = baseline.tests[0]
-    outcome = run_suite(cand, TestSuite((test,)), BUDGET).outcomes[test.id]
+    outcome = run_suite(cand, TestSuite((test,))).outcomes[test.id]
     observed = mapped_signature(test.id, outcome, cand_map)
     assert (observed.outcome, observed.error_kind, observed.error_line) == (
         "Errored", "UndefinedVariable", 5,
@@ -190,8 +190,8 @@ def brute_force_accept(base: SourceProgram, drop: set, tests: TestSuite):
         parse(cand)
     except ParseError:
         return False
-    before = run_suite(base, tests, BUDGET).outcomes
-    after = run_suite(cand, tests, BUDGET).outcomes
+    before = run_suite(base, tests).outcomes
+    after = run_suite(cand, tests).outcomes
     for test in tests:
         got = signature(test.id, after[test.id])
         if got.error_line:
@@ -252,10 +252,10 @@ def test_budget_exceeded_signature_is_preserved_through_slicing():
         "return i\nend\n"
     )
     suite = TestSuite((
-        TestCase("t_spin", "f", (5,), "value", 5),
-        TestCase("t_zero", "f", (0,), "value", 0),
+        TestCase("t_spin", "f", (5,), "value", 5, budget=2_000),
+        TestCase("t_zero", "f", (0,), "value", 0, budget=2_000),
     ))
-    baseline = build_criterion(suite, run_suite(p, suite, 2_000))
+    baseline = build_criterion(suite, run_suite(p, suite))
     assert baseline.signature_for("t_spin").outcome == "BudgetExceeded"
     result = orbs_slice(p, baseline)
     # the junk store, the useless increment and the unreachable return all go
@@ -318,9 +318,7 @@ def test_slice_result_invariants(corpus_artifacts):
 def test_slice_behavior_preservation_on_corpus(corpus_artifacts):
     artifacts, _ = corpus_artifacts
     for art in artifacts.values():
-        outcomes = run_suite(
-            art.slice_result.slice, TestSuite(art.baseline.tests), art.baseline.budget
-        ).outcomes
+        outcomes = run_suite(art.slice_result.slice, TestSuite(art.baseline.tests)).outcomes
         for test in art.baseline.tests:
             observed = mapped_signature(test.id, outcomes[test.id], art.slice_result.mapping)
             assert observed == art.baseline.signature_for(test.id)

@@ -8,6 +8,7 @@ from reducto.suite_reducer import (
     COVERS_ONLY_DELETED,
     FAILS_ON_SLICE,
     InvalidSlice,
+    RemovedTest,
     reduce_suite,
     reduction_log_json,
     verify_reduction,
@@ -30,11 +31,11 @@ end
 def two_fn_setup():
     p = program(TWO_FN)
     suite = TestSuite((
-        TestCase("t_fail", "target", (2,), "value", 5),  # 4 != 5: the bug witness
-        TestCase("t_keep", "target", (3,), "value", 6),
-        TestCase("t_helper", "helper", (2,), "value", 20),
+        TestCase("t_fail", "target", (2,), "value", 5, budget=10_000),  # 4 != 5: the bug witness
+        TestCase("t_keep", "target", (3,), "value", 6, budget=10_000),
+        TestCase("t_helper", "helper", (2,), "value", 20, budget=10_000),
     ))
-    on_original = run_suite(p, suite, 10_000)
+    on_original = run_suite(p, suite)
     baseline = build_criterion(suite, on_original)
     return p, suite, on_original, baseline, orbs_slice(p, baseline)
 
@@ -87,10 +88,10 @@ end
 """
     p = program(text)
     suite = TestSuite((
-        TestCase("t_fail", "f", (2,), "value", 9),  # 3 != 9
-        TestCase("t_neg", "f", (-4,), "value", 4),  # exercises the else path
+        TestCase("t_fail", "f", (2,), "value", 9, budget=10_000),  # 3 != 9
+        TestCase("t_neg", "f", (-4,), "value", 4, budget=10_000),  # exercises the else path
     ))
-    on_original = run_suite(p, suite, 10_000)
+    on_original = run_suite(p, suite)
     result = orbs_slice(p, build_criterion(suite, on_original))
     assert 5 in result.deleted  # the negative branch is irrelevant to the bug
     reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
@@ -101,7 +102,7 @@ end
 def test_on_slice_is_the_run_of_the_kept_tests_on_the_slice():
     p, suite, on_original, _, result = two_fn_setup()
     reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
-    assert reduced.on_slice == run_suite(result.slice, reduced.kept, on_original.budget)
+    assert reduced.on_slice == run_suite(result.slice, reduced.kept)
     assert reduced.on_slice.failing == ("t_fail",)
     assert reduced.on_slice.passing == ("t_keep",)
 
@@ -111,6 +112,32 @@ def test_invalid_mapping_rejected():
     bad = LineMapping(tuple(o + 1 for o in result.mapping.original_lines()))
     with pytest.raises(InvalidSlice):
         reduce_suite(p, result.slice, bad, suite, on_original)
+
+
+def test_mapping_that_swaps_identical_lines_rejected():
+    """Every line of the slice, here the whole program, matches the line it
+    is mapped to, but the two ``end`` lines trade places."""
+    p, suite, on_original, _, _ = two_fn_setup()
+    swapped = LineMapping((1, 2, 7, 4, 5, 6, 3))
+    assert all(p.line(s) == p.line(o) for s, o in enumerate(swapped.originals, start=1))
+    with pytest.raises(InvalidSlice, match="monotonic"):
+        reduce_suite(p, p, swapped, suite, on_original)
+
+
+def test_removed_test_that_covered_nothing_fails_on_slice():
+    """A call with the wrong arity covers no line; once the slice deletes
+    the callee the test errs differently, and having covered nothing is
+    not having covered only deleted code."""
+    p, _, _, _, result = two_fn_setup()
+    suite = TestSuite((
+        TestCase("t_fail", "target", (2,), "value", 5),
+        TestCase("t_arity", "helper", (1, 2), "error", "ArityMismatch"),
+    ))
+    on_original = run_suite(p, suite)
+    assert on_original.outcomes["t_arity"].passed
+    assert on_original.outcomes["t_arity"].covered == frozenset()
+    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
+    assert reduced.removed == (RemovedTest("t_arity", FAILS_ON_SLICE),)
 
 
 def test_idempotence_on_identity_slice():
@@ -151,10 +178,10 @@ end
 """
     p = program(text)
     suite = TestSuite((
-        TestCase("t_fail", "f", (1,), "value", 5),
-        TestCase("t_slow", "slow", (50,), "value", 50),
+        TestCase("t_fail", "f", (1,), "value", 5, budget=5_000),
+        TestCase("t_slow", "slow", (50,), "value", 50, budget=5_000),
     ))
-    on_original = run_suite(p, suite, 5_000)
+    on_original = run_suite(p, suite)
     result = orbs_slice(p, build_criterion(suite, on_original))
     # slow() is sliced away entirely; its test cannot pass on the slice
     reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
