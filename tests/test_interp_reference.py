@@ -6,7 +6,12 @@ corpus programs and tests, on every patch candidate the repair templates
 generate (divergent, erroring and ill-typed ones among them), on every
 budget around a looping function, on random operands for every
 operator, on every budget below 400 for kernels that end, raise or never
-end, and on random loops.
+end, at tier-up thresholds of a few back-edges, on random loops, and on
+long runs of the corpus library's loops.  Kernels are also checked
+against the interpreter itself: a run cut short by its budget takes
+exactly that budget, one compiled program gives every run the same
+result, and a kernel that never ends, run as a test, stops at its test's
+budget.
 
 Each check runs at the default tier-up threshold, where a unit runs tier 0
 until it is hot, and again at ``interp.TIER_UP_EDGES = 0``, where every
@@ -21,8 +26,10 @@ from hypothesis import given, settings, strategies as st
 
 import reference_interp as ref
 from reducto import interp
+from reducto.corpus import LIBRARY
+from reducto.experiment import FACTOR, FLOOR
 from reducto.faultloc import localize
-from reducto.harness import run_suite, run_test
+from reducto.harness import BUDGET_EXCEEDED, TestCase, run_suite, run_test
 from reducto.parser import ParseError, parse
 from reducto.repair import ReplaceLine, apply_edit, generate_candidates
 from reducto.values import INT_MIN, float_bits
@@ -1006,6 +1013,102 @@ def test_kernel_at_a_long_budget(kernel, edges):
         assert_agree(compiled(parse(program(text))), "f", args, CANDIDATE_BUDGET)
 
 
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kernel_tiering_up_after_a_few_back_edges(kernel):
+    """Thresholds of a few back-edges, so that units tier up in the first
+    runs of one compiled program, and a callee called in a loop part of the
+    way through a run."""
+    text, args = KERNELS[kernel]
+    for edges in (1, 2, 3, 6):
+        with tiering_up_at(edges):
+            codes = compiled(parse(program(text)))
+            for budget in (*range(0, 400, 5), CANDIDATE_BUDGET):
+                assert_agree(codes, "f", args, budget)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kernel_ends_where_its_budget_allows(kernel):
+    """Checked against the interpreter itself, not the reference: a run
+    that ends in ``s`` steps ends the same at every budget from ``s`` on,
+    and at every smaller budget takes exactly that budget, having printed
+    a prefix of the output and covered a subset of the lines."""
+    text, args = KERNELS[kernel]
+    for edges in (TIER_0_ONLY, 0):
+        with tiering_up_at(edges):
+            code = interp.compile_ast(parse(program(text)))
+            full = interp.execute(code, "f", list(args), CANDIDATE_BUDGET)
+            if full.status == "budget_exceeded":
+                assert full.steps == CANDIDATE_BUDGET
+                continue
+            observed = _observe(interp, code, "f", args, CANDIDATE_BUDGET)
+            for budget in (full.steps, full.steps + 1):
+                assert _observe(interp, code, "f", args, budget) == observed
+            for budget in range(0, full.steps, 3):
+                cut = interp.execute(code, "f", list(args), budget)
+                assert (cut.status, cut.steps) == ("budget_exceeded", budget)
+                assert _key(full.output[:len(cut.output)]) == _key(cut.output)
+                assert cut.covered <= full.covered
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kernel_on_one_compiled_program_run_after_run(kernel):
+    """Units keep their back-edge counts and tier 1 code from one run to the
+    next, as ``repair`` runs a scope's units; no run's result depends on the
+    runs before it.  Each run equals a run of a fresh tier-0 program."""
+    text, args = KERNELS[kernel]
+    ast = parse(program(text))
+    with tiering_up_at(TIER_0_ONLY):
+        fresh = {budget: _observe(interp, interp.compile_ast(ast), "f", args, budget)
+                 for budget in (37, CANDIDATE_BUDGET)}
+    for edges in (interp.TIER_UP_EDGES, 1):
+        with tiering_up_at(edges):
+            code = interp.compile_ast(ast)
+            for _ in range(4):
+                for budget in (CANDIDATE_BUDGET, 37):
+                    assert _observe(interp, code, "f", args, budget) == fresh[budget]
+
+
+# The kernels that never end, each at some budget past 400 steps.
+DIVERGENT = {
+    "accumulator_printed_in_an_array", "aliased_array_toggles", "array_keeps_growing",
+    "array_that_contains_itself", "bound_drifts_with_the_counter",
+    "called_function_never_returns",
+    "caller_loop_diverges_around_a_callee_that_returns_early",
+    "counter_climbs_above_its_floor", "counter_moves_away_from_an_unequal_bound",
+    "counter_never_incremented", "counter_steps_by_a_parameter", "counter_steps_by_three",
+    "flips_between_0_0_minus_0_0_and_nan", "flips_between_1_1_0_and_true",
+    "fresh_callee_diverges", "inner_loop_bounded_by_the_counter",
+    "inner_loop_ends_outer_does_not", "inner_loop_never_ends",
+    "int_float_str_array_accumulators", "long_array_toggled_forever",
+    "loop_calls_a_looping_function", "negated_accumulator_printed",
+    "print_inside_the_cycle", "printed_accumulator", "recursion_inside_the_loop",
+    "series_sum_adds_minus_one", "series_sum_counts_down",
+}
+
+
+def test_the_divergent_kernels_are_those_that_outrun_a_long_budget():
+    outrun = {
+        kernel for kernel, (text, args) in KERNELS.items()
+        if assert_agree(compiled(parse(program(text))), "f", args, 20_000) == "budget_exceeded"
+    }
+    assert outrun == DIVERGENT
+
+
+@pytest.mark.parametrize("edges", [interp.TIER_UP_EDGES, 0])
+@pytest.mark.parametrize("kernel", sorted(DIVERGENT))
+def test_a_divergent_kernel_stops_at_its_tests_budget(kernel, edges):
+    """Run as a test by the harness, a kernel that never ends takes exactly
+    its test's budget, from FLOOR up."""
+    text, args = KERNELS[kernel]
+    with tiering_up_at(edges):
+        codes = compiled(parse(program(text)))
+        for budget in (FLOOR, FACTOR * FLOOR, CANDIDATE_BUDGET):
+            test = TestCase("t", "f", args, "value", 0, budget)
+            outcome = run_test(codes[0], test)
+            assert (outcome.kind, outcome.steps) == (BUDGET_EXCEEDED, budget)
+            assert assert_agree(codes, "f", args, budget) == "budget_exceeded"
+
+
 # Random loops over a few ints, a float, a str, a bool and two arrays that
 # may alias, with nested conditions and loops and statements that can raise.
 LOOP_STATEMENTS = (
@@ -1057,6 +1160,48 @@ def test_random_loops_in_tier_1():
 
     with tiering_up_at(0):
         check()
+
+
+# ---------------------------------------------------------------------------
+# Long runs of the corpus library's loops
+
+# Inputs of 240 items for every corpus library function with a loop;
+# gcd_of takes F(91), the first Fibonacci number above 2**62, and F(90),
+# on which it takes 89 passes.
+_FIB = [0, 1]
+while _FIB[-1] < 2**62:
+    _FIB.append(_FIB[-1] + _FIB[-2])
+_ITEMS = list(range(-120, 120))
+LOOP_INPUTS = {
+    "sum_to": (240,), "fib_at": (240,), "count_pos": (_ITEMS,), "sum_arr": (_ITEMS,),
+    "max_arr": (_ITEMS,), "pow_int": (3, 240), "dot_of": (_ITEMS, _ITEMS),
+    "repeat_join": ("ab", 240), "gcd_of": (_FIB[-1], _FIB[-2]),
+}
+
+
+def test_every_corpus_loop_has_long_inputs():
+    assert set(LOOP_INPUTS) == {name for name, lines in LIBRARY.items()
+                                if any(line.startswith("while ") for line in lines)}
+
+
+@pytest.mark.parametrize("edges", [interp.TIER_UP_EDGES, 0])
+@pytest.mark.parametrize("name", sorted(LOOP_INPUTS))
+def test_a_library_loop_run_after_run(name, edges):
+    """Three runs on one compiled program: at the default threshold each
+    loop passes TIER_UP_EDGES back-edges in the second or third run, and the
+    unit runs tier 1 from its next call.  Each run ends, and the budgets
+    around its steps agree too."""
+    ast = parse(program("\n".join(LIBRARY[name]) + "\n"))
+    args = LOOP_INPUTS[name]
+    with tiering_up_at(edges):
+        codes = interp.compile_ast(ast), ref.compile_ast(ast)
+        for _ in range(3):
+            assert assert_agree(codes, name, args) == "completed"
+        unit, _ = codes[0].entry(name)
+        assert unit.call is not unit.tier0
+        steps = interp.execute(codes[0], name, list(args)).steps
+        for budget in (steps - 1, steps):
+            assert_agree(codes, name, args, budget)
 
 
 # ---------------------------------------------------------------------------
