@@ -39,7 +39,7 @@ from .faultloc import localize, prune_list, regenerate_list, suspicious_json
 from .repair import edit_new_text
 from .slicer import NoFailingTests, deletion_log_json, slice_result_from_log
 from .suite_reducer import reduce_suite, reduction_log_json
-from .harness import MultiAssertTest, save_suite
+from .harness import read_json, reading, save_suite
 
 
 class UsageError(Exception):
@@ -78,15 +78,9 @@ def _artifacts(args) -> BundleArtifacts:
 
 def _load_slice_dir(bundle, slice_dir: str):
     """(slice program, mapping) from a directory written by `reducto slice`."""
-    root = Path(slice_dir)
-    log_path = root / "deletion_log.json"
-    if not log_path.is_file():
-        raise ManifestError(f"{root}: no deletion_log.json")
-    try:
-        log = json.loads(log_path.read_text(encoding="utf-8"))
-        return slice_result_from_log(bundle.program, log)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise ManifestError(f"{log_path}: {exc}") from exc
+    log_path = Path(slice_dir) / "deletion_log.json"
+    with reading(log_path):
+        return slice_result_from_log(bundle.program, read_json(log_path))
 
 
 def cmd_slice(args) -> int:
@@ -363,9 +357,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ManifestError, MultiAssertTest, NoFailingTests, NonViableConfig, UsageError,
-    ) as exc:
+    except (ManifestError, NoFailingTests, NonViableConfig, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

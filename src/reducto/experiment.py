@@ -28,11 +28,12 @@ from .faultloc import (
 )
 from .harness import (
     UNBUILDABLE,
-    MultiAssertTest,
-    SuiteFormatError,
+    ManifestError,
     SuiteResult,
     TestSuite,
     load_suite,
+    read_json,
+    reading,
     run_suite,
 )
 from .parser import ParseError, parse
@@ -47,10 +48,6 @@ from .slicer import (
 )
 from .source import SourceProgram
 from .suite_reducer import ReducedSuite, reduce_suite
-
-
-class ManifestError(Exception):
-    """The bundle manifest or one of its referenced files is unusable."""
 
 
 class NonViableConfig(Exception):
@@ -143,38 +140,25 @@ def load_bundle(path, budget: int = interp.DEFAULT_BUDGET) -> BugBundle:
     budgets depend on the bundle's files and ``budget`` alone.
 
     Enforces the manifest schema, the one-expectation-per-test rule, and
-    the presence of at least one failing test on the original program.
+    the presence of at least one failing test on the original program.  A
+    fault in any of the bundle's files is a ManifestError naming the file.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     root = Path(path)
     manifest_path = root / "manifest.json"
-    if not manifest_path.is_file():
-        raise ManifestError(f"{root}: no manifest.json")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise ManifestError(f"{manifest_path}: {exc}") from exc
-    if not isinstance(manifest, dict) or "program" not in manifest or "tests" not in manifest:
-        raise ManifestError(f"{manifest_path}: manifest needs 'program' and 'tests'")
+    manifest = read_json(manifest_path)
+    if not isinstance(manifest, dict) or not all(
+        isinstance(manifest.get(key), str) for key in ("program", "tests")
+    ):
+        raise ManifestError(f"{manifest_path}: manifest needs string 'program' and 'tests'")
 
     program_path = root / manifest["program"]
-    tests_path = root / manifest["tests"]
-    if not program_path.is_file():
-        raise ManifestError(f"{program_path}: missing program file")
-    if not tests_path.is_file():
-        raise ManifestError(f"{tests_path}: missing tests file")
-
-    program = SourceProgram.from_text(
-        program_path.read_text(encoding="utf-8"), id=root.name
-    )
-
-    try:
-        suite = load_suite(tests_path, budget)
-    except MultiAssertTest:
-        raise
-    except (SuiteFormatError, ValueError) as exc:
-        raise ManifestError(f"{tests_path}: {exc}") from exc
+    with reading(program_path):
+        program = SourceProgram.from_text(
+            program_path.read_text(encoding="utf-8"), id=root.name
+        )
+    suite = load_suite(root / manifest["tests"], budget)
 
     ground_truth = None
     if manifest.get("ground_truth") is not None:
@@ -209,9 +193,8 @@ def load_bundle(path, budget: int = interp.DEFAULT_BUDGET) -> BugBundle:
 
 def load_corpus(path, budget: int = interp.DEFAULT_BUDGET) -> list[BugBundle]:
     root = Path(path)
-    if not root.is_dir():
-        raise ManifestError(f"{root}: not a directory")
-    bundle_dirs = sorted(p for p in root.iterdir() if (p / "manifest.json").is_file())
+    with reading(root):
+        bundle_dirs = sorted(p for p in root.iterdir() if (p / "manifest.json").is_file())
     if not bundle_dirs:
         raise ManifestError(f"{root}: no bundles found")
     return [load_bundle(p, budget) for p in bundle_dirs]

@@ -5,12 +5,16 @@ value, an error kind, or the printed output sequence.  Outcomes are
 canonicalized into FailureSignatures whose comparison is purely structural;
 no printed representation ever enters a signature, so two values that
 happen to render identically still compare by their bits.
+
+``read_json`` reads every JSON file of a bundle or a slice directory, and
+``reading`` reports a fault in any such file as one ManifestError naming it.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,10 +29,6 @@ from .values import (
 EXPECT_VALUE = "value"
 EXPECT_ERROR = "error"
 EXPECT_OUTPUT = "output"
-
-
-class SuiteFormatError(Exception):
-    """A tests file violates the schema (including the one-expectation rule)."""
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class TestSuite:
         seen = set()
         for t in self.tests:
             if t.id in seen:
-                raise SuiteFormatError(f"duplicate test id {t.id!r}")
+                raise ValueError(f"duplicate test id {t.id!r}")
             seen.add(t.id)
 
     def __len__(self):
@@ -233,51 +233,47 @@ def signature(test_id: str, outcome: Outcome) -> FailureSignature:
 
 def _parse_expect(obj, test_id: str) -> tuple[str, object]:
     if not isinstance(obj, dict):
-        raise SuiteFormatError(f"test {test_id!r}: expect must be an object")
+        raise ValueError(f"test {test_id!r}: expect must be an object")
     if len(obj) != 1:
-        raise MultiAssertTest(test_id)
+        raise ValueError(
+            f"test {test_id!r} carries multiple expectations; "
+            "split it into single-expectation tests"
+        )
     (key, payload), = obj.items()
     if key == EXPECT_VALUE:
         return EXPECT_VALUE, value_from_json(payload)
     if key == EXPECT_ERROR:
         if payload not in ERROR_KINDS:
-            raise SuiteFormatError(f"test {test_id!r}: unknown error kind {payload!r}")
+            raise ValueError(f"test {test_id!r}: unknown error kind {payload!r}")
         return EXPECT_ERROR, payload
     if key == EXPECT_OUTPUT:
         if not isinstance(payload, list):
-            raise SuiteFormatError(f"test {test_id!r}: output expectation must be a list")
+            raise ValueError(f"test {test_id!r}: output expectation must be a list")
         return EXPECT_OUTPUT, tuple(value_from_json(v) for v in payload)
-    raise SuiteFormatError(f"test {test_id!r}: unknown expectation {key!r}")
-
-
-class MultiAssertTest(SuiteFormatError):
-    """A test bundles several expectations; refactor it into one per test."""
-
-    def __init__(self, test_id: str):
-        super().__init__(
-            f"test {test_id!r} carries multiple expectations; "
-            "split it into single-expectation tests"
-        )
-        self.test_id = test_id
+    raise ValueError(f"test {test_id!r}: unknown expectation {key!r}")
 
 
 def suite_from_json(data, budget: int = interp.DEFAULT_BUDGET) -> TestSuite:
     """The tests of a tests file's JSON, each at ``budget``."""
     if not isinstance(data, list):
-        raise SuiteFormatError("tests file must be a JSON array")
+        raise ValueError("tests file must be a JSON array")
     tests = []
     for entry in data:
         if not isinstance(entry, dict) or "id" not in entry:
-            raise SuiteFormatError(f"malformed test entry: {entry!r}")
+            raise ValueError(f"malformed test entry: {entry!r}")
         test_id = entry["id"]
         if not isinstance(test_id, str):
-            raise SuiteFormatError(f"test id must be a string: {test_id!r}")
+            raise ValueError(f"test id must be a string: {test_id!r}")
         call = entry.get("call")
-        if not isinstance(call, dict) or "fn" not in call or "args" not in call:
-            raise SuiteFormatError(f"test {test_id!r}: malformed call")
+        if (
+            not isinstance(call, dict)
+            or not isinstance(call.get("fn"), str)
+            or not isinstance(call.get("args"), list)
+        ):
+            raise ValueError(f"test {test_id!r}: call needs a string fn and a list of args")
         args = tuple(value_from_json(a) for a in call["args"])
         if "expect" not in entry:
-            raise SuiteFormatError(f"test {test_id!r}: missing expectation")
+            raise ValueError(f"test {test_id!r}: missing expectation")
         kind, expect = _parse_expect(entry["expect"], test_id)
         tests.append(TestCase(test_id, call["fn"], args, kind, expect, budget))
     return TestSuite(tuple(tests))
@@ -302,21 +298,43 @@ def suite_to_json(suite: TestSuite) -> list:
     return out
 
 
+class ManifestError(Exception):
+    """A corpus, a bundle's file or a slice directory's deletion log is unusable."""
+
+
+@contextmanager
+def reading(path):
+    """Turn a fault met while reading the file at ``path`` into one
+    ManifestError naming it: an OSError, a ValueError (not UTF-8, not JSON,
+    or a schema check of the reader) or a RecursionError (nested too
+    deeply)."""
+    try:
+        yield
+    except (OSError, ValueError, RecursionError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ManifestError(f"{path}: {reason}") from exc
+
+
+def read_json(path):
+    """The JSON document in the bundle file at ``path``, read as UTF-8 with
+    every integer read as ``int_from_digits`` reads it; a ManifestError
+    naming the file when it cannot be read."""
+    with reading(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        # An integer lies within one comma-separated piece of the text.  When
+        # no piece is longer than any digit limit may reject, json's own ints
+        # read every integer as ``int_from_digits`` would, and calling that on
+        # each integer makes a file of long arrays several times slower to read.
+        longest = max(map(len, text.split(",")))
+        parse_int = int_from_digits if longest > sys.int_info.str_digits_check_threshold else None
+        return json.loads(text, parse_int=parse_int)
+
+
 def load_suite(path, budget: int = interp.DEFAULT_BUDGET) -> TestSuite:
     """The tests file at ``path``, each test at ``budget``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    # An integer lies within one comma-separated piece of the text.  When
-    # no piece is longer than any digit limit may reject, json's own ints
-    # read every integer as ``int_from_digits`` would, and calling that on
-    # each integer makes a file of long arrays several times slower to read.
-    longest = max(map(len, text.split(",")))
-    parse_int = int_from_digits if longest > sys.int_info.str_digits_check_threshold else None
-    try:
-        data = json.loads(text, parse_int=parse_int)
-    except RecursionError as exc:
-        raise SuiteFormatError("tests file nests too deeply to read") from exc
-    return suite_from_json(data, budget)
+    with reading(path):
+        return suite_from_json(read_json(path), budget)
 
 
 def save_suite(suite: TestSuite, path) -> None:

@@ -204,53 +204,103 @@ def test_integer_literal_beyond_cpython_digits_names_the_line(bundle_path, tmp_p
                               "integer literal too long"), command
 
 
-_SLICE_EACH_BUNDLE = """\
+def _set(keys, value):
+    """A change of a JSON file's bytes that sets the node at ``keys`` to ``value``."""
+    def change(data: bytes) -> bytes:
+        document = json.loads(data)
+        node = document
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return json.dumps(document).encode()
+    return change
+
+
+# Faults that once escaped as a TypeError or printed no file name, each as
+# (the file at fault, how its bytes change)
+NAMED_FILE_FAULTS = {
+    "program_null": ("manifest.json", _set(["program"], None)),
+    "args_null": ("tests.json", _set([0, "call", "args"], None)),
+    "fn_a_list": ("tests.json", _set([0, "call", "fn"], [])),
+    "two_expectations": ("tests.json", _set([0, "expect", "error"], "DivByZero")),
+    "program_not_utf8": ("program.sl", lambda data: data + b"\xff"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(NAMED_FILE_FAULTS))
+def test_experiment_names_the_file_at_fault(bundle_path, tmp_path, capsys, fault):
+    name, change = NAMED_FILE_FAULTS[fault]
+    corpus = tmp_path / "corpus"
+    bundle = _bundle_copy(bundle_path, corpus)
+    path = bundle / name
+    path.write_bytes(change(path.read_bytes()))
+    assert main(["experiment", str(corpus), "--configs", "P-T-L"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+
+_RUN_EACH_COMMAND = """\
 import contextlib, io, json, sys
 from reducto.cli import main
 outcomes = []
-for bundle, out in zip(sys.argv[1::2], sys.argv[2::2]):
+for argv in json.loads(sys.argv[1]):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        outcomes.append([main(["slice", bundle, "--out", out]), err.getvalue()])
+        outcomes.append([main(argv), err.getvalue()])
 print(json.dumps(outcomes))
 """
 
 
+def _digits_bundle(path: Path, returned="x", arg="0", bug_line="2") -> Path:
+    """A three-line bundle whose program returns ``returned``, whose one
+    test passes ``arg`` and whose manifest names ``bug_line``."""
+    path.mkdir()
+    (path / "program.sl").write_text(f"fn f(x)\nreturn {returned}\nend\n")
+    (path / "tests.json").write_text(
+        '[{"id": "t", "call": {"fn": "f", "args": [{"int": %s}]}, '
+        '"expect": {"value": {"int": 1}}}]' % arg
+    )
+    (path / "manifest.json").write_text(
+        '{"program": "program.sl", "tests": "tests.json", '
+        '"ground_truth": {"bug_line": %s, "patched_text": "return 1"}}' % bug_line
+    )
+    return path
+
+
 def test_long_integer_literals_do_not_depend_on_the_process_digit_limit(tmp_path):
     """A 1,000-digit literal is read and a 5,000-digit one rejected, in the
-    program and in the tests file, whatever PYTHONINTMAXSTRDIGITS says."""
-    bundles = []
+    program, the tests file, the manifest and a deletion log, whatever
+    PYTHONINTMAXSTRDIGITS says."""
+    commands = []
     for digits in (1_000, 5_000):
         literal = "9" * digits
-        for where in ("program", "tests"):
-            bundle = tmp_path / f"{where}_{digits}"
-            bundle.mkdir()
-            returned, arg = (literal, "0") if where == "program" else ("x", literal)
-            (bundle / "program.sl").write_text(f"fn f(x)\nreturn {returned}\nend\n")
-            (bundle / "tests.json").write_text(
-                '[{"id": "t", "call": {"fn": "f", "args": [{"int": %s}]}, '
-                '"expect": {"value": {"int": 1}}}]' % arg
-            )
-            (bundle / "manifest.json").write_text(
-                '{"program": "program.sl", "tests": "tests.json"}'
-            )
-            bundles.append(bundle)
+        for where in ("returned", "arg", "bug_line"):
+            bundle = _digits_bundle(tmp_path / f"{where}_{digits}", **{where: literal})
+            commands.append(["slice", str(bundle)])
+    slice_dir = tmp_path / "slice_5000"
+    slice_dir.mkdir()
+    (slice_dir / "deletion_log.json").write_text(
+        '{"deleted": [], "mapping": [[1, 1], [2, 2], [3, %s]]}' % ("9" * 5_000)
+    )
+    commands.append(["reduce-tests", str(tmp_path / "returned_1000"), "--slice", str(slice_dir)])
     outcomes = []
     for limit in (None, "0", "640"):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         if limit is not None:
             env["PYTHONINTMAXSTRDIGITS"] = limit
-        argv = [arg for b in bundles for arg in (str(b), f"{b}-out-{limit}")]
-        done = subprocess.run([sys.executable, "-c", _SLICE_EACH_BUNDLE, *argv], env=env,
-                              check=True, stdout=subprocess.PIPE, text=True)
+        argv = [command + ["--out", f"{tmp_path}/out-{limit}-{i}"]
+                for i, command in enumerate(commands)]
+        done = subprocess.run([sys.executable, "-c", _RUN_EACH_COMMAND, json.dumps(argv)],
+                              env=env, check=True, stdout=subprocess.PIPE, text=True)
         written = [
-            sorted((p.name, p.read_text()) for p in Path(f"{b}-out-{limit}").glob("*"))
-            for b in bundles
+            sorted((p.name, p.read_text()) for p in Path(command[-1]).glob("*"))
+            for command in argv
         ]
         outcomes.append(list(zip(json.loads(done.stdout), written)))
     assert outcomes[0] == outcomes[1] == outcomes[2]
-    assert [status for (status, _), _ in outcomes[0]] == [0, 0, 2, 2]
+    assert [status for (status, _), _ in outcomes[0]] == [0, 0, 2, 2, 2, 2, 2]
+    assert "more than 4300 digits" in outcomes[0][-1][0][1]
 
 
 def test_repair_writes_result(bundle_path, tmp_path):

@@ -23,7 +23,6 @@ from reducto.experiment import (
     viable_configs,
 )
 from reducto.cli import main
-from reducto.harness import MultiAssertTest
 from reducto.repair import edit_new_text
 from reducto.slicer import NoFailingTests
 from reducto.source import SourceProgram
@@ -93,6 +92,11 @@ def test_load_bundle_errors(tmp_path):
     with pytest.raises(ManifestError):
         load_bundle(bad)
 
+    for program, tests in ((None, "t.json"), (["p.sl"], "t.json"), ("p.sl", 7)):
+        (bad / "manifest.json").write_text(json.dumps({"program": program, "tests": tests}))
+        with pytest.raises(ManifestError, match="manifest needs string 'program' and 'tests'"):
+            load_bundle(bad)
+
     (bad / "manifest.json").write_text(json.dumps({"program": "p.sl", "tests": "t.json"}))
     with pytest.raises(ManifestError):
         load_bundle(bad)  # files missing
@@ -108,8 +112,9 @@ def test_load_bundle_errors(tmp_path):
         {"id": "t", "call": {"fn": "f", "args": [{"int": 1}]},
          "expect": {"value": {"int": 1}, "error": "DivByZero"}},
     ]))
-    with pytest.raises(MultiAssertTest):
+    with pytest.raises(ManifestError) as err:
         load_bundle(bad)
+    assert str(err.value).startswith(f"{bad / 't.json'}: test 't' carries multiple")
 
     (bad / "p.sl").write_text("fn f(a\nreturn a\nend\n")
     (bad / "t.json").write_text(json.dumps([
