@@ -25,7 +25,6 @@ from pathlib import Path
 
 from . import interp
 from .harness import TestCase, TestSuite, run_suite, save_suite
-from .parser import parse
 from .source import SourceProgram
 
 # ---------------------------------------------------------------------------
@@ -602,9 +601,9 @@ def _assemble_program(bdef: BundleDef) -> tuple[list[str], int]:
     return lines, bug_line
 
 
-def _expectation_from_run(program: SourceProgram, fn: str, args: tuple):
+def _expectation_from_run(code: interp.Code, fn: str, args: tuple):
     """(kind, payload) pinned from an actual run; OUTPUT_FNS pin stdout."""
-    result = interp.execute(interp.compile_ast(parse(program)), fn, list(args))
+    result = interp.execute(code, fn, list(args))
     if result.status == "runtime_error":
         return "error", result.error_kind
     assert result.status == "completed", f"{fn}{args}: {result.status}"
@@ -619,6 +618,7 @@ def build_bundle(bdef: BundleDef) -> BuiltBundle:
     patched_lines = list(lines)
     patched_lines[bug_line - 1:bug_line] = bdef.buggy.patched_text.split("\n")
     fixed = SourceProgram(tuple(patched_lines), bdef.name + "-fixed")
+    program_code, fixed_code = interp.Scope().build(program), interp.Scope().build(fixed)
 
     rng = random.Random(bdef.seed)
     tests = []
@@ -631,7 +631,7 @@ def build_bundle(bdef: BundleDef) -> BuiltBundle:
             if key in seen_args:
                 continue
             seen_args.add(key)
-            kind, payload = _expectation_from_run(program, fn, args)
+            kind, payload = _expectation_from_run(program_code, fn, args)
             tests.append(TestCase(f"u{len(tests):03d}_{fn}", fn, args, kind, payload))
             produced += 1
 
@@ -639,7 +639,7 @@ def build_bundle(bdef: BundleDef) -> BuiltBundle:
     failing_ids = []
     bug_fn = bdef.buggy.name
     for k, args in enumerate(bdef.buggy.failing_calls + bdef.buggy.passing_calls):
-        kind, payload = _expectation_from_run(fixed, bug_fn, args)
+        kind, payload = _expectation_from_run(fixed_code, bug_fn, args)
         test_id = f"r{k:03d}_{bug_fn}"
         tests.append(TestCase(test_id, bug_fn, args, kind, payload))
         relevant_ids.append(test_id)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import interp
-from .interp import ERROR_KINDS, CallSetupError, execute
-from .parser import ParseError, parse
+from .interp import ERROR_KINDS, execute
+from .parser import ParseError
 from .source import SourceProgram
 from .values import (
     canonical_json, int_from_digits, value_from_json, value_to_json, values_equal,
@@ -127,21 +127,7 @@ def _output_text(values) -> str:
 
 def run_test(code: interp.Code, test: TestCase) -> Outcome:
     """Execute one test on a compiled program, at the test's budget."""
-    try:
-        result = execute(code, test.function, list(test.args), test.budget)
-    except CallSetupError as exc:
-        # The call itself cannot start: an error at line 0 that covers nothing.
-        result = interp.ExecutionResult(
-            status="runtime_error",
-            return_value=None,
-            error_kind=exc.kind,
-            error_line=0,
-            error_message=exc.message,
-            output=(),
-            covered=frozenset(),
-            steps=0,
-        )
-
+    result = execute(code, test.function, list(test.args), test.budget)
     covered, steps = result.covered, result.steps
     if result.status == "budget_exceeded":
         return Outcome(BUDGET_EXCEEDED, covered, steps)
@@ -196,10 +182,10 @@ def run_suite(program: SourceProgram, suite: TestSuite) -> SuiteResult:
     """Run every test independently, each at its budget; the partition is
     exhaustive and disjoint.
 
-    The program is parsed and compiled once; when it does not parse, every
-    test is Unbuildable."""
+    The program is built once, in a scope of its own; when it does not
+    parse, every test is Unbuildable."""
     try:
-        code = interp.compile_ast(parse(program))
+        code = interp.Scope().build(program)
     except ParseError:
         outcomes = {t.id: Outcome(UNBUILDABLE, frozenset(), 0) for t in suite}
         return SuiteResult(outcomes, (), tuple(suite.ids()))

@@ -24,7 +24,7 @@ a function that a candidate edit left alone, or only shifted, is not
 lowered per candidate.  A scope keeps a unit once a second program holds
 its text, or once the unit is hot; the unit of a text met once, most
 often a candidate's own edit, goes with its program.  A scope is one
-slicer run, one configuration's repair or one compiled program; it
+slicer run, one configuration's repair or one program built alone; it
 starts cold, so it speeds up every configuration alike.
 
 Tiering up.  A unit counts its back-edges over every call in its scope.
@@ -41,6 +41,9 @@ Semantics pinned down for reproducibility:
 * mixed int/float arithmetic and ordering promote the int operand;
   ``==``/``!=`` stay type-strict and structural;
 * a function that falls off its end returns the integer 0;
+* an entry call to a missing function, or with the wrong number of
+  arguments, cannot start: it is a runtime error at line 0 that covers
+  nothing;
 * a call nested deeper than MAX_CALL_DEPTH ends the run as
   budget_exceeded, however deep the caller's own Python stack is.
 """
@@ -56,6 +59,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import parser as P
+from .source import SourceProgram
 from .values import INT_MAX, INT_MIN, CyclicArray, freeze, thaw, values_equal, wrap_int
 
 DEFAULT_BUDGET = 100_000
@@ -123,15 +127,6 @@ def _exhausted():
     raise _BudgetExhausted()
 
 
-class CallSetupError(Exception):
-    """The entry call cannot start: unknown function or wrong arity."""
-
-    def __init__(self, kind: str, message: str):
-        super().__init__(message)
-        self.kind = kind
-        self.message = message
-
-
 # One per execution, so slotted rather than frozen: a frozen dataclass's
 # ``__init__`` pays one ``object.__setattr__`` per field.  No one writes to
 # a result once it is returned.
@@ -159,6 +154,12 @@ class Scope:
     def __init__(self):
         self.lines: dict = {}
         self.units: dict = {}  # function text -> its unit, None until kept
+
+    def build(self, program: SourceProgram) -> "Code":
+        """``program`` parsed through this scope's line table and compiled
+        in this scope; a ParseError when it does not parse.  Both calls go
+        through their modules' names, which the benchmark's tracer wraps."""
+        return compile_ast(P.parse(program, self.lines), self)
 
 
 class Code:
@@ -961,11 +962,10 @@ class _Source:
                 f"else _index({b}, {i}, {line}))")
 
 
-def compile_ast(ast: P.Ast, scope: Optional[Scope] = None) -> Code:
+def compile_ast(ast: P.Ast, scope: Scope) -> Code:
     """Compile an Ast once; every execution of the program reuses the
-    result.  The programs compiled in one ``scope`` share its units; with
-    none, the program is a scope of its own."""
-    return Code(ast, Scope() if scope is None else scope)
+    result.  The programs compiled in one ``scope`` share its units."""
+    return Code(ast, scope)
 
 
 def execute(
@@ -974,15 +974,14 @@ def execute(
     args: list,
     budget: int = DEFAULT_BUDGET,
 ) -> ExecutionResult:
-    """Run ``function(args)`` and package every observation.
-
-    The entry call must resolve (function exists, arity matches); a
-    CallSetupError otherwise.  Identical inputs produce identical results,
-    bit for bit.
+    """Run ``function(args)`` and package every observation; an entry
+    call that cannot start is an error at line 0.  Identical inputs
+    produce identical results, bit for bit.
     """
     setup_error = _call_error(code.functions, function, len(args))
     if setup_error:
-        raise CallSetupError(*setup_error)
+        kind, message = setup_error
+        return ExecutionResult("runtime_error", None, kind, 0, message, (), frozenset(), 0)
     status, return_value, error = "completed", None, (None, None, None)
     # The caller runs below the current limit, so raising it by the headroom
     # leaves the run at least that many frames, however deep the caller is.

@@ -573,11 +573,11 @@ def _line_data(kind: str, word: Optional[str], text: str):
 def parse(program: SourceProgram, lines: Optional[dict] = None) -> Ast:
     """Parse a program or raise ParseError at the first offending line.
 
-    ``lines`` maps raw line texts to their forms.  Passing one dict to every
-    parse of a scope (a slicer run, one configuration's repair) parses each
-    distinct line once; without one, the parse starts cold.  Only line
-    numbers, block balance, nesting and duplicate functions are worked out
-    per program."""
+    ``lines`` maps raw line texts to their forms.  ``interp.Scope.build``
+    passes its scope's one dict to every parse of the scope (a slicer run,
+    one configuration's repair), which parses each distinct line once;
+    without one, the parse starts cold.  Only line numbers, block balance,
+    nesting and duplicate functions are worked out per program."""
     if lines is None:
         lines = {}
     functions: dict[str, Function] = {}

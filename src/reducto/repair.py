@@ -27,7 +27,7 @@ from . import interp
 from . import parser as P
 from .faultloc import SuspiciousList
 from .harness import BUDGET_EXCEEDED, TestCase, TestSuite, run_test
-from .parser import Ast, ParseError, parse
+from .parser import Ast, ParseError
 from .source import SourceProgram, is_blank, is_comment
 
 RELATIONAL = list(P.RELATIONAL_OPS)
@@ -280,16 +280,13 @@ def validate_patch(
     candidate: PatchCandidate,
     suite: TestSuite,
     failing_ids,
-    scope: Optional[interp.Scope] = None,
+    scope: interp.Scope,
 ) -> ValidationResult:
-    """Parse and compile the candidate once, then run failing tests first,
-    early exit at the first non-Pass, every execution counted.  ``scope``
-    is the caller's (see ``interp.Scope``); without one, the candidate is
-    a scope of its own."""
-    if scope is None:
-        scope = interp.Scope()
+    """Build the candidate once in the caller's ``scope`` (see
+    ``interp.Scope``), then run failing tests first, early exit at the
+    first non-Pass, every execution counted."""
     try:
-        code = interp.compile_ast(parse(candidate.program, scope.lines), scope)
+        code = scope.build(candidate.program)
     except ParseError:
         return ValidationResult(UNBUILDABLE_PATCH, 0)
     failing = set(failing_ids)

@@ -31,7 +31,7 @@ from .harness import (
     run_test,
     signature,
 )
-from .parser import ParseError, parse
+from .parser import ParseError
 from .source import SourceProgram, count_sloc
 
 
@@ -56,10 +56,6 @@ class LineMapping:
     @classmethod
     def identity(cls, n: int) -> "LineMapping":
         return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def from_survivors(cls, originals) -> "LineMapping":
-        return cls(tuple(originals))
 
     def to_original(self, slice_line: Optional[int]) -> Optional[int]:
         if slice_line is None or not 1 <= slice_line <= len(self.originals):
@@ -88,9 +84,6 @@ class Baseline:
     def __post_init__(self):
         if not self.tests:
             raise ValueError("criterion needs at least one failing test")
-
-    def signature_for(self, test_id: str) -> FailureSignature:
-        return self.signatures[test_id]
 
 
 @dataclass(frozen=True)
@@ -146,22 +139,18 @@ def build_criterion(suite: TestSuite, result: SuiteResult) -> Baseline:
 def candidate_accepts(
     candidate: SourceProgram,
     baseline: Baseline,
-    line_map: Optional[LineMapping] = None,
-    scope: Optional[interp.Scope] = None,
+    line_map: LineMapping,
+    scope: interp.Scope,
 ) -> Acceptance:
-    """Accept iff the candidate parses and reproduces the baseline exactly.
-    ``scope`` is the caller's (see ``interp.Scope``); without one, the
-    candidate is a scope of its own."""
-    if scope is None:
-        scope = interp.Scope()
+    """Accept iff the candidate, built in the caller's ``scope`` (see
+    ``interp.Scope``), parses and reproduces the baseline exactly."""
     try:
-        ast = parse(candidate, scope.lines)
+        code = scope.build(candidate)
     except ParseError as exc:
         return Acceptance(False, "Unbuildable", f"line {exc.line}: {exc.reason}")
-    code = interp.compile_ast(ast, scope)
     for test in baseline.tests:
         outcome = run_test(code, test)
-        if mapped_signature(test.id, outcome, line_map) != baseline.signature_for(test.id):
+        if mapped_signature(test.id, outcome, line_map) != baseline.signatures[test.id]:
             return Acceptance(False, "BehaviorChanged", test.id)
     return Acceptance(True)
 
@@ -198,7 +187,7 @@ def orbs_slice(program: SourceProgram, baseline: Baseline) -> SliceResult:
                 cand_lines = lines[: i - 1] + lines[i - 1 + width:]
                 cand_originals = originals[: i - 1] + originals[i - 1 + width:]
                 cand = SourceProgram(tuple(cand_lines), program.id)
-                line_map = LineMapping.from_survivors(cand_originals)
+                line_map = LineMapping(tuple(cand_originals))
                 if candidate_accepts(cand, baseline, line_map, scope):
                     accepted_width = width
                     lines = cand_lines
@@ -213,7 +202,7 @@ def orbs_slice(program: SourceProgram, baseline: Baseline) -> SliceResult:
             break
 
     slice_program = SourceProgram(tuple(lines), program.id)
-    mapping = LineMapping.from_survivors(originals)
+    mapping = LineMapping(tuple(originals))
     survivors = set(originals)
     deleted = tuple(x for x in range(1, n + 1) if x not in survivors)
     orig_sloc = count_sloc(program)
@@ -254,7 +243,7 @@ def minimality_check(
     for i in range(1, n + 1):
         cand = slice_program.without_lines([i])
         cand_originals = originals[: i - 1] + originals[i:]
-        cand_map = LineMapping.from_survivors(cand_originals)
+        cand_map = LineMapping(tuple(cand_originals))
         if candidate_accepts(cand, baseline, cand_map, scope):
             return MinimalityReport(False, i)
     return MinimalityReport(True, None)

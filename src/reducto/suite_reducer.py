@@ -109,7 +109,7 @@ def verify_reduction(
     for test in reduced.kept:
         outcome = on_slice[test.id]
         if test.id in baseline.signatures:
-            if mapped_signature(test.id, outcome, mapping) != baseline.signature_for(test.id):
+            if mapped_signature(test.id, outcome, mapping) != baseline.signatures[test.id]:
                 violations.append(
                     Violation(test.id, "failing test does not reproduce its baseline signature")
                 )

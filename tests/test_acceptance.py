@@ -51,7 +51,7 @@ def test_criterion_01_slice_behavior_preservation(corpus_artifacts):
                 run_suite(art.slice_result.slice, TestSuite((test,))).outcomes[test.id],
                 art.slice_result.mapping,
             )
-            if observed != art.baseline.signature_for(test.id):
+            if observed != art.baseline.signatures[test.id]:
                 mismatches.append((name, test.id))
     ok = not mismatches and len(artifacts) >= 12 and elapsed < 300.0
     report(
@@ -89,16 +89,14 @@ def test_criterion_02_slice_one_minimality_vs_brute_force(corpus_artifacts):
                 parse(cand)
             except ParseError:
                 continue
-            cand_map = LineMapping.from_survivors(
-                survivors[:drop - 1] + survivors[drop:]
-            )
+            cand_map = LineMapping((*survivors[:drop - 1], *survivors[drop:]))
             if all(
                 mapped_signature(
                     test.id,
                     run_suite(cand, TestSuite((test,))).outcomes[test.id],
                     cand_map,
                 )
-                == art.baseline.signature_for(test.id)
+                == art.baseline.signatures[test.id]
                 for test in art.baseline.tests
             ):
                 brute_deletable.append(drop)

@@ -125,16 +125,15 @@ def test_load_bundle_errors(tmp_path):
 
 
 def test_load_corpus_parses_each_program_once(corpus_dir, monkeypatch):
-    from reducto import experiment, harness, parser
+    from reducto import parser
 
-    parsed = []
+    parsed, parse = [], parser.parse
 
-    def counting_parse(program):
+    def counting_parse(program, lines=None):
         parsed.append(program.id)
-        return parser.parse(program)
+        return parse(program, lines)
 
-    for module in (experiment, harness):
-        monkeypatch.setattr(module, "parse", counting_parse)
+    monkeypatch.setattr(parser, "parse", counting_parse)
     bundles = load_corpus(corpus_dir)
     assert len(bundles) == 13
     assert sorted(parsed) == sorted(b.name for b in bundles)
@@ -142,25 +141,29 @@ def test_load_corpus_parses_each_program_once(corpus_dir, monkeypatch):
 
 def test_repair_parses_only_its_candidates(corpus_bundles, monkeypatch):
     """Candidate generation reuses the Ast of each program variant that
-    BundleArtifacts parsed once; repair parses only the candidates."""
-    from reducto import experiment, parser, repair
+    BundleArtifacts parsed once; a configuration parses only its
+    candidates, and the patched original of a patch found on the slice."""
+    from reducto import experiment, parser
 
     bundle = next(b for b in corpus_bundles if b.name == "b04_rate_of")
-    counts = {"experiment": 0, "repair": 0}
+    counts = {"experiment": 0, "built": 0}
+    parse = parser.parse
 
-    def counting(module):
+    def counting(kind):
         def counting_parse(program, lines=None):
-            counts[module] += 1
-            return parser.parse(program, lines)
+            counts[kind] += 1
+            return parse(program, lines)
         return counting_parse
 
-    for module in (experiment, repair):
-        monkeypatch.setattr(module, "parse", counting(module.__name__.split(".")[-1]))
+    monkeypatch.setattr(experiment, "parse", counting("experiment"))
+    monkeypatch.setattr(parser, "parse", counting("built"))
     artifacts = BundleArtifacts(bundle)
-    assert counts == {"experiment": 2, "repair": 0}  # P and Ps
+    assert counts["experiment"] == 2  # P and Ps
+    counts["built"] = 0
     reports = [run_config(artifacts, config)[0] for config in viable_configs()]
     candidates = sum(r.cost_proxy - r.nte for r in reports)  # cost proxy = NTE + candidates
-    assert counts["repair"] == candidates > 0
+    transfers = sum(r.transferred is not None for r in reports)
+    assert counts["built"] == candidates + transfers and candidates > 0
     assert counts["experiment"] == 2
 
 
@@ -172,21 +175,26 @@ def test_line_tables_are_scoped_to_a_slicer_run_and_a_repair(corpus_bundles, mon
 
     bundle = next(b for b in corpus_bundles if b.name == "b03_series_sum")
     scopes = []  # (scope, [(table, its size at the parse), ...])
+    parse, within = parser.parse, []
 
     def opening(scope, function):
         def opened(*args, **kwargs):
             scopes.append((scope, []))
-            return function(*args, **kwargs)
+            within.append(scope)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                within.pop()
         return opened
 
     def recording_parse(program, lines=None):
-        scopes[-1][1].append((lines, None if lines is None else len(lines)))
-        return parser.parse(program, lines)
+        if within:
+            scopes[-1][1].append((lines, None if lines is None else len(lines)))
+        return parse(program, lines)
 
     monkeypatch.setattr(experiment, "orbs_slice", opening("orbs_slice", slicer.orbs_slice))
     monkeypatch.setattr(experiment, "repair", opening("repair", repair.repair))
-    for module in (slicer, repair):
-        monkeypatch.setattr(module, "parse", recording_parse)
+    monkeypatch.setattr(parser, "parse", recording_parse)
     artifacts = BundleArtifacts(bundle)
     for config in viable_configs():
         run_config(artifacts, config)

@@ -151,7 +151,7 @@ def make_list(lines_scores, provenance=PROV_ORIGINAL):
 
 def test_prune_drops_deleted_lines_and_redensifies():
     original = make_list([(4, 0.9), (9, 0.8), (2, 0.7)])
-    mapping = LineMapping.from_survivors([1, 2, 3, 4, 5])  # line 9 deleted
+    mapping = LineMapping((1, 2, 3, 4, 5))  # line 9 deleted
     pruned = prune_list(original, mapping)
     assert pruned.provenance == PROV_PRUNED
     assert [(e.line, e.rank) for e in pruned.entries] == [(4, 1), (2, 2)]

@@ -13,8 +13,7 @@ from reducto.harness import (
     suite_from_json,
     suite_to_json,
 )
-from reducto.interp import compile_ast, execute
-from reducto.parser import parse
+from reducto.interp import Scope, execute
 from reducto.values import value_from_json, value_to_json, values_equal
 
 from conftest import program
@@ -24,7 +23,7 @@ DIV = "fn div(a, b)\nreturn a / b\nend\n"
 
 
 def compiled(text: str):
-    return compile_ast(parse(program(text)))
+    return Scope().build(program(text))
 
 
 def test_pass_and_fail_on_value():

@@ -3,15 +3,16 @@ import math
 
 import pytest
 
-from reducto.interp import MAX_CALL_DEPTH, CallSetupError, compile_ast, execute
-from reducto.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, parse
+from reducto import interp
+from reducto.interp import MAX_CALL_DEPTH, ExecutionResult, Scope, execute
+from reducto.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
 from reducto.values import float_bits, value_to_json, values_equal
 
 from conftest import program
 
 
 def run(text, fn, args, budget=100_000):
-    return execute(compile_ast(parse(program(text))), fn, args, budget)
+    return execute(Scope().build(program(text)), fn, args, budget)
 
 
 def test_trivial_addition():
@@ -102,7 +103,7 @@ def test_budget_exhaustion_and_monotonicity():
 
 
 def test_determinism_byte_for_byte(max3_program):
-    code = compile_ast(parse(max3_program))
+    code = Scope().build(max3_program)
     a = execute(code, "max3", [1, 0, 5])
     b = execute(code, "max3", [1, 0, 5])
     assert canonical_json(a) == canonical_json(b)
@@ -169,14 +170,71 @@ def test_runtime_error_kinds(text, args, kind):
     assert r.error_line in r.covered
 
 
-def test_entry_call_setup_errors():
-    code = compile_ast(parse(program("fn f(a)\nreturn a\nend\n")))
-    with pytest.raises(CallSetupError) as missing:
-        execute(code, "nope", [])
-    assert missing.value.kind == "UndefinedVariable"
-    with pytest.raises(CallSetupError) as arity:
-        execute(code, "f", [1, 2])
-    assert arity.value.kind == "ArityMismatch"
+@pytest.mark.parametrize("edges", [interp.TIER_UP_EDGES, 0])
+def test_an_entry_call_that_cannot_start_is_an_error_at_line_0(edges, monkeypatch):
+    """A missing function or a wrong number of arguments: a runtime error at
+    line 0 that takes no step and covers nothing, whichever tier would run
+    the function."""
+    monkeypatch.setattr(interp, "TIER_UP_EDGES", edges)
+    code = Scope().build(program("fn f(a)\nreturn a\nend\n"))
+    for fn, args, kind, message in (
+        ("nope", [], "UndefinedVariable", "function 'nope' is not defined"),
+        ("f", [1, 2], "ArityMismatch", "'f' takes 1 arguments, got 2"),
+        ("f", [], "ArityMismatch", "'f' takes 1 arguments, got 0"),
+    ):
+        assert execute(code, fn, args) == ExecutionResult(
+            "runtime_error", None, kind, 0, message, (), frozenset(), 0
+        )
+    assert execute(code, "f", [7]).return_value == 7
+
+
+LOOP = "fn f(n)\nlet i = 0\nwhile i < n\ni = i + 1\nend\nreturn i\nend\n"
+
+
+def test_a_scope_keeps_a_cold_unit_once_a_second_program_holds_its_text():
+    """Three programs of one scope hold the same ``f``, which stays cold:
+    the first program's unit goes with it, the second's is kept, and the
+    third runs the second's."""
+    scope = Scope()
+    codes = [scope.build(program("\n" * shift + LOOP)) for shift in range(3)]
+    units = []
+    for code in codes:
+        assert execute(code, "f", [3]).return_value == 3
+        units.append(code.entry("f")[0])
+        if len(units) == 1:
+            assert scope.units == {units[0].fn.text: None}
+    assert units[0] is not units[1] and units[1] is units[2]
+    assert scope.units == {units[0].fn.text: units[1]}
+
+
+def test_a_scope_keeps_a_hot_unit_for_later_programs(monkeypatch):
+    """``f`` turns hot in the first program, so the scope keeps its unit: a
+    later program holding the same text, shifted, runs that unit in tier 1
+    without lowering ``f`` again, with the result a fresh scope gives.  The
+    later program's ``g``, met once and cold, is not kept."""
+    scope = Scope()
+    first = scope.build(program(LOOP))
+    execute(first, "f", [interp.TIER_UP_EDGES])
+    unit, _ = first.entry("f")
+    assert scope.units == {unit.fn.text: unit}
+
+    lower, lowered = interp._lower_block, []
+
+    def counting_lower(block, base, *rest):
+        lowered.append(base)
+        return lower(block, base, *rest)
+
+    later_program = program("# f moved down\n" + LOOP + "fn g()\nreturn 1\nend\n")
+    later = scope.build(later_program)
+    with monkeypatch.context() as patch:
+        patch.setattr(interp, "_lower_block", counting_lower)
+        result = execute(later, "f", [3])
+    assert lowered == []
+    assert later.entry("f")[0] is unit
+    assert unit.call is not None and unit.call is not unit.tier0
+    assert result == execute(Scope().build(later_program), "f", [3])
+    assert execute(later, "g", []).return_value == 1
+    assert scope.units == {unit.fn.text: unit, later.entry("g")[0].fn.text: None}
 
 
 def test_arrays_mutate_within_run_but_results_freeze():
@@ -259,7 +317,7 @@ def _from_stack_depth(frames: int, call):
 @pytest.mark.parametrize("pluses", [1, 4, MAX_EXPR_DEPTH - 3])
 @pytest.mark.parametrize("extra_frames", [0, 300])
 def test_call_depth_limit_ends_as_blown_budget(pluses, extra_frames):
-    code = compile_ast(parse(program(_recursive(pluses))))
+    code = Scope().build(program(_recursive(pluses)))
 
     def run_at(n):
         return _from_stack_depth(extra_frames, lambda: execute(code, "f", [n]))
@@ -280,7 +338,7 @@ def test_first_call_at_the_deepest_level_lowers_the_deepest_function(extra_frame
                     for level in range(MAX_BLOCK_DEPTH))
     deep = f"fn deep(n)\n{opens}return {expr}\n" + "end\n" * MAX_BLOCK_DEPTH + "return 0\nend\n"
     calls = "fn f(n)\nif n == 0\nreturn deep(n)\nend\nreturn 1 + f(n - 1)\nend\n"
-    code = compile_ast(parse(program(deep + calls)))
+    code = Scope().build(program(deep + calls))
     depth = MAX_CALL_DEPTH - 2  # f's entry call, 198 nested ones, then deep
     result = _from_stack_depth(extra_frames, lambda: execute(code, "f", [depth]))
     assert (result.status, result.return_value) == ("completed", depth)
@@ -290,8 +348,6 @@ def test_first_call_at_the_deepest_level_lowers_the_deepest_function(extra_frame
 def test_first_call_at_the_deepest_level_generates_the_deepest_function(extra_frames, monkeypatch):
     """Every function tiers up on its first call: generating the deepest
     one, and failing to compile it, happens on top of the deepest stack."""
-    from reducto import interp
-
     monkeypatch.setattr(interp, "TIER_UP_EDGES", 0)
     test_first_call_at_the_deepest_level_lowers_the_deepest_function(extra_frames)
 

@@ -48,9 +48,9 @@ def _key(v):
     return (type(v).__name__, v)
 
 
-def compiled(ast) -> tuple:
-    """The program compiled for each interpreter: (two-tier, reference)."""
-    return interp.compile_ast(ast), ref.compile_ast(ast)
+def compiled(source) -> tuple:
+    """The program built for each interpreter: (two-tier, reference)."""
+    return interp.Scope().build(source), ref.compile_ast(parse(source))
 
 
 @contextlib.contextmanager
@@ -79,8 +79,10 @@ def tier_ups(scope: interp.Scope) -> int:
 def _observe(module, code, function, args, budget) -> tuple:
     try:
         result = module.execute(code, function, list(args), budget)
-    except module.CallSetupError as exc:
-        return ("CallSetupError", exc.kind, exc.message)
+    except ref.CallSetupError as exc:  # where ``interp.execute`` returns this result
+        result = interp.ExecutionResult(
+            "runtime_error", None, exc.kind, 0, exc.message, (), frozenset(), 0
+        )
     return tuple(
         (field.name, _key(getattr(result, field.name)))
         for field in dataclasses.fields(result)
@@ -92,12 +94,12 @@ def assert_agree(codes, function, args, budget=interp.DEFAULT_BUDGET) -> str:
     new = _observe(interp, codes[0], function, args, budget)
     old = _observe(ref, codes[1], function, args, budget)
     assert new == old, (function, args, budget)
-    return dict(new)["status"][1] if new[0] != "CallSetupError" else new[0]
+    return dict(new)["status"][1]
 
 
 def test_corpus_programs_and_tests(corpus_bundles):
     for bundle in corpus_bundles:
-        codes = compiled(parse(bundle.program))
+        codes = compiled(bundle.program)
         for test in bundle.suite:
             assert_agree(codes, test.function, test.args)
 
@@ -113,7 +115,7 @@ def test_every_repair_candidate(corpus_bundles):
         suspicious = localize(run_suite(bundle.program, bundle.suite))
         for candidate in generate_candidates(bundle.program, parse(bundle.program), suspicious):
             try:
-                codes = compiled(parse(candidate.program))
+                codes = compiled(candidate.program)
             except ParseError:
                 continue
             for test in bundle.suite:
@@ -133,10 +135,10 @@ def test_every_repair_candidate_in_tier_1(corpus_bundles):
                 bundle.program, parse(bundle.program), suspicious
             ):
                 try:
-                    ast = parse(candidate.program, scope.lines)
+                    code = scope.build(candidate.program)
                 except ParseError:
                     continue
-                codes = interp.compile_ast(ast, scope), ref.compile_ast(ast)
+                codes = code, ref.compile_ast(parse(candidate.program))
                 for test in bundle.suite:
                     statuses.add(assert_agree(codes, test.function, test.args, CANDIDATE_BUDGET))
             assert tier_ups(scope) == sum(unit is not None for unit in scope.units.values())
@@ -165,7 +167,7 @@ end
 
 @pytest.mark.parametrize("budget", range(61))
 def test_every_budget_on_a_loop(budget):
-    assert_agree(compiled(parse(program(LOOPING))), "f", (7,), budget)
+    assert_agree(compiled(program(LOOPING)), "f", (7,), budget)
 
 
 def test_every_budget_on_a_loop_in_tier_1():
@@ -173,7 +175,7 @@ def test_every_budget_on_a_loop_in_tier_1():
     budget in a local."""
     with tiering_up_at(0):
         for budget in range(61):
-            assert_agree(compiled(parse(program(LOOPING))), "f", (7,), budget)
+            assert_agree(compiled(program(LOOPING)), "f", (7,), budget)
 
 
 def test_a_divergent_candidate_runs_exactly_its_tests_budget(corpus_bundles):
@@ -185,16 +187,16 @@ def test_a_divergent_candidate_runs_exactly_its_tests_budget(corpus_bundles):
     bundle = next(b for b in corpus_bundles if b.name == "b03_series_sum")
     line = bundle.ground_truth.bug_line + 3
     assert bundle.program.line(line) == "i = i + 1"
-    ast = parse(apply_edit(bundle.program, line, ReplaceLine("i = i - 1")))
+    source = apply_edit(bundle.program, line, ReplaceLine("i = i - 1"))
     tests = [t for t in bundle.suite if t.id in bundle.baseline_run.failing]
     assert [t.budget for t in tests] == [130, 210]
     for edges in (TIER_0_ONLY, 0):
         with tiering_up_at(edges):
-            code = interp.compile_ast(ast)
+            codes = compiled(source)
             for test in tests:
-                outcome = run_test(code, test)
+                outcome = run_test(codes[0], test)
                 assert (outcome.kind, outcome.steps) == ("BudgetExceeded", test.budget)
-                assert_agree((code, ref.compile_ast(ast)), test.function, test.args, test.budget)
+                assert_agree(codes, test.function, test.args, test.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +220,7 @@ _PROGRAMS = {}
 
 def _program(body: str):
     if body not in _PROGRAMS:
-        _PROGRAMS[body] = compiled(parse(program(f"fn f(a, b)\n{body}\nend\n")))
+        _PROGRAMS[body] = compiled(program(f"fn f(a, b)\n{body}\nend\n"))
     return _PROGRAMS[body]
 
 
@@ -234,7 +236,7 @@ def test_every_form_on_every_edge_pair_in_tier_1(body):
     """Every error kind, and every fast path and its way out to the full
     semantics, in generated code."""
     with tiering_up_at(0):
-        codes = compiled(parse(program(f"fn f(a, b)\n{body}\nend\n")))
+        codes = compiled(program(f"fn f(a, b)\n{body}\nend\n"))
         for a in EDGES:
             for b in EDGES:
                 assert_agree(codes, "f", (a, b))
@@ -999,7 +1001,7 @@ def _kernel_at_every_budget(kernel):
     """One compiled program for every budget, so that at the default
     threshold its units tier up part of the way through."""
     text, args = KERNELS[kernel]
-    codes = compiled(parse(program(text)))
+    codes = compiled(program(text))
     for budget in range(400):
         assert_agree(codes, "f", args, budget)
 
@@ -1010,7 +1012,7 @@ def test_kernel_at_a_long_budget(kernel, edges):
     """Past 400 steps, where ``counter_wraps_past_the_budget`` ends."""
     text, args = KERNELS[kernel]
     with tiering_up_at(edges):
-        assert_agree(compiled(parse(program(text))), "f", args, CANDIDATE_BUDGET)
+        assert_agree(compiled(program(text)), "f", args, CANDIDATE_BUDGET)
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -1021,7 +1023,7 @@ def test_kernel_tiering_up_after_a_few_back_edges(kernel):
     text, args = KERNELS[kernel]
     for edges in (1, 2, 3, 6):
         with tiering_up_at(edges):
-            codes = compiled(parse(program(text)))
+            codes = compiled(program(text))
             for budget in (*range(0, 400, 5), CANDIDATE_BUDGET):
                 assert_agree(codes, "f", args, budget)
 
@@ -1035,7 +1037,7 @@ def test_kernel_ends_where_its_budget_allows(kernel):
     text, args = KERNELS[kernel]
     for edges in (TIER_0_ONLY, 0):
         with tiering_up_at(edges):
-            code = interp.compile_ast(parse(program(text)))
+            code = interp.Scope().build(program(text))
             full = interp.execute(code, "f", list(args), CANDIDATE_BUDGET)
             if full.status == "budget_exceeded":
                 assert full.steps == CANDIDATE_BUDGET
@@ -1056,13 +1058,13 @@ def test_kernel_on_one_compiled_program_run_after_run(kernel):
     next, as ``repair`` runs a scope's units; no run's result depends on the
     runs before it.  Each run equals a run of a fresh tier-0 program."""
     text, args = KERNELS[kernel]
-    ast = parse(program(text))
+    source = program(text)
     with tiering_up_at(TIER_0_ONLY):
-        fresh = {budget: _observe(interp, interp.compile_ast(ast), "f", args, budget)
+        fresh = {budget: _observe(interp, interp.Scope().build(source), "f", args, budget)
                  for budget in (37, CANDIDATE_BUDGET)}
     for edges in (interp.TIER_UP_EDGES, 1):
         with tiering_up_at(edges):
-            code = interp.compile_ast(ast)
+            code = interp.Scope().build(source)
             for _ in range(4):
                 for budget in (CANDIDATE_BUDGET, 37):
                     assert _observe(interp, code, "f", args, budget) == fresh[budget]
@@ -1089,7 +1091,7 @@ DIVERGENT = {
 def test_the_divergent_kernels_are_those_that_outrun_a_long_budget():
     outrun = {
         kernel for kernel, (text, args) in KERNELS.items()
-        if assert_agree(compiled(parse(program(text))), "f", args, 20_000) == "budget_exceeded"
+        if assert_agree(compiled(program(text)), "f", args, 20_000) == "budget_exceeded"
     }
     assert outrun == DIVERGENT
 
@@ -1101,7 +1103,7 @@ def test_a_divergent_kernel_stops_at_its_tests_budget(kernel, edges):
     its test's budget, from FLOOR up."""
     text, args = KERNELS[kernel]
     with tiering_up_at(edges):
-        codes = compiled(parse(program(text)))
+        codes = compiled(program(text))
         for budget in (FLOOR, FACTOR * FLOOR, CANDIDATE_BUDGET):
             test = TestCase("t", "f", args, "value", 0, budget)
             outcome = run_test(codes[0], test)
@@ -1149,14 +1151,14 @@ def loops(draw):
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(text=loops(), a=st.integers(-3, 3), b=st.integers(-3, 3), budget=st.integers(0, 2000))
 def test_random_loops(text, a, b, budget):
-    assert_agree(compiled(parse(program(text))), "f", (a, b), budget)
+    assert_agree(compiled(program(text)), "f", (a, b), budget)
 
 
 def test_random_loops_in_tier_1():
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(text=loops(), a=st.integers(-3, 3), b=st.integers(-3, 3), budget=st.integers(0, 2000))
     def check(text, a, b, budget):
-        assert_agree(compiled(parse(program(text))), "f", (a, b), budget)
+        assert_agree(compiled(program(text)), "f", (a, b), budget)
 
     with tiering_up_at(0):
         check()
@@ -1191,10 +1193,10 @@ def test_a_library_loop_run_after_run(name, edges):
     loop passes TIER_UP_EDGES back-edges in the second or third run, and the
     unit runs tier 1 from its next call.  Each run ends, and the budgets
     around its steps agree too."""
-    ast = parse(program("\n".join(LIBRARY[name]) + "\n"))
+    source = program("\n".join(LIBRARY[name]) + "\n")
     args = LOOP_INPUTS[name]
     with tiering_up_at(edges):
-        codes = interp.compile_ast(ast), ref.compile_ast(ast)
+        codes = compiled(source)
         for _ in range(3):
             assert assert_agree(codes, name, args) == "completed"
         unit, _ = codes[0].entry(name)
@@ -1213,7 +1215,7 @@ def _agree_in_every_tier(text: str, args: tuple, budgets=(interp.DEFAULT_BUDGET,
     """Tier 0 only, tier 1 from the first call, and the reference agree."""
     for edges in (TIER_0_ONLY, 0):
         with tiering_up_at(edges):
-            codes = compiled(parse(program(text)))
+            codes = compiled(program(text))
             for budget in budgets:
                 assert_agree(codes, "f", args, budget)
 
@@ -1298,11 +1300,10 @@ def test_one_unit_per_text_serves_every_callee():
             scope = interp.Scope()
             statuses, units = [], []
             for _, text, n in programs:
-                ast = parse(program(text), scope.lines)
-                assert ast.functions["f"].text == f_text
-                code = interp.compile_ast(ast, scope)
+                code = scope.build(program(text))
+                assert code.functions["f"].text == f_text
                 new = _observe(interp, code, "f", (n,), interp.DEFAULT_BUDGET)
-                assert new == _observe(ref, ref.compile_ast(ast), "f", (n,),
+                assert new == _observe(ref, ref.compile_ast(parse(program(text))), "f", (n,),
                                        interp.DEFAULT_BUDGET)
                 result = dict(new)
                 statuses.append((result["status"][1], result["error_kind"][1],
@@ -1344,10 +1345,9 @@ def test_a_unit_tiers_up_and_a_later_call_diverges(args):
     """``g`` takes 435 back-edges in its first 30 calls, so later calls run
     tier 1; with ``k = -1`` the last one never ends, and tier 1 runs the
     budget out."""
-    ast = parse(program(DIVERGES_LATE))
-    code = interp.compile_ast(ast)
-    status = assert_agree((code, ref.compile_ast(ast)), "f", args, CANDIDATE_BUDGET)
-    unit, _ = code.entry("g")
+    codes = compiled(program(DIVERGES_LATE))
+    status = assert_agree(codes, "f", args, CANDIDATE_BUDGET)
+    unit, _ = codes[0].entry("g")
     assert unit.call is not unit.tier0
     assert (status == "budget_exceeded") == (args == (-1,))
 
@@ -1379,13 +1379,11 @@ def test_a_tier_up_at_the_deepest_call_level(extra_frames):
     allows; its second call there is its first in tier 1, generated and
     compiled on top of the deepest stack, below the caller's own frames.
     ``f(199)`` calls it one level too deep, which ends the run first."""
-    ast = parse(program(DEEP_TIER_UP))
     for n, status in ((interp.MAX_CALL_DEPTH - 2, "completed"),
                       (interp.MAX_CALL_DEPTH - 1, "budget_exceeded")):
-        code = interp.compile_ast(ast)
-        got = _from_stack_depth(extra_frames, lambda: assert_agree(
-            (code, ref.compile_ast(ast)), "f", (n,)))
+        codes = compiled(program(DEEP_TIER_UP))
+        got = _from_stack_depth(extra_frames, lambda: assert_agree(codes, "f", (n,)))
         assert got == status
         if status == "completed":
-            unit, _ = code.entry("hot")
+            unit, _ = codes[0].entry("hot")
             assert unit.call is not None and unit.call is not unit.tier0

@@ -1,7 +1,7 @@
 """Differential test of the whole pipeline: every bundle loaded, sliced,
 reduced, localized and repaired in every configuration, once on the
 two-tier interpreter and once on the tree-walking reference kept in
-``reference_interp.py``, which takes the place of ``interp.compile_ast``
+``reference_interp.py``, which takes the place of ``interp.Scope.build``
 and ``harness.execute``.  The reference pipeline parses every program
 afresh, where the slicer and repair share a line table per scope.
 
@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import reference_interp as ref
-from reducto import experiment, harness, interp, parser, repair, slicer
+from reducto import experiment, harness, interp, parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,19 +29,17 @@ ROOT = Path(__file__).resolve().parent.parent
 LONG_TESTS_SUBSET = ("b02_last_of", "b07_bonus_amount", "b08_any_pos", "b09_rect_area")
 
 
-def _reference_compile_ast(ast, scope=None):
-    return ref.compile_ast(ast)
-
-
-def _parse_afresh(program, lines=None):
-    return parser.parse(program)
+def _reference_build(scope, program):
+    return ref.compile_ast(parser.parse(program))
 
 
 def _reference_execute(code, function, args, budget):
     try:
         return ref.execute(code, function, args, budget)
-    except ref.CallSetupError as exc:
-        raise interp.CallSetupError(exc.kind, exc.message) from None
+    except ref.CallSetupError as exc:  # where ``interp.execute`` returns this result
+        return interp.ExecutionResult(
+            "runtime_error", None, exc.kind, 0, exc.message, (), frozenset(), 0
+        )
 
 
 def _pipeline(corpus: Path, monkeypatch, reference: bool) -> tuple:
@@ -49,9 +47,7 @@ def _pipeline(corpus: Path, monkeypatch, reference: bool) -> tuple:
     counts = [0, 0]
     with monkeypatch.context() as patch:
         if reference:
-            patch.setattr(interp, "compile_ast", _reference_compile_ast)
-            for module in (slicer, repair):
-                patch.setattr(module, "parse", _parse_afresh)
+            patch.setattr(interp.Scope, "build", _reference_build)
         execute = _reference_execute if reference else harness.execute
 
         def counted(code, function, args, budget):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from reducto import repair as repair_mod
+from reducto.interp import Scope
 from reducto.faultloc import RankedLine, SuspiciousList, localize
 from reducto.harness import TestCase, TestSuite, run_suite
 from reducto.parser import parse
@@ -273,7 +274,7 @@ def test_early_exit_on_first_failing_test(max3_program, max3_suite):
     # deleting the buggy copy still fails t4, after exactly one execution
     suspicious = localize(run_suite(max3_program, max3_suite))
     candidate = next(iter(generate_candidates(max3_program, parse(max3_program), suspicious)))
-    result = validate_patch(candidate, max3_suite, ["t4"])
+    result = validate_patch(candidate, max3_suite, ["t4"], Scope())
     assert result.verdict == "FailsFailingTest"
     assert result.tests_executed == 1
     assert result.first_failure == "t4"
@@ -284,7 +285,7 @@ def test_plausible_patch_runs_whole_suite(max3_program, max3_suite):
     from reducto.repair import PatchCandidate
 
     candidate = PatchCandidate("T9", MAX3_BUG_LINE, ReplaceLine("m = c"), fixed)
-    result = validate_patch(candidate, max3_suite, ["t4"])
+    result = validate_patch(candidate, max3_suite, ["t4"], Scope())
     assert result.verdict == "Plausible"
     assert result.tests_executed == len(max3_suite)
 
@@ -295,7 +296,7 @@ def test_overfitting_candidate_fails_regression(max3_program, max3_suite):
 
     patched = apply_edit(max3_program, 2, ReplaceLine("let m = c"))
     candidate = PatchCandidate("T9", 2, ReplaceLine("let m = c"), patched)
-    result = validate_patch(candidate, max3_suite, ["t4"])
+    result = validate_patch(candidate, max3_suite, ["t4"], Scope())
     assert result.verdict == "FailsRegression"
     assert result.first_failure == "t1"
     assert result.tests_executed == 2  # t4 first (passes), then t1
@@ -306,7 +307,7 @@ def test_unbuildable_candidate_verdict(max3_program):
 
     broken = apply_edit(max3_program, MAX3_BUG_LINE, ReplaceLine("m = ("))
     candidate = PatchCandidate("T9", MAX3_BUG_LINE, ReplaceLine("m = ("), broken)
-    result = validate_patch(candidate, TestSuite(()), [])
+    result = validate_patch(candidate, TestSuite(()), [], Scope())
     assert result.verdict == "Unbuildable"
     assert result.tests_executed == 0
 
@@ -318,7 +319,7 @@ def test_budget_exceeded_verdict():
     looped = apply_edit(p, 4, ReplaceLine("i = i + 0"))
     candidate = PatchCandidate("T4", 4, ReplaceLine("i = i + 0"), looped)
     suite = TestSuite((TestCase("t", "f", (3,), "value", 3, budget=500),))
-    result = validate_patch(candidate, suite, ["t"])
+    result = validate_patch(candidate, suite, ["t"], Scope())
     assert result.verdict == "BudgetExceeded"
 
 
@@ -334,7 +335,7 @@ def test_early_exit_soundness_sampled(max3_program, max3_suite):
         generate_candidates(max3_program, parse(max3_program), suspicious), 25
     )
     for candidate in candidates:
-        verdict = validate_patch(candidate, max3_suite, ["t4"]).verdict
+        verdict = validate_patch(candidate, max3_suite, ["t4"], Scope()).verdict
         if verdict == "Unbuildable":
             continue
         full = run_suite(candidate.program, max3_suite)
@@ -446,7 +447,7 @@ def test_nte_additivity_and_determinism(max3_program, max3_suite):
     # recompute NTE by replaying validation over the same prefix
     total = 0
     for candidate in generate_candidates(max3_program, parse(max3_program), suspicious):
-        result = validate_patch(candidate, max3_suite, ["t4"])
+        result = validate_patch(candidate, max3_suite, ["t4"], Scope())
         total += result.tests_executed
         if result.verdict == "Plausible":
             break
@@ -483,7 +484,7 @@ def test_map_patch_simple_lookup():
     original = program("fn f(a)\n# pad\n# pad\nlet x = a\nreturn x\nend\n")
     slice_program = SourceProgram((original.line(1), original.line(4),
                                    original.line(5), original.line(6)))
-    mapping = LineMapping.from_survivors([1, 4, 5, 6])
+    mapping = LineMapping((1, 4, 5, 6))
     from reducto.repair import PatchCandidate
 
     patched_slice = apply_edit(slice_program, 2, ReplaceLine("let x = a + 1"))
@@ -529,7 +530,7 @@ def test_insert_guard_preserves_indentation_and_parses():
 def test_insert_guard_maps_to_adjacent_lines():
     original = program("fn f(a, b)\n# pad\nreturn a / b\nend\n")
     slice_program = SourceProgram((original.line(1), original.line(3), original.line(4)))
-    mapping = LineMapping.from_survivors([1, 3, 4])
+    mapping = LineMapping((1, 3, 4))
     from reducto.repair import PatchCandidate
 
     edit = InsertGuard("if b != 0", "end")

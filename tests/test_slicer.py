@@ -40,7 +40,7 @@ def test_build_criterion_single_failing(max3_program, max3_suite):
     baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
     assert [t.id for t in baseline.tests] == ["t4"]
     assert list(baseline.signatures) == ["t4"]
-    sig = baseline.signature_for("t4")
+    sig = baseline.signatures["t4"]
     assert sig.outcome == "Fail"
 
 
@@ -69,8 +69,8 @@ def test_build_criterion_two_distinct_error_kinds():
     ))
     baseline = build_criterion(suite, run_suite(p, suite))
     assert [t.id for t in baseline.tests] == ["tb", "ta"]  # suite order
-    assert baseline.signature_for("ta").error_kind == "IndexOutOfBounds"
-    assert baseline.signature_for("tb").error_kind == "TypeError"
+    assert baseline.signatures["ta"].error_kind == "IndexOutOfBounds"
+    assert baseline.signatures["tb"].error_kind == "TypeError"
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +90,7 @@ def test_comment_deletion_accepted():
     p = program(GUARDED)
     baseline = value_criterion(p, "main", (3,), 5)  # computes 4
     cand = p.without_lines([2])
-    verdict = candidate_accepts(cand, baseline, LineMapping.from_survivors([1, 3, 4, 5, 6]))
+    verdict = candidate_accepts(cand, baseline, LineMapping((1, 3, 4, 5, 6)), interp.Scope())
     assert verdict.accepted
 
 
@@ -99,8 +99,8 @@ def test_deleting_watched_assignment_rejected():
     p = program(GUARDED)
     baseline = value_criterion(p, "main", (3,), 5)
     cand = p.without_lines([3])
-    cand_map = LineMapping.from_survivors([1, 2, 4, 5, 6])
-    verdict = candidate_accepts(cand, baseline, cand_map)
+    cand_map = LineMapping((1, 2, 4, 5, 6))
+    verdict = candidate_accepts(cand, baseline, cand_map, interp.Scope())
     assert not verdict.accepted
     assert verdict.reason == "BehaviorChanged"
     # direct re-execution shows the difference: r is now undefined
@@ -116,7 +116,7 @@ def test_unbalanced_deletion_rejected(max3_program, max3_suite):
     baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
     cand = max3_program.without_lines([6])  # if header without its end
     verdict = candidate_accepts(
-        cand, baseline, LineMapping.from_survivors([1, 2, 3, 4, 5, 7, 8, 9, 10])
+        cand, baseline, LineMapping((1, 2, 3, 4, 5, 7, 8, 9, 10)), interp.Scope()
     )
     assert not verdict.accepted
     assert verdict.reason == "Unbuildable"
@@ -127,9 +127,9 @@ def test_error_lines_compared_in_original_coordinates():
     p = program(text)
     suite = TestSuite((TestCase("t", "f", ((1,),), "value", 1),))
     baseline = build_criterion(suite, run_suite(p, suite))
-    assert baseline.signature_for("t").error_line == 3
+    assert baseline.signatures["t"].error_line == 3
     cand = p.without_lines([2])  # error now occurs at candidate line 2
-    verdict = candidate_accepts(cand, baseline, LineMapping.from_survivors([1, 3, 4]))
+    verdict = candidate_accepts(cand, baseline, LineMapping((1, 3, 4)), interp.Scope())
     assert verdict.accepted
 
 
@@ -141,7 +141,7 @@ def test_budget_exceeded_where_baseline_had_none_rejected():
         ln if i != 4 else "i = i + 0" for i, ln in enumerate(p.lines, start=1)
     ))
     # not a deletion, but candidate_accepts takes any program
-    verdict = candidate_accepts(cand, baseline)
+    verdict = candidate_accepts(cand, baseline, LineMapping.identity(len(cand)), interp.Scope())
     assert not verdict.accepted and verdict.reason == "BehaviorChanged"
 
 
@@ -256,7 +256,7 @@ def test_budget_exceeded_signature_is_preserved_through_slicing():
         TestCase("t_zero", "f", (0,), "value", 0, budget=2_000),
     ))
     baseline = build_criterion(suite, run_suite(p, suite))
-    assert baseline.signature_for("t_spin").outcome == "BudgetExceeded"
+    assert baseline.signatures["t_spin"].outcome == "BudgetExceeded"
     result = orbs_slice(p, baseline)
     # the junk store, the useless increment and the unreachable return all go
     assert {2, 5, 7} <= set(result.deleted)
@@ -271,9 +271,9 @@ def test_each_buildable_candidate_is_compiled_once(max3_program, max3_suite, mon
     verdicts = []
     compile_ast, accepts = interp.compile_ast, slicer.candidate_accepts
 
-    def counting_compile(ast, *scope):
+    def counting_compile(ast, scope):
         compiles.append(ast)
-        return compile_ast(ast, *scope)
+        return compile_ast(ast, scope)
 
     def recording_accepts(*args):
         verdict = accepts(*args)
@@ -321,7 +321,7 @@ def test_slice_behavior_preservation_on_corpus(corpus_artifacts):
         outcomes = run_suite(art.slice_result.slice, TestSuite(art.baseline.tests)).outcomes
         for test in art.baseline.tests:
             observed = mapped_signature(test.id, outcomes[test.id], art.slice_result.mapping)
-            assert observed == art.baseline.signature_for(test.id)
+            assert observed == art.baseline.signatures[test.id]
 
 
 def test_slice_determinism(corpus_bundles):
@@ -345,10 +345,8 @@ def test_fixpoint_rejects_every_window_up_to_delta(corpus_artifacts):
             if start + width - 1 > len(slice_program):
                 break
             cand = slice_program.without_lines(range(start, start + width))
-            cand_map = LineMapping.from_survivors(
-                originals[:start - 1] + originals[start - 1 + width:]
-            )
-            verdict = candidate_accepts(cand, art.baseline, cand_map)
+            cand_map = LineMapping((*originals[:start - 1], *originals[start - 1 + width:]))
+            verdict = candidate_accepts(cand, art.baseline, cand_map, interp.Scope())
             assert not verdict.accepted, (start, width)
 
 
@@ -416,7 +414,7 @@ def test_minimality_agrees_with_brute_force_on_random_programs():
         p = random_straightline_program(rng)
         assert len(p) <= 25
         args = (rng.randint(-3, 6),)
-        run = interp.execute(interp.compile_ast(parse(p)), "main", list(args))
+        run = interp.execute(interp.Scope().build(p), "main", list(args))
         # expect a value the program does not return (an error fails anyway)
         wrong = run.return_value + 1 if run.status == "completed" else 0
         baseline = value_criterion(p, "main", args, wrong)

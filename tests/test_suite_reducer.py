@@ -62,7 +62,7 @@ def test_unbuildable_slice_keeps_only_failing_tests():
     survivors = [1, 2, 4]
     broken = p.without_lines([3, 5, 6, 7])
     reduced = reduce_suite(
-        p, broken, LineMapping.from_survivors(survivors), suite, on_original
+        p, broken, LineMapping(tuple(survivors)), suite, on_original
     )
     assert reduced.kept.ids() == ["t_fail"]
     removed = {r.id: r.reason for r in reduced.removed}
