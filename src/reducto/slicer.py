@@ -114,14 +114,12 @@ class SliceResult:
         }
 
 
-def mapped_signature(
-    test_id: str, outcome: Outcome, line_map: Optional[LineMapping]
-) -> FailureSignature:
+def mapped_signature(test_id: str, outcome: Outcome, line_map: LineMapping) -> FailureSignature:
     """Signature with error lines reported in original coordinates (via
     ``line_map``) so signatures stay comparable across a program and its
     slices."""
     sig = signature(test_id, outcome)
-    if line_map is not None and sig.error_line is not None and sig.error_line != 0:
+    if sig.error_line is not None and sig.error_line != 0:
         sig = replace(sig, error_line=line_map.to_original(sig.error_line))
     return sig
 

@@ -125,7 +125,9 @@ def test_load_bundle_errors(tmp_path):
 
 
 def test_load_corpus_parses_each_program_once(corpus_dir, monkeypatch):
-    from reducto import parser
+    """Parses through ``experiment.parse`` and through ``parser.parse``
+    (the one ``Scope.build`` calls) are both counted."""
+    from reducto import experiment, parser
 
     parsed, parse = [], parser.parse
 
@@ -133,6 +135,7 @@ def test_load_corpus_parses_each_program_once(corpus_dir, monkeypatch):
         parsed.append(program.id)
         return parse(program, lines)
 
+    monkeypatch.setattr(experiment, "parse", counting_parse)
     monkeypatch.setattr(parser, "parse", counting_parse)
     bundles = load_corpus(corpus_dir)
     assert len(bundles) == 13

@@ -207,36 +207,6 @@ def test_a_scope_keeps_a_cold_unit_once_a_second_program_holds_its_text():
     assert scope.units == {units[0].fn.text: units[1]}
 
 
-def test_a_scope_keeps_a_hot_unit_for_later_programs(monkeypatch):
-    """``f`` turns hot in the first program, so the scope keeps its unit: a
-    later program holding the same text, shifted, runs that unit in tier 1
-    without lowering ``f`` again, with the result a fresh scope gives.  The
-    later program's ``g``, met once and cold, is not kept."""
-    scope = Scope()
-    first = scope.build(program(LOOP))
-    execute(first, "f", [interp.TIER_UP_EDGES])
-    unit, _ = first.entry("f")
-    assert scope.units == {unit.fn.text: unit}
-
-    lower, lowered = interp._lower_block, []
-
-    def counting_lower(block, base, *rest):
-        lowered.append(base)
-        return lower(block, base, *rest)
-
-    later_program = program("# f moved down\n" + LOOP + "fn g()\nreturn 1\nend\n")
-    later = scope.build(later_program)
-    with monkeypatch.context() as patch:
-        patch.setattr(interp, "_lower_block", counting_lower)
-        result = execute(later, "f", [3])
-    assert lowered == []
-    assert later.entry("f")[0] is unit
-    assert unit.call is not None and unit.call is not unit.tier0
-    assert result == execute(Scope().build(later_program), "f", [3])
-    assert execute(later, "g", []).return_value == 1
-    assert scope.units == {unit.fn.text: unit, later.entry("g")[0].fn.text: None}
-
-
 def test_arrays_mutate_within_run_but_results_freeze():
     text = "fn f(xs)\nxs[0] = 42\nreturn xs\nend\n"
     args = [(1, 2)]

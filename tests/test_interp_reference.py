@@ -1280,13 +1280,23 @@ end
 """
 
 
-def test_one_unit_per_text_serves_every_callee():
+def test_one_unit_per_text_serves_every_callee(monkeypatch):
     """Programs holding byte-identical text for ``f`` share one scope, and
     one unit of ``f`` serves them all: with ``g(x)``, with ``g(x, y)``,
     with no ``g``, and shifted by blank or comment lines.  ``f``'s call of
     ``g`` is checked where it is made, so each program gets its own result,
     in its own lines, in both tiers, equal to the reference's.  ``f`` is
-    hot after the first program, so it runs tier 1 in the later ones."""
+    hot after the first program, so the scope keeps its unit, and the later
+    programs run it in tier 1 without lowering ``f`` again.  Each ``g`` text
+    is met once and, below the tier-up threshold, stays cold and is not
+    kept."""
+    lower, lowered = interp._lower_block, set()
+
+    def recording_lower(block, base, offsets, steps, unit):
+        lowered.add(unit.fn.text)
+        return lower(block, base, offsets, steps, unit)
+
+    monkeypatch.setattr(interp, "_lower_block", recording_lower)
     programs = [
         ("tiers f up", CALLER + "fn g(x)\nreturn x * 2\nend\n", 300),
         ("arity", CALLER + "fn g(x, y)\nreturn x\nend\n", 3),
@@ -1298,8 +1308,9 @@ def test_one_unit_per_text_serves_every_callee():
     for edges in (interp.TIER_UP_EDGES, 0):
         with tiering_up_at(edges):
             scope = interp.Scope()
-            statuses, units = [], []
+            statuses, units, lowers_f = [], [], []
             for _, text, n in programs:
+                lowered.clear()
                 code = scope.build(program(text))
                 assert code.functions["f"].text == f_text
                 new = _observe(interp, code, "f", (n,), interp.DEFAULT_BUDGET)
@@ -1309,6 +1320,7 @@ def test_one_unit_per_text_serves_every_callee():
                 statuses.append((result["status"][1], result["error_kind"][1],
                                  result["error_line"][1]))
                 units.append(code.entry("f")[0])
+                lowers_f.append(f_text in lowered)
             assert statuses == [
                 ("completed", None, None),
                 ("runtime_error", "ArityMismatch", 5),
@@ -1318,6 +1330,9 @@ def test_one_unit_per_text_serves_every_callee():
             ]
             assert all(unit is scope.units[f_text] for unit in units)
             assert units[0].call is not units[0].tier0
+            assert lowers_f == [True, False, False, False, False]
+            if edges:
+                assert [t for t, unit in scope.units.items() if unit is not None] == [f_text]
 
 
 DIVERGES_LATE = """\
