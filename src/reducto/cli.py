@@ -72,8 +72,15 @@ def _bundle(args):
     return _usable(load_bundle, args.bundle, budget=args.budget)
 
 
-def _artifacts(args) -> BundleArtifacts:
-    return BundleArtifacts(_bundle(args))
+def _out_dir(args) -> Path:
+    """The directory a stage command writes to, made before the stage runs;
+    a UsageError when it cannot be."""
+    out = Path(args.out or args.bundle)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
+    return out
 
 
 def _load_slice_dir(bundle, slice_dir: str):
@@ -84,9 +91,9 @@ def _load_slice_dir(bundle, slice_dir: str):
 
 
 def cmd_slice(args) -> int:
-    art = _artifacts(args)
-    out = Path(args.out or args.bundle)
-    out.mkdir(parents=True, exist_ok=True)
+    bundle = _bundle(args)
+    out = _out_dir(args)
+    art = BundleArtifacts(bundle)
     result = art.slice_result
     (out / "slice.sl").write_text(result.slice.to_text(), encoding="utf-8")
     _write_json(out / "deletion_log.json", deletion_log_json(result))
@@ -100,22 +107,17 @@ def cmd_slice(args) -> int:
 
 
 def cmd_reduce_tests(args) -> int:
+    bundle = _bundle(args)
+    out = _out_dir(args)
     if args.slice:
-        bundle = _bundle(args)
         slice_program, mapping = _load_slice_dir(bundle, args.slice)
-        reduced = reduce_suite(
-            bundle.program, slice_program, mapping, bundle.suite, bundle.baseline_run
-        )
-        name, t_len = bundle.name, len(bundle.suite)
+        reduced = reduce_suite(slice_program, mapping, bundle.suite, bundle.baseline_run)
     else:
-        art = _artifacts(args)
-        reduced, name, t_len = art.reduced, art.bundle.name, len(art.bundle.suite)
-    out = Path(args.out or args.bundle)
-    out.mkdir(parents=True, exist_ok=True)
+        reduced = BundleArtifacts(bundle).reduced
     save_suite(reduced.kept, out / "tests_reduced.json")
     _write_json(out / "reduction_log.json", reduction_log_json(reduced))
     print(
-        f"{name}: {t_len} -> {len(reduced.kept)} tests "
+        f"{bundle.name}: {len(bundle.suite)} -> {len(reduced.kept)} tests "
         f"({len(reduced.removed)} removed)"
     )
     return 0
@@ -123,36 +125,31 @@ def cmd_reduce_tests(args) -> int:
 
 def cmd_localize(args) -> int:
     wanted = ("L", "LP", "LR") if args.list == "all" else (args.list,)
+    bundle = _bundle(args)
+    out = _out_dir(args)
     if args.slice:
-        bundle = _bundle(args)
         slice_program, mapping = _load_slice_dir(bundle, args.slice)
         original = localize(bundle.baseline_run)
         lists = {"L": original, "LP": prune_list(original, mapping)}
         if "LR" in wanted:
-            reduced = reduce_suite(
-                bundle.program, slice_program, mapping, bundle.suite, bundle.baseline_run
-            )
+            reduced = reduce_suite(slice_program, mapping, bundle.suite, bundle.baseline_run)
             lists["LR"] = regenerate_list(reduced.on_slice, mapping)
-        name = bundle.name
     else:
-        art = _artifacts(args)
+        art = BundleArtifacts(bundle)
         lists = {v: art.suspicious(v) for v in wanted}
-        name = art.bundle.name
-    out = Path(args.out or args.bundle)
-    out.mkdir(parents=True, exist_ok=True)
     for variant in wanted:
         suspicious = lists[variant]
         _write_json(out / f"suspicious_{variant}.json", suspicious_json(suspicious))
-        print(f"{name}: {variant} has {len(suspicious)} entries")
+        print(f"{bundle.name}: {variant} has {len(suspicious)} entries")
     return 0
 
 
 def cmd_repair(args) -> int:
     config = _usable(config_by_name, args.config)
-    art = _artifacts(args)
+    bundle = _bundle(args)
+    out = _out_dir(args)
+    art = BundleArtifacts(bundle)
     report, result = run_config(art, config)
-    out = Path(args.out or args.bundle)
-    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "patched": report.patched,
         "patch": None,

@@ -231,7 +231,6 @@ class BundleArtifacts:
 
         started = time.perf_counter()
         self.reduced: ReducedSuite = reduce_suite(
-            bundle.program,
             self.slice_result.slice,
             self.slice_result.mapping,
             bundle.suite,

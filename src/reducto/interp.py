@@ -29,8 +29,9 @@ starts cold, so it speeds up every configuration alike.
 
 Tiering up.  A unit counts its back-edges over every call in its scope.
 Once they reach TIER_UP_EDGES, its next call runs tier 1, generated and
-compiled then; a call already running stays in tier 0.  A function Python
-cannot compile, nested too deeply say, stays in tier 0.
+compiled then; a call already running stays in tier 0.  A function that
+calls, prints or writes an array element stays in tier 0, and so does one
+Python cannot compile, nested too deeply say.
 
 Semantics pinned down for reproducibility:
 
@@ -74,10 +75,10 @@ TIER_UP_EDGES = 256
 # Python frames one SLANG call level holds at most: in tier 0 its
 # statement loop, the statement, one closure per level of expression
 # nesting down to the call, which the parser bounds by MAX_EXPR_DEPTH, and
-# ``_invoke``; tier 1 takes two.  The slack covers the entry frames, the
-# helpers a closure calls, and lowering or generating a function on its
-# first or hot call, which recurses once per level of block and expression
-# nesting (MAX_BLOCK_DEPTH + MAX_EXPR_DEPTH frames at most).
+# ``_invoke``; a tier-1 function calls nothing.  The slack covers the
+# entry frames, the helpers a closure calls, and lowering or generating a
+# function on its first or hot call, which recurses once per level of block
+# and expression nesting (MAX_BLOCK_DEPTH + MAX_EXPR_DEPTH frames at most).
 _STACK_HEADROOM = MAX_CALL_DEPTH * (P.MAX_EXPR_DEPTH + 3) + 500
 
 ERROR_KINDS = (
@@ -364,10 +365,6 @@ def _bad_condition(v, line: int):
     raise _Fault("TypeError", line, f"condition must be bool, got {_type_name(v)}")
 
 
-def _bad_index_assign(base, line: int):
-    raise _Fault("TypeError", line, f"cannot index-assign {_type_name(base)}")
-
-
 def _fail(kind: str, line: int, message: str):
     raise _Fault(kind, line, message)
 
@@ -574,7 +571,7 @@ def _lower_stmt(stmt: P.Stmt, line: int, nxt: int):
             raise _Fault("UndefinedVariable", line, f"undefined variable {name!r}")
         base = env[name]
         if type(base) is not list:
-            _bad_index_assign(base, line)
+            raise _Fault("TypeError", line, f"cannot index-assign {_type_name(base)}")
         i = index(run, env)
         _index(base, i, line)
         base[i] = expr(run, env)
@@ -652,21 +649,25 @@ _UNDEFINED = object()  # a tier-1 local whose SLANG variable no ``let`` defined 
 
 
 def _generate(unit: _Unit):
-    """Tier 1 of ``unit``, or None when Python cannot compile it: CPython
+    """Tier 1 of ``unit``, or None when its function calls, prints or
+    writes an array element, or when Python cannot compile it: CPython
     nests at most 20 loops, and its parser and compiler bound the depth of
     the source and the stack they may take."""
+    for stmt in P.statements(unit.fn.body):
+        if type(stmt) in (P.Print, P.IndexAssign) or any(
+            type(node) is P.Call for expr in P.expressions(stmt) for node in P.nodes(expr)
+        ):
+            return None
     source = _Source(unit)
     try:
         code = compile(source.function(), f"<tier 1 of {unit.fn.name}>", "exec")
     except (SyntaxError, RecursionError, MemoryError):
         return None
     namespace = {  # every global the source names
-        "_BudgetExhausted": _BudgetExhausted, "_exhausted": _exhausted, "_Fault": _Fault,
-        "_placed": _placed, "_compress": itertools.compress, "_UNDEFINED": _UNDEFINED,
-        "_invoke": _invoke, "_observed": _observed,
+        "_exhausted": _exhausted, "_Fault": _Fault, "_placed": _placed,
+        "_compress": itertools.compress, "_UNDEFINED": _UNDEFINED, "_observed": _observed,
         "_binary": _binary, "_unary": _unary, "_index": _index, "_len": _len, "_fail": _fail,
-        "_bad_logic": _bad_logic, "_bad_condition": _bad_condition,
-        "_bad_index_assign": _bad_index_assign, **source.constants,
+        "_bad_logic": _bad_logic, "_bad_condition": _bad_condition, **source.constants,
     }
     exec(code, namespace)
     return namespace.pop("tier1")  # which holds the namespace: no cycle
@@ -680,9 +681,8 @@ class _Source:
     """Python source of a unit's tier-1 function ``tier1(run, lines, args)``.
 
     It takes the steps of tier 0 in the same order, so ``lines`` serves
-    both.  ``left``, the budget, is a local, written back to the run before
-    a call, a return or a raise; callees change the run's, which is read
-    back after them.  A variable a ``let`` defines
+    both.  It calls nothing, so ``left``, the budget, is a local written
+    back to the run once, in ``finally``.  A variable a ``let`` defines
     starts as ``_UNDEFINED``, and a read or an assignment of it checks that
     only where some path reaches it without the ``let``."""
 
@@ -695,7 +695,7 @@ class _Source:
         self.constants: dict = {}  # global name -> value
         names = set()  # every variable the function names
         for stmt in P.statements(fn.body):
-            if type(stmt) in (P.Let, P.Assign, P.IndexAssign):
+            if type(stmt) in (P.Let, P.Assign):
                 names.add(stmt.name)
             names.update(node.name for expr in P.expressions(stmt)
                          for node in P.nodes(expr) if type(node) is P.Var)
@@ -715,15 +715,11 @@ class _Source:
         self.step(2)  # the header
         self.block(fn.body, 2, set(fn.params))
         self.step(2)  # the end: falling off it returns integer zero
-        self.emit(2, "run.left = left")
         self.emit(2, "return 0")
-        for caught, rethrow in (("_Fault as fault", "raise _placed(fault, lines) from None"),
-                                ("_BudgetExhausted", "raise")):
-            self.emit(1, f"except {caught}:")
-            self.emit(2, "if left < run.left:")  # else a callee raised, and set it
-            self.emit(3, "run.left = left")
-            self.emit(2, rethrow)
+        self.emit(1, "except _Fault as fault:")
+        self.emit(2, "raise _placed(fault, lines) from None")
         self.emit(1, "finally:")
+        self.emit(2, "run.left = left")
         self.emit(2, "run.covered.update(_compress(lines, seen))")
         return "\n".join(self.out) + "\n"
 
@@ -737,17 +733,6 @@ class _Source:
         self.pc += 1
         self.emit(depth, f"left = left - 1 if left > 0 else _exhausted(); seen[{pc}] = 1")
         return pc
-
-    def evaluate(self, depth: int, exprs, code: list) -> None:
-        """Emit ``code``, which evaluates ``exprs``, with the budget synced
-        around it when one of them calls a function."""
-        calls = any(type(node) is P.Call for expr in exprs for node in P.nodes(expr))
-        if calls:
-            self.emit(depth, "run.left = left")
-        for text in code:
-            self.emit(depth, text)
-        if calls:
-            self.emit(depth, "left = run.left")
 
     def temp(self) -> str:
         self.temps += 1
@@ -785,44 +770,22 @@ class _Source:
             self.while_(stmt, line, depth, defined)
             return defined
         self.step(depth)
-        if t is P.Return:
-            value = self.expr(stmt.expr, line, defined)
-            self.emit(depth, "run.left = left")
-            self.emit(depth, f"value = {value}")
-            self.emit(depth, "if run.depth == 1:")  # the entry call's result is observed
-            self.emit(depth + 1, f"value = _observed(value, {line})")
-            self.emit(depth, "return value")
+        if t is P.Return:  # the entry call's result is observed
+            self.emit(depth, f"value = {self.expr(stmt.expr, line, defined)}")
+            self.emit(depth, f"return _observed(value, {line}) if run.depth == 1 else value")
             return None
-        if t is P.Print:
-            value = self.expr(stmt.expr, line, defined)
-            self.evaluate(depth, (stmt.expr,), [f"run.output.append(_observed({value}, {line}))"])
-            return defined
-        name, target = stmt.name, _variable(stmt.name)
-        if t is not P.Let and name not in defined:
-            message = ("assignment to undeclared" if t is P.Assign else "undefined variable")
+        name, target = stmt.name, _variable(stmt.name)  # a let or an assignment
+        if t is P.Assign and name not in defined:
+            message = repr(f"assignment to undeclared {name!r}")
             self.emit(depth, f"if {target} is _UNDEFINED: "
-                             f"_fail('UndefinedVariable', {line}, {f'{message} {name!r}'!r})")
+                             f"_fail('UndefinedVariable', {line}, {message})")
             defined = defined | {name}  # from here on, or the check raised
-        if t is not P.IndexAssign:
-            value = self.expr(stmt.expr, line, defined)
-            self.evaluate(depth, (stmt.expr,), [f"{target} = {value}"])
-            return defined | {name}
-        i = self.temp()
-        self.evaluate(depth, (stmt.index, stmt.expr), [
-            f"if type({target}) is not list: _bad_index_assign({target}, {line})",
-            f"{i} = {self.expr(stmt.index, line, defined)}",
-            f"if type({i}) is not int or not 0 <= {i} < len({target}): "
-            f"_index({target}, {i}, {line})",
-            f"{target}[{i}] = {self.expr(stmt.expr, line, defined)}",
-        ])
-        return defined
-
-    def condition(self, stmt, line: int, depth: int, defined: set) -> None:
-        self.evaluate(depth, (stmt.cond,), [f"c = {self.expr(stmt.cond, line, defined)}"])
+        self.emit(depth, f"{target} = {self.expr(stmt.expr, line, defined)}")
+        return defined | {name}
 
     def if_(self, stmt: P.If, line: int, depth: int, defined: set) -> Optional[set]:
         self.step(depth)
-        self.condition(stmt, line, depth, defined)
+        self.emit(depth, f"c = {self.expr(stmt.cond, line, defined)}")
         self.emit(depth, "if c is True:")
         then = self.block(stmt.then_body, depth + 1, defined)
         if stmt.else_body is None:
@@ -845,7 +808,7 @@ class _Source:
     def while_(self, stmt: P.While, line: int, depth: int, defined: set) -> None:
         self.emit(depth, "while True:")
         self.step(depth + 1)  # the loop head
-        self.condition(stmt, line, depth + 1, defined)
+        self.emit(depth + 1, f"c = {self.expr(stmt.cond, line, defined)}")
         self.emit(depth + 1, "if c is not True:")
         self.emit(depth + 2, "if c is False: break")
         self.emit(depth + 2, f"_bad_condition(c, {line})")
@@ -909,10 +872,7 @@ class _Source:
         if t is P.Len:
             first, v = self.operand(expr.arg, line, defined)
             return f"(len({v}) if type({first}) is list else _len({v}, {line}))"
-        if t is P.ArrayLit:
-            return "[" + ", ".join(self.expr(item, line, defined) for item in expr.items) + "]"
-        args = ", ".join(self.expr(arg, line, defined) for arg in expr.args)
-        return f"_invoke(run, {expr.name!r}, [{args}], {line})"
+        return "[" + ", ".join(self.expr(item, line, defined) for item in expr.items) + "]"
 
     def binary(self, expr: P.Binary, line: int, defined: set) -> str:
         op = expr.op

@@ -226,7 +226,7 @@ class MinimalityReport:
 def minimality_check(
     slice_program: SourceProgram,
     baseline: Baseline,
-    line_map: Optional[LineMapping] = None,
+    line_map: LineMapping,
 ) -> MinimalityReport:
     """1-minimality: no single-line deletion of the slice is acceptable.
 
@@ -234,8 +234,6 @@ def minimality_check(
     when the checked program is the original).
     """
     n = len(slice_program)
-    if line_map is None:
-        line_map = LineMapping.identity(n)
     originals = list(line_map.original_lines())
     scope = interp.Scope()
     for i in range(1, n + 1):

@@ -19,10 +19,6 @@ FAILS_ON_SLICE = "FailsOnSlice"
 COVERS_ONLY_DELETED = "CoversOnlyDeletedCode"
 
 
-class InvalidSlice(Exception):
-    """The mapping does not describe the given slice of the original."""
-
-
 @dataclass(frozen=True)
 class RemovedTest:
     id: str
@@ -36,31 +32,19 @@ class ReducedSuite:
     on_slice: SuiteResult  # the kept tests' run on the slice, in suite order
 
 
-def _check_mapping(program: SourceProgram, slice_program: SourceProgram, mapping: LineMapping):
-    survivors = mapping.original_lines()
-    if len(survivors) != len(slice_program):
-        raise InvalidSlice("mapping length differs from slice length")
-    if list(survivors) != sorted(set(survivors)):
-        raise InvalidSlice("mapping is not strictly monotonic")
-    for slice_line, orig_line in enumerate(survivors, start=1):
-        if not (1 <= orig_line <= len(program)):
-            raise InvalidSlice(f"original line {orig_line} out of range")
-        if slice_program.line(slice_line) != program.line(orig_line):
-            raise InvalidSlice(f"slice line {slice_line} does not match original {orig_line}")
-
-
 def reduce_suite(
-    program: SourceProgram,
     slice_program: SourceProgram,
     mapping: LineMapping,
     suite: TestSuite,
     on_original: SuiteResult,
 ) -> ReducedSuite:
     """Produce the reduced suite: every original failing test, plus every
-    passing test that still passes on the slice.  ``on_original`` is the
-    suite run on ``program``; the whole suite runs once on the slice, and
-    the kept tests' part of that run is returned too."""
-    _check_mapping(program, slice_program, mapping)
+    passing test that still passes on the slice.  ``mapping`` places the
+    slice's lines in the original program, as ``orbs_slice`` or
+    ``slice_result_from_log`` built them with the slice, and
+    ``on_original`` is the suite run on the original; the whole suite runs
+    once on the slice, and the kept tests' part of that run is returned
+    too."""
     failing = set(on_original.failing)
     survivors = set(mapping.original_lines())
     # an unbuildable slice fails every test, so every passing test is removed

@@ -333,6 +333,29 @@ def test_unusable_arguments_are_exit_two(bundle_path, tmp_path, capsys, command)
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [
+    ["slice"], ["reduce-tests"], ["localize"], ["repair", "--config", "P-T-L"],
+], ids=["slice", "reduce-tests", "localize", "repair"])
+def test_stage_command_unusable_out_is_exit_two_before_the_stage_runs(
+    bundle_path, tmp_path, capsys, monkeypatch, command
+):
+    """An ``--out`` that is a file, or lies under one, is a usage error
+    before the bundle's stages run."""
+    from reducto import cli
+
+    def stages(*args, **kwargs):
+        raise AssertionError("the stages ran")
+
+    monkeypatch.setattr(cli, "BundleArtifacts", stages)
+    name, *flags = command
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    for out in (taken, taken / "out"):
+        assert main([name, bundle_path, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert taken.read_text() == "kept\n"
+
+
 def test_repair_takes_no_wall_clock_cap(bundle_path, tmp_path, capsys):
     """A repair stops only on counts, so there is no time cap to set."""
     with pytest.raises(SystemExit) as exited:

@@ -320,7 +320,7 @@ def test_artifact_sharing_matches_fresh_computation(corpus_bundles):
     fresh_slice = orbs_slice(bundle.program, build_criterion(bundle.suite, on_original))
     assert fresh_slice.slice.lines == art.slice_result.slice.lines
     fresh_reduced = reduce_suite(
-        bundle.program, fresh_slice.slice, fresh_slice.mapping, bundle.suite, on_original
+        fresh_slice.slice, fresh_slice.mapping, bundle.suite, on_original
     )
     assert fresh_reduced.kept.ids() == art.reduced.kept.ids()
     assert suspicious_json(localize(on_original)) == suspicious_json(art.list_original)

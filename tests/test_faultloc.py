@@ -259,7 +259,7 @@ end
     on_original = run_suite(p, suite)
     result = orbs_slice(p, build_criterion(suite, on_original))
     assert {3, 4, 5} <= set(result.deleted)
-    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
+    reduced = reduce_suite(result.slice, result.mapping, suite, on_original)
     assert reduced.kept.ids() == ["fail"]
     on_slice = run_suite(result.slice, reduced.kept)
     regenerated = regenerate_list(on_slice, result.mapping)

@@ -316,8 +316,9 @@ def test_first_call_at_the_deepest_level_lowers_the_deepest_function(extra_frame
 
 @pytest.mark.parametrize("extra_frames", [0, 300])
 def test_first_call_at_the_deepest_level_generates_the_deepest_function(extra_frames, monkeypatch):
-    """Every function tiers up on its first call: generating the deepest
-    one, and failing to compile it, happens on top of the deepest stack."""
+    """Every function that computes tiers up on its first call: generating
+    the deepest one, and failing to compile it, happens on top of the
+    deepest stack."""
     monkeypatch.setattr(interp, "TIER_UP_EDGES", 0)
     test_first_call_at_the_deepest_level_lowers_the_deepest_function(extra_frames)
 

@@ -15,7 +15,9 @@ budget.
 
 Each check runs at the default tier-up threshold, where a unit runs tier 0
 until it is hot, and again at ``interp.TIER_UP_EDGES = 0``, where every
-function runs tier 1 (the tests named ``..._in_tier_1``).
+function that computes runs tier 1 (the tests named ``..._in_tier_1``).  A
+function that calls, prints or writes an array element runs tier 0 at
+either threshold.
 """
 
 import contextlib
@@ -26,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_interp as ref
 from reducto import interp
+from reducto import parser as P
 from reducto.corpus import LIBRARY
 from reducto.experiment import FACTOR, FLOOR
 from reducto.faultloc import localize
@@ -56,7 +59,8 @@ def compiled(source) -> tuple:
 @contextlib.contextmanager
 def tiering_up_at(edges: int):
     """Compile and run with ``interp.TIER_UP_EDGES = edges``: at 0 every
-    unit runs tier 1 from its first call, at a huge value tier 0 only."""
+    unit that computes runs tier 1 from its first call, at a huge value
+    tier 0 only."""
     saved = interp.TIER_UP_EDGES
     interp.TIER_UP_EDGES = edges
     try:
@@ -68,11 +72,13 @@ def tiering_up_at(edges: int):
 TIER_0_ONLY = 10**18
 
 
-def tier_ups(scope: interp.Scope) -> int:
-    """The units of ``scope`` that run tier 1."""
-    return sum(
-        unit is not None and unit.call is not None and unit.call is not unit.tier0
-        for unit in scope.units.values()
+def computes(fn) -> bool:
+    """``fn`` holds no call, print or array-element write: tier 1 compiles
+    only such functions."""
+    return not any(
+        type(stmt) in (P.Print, P.IndexAssign)
+        or any(type(node) is P.Call for expr in P.expressions(stmt) for node in P.nodes(expr))
+        for stmt in P.statements(fn.body)
     )
 
 
@@ -125,7 +131,9 @@ def test_every_repair_candidate(corpus_bundles):
 
 def test_every_repair_candidate_in_tier_1(corpus_bundles):
     """As ``repair`` runs them: the candidates of a bundle share one scope,
-    so each runs the units its unedited functions share with the others."""
+    so each runs the units its unedited functions share with the others.
+    Every unit the scope keeps runs tier 1 exactly when its function
+    computes."""
     statuses = set()
     with tiering_up_at(0):
         for bundle in corpus_bundles:
@@ -141,14 +149,17 @@ def test_every_repair_candidate_in_tier_1(corpus_bundles):
                 codes = code, ref.compile_ast(parse(candidate.program))
                 for test in bundle.suite:
                     statuses.add(assert_agree(codes, test.function, test.args, CANDIDATE_BUDGET))
-            assert tier_ups(scope) == sum(unit is not None for unit in scope.units.values())
+            kept = [unit for unit in scope.units.values() if unit is not None]
+            assert any(computes(unit.fn) for unit in kept)
+            for unit in kept:
+                assert (unit.call not in (None, unit.tier0)) == computes(unit.fn), unit.fn.name
     assert statuses == {"completed", "runtime_error", "budget_exceeded"}
 
 
 LOOPING = """\
 fn step(x)
 if x % 3 == 0
-print x
+x = x * 2
 else
 return x + 1
 end
@@ -160,21 +171,22 @@ while i < n
 xs[i % 3] = step(i)
 i = i + 1
 end
+print xs
 return xs
 end
 """
 
 
-@pytest.mark.parametrize("budget", range(61))
+@pytest.mark.parametrize("budget", range(69))
 def test_every_budget_on_a_loop(budget):
     assert_agree(compiled(program(LOOPING)), "f", (7,), budget)
 
 
 def test_every_budget_on_a_loop_in_tier_1():
-    """Budget exhaustion at every step of a call, tier 1 keeping its
-    budget in a local."""
+    """Budget exhaustion at every step of a call, ``step`` in tier 1
+    keeping its budget in a local, ``f`` in tier 0 around it."""
     with tiering_up_at(0):
-        for budget in range(61):
+        for budget in range(69):
             assert_agree(compiled(program(LOOPING)), "f", (7,), budget)
 
 
@@ -985,6 +997,44 @@ end
 return spin(n)
 end
 """, (2,)),
+    "hot_loop_prints": ("""\
+fn shout(k)
+let j = 0
+while j < 90
+print j + k
+j = j + 1
+end
+return j
+end
+fn f(n)
+let i = 0
+let total = 0
+while i < n
+total = total + shout(i)
+i = i + 1
+end
+return total
+end
+""", (5,)),
+    "hot_loop_index_assigns": ("""\
+fn fill(xs, k)
+let j = 0
+while j < 90
+xs[j % 3] = j + k
+j = j + 1
+end
+return xs
+end
+fn f(n)
+let xs = [0, 0, 0]
+let i = 0
+while i < n
+xs = fill(xs, i)
+i = i + 1
+end
+return xs
+end
+""", (5,)),
 }
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_kernel_at_every_budget(kernel):
@@ -1285,11 +1335,11 @@ def test_one_unit_per_text_serves_every_callee(monkeypatch):
     one unit of ``f`` serves them all: with ``g(x)``, with ``g(x, y)``,
     with no ``g``, and shifted by blank or comment lines.  ``f``'s call of
     ``g`` is checked where it is made, so each program gets its own result,
-    in its own lines, in both tiers, equal to the reference's.  ``f`` is
-    hot after the first program, so the scope keeps its unit, and the later
-    programs run it in tier 1 without lowering ``f`` again.  Each ``g`` text
-    is met once and, below the tier-up threshold, stays cold and is not
-    kept."""
+    in its own lines, equal to the reference's.  ``f`` is hot after the
+    first program, so the scope keeps its unit, and the later programs run
+    it without lowering ``f`` again; it calls ``g``, so it stays in tier 0
+    at either threshold.  Each ``g`` text is met once and, below the
+    tier-up threshold, stays cold and is not kept."""
     lower, lowered = interp._lower_block, set()
 
     def recording_lower(block, base, offsets, steps, unit):
@@ -1329,7 +1379,7 @@ def test_one_unit_per_text_serves_every_callee(monkeypatch):
                 ("runtime_error", "UndefinedVariable", 6),
             ]
             assert all(unit is scope.units[f_text] for unit in units)
-            assert units[0].call is not units[0].tier0
+            assert units[0].call is units[0].tier0
             assert lowers_f == [True, False, False, False, False]
             if edges:
                 assert [t for t, unit in scope.units.items() if unit is not None] == [f_text]

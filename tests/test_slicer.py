@@ -418,7 +418,7 @@ def test_minimality_agrees_with_brute_force_on_random_programs():
         # expect a value the program does not return (an error fails anyway)
         wrong = run.return_value + 1 if run.status == "completed" else 0
         baseline = value_criterion(p, "main", args, wrong)
-        report = minimality_check(p, baseline)
+        report = minimality_check(p, baseline, LineMapping.identity(len(p)))
         # independent oracle: enumerate single-line deletions from scratch
         tests = TestSuite(baseline.tests)
         oracle_deletable = [

@@ -1,13 +1,10 @@
 from dataclasses import replace
 
-import pytest
-
 from reducto.harness import TestCase, TestSuite, run_suite
 from reducto.slicer import LineMapping, build_criterion, orbs_slice
 from reducto.suite_reducer import (
     COVERS_ONLY_DELETED,
     FAILS_ON_SLICE,
-    InvalidSlice,
     RemovedTest,
     reduce_suite,
     reduction_log_json,
@@ -46,7 +43,7 @@ def test_helper_only_test_removed_with_reason():
     # interchangeable `end` line survives is a scan-order detail)
     assert {5, 6} <= set(result.deleted)
     assert len(result.slice) == 3
-    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
+    reduced = reduce_suite(result.slice, result.mapping, suite, on_original)
     assert reduced.kept.ids() == ["t_fail", "t_keep"]
     removed = {r.id: r.reason for r in reduced.removed}
     # every line the helper test covered was deleted
@@ -61,9 +58,7 @@ def test_unbuildable_slice_keeps_only_failing_tests():
     # target loses its `end` and helper is gone: the slice does not parse
     survivors = [1, 2, 4]
     broken = p.without_lines([3, 5, 6, 7])
-    reduced = reduce_suite(
-        p, broken, LineMapping(tuple(survivors)), suite, on_original
-    )
+    reduced = reduce_suite(broken, LineMapping(tuple(survivors)), suite, on_original)
     assert reduced.kept.ids() == ["t_fail"]
     removed = {r.id: r.reason for r in reduced.removed}
     assert removed == {"t_keep": FAILS_ON_SLICE, "t_helper": COVERS_ONLY_DELETED}
@@ -71,7 +66,7 @@ def test_unbuildable_slice_keeps_only_failing_tests():
 
 def test_failing_tests_always_kept_and_passing_survivors_kept():
     p, suite, on_original, baseline, result = two_fn_setup()
-    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
+    reduced = reduce_suite(result.slice, result.mapping, suite, on_original)
     assert "t_fail" in reduced.kept.ids()
     assert "t_keep" in reduced.kept.ids()
 
@@ -94,34 +89,17 @@ end
     on_original = run_suite(p, suite)
     result = orbs_slice(p, build_criterion(suite, on_original))
     assert 5 in result.deleted  # the negative branch is irrelevant to the bug
-    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
+    reduced = reduce_suite(result.slice, result.mapping, suite, on_original)
     removed = {r.id: r.reason for r in reduced.removed}
     assert removed == {"t_neg": FAILS_ON_SLICE}
 
 
 def test_on_slice_is_the_run_of_the_kept_tests_on_the_slice():
     p, suite, on_original, _, result = two_fn_setup()
-    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
+    reduced = reduce_suite(result.slice, result.mapping, suite, on_original)
     assert reduced.on_slice == run_suite(result.slice, reduced.kept)
     assert reduced.on_slice.failing == ("t_fail",)
     assert reduced.on_slice.passing == ("t_keep",)
-
-
-def test_invalid_mapping_rejected():
-    p, suite, on_original, baseline, result = two_fn_setup()
-    bad = LineMapping(tuple(o + 1 for o in result.mapping.original_lines()))
-    with pytest.raises(InvalidSlice):
-        reduce_suite(p, result.slice, bad, suite, on_original)
-
-
-def test_mapping_that_swaps_identical_lines_rejected():
-    """Every line of the slice, here the whole program, matches the line it
-    is mapped to, but the two ``end`` lines trade places."""
-    p, suite, on_original, _, _ = two_fn_setup()
-    swapped = LineMapping((1, 2, 7, 4, 5, 6, 3))
-    assert all(p.line(s) == p.line(o) for s, o in enumerate(swapped.originals, start=1))
-    with pytest.raises(InvalidSlice, match="monotonic"):
-        reduce_suite(p, p, swapped, suite, on_original)
 
 
 def test_removed_test_that_covered_nothing_fails_on_slice():
@@ -136,16 +114,16 @@ def test_removed_test_that_covered_nothing_fails_on_slice():
     on_original = run_suite(p, suite)
     assert on_original.outcomes["t_arity"].passed
     assert on_original.outcomes["t_arity"].covered == frozenset()
-    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
+    reduced = reduce_suite(result.slice, result.mapping, suite, on_original)
     assert reduced.removed == (RemovedTest("t_arity", FAILS_ON_SLICE),)
 
 
 def test_idempotence_on_identity_slice():
     p, suite, on_original, baseline, result = two_fn_setup()
-    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
+    reduced = reduce_suite(result.slice, result.mapping, suite, on_original)
     identity = LineMapping.identity(len(result.slice))
     again = reduce_suite(
-        result.slice, result.slice, identity, reduced.kept,
+        result.slice, identity, reduced.kept,
         run_suite(result.slice, reduced.kept),
     )
     assert again.kept.ids() == reduced.kept.ids()
@@ -154,7 +132,7 @@ def test_idempotence_on_identity_slice():
 
 def test_verify_reduction_clean_and_corrupted():
     p, suite, on_original, baseline, result = two_fn_setup()
-    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
+    reduced = reduce_suite(result.slice, result.mapping, suite, on_original)
     assert verify_reduction(result.slice, reduced, baseline, result.mapping) == []
 
     corrupted = replace(reduced, kept=suite)  # helper test forced back in
@@ -184,13 +162,13 @@ end
     on_original = run_suite(p, suite)
     result = orbs_slice(p, build_criterion(suite, on_original))
     # slow() is sliced away entirely; its test cannot pass on the slice
-    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
+    reduced = reduce_suite(result.slice, result.mapping, suite, on_original)
     assert reduced.kept.ids() == ["t_fail"]
 
 
 def test_reduction_log_shape():
     p, suite, on_original, baseline, result = two_fn_setup()
-    reduced = reduce_suite(p, result.slice, result.mapping, suite, on_original)
+    reduced = reduce_suite(result.slice, result.mapping, suite, on_original)
     log = reduction_log_json(reduced)
     assert log["kept"] == ["t_fail", "t_keep"]
     assert log["removed"] == [{"id": "t_helper", "reason": COVERS_ONLY_DELETED}]
