@@ -1,13 +1,16 @@
-"""Observation-based slicing: delete windows of lines, keep what preserves
-the criterion, iterate to a fixpoint.
+"""Observation-based slicing: delete whole functions, then windows of lines,
+keep what preserves the criterion, iterate to a fixpoint.
 
-The scan order is fixed for reproducibility: passes run top to bottom over
-the current slice; at each index the window grows from one line up to
+The order is fixed for reproducibility.  A coarse step first tries each
+function of the program, header to ``end``, as one deletion, in program
+order, and keeps each one accepted.  Window passes then run top to bottom
+over the current slice; at each index the window grows from one line up to
 ``DELTA`` lines, the first accepted width wins, and the scan stays at the
 same index after a successful deletion (lines shift up into it).  A pass
 that deletes nothing terminates the loop.  Every earlier pass deletes
 at least one line, so the scan ends within ``len(program) + 1`` passes and
-its result is always a fixpoint.
+its result is always a fixpoint of every window.  ``SliceResult.passes``
+counts the window passes alone.
 
 Acceptance is structural: a candidate is kept only if it parses and every
 criterion test reproduces its baseline failure signature exactly (with
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from . import interp
+from . import interp, parser
 from .harness import (
     FailureSignature,
     Outcome,
@@ -161,7 +164,7 @@ def orbs_slice(program: SourceProgram, baseline: Baseline) -> SliceResult:
     """
     n = len(program)
     identity = LineMapping.identity(n)
-    scope = interp.Scope()  # one for the self-check and every window
+    scope = interp.Scope()  # one for the self-check and every deletion
     self_check = candidate_accepts(program, baseline, identity, scope)
     if not self_check:
         raise BaselineMismatch(
@@ -171,6 +174,16 @@ def orbs_slice(program: SourceProgram, baseline: Baseline) -> SliceResult:
 
     lines = list(program.lines)
     originals = list(range(1, n + 1))
+    # the coarse step: each function, header to ``end``, as one deletion,
+    # in program order (``functions`` is keyed in the order their ``end``s
+    # close them)
+    for fn in parser.parse(program, scope.lines).functions.values():
+        keep = [k for k, o in enumerate(originals) if not fn.line <= o <= fn.end_line]
+        cand_lines = [lines[k] for k in keep]
+        cand_originals = [originals[k] for k in keep]
+        cand = SourceProgram(tuple(cand_lines), program.id)
+        if candidate_accepts(cand, baseline, LineMapping(tuple(cand_originals)), scope):
+            lines, originals = cand_lines, cand_originals
     passes = 0
 
     while True:

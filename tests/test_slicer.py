@@ -22,6 +22,7 @@ from reducto.slicer import (
 from reducto.source import SourceProgram, count_sloc
 
 from conftest import program
+from padding import padded
 
 BUDGET = 10_000
 
@@ -336,18 +337,55 @@ def test_slice_determinism(corpus_bundles):
 
 def test_fixpoint_rejects_every_window_up_to_delta(corpus_artifacts):
     artifacts, _ = corpus_artifacts
-    art = artifacts["b04_rate_of"]
-    result = art.slice_result
-    slice_program = result.slice
-    originals = list(result.mapping.original_lines())
-    for start in range(1, len(slice_program) + 1):
-        for width in range(1, slicer.DELTA + 1):
-            if start + width - 1 > len(slice_program):
-                break
-            cand = slice_program.without_lines(range(start, start + width))
-            cand_map = LineMapping((*originals[:start - 1], *originals[start - 1 + width:]))
-            verdict = candidate_accepts(cand, art.baseline, cand_map, interp.Scope())
-            assert not verdict.accepted, (start, width)
+    for name, art in artifacts.items():
+        result = art.slice_result
+        slice_program = result.slice
+        originals = list(result.mapping.original_lines())
+        for start in range(1, len(slice_program) + 1):
+            for width in range(1, slicer.DELTA + 1):
+                if start + width - 1 > len(slice_program):
+                    break
+                cand = slice_program.without_lines(range(start, start + width))
+                cand_map = LineMapping((*originals[:start - 1], *originals[start - 1 + width:]))
+                verdict = candidate_accepts(cand, art.baseline, cand_map, interp.Scope())
+                assert not verdict.accepted, (name, start, width)
+
+
+def test_slice_functions_keep_their_own_header_and_end(corpus_artifacts):
+    """The coarse step deletes whole functions, so no window deletes one
+    function's ``end`` with the next one's header: each function of the
+    slice begins and ends on the lines of the same function of the
+    original."""
+    artifacts, _ = corpus_artifacts
+    for name, art in artifacts.items():
+        mapping = art.slice_result.mapping
+        original = parse(art.bundle.program).functions
+        for fn in parse(art.slice_result.slice).functions.values():
+            mapped = (mapping.to_original(fn.line), mapping.to_original(fn.end_line))
+            assert mapped == (original[fn.name].line, original[fn.name].end_line), (name, fn.name)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 8])
+def test_slicer_checks_grow_linearly_with_padding(corpus_bundles, monkeypatch, k):
+    """b04 with ``k`` renamed copies of its library functions: the coarse
+    step drops each copy in one check and a window pass drops the blank
+    line before it in one more, so slicing takes 33 + 14 k checks and gives
+    the same slice."""
+    bundle = next(b for b in corpus_bundles if b.name == "b04_rate_of")
+    p = padded(bundle.program, k, "rate_of")
+    baseline = build_criterion(bundle.suite, run_suite(p, bundle.suite))
+    calls = []
+    checked = slicer.candidate_accepts
+
+    def counting(*args):
+        calls.append(None)
+        return checked(*args)
+
+    monkeypatch.setattr(slicer, "candidate_accepts", counting)
+    result = orbs_slice(p, baseline)
+    assert len(calls) == 33 + 14 * k
+    assert result.slice.lines == ("fn rate_of(total, count)", "return total / count", "end")
+    assert result.mapping.original_lines() == (44, 45, 46)
 
 
 # ---------------------------------------------------------------------------
