@@ -36,7 +36,7 @@ from .harness import (
     reading,
     run_suite,
 )
-from .parser import ParseError, parse
+from .parser import ParseError
 from .repair import RepairResult, map_patch_to_original, repair
 from .slicer import (
     Baseline,
@@ -177,8 +177,8 @@ def load_bundle(path, budget: int = interp.DEFAULT_BUDGET) -> BugBundle:
 
     baseline_run = run_suite(program, suite)
     if all(o.kind == UNBUILDABLE for o in baseline_run.outcomes.values()):
-        try:  # the program does not parse; parse it again only for the reason
-            parse(program)
+        try:  # the program does not parse; build it again only for the reason
+            interp.Scope().build(program)
         except ParseError as exc:
             raise ManifestError(f"{program_path}: program does not parse: {exc}") from exc
     if not baseline_run.failing:
@@ -249,8 +249,6 @@ class BundleArtifacts:
         self.timings.localize_s = time.perf_counter() - started
 
         self.failing_ids = tuple(bundle.baseline_run.failing)
-        # Each program variant parsed once, for every configuration's candidates.
-        self.asts = {"P": parse(bundle.program), "Ps": parse(self.slice_result.slice)}
 
     def suspicious(self, variant: str) -> SuspiciousList:
         return {
@@ -322,9 +320,7 @@ def run_config(
         suspicious = _translate_list(suspicious, slice_result.mapping)
     else:
         program = bundle.program
-    result = repair(
-        program, artifacts.asts[config.program], suite, suspicious, artifacts.failing_ids
-    )
+    result = repair(program, suite, suspicious, artifacts.failing_ids)
     patch_line_orig = None
     transferred = None
     if result.patched:

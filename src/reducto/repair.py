@@ -10,7 +10,10 @@ that candidate counts are reproducible:
   T5 index off-by-one
 
 Within one template, instantiations enumerate operator/operand positions
-left to right and replacements in catalog order.  Validation runs the
+left to right and replacements in catalog order.  A line yields each
+distinct edit once, under the first template that makes it (T9 repeats
+T7's ``return y``, and T4 turns the constant 1 into 0 twice, as 1 - 1
+and as 0).  Validation runs the
 failing tests first and stops at the first non-passing outcome; the number
 of patch candidates validated (NPC) and of individual test executions
 (NTE) are the engine's cost metrics, plus a deterministic proxy
@@ -120,7 +123,7 @@ def _replace_span(text: str, start: int, end: int, new: str) -> str:
 
 def applicable_templates(program: SourceProgram, ast: Ast, line: int) -> list[Instantiation]:
     """All template instantiations for one line of ``program``, whose Ast
-    is ``ast``, in catalog order.
+    is ``ast``, in catalog order, each distinct edit once.
 
     Structural lines (fn/if/while headers keep their operator mutations
     but cannot be deleted or wrapped; else/end lines yield nothing).
@@ -136,10 +139,10 @@ def applicable_templates(program: SourceProgram, ast: Ast, line: int) -> list[In
     indent = raw[: len(raw) - len(raw.lstrip())]
     nodes = [node for expr in P.expressions(stmt) for node in P.nodes(expr)]
     structural = isinstance(stmt, (P.If, P.While))
-    out: list[Instantiation] = []
+    out: dict[Edit, str] = {}  # each edit under the first template to make it
 
     def emit(template: str, edit: Edit):
-        out.append(Instantiation(template, edit))
+        out.setdefault(edit, template)
 
     # T1 / T2: operator replacement at each position, left to right
     for template, ops in (("T1", RELATIONAL), ("T2", ARITHMETIC)):
@@ -230,7 +233,7 @@ def applicable_templates(program: SourceProgram, ast: Ast, line: int) -> list[In
                     indent + _replace_span(text, site.start, site.end, name)
                 ))
 
-    return out
+    return [Instantiation(template, edit) for edit, template in out.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +339,21 @@ class RepairResult:
 
 def repair(
     program: SourceProgram,
-    ast: Ast,
     suite: TestSuite,
     suspicious: SuspiciousList,
     failing_ids,
 ) -> RepairResult:
     """Iterate candidates until one passes the whole suite, the stream runs
-    out, or ``MAX_CANDIDATES`` or ``MAX_NTE`` stops the search.  ``ast`` is
-    ``program`` parsed, and ``failing_ids`` the tests that fail on it,
-    which validation runs first.  Unbuildable candidates are skipped and
-    tallied separately from NPC.  The candidates share one scope (see
-    ``interp.Scope``), which starts cold on every call.  The clock is read only for
-    ``rt_ms``: every other field depends on counts alone."""
+    out, or ``MAX_CANDIDATES`` or ``MAX_NTE`` stops the search.
+    ``failing_ids`` are the tests that fail on ``program``, which
+    validation runs first.  Unbuildable candidates are skipped and tallied
+    separately from NPC.  One scope (see ``interp.Scope``), cold on every
+    call, parses ``program`` for candidate generation and then builds each
+    candidate, so all of them share its line table.  The clock is read
+    only for ``rt_ms``: every other field depends on counts alone."""
     started = time.perf_counter()
     scope = interp.Scope()
+    ast = P.parse(program, scope.lines)
     npc = 0
     nte = 0
     unbuildable = 0

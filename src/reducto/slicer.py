@@ -174,38 +174,36 @@ def orbs_slice(program: SourceProgram, baseline: Baseline) -> SliceResult:
 
     lines = list(program.lines)
     originals = list(range(1, n + 1))
+
+    def delete(start: int, stop: int) -> bool:
+        """Delete positions ``start`` to ``stop - 1`` of the current slice
+        if the candidate without them is accepted."""
+        nonlocal lines, originals
+        cand_lines = lines[:start] + lines[stop:]
+        cand_originals = originals[:start] + originals[stop:]
+        cand = SourceProgram(tuple(cand_lines), program.id)
+        if not candidate_accepts(cand, baseline, LineMapping(tuple(cand_originals)), scope):
+            return False
+        lines, originals = cand_lines, cand_originals
+        return True
+
     # the coarse step: each function, header to ``end``, as one deletion,
     # in program order (``functions`` is keyed in the order their ``end``s
-    # close them)
+    # close them); earlier steps deleted whole functions only, so each
+    # function's lines are still contiguous
     for fn in parser.parse(program, scope.lines).functions.values():
-        keep = [k for k, o in enumerate(originals) if not fn.line <= o <= fn.end_line]
-        cand_lines = [lines[k] for k in keep]
-        cand_originals = [originals[k] for k in keep]
-        cand = SourceProgram(tuple(cand_lines), program.id)
-        if candidate_accepts(cand, baseline, LineMapping(tuple(cand_originals)), scope):
-            lines, originals = cand_lines, cand_originals
-    passes = 0
+        delete(originals.index(fn.line), originals.index(fn.end_line) + 1)
 
+    passes = 0
     while True:
         passes += 1
         deleted_this_pass = 0
-        i = 1
-        while i <= len(lines):
-            accepted_width = 0
-            for width in range(1, DELTA + 1):
-                if i + width - 1 > len(lines):
-                    break
-                cand_lines = lines[: i - 1] + lines[i - 1 + width:]
-                cand_originals = originals[: i - 1] + originals[i - 1 + width:]
-                cand = SourceProgram(tuple(cand_lines), program.id)
-                line_map = LineMapping(tuple(cand_originals))
-                if candidate_accepts(cand, baseline, line_map, scope):
-                    accepted_width = width
-                    lines = cand_lines
-                    originals = cand_originals
-                    break
-            if accepted_width:
-                deleted_this_pass += accepted_width
+        i = 0
+        while i < len(lines):
+            widths = range(1, min(DELTA, len(lines) - i) + 1)
+            width = next((w for w in widths if delete(i, i + w)), 0)
+            if width:
+                deleted_this_pass += width
                 # stay at the same index: following lines shifted up into it
             else:
                 i += 1

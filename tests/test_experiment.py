@@ -125,9 +125,9 @@ def test_load_bundle_errors(tmp_path):
 
 
 def test_load_corpus_parses_each_program_once(corpus_dir, monkeypatch):
-    """Parses through ``experiment.parse`` and through ``parser.parse``
-    (the one ``Scope.build`` calls) are both counted."""
-    from reducto import experiment, parser
+    """``parser.parse``, the one ``Scope.build`` calls, is the only parse
+    the package makes."""
+    from reducto import parser
 
     parsed, parse = [], parser.parse
 
@@ -135,7 +135,6 @@ def test_load_corpus_parses_each_program_once(corpus_dir, monkeypatch):
         parsed.append(program.id)
         return parse(program, lines)
 
-    monkeypatch.setattr(experiment, "parse", counting_parse)
     monkeypatch.setattr(parser, "parse", counting_parse)
     bundles = load_corpus(corpus_dir)
     assert len(bundles) == 13
@@ -143,56 +142,51 @@ def test_load_corpus_parses_each_program_once(corpus_dir, monkeypatch):
 
 
 def test_repair_parses_only_its_candidates(corpus_bundles, monkeypatch):
-    """Candidate generation reuses the Ast of each program variant that
-    BundleArtifacts parsed once; a configuration parses only its
-    candidates, and the patched original of a patch found on the slice."""
+    """A configuration parses its program once, for candidate generation,
+    then its candidates, and the patched original of a patch found on the
+    slice; every parse goes through ``parser.parse``."""
     from reducto import experiment, parser
 
+    assert not hasattr(experiment, "parse")
     bundle = next(b for b in corpus_bundles if b.name == "b04_rate_of")
-    counts = {"experiment": 0, "built": 0}
-    parse = parser.parse
+    parsed, parse = [], parser.parse
 
-    def counting(kind):
-        def counting_parse(program, lines=None):
-            counts[kind] += 1
-            return parse(program, lines)
-        return counting_parse
+    def counting_parse(program, lines=None):
+        parsed.append(program)
+        return parse(program, lines)
 
-    monkeypatch.setattr(experiment, "parse", counting("experiment"))
-    monkeypatch.setattr(parser, "parse", counting("built"))
+    monkeypatch.setattr(parser, "parse", counting_parse)
     artifacts = BundleArtifacts(bundle)
-    assert counts["experiment"] == 2  # P and Ps
-    counts["built"] = 0
+    parsed.clear()
     reports = [run_config(artifacts, config)[0] for config in viable_configs()]
     candidates = sum(r.cost_proxy - r.nte for r in reports)  # cost proxy = NTE + candidates
     transfers = sum(r.transferred is not None for r in reports)
-    assert counts["built"] == candidates + transfers and candidates > 0
-    assert counts["experiment"] == 2
+    assert len(parsed) == len(reports) + candidates + transfers and candidates > 0
 
 
 def test_line_tables_are_scoped_to_a_slicer_run_and_a_repair(corpus_bundles, monkeypatch):
     """The slicer run and each configuration's repair parse through a line
-    table of their own, empty at its first parse, so that every
-    configuration starts cold."""
+    table of their own, so that every configuration starts cold.  The
+    first parse of each is its own program, into the empty table."""
     from reducto import experiment, parser, repair, slicer
 
     bundle = next(b for b in corpus_bundles if b.name == "b03_series_sum")
-    scopes = []  # (scope, [(table, its size at the parse), ...])
+    scopes = []  # (scope, its program, [(program, table, its size at the parse), ...])
     parse, within = parser.parse, []
 
     def opening(scope, function):
-        def opened(*args, **kwargs):
-            scopes.append((scope, []))
+        def opened(program, *args):
+            scopes.append((scope, program, []))
             within.append(scope)
             try:
-                return function(*args, **kwargs)
+                return function(program, *args)
             finally:
                 within.pop()
         return opened
 
     def recording_parse(program, lines=None):
         if within:
-            scopes[-1][1].append((lines, None if lines is None else len(lines)))
+            scopes[-1][2].append((program, lines, None if lines is None else len(lines)))
         return parse(program, lines)
 
     monkeypatch.setattr(experiment, "orbs_slice", opening("orbs_slice", slicer.orbs_slice))
@@ -202,12 +196,16 @@ def test_line_tables_are_scoped_to_a_slicer_run_and_a_repair(corpus_bundles, mon
     for config in viable_configs():
         run_config(artifacts, config)
 
-    assert [scope for scope, _ in scopes] == ["orbs_slice"] + ["repair"] * 8
+    assert [scope for scope, _, _ in scopes] == ["orbs_slice"] + ["repair"] * 8
+    assert {program.lines for _, program, _ in scopes[1:]} == {
+        bundle.program.lines, artifacts.slice_result.slice.lines
+    }
     tables = []
-    for scope, parses in scopes:
-        table, size = parses[0]
+    for scope, program, parses in scopes:
+        first, table, size = parses[0]
+        assert first is program, scope
         assert type(table) is dict and size == 0, scope
-        assert all(seen is table for seen, _ in parses), scope
+        assert all(seen is table for _, seen, _ in parses), scope
         assert not any(table is other for other in tables), scope
         tables.append(table)
 
@@ -216,9 +214,7 @@ def test_records_a_scope_shares_stay_unchanged(corpus_bundles, monkeypatch):
     """Parse records are slotted, not frozen, so nothing but this test stops
     a consumer writing to one.  After a bundle's slicer run and its eight
     repairs, each line-table entry equals a fresh form of its line, each
-    unit's function equals a fresh parse of its text at the same lines, and
-    the Asts every configuration generates candidates from equal fresh
-    parses."""
+    unit's function equals a fresh parse of its text at the same lines."""
     from reducto import interp, parser
 
     scopes = []
@@ -248,10 +244,6 @@ def test_records_a_scope_shares_stay_unchanged(corpus_bundles, monkeypatch):
                 assert fn == fresh.functions[fn.name], text
                 units += 1
     assert forms > 0 and units > 0
-    assert artifacts.asts == {
-        "P": parser.parse(bundle.program),
-        "Ps": parser.parse(artifacts.slice_result.slice),
-    }
 
 
 def test_bundle_artifacts_run_the_suite_on_the_slice_once(corpus_bundles, monkeypatch):

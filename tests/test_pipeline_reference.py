@@ -2,8 +2,8 @@
 reduced, localized and repaired in every configuration, once on the
 two-tier interpreter and once on the tree-walking reference kept in
 ``reference_interp.py``, which takes the place of ``interp.Scope.build``
-and ``harness.execute``.  The reference pipeline parses every program
-afresh, where the slicer and repair share a line table per scope.
+and ``harness.execute``.  The reference pipeline builds every program from
+a fresh parse, where the slicer and repair share a line table per scope.
 
 Both must give the same reports, rt_ms aside, the same budget to every
 test, and run the same executions for the same steps.  The caches that

@@ -73,6 +73,9 @@ def test_constant_mutation_order_and_skips():
     p0 = program("fn f(a)\nreturn a + 0\nend\n")
     t4 = [i.edit.text for i in applicable_templates(p0, parse(p0), 2) if i.template == "T4"]
     assert t4 == ["return a + 1", "return a + -1"]  # 0 and -0 collapse away
+    p1 = program("fn f(a)\nreturn a + 1\nend\n")
+    t4 = [i.edit.text for i in applicable_templates(p1, parse(p1), 2) if i.template == "T4"]
+    assert t4 == ["return a + 2", "return a + 0", "return a + -1"]  # 1 - 1 is the 0
 
 
 def test_index_offsets_and_guards():
@@ -197,11 +200,22 @@ def test_statements_and_scope_reach_into_while_and_else_bodies():
     assert _pinned(NESTED_BLOCKS, 7) == [
         ("T6", DeleteLine()), ("T9", "let b = n"), ("T9", "let b = a"),
     ]
+    # T9's substitutions of ``i`` repeat T7's returns, so they go
     assert _pinned(NESTED_BLOCKS, 11) == [
         ("T6", DeleteLine()),
         ("T7", "return n"), ("T7", "return a"), ("T7", "return b"),
-        ("T9", "return n"), ("T9", "return a"), ("T9", "return b"),
     ]
+
+
+def test_no_corpus_line_yields_an_edit_twice(corpus_bundles):
+    lines = 0
+    for bundle in corpus_bundles:
+        ast = parse(bundle.program)
+        for line in range(1, len(bundle.program) + 1):
+            edits = [i.edit for i in applicable_templates(bundle.program, ast, line)]
+            assert len(edits) == len(set(edits)), (bundle.name, line)
+            lines += bool(edits)
+    assert lines > 100
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +251,12 @@ def test_generation_cap(max3_program, max3_suite, monkeypatch):
     # the third candidate is the patch (see test_repair_max3_hand_enumerated)
     suspicious = localize(run_suite(max3_program, max3_suite))
     monkeypatch.setattr(repair_mod, "MAX_CANDIDATES", 2)
-    capped = repair(max3_program, parse(max3_program), max3_suite, suspicious, ["t4"])
+    capped = repair(max3_program, max3_suite, suspicious, ["t4"])
     assert not capped.patched
     assert capped.candidates_generated == capped.npc == 2
     assert capped.stop_reason == "max_candidates"
     monkeypatch.setattr(repair_mod, "MAX_CANDIDATES", 3)
-    reached = repair(max3_program, parse(max3_program), max3_suite, suspicious, ["t4"])
+    reached = repair(max3_program, max3_suite, suspicious, ["t4"])
     assert reached.candidates_generated == 3
     assert reached.stop_reason == "patched"
 
@@ -352,7 +366,7 @@ def test_repair_max3_hand_enumerated(max3_program, max3_suite):
        3. T9 b->c  `m = c`     -> plausible          (6 executions)
     so NPC=3, NTE=8, BR=1, and the patch sits at the bug line."""
     suspicious = localize(run_suite(max3_program, max3_suite))
-    result = repair(max3_program, parse(max3_program), max3_suite, suspicious, ["t4"])
+    result = repair(max3_program, max3_suite, suspicious, ["t4"])
     assert result.patched
     assert result.patch.line == MAX3_BUG_LINE
     assert result.patch.edit == ReplaceLine("m = c")
@@ -368,7 +382,7 @@ def test_repair_max3_hand_enumerated(max3_program, max3_suite):
 def test_repair_cap_zero(max3_program, max3_suite, monkeypatch):
     suspicious = localize(run_suite(max3_program, max3_suite))
     monkeypatch.setattr(repair_mod, "MAX_CANDIDATES", 0)
-    result = repair(max3_program, parse(max3_program), max3_suite, suspicious, ["t4"])
+    result = repair(max3_program, max3_suite, suspicious, ["t4"])
     assert not result.patched
     assert result.npc == 0 and result.nte == 0
     assert result.stop_reason == "max_candidates"
@@ -377,7 +391,7 @@ def test_repair_cap_zero(max3_program, max3_suite, monkeypatch):
 def test_repair_nte_cap(max3_program, max3_suite, monkeypatch):
     suspicious = localize(run_suite(max3_program, max3_suite))
     monkeypatch.setattr(repair_mod, "MAX_NTE", 1)
-    result = repair(max3_program, parse(max3_program), max3_suite, suspicious, ["t4"])
+    result = repair(max3_program, max3_suite, suspicious, ["t4"])
     assert not result.patched
     assert result.stop_reason == "max_nte"
     assert result.nte >= 1
@@ -387,12 +401,11 @@ def test_repair_result_does_not_depend_on_the_clock(max3_program, max3_suite, mo
     """A clock that jumps 1,000 s per read changes rt_ms and nothing else."""
     # `return m` (line 9) yields only implausible candidates before the bug line
     suspicious = make_list([9, MAX3_BUG_LINE])
-    ast = parse(max3_program)
-    real = repair(max3_program, ast, max3_suite, suspicious, ["t4"])
+    real = repair(max3_program, max3_suite, suspicious, ["t4"])
     assert real.patched and real.npc > 3
     ticks = itertools.count(0.0, 1000.0)
     monkeypatch.setattr(repair_mod, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
-    slow = repair(max3_program, ast, max3_suite, suspicious, ["t4"])
+    slow = repair(max3_program, max3_suite, suspicious, ["t4"])
     assert slow.rt_ms >= 1000.0 * 1000.0
     for field in fields(real):
         if field.name != "rt_ms":
@@ -415,8 +428,8 @@ def test_each_repair_call_starts_a_cold_scope(corpus_bundles, monkeypatch):
 
     monkeypatch.setattr(interp, "Scope", RecordedScope)
     results = [
-        repair(bundle.program, artifacts.asts["P"], artifacts.suite("T"),
-               artifacts.suspicious("L"), artifacts.failing_ids)
+        repair(bundle.program, artifacts.suite("T"), artifacts.suspicious("L"),
+               artifacts.failing_ids)
         for _ in range(2)
     ]
     for field in fields(results[0]):
@@ -431,7 +444,7 @@ def test_each_repair_call_starts_a_cold_scope(corpus_bundles, monkeypatch):
 
 def test_repair_empty_list(max3_program, max3_suite):
     empty = SuspiciousList("L", ())
-    result = repair(max3_program, parse(max3_program), max3_suite, empty, ["t4"])
+    result = repair(max3_program, max3_suite, empty, ["t4"])
     assert not result.patched
     assert result.stop_reason == "exhausted"
     assert result.npc == 0
@@ -439,8 +452,8 @@ def test_repair_empty_list(max3_program, max3_suite):
 
 def test_nte_additivity_and_determinism(max3_program, max3_suite):
     suspicious = localize(run_suite(max3_program, max3_suite))
-    first = repair(max3_program, parse(max3_program), max3_suite, suspicious, ["t4"])
-    second = repair(max3_program, parse(max3_program), max3_suite, suspicious, ["t4"])
+    first = repair(max3_program, max3_suite, suspicious, ["t4"])
+    second = repair(max3_program, max3_suite, suspicious, ["t4"])
     for field in ("npc", "nte", "unbuildable", "candidates_generated", "br", "stop_reason"):
         assert getattr(first, field) == getattr(second, field)
     assert first.patch.edit == second.patch.edit
@@ -459,8 +472,8 @@ def test_rank_dominance_between_lists(max3_program, max3_suite):
     # can never need more validations
     early = make_list([MAX3_BUG_LINE, 2])
     late = make_list([2, MAX3_BUG_LINE])
-    early_result = repair(max3_program, parse(max3_program), max3_suite, early, ["t4"])
-    late_result = repair(max3_program, parse(max3_program), max3_suite, late, ["t4"])
+    early_result = repair(max3_program, max3_suite, early, ["t4"])
+    late_result = repair(max3_program, max3_suite, late, ["t4"])
     assert early_result.patched and late_result.patched
     assert early_result.npc <= late_result.npc
 
