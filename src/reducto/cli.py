@@ -35,10 +35,16 @@ from .experiment import (
     run_lattice,
     viable_configs,
 )
-from .faultloc import localize, prune_list, regenerate_list, suspicious_json
+from .faultloc import suspicious_json
 from .repair import edit_new_text
-from .slicer import NoFailingTests, deletion_log_json, slice_result_from_log
-from .suite_reducer import reduce_suite, reduction_log_json
+from .slicer import (
+    NoFailingTests,
+    build_criterion,
+    deletion_log_json,
+    orbs_slice,
+    slice_result_from_log,
+)
+from .suite_reducer import reduction_log_json
 from .harness import read_json, reading, save_suite
 
 
@@ -83,25 +89,32 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_slice_dir(bundle, slice_dir: str):
-    """(slice program, mapping) from a directory written by `reducto slice`."""
-    log_path = Path(slice_dir) / "deletion_log.json"
-    with reading(log_path):
-        return slice_result_from_log(bundle.program, read_json(log_path))
+def _artifacts(args, bundle) -> BundleArtifacts:
+    """The bundle's artifacts, derived from the slice in the ``--slice``
+    directory, written by `reducto slice`, when one is given.  Only reading
+    the deletion log is a fault of that file."""
+    slice_result = None
+    if args.slice:
+        log_path = Path(args.slice) / "deletion_log.json"
+        with reading(log_path):
+            slice_result = slice_result_from_log(bundle.program, read_json(log_path))
+    return BundleArtifacts(bundle, slice_result)
 
 
 def cmd_slice(args) -> int:
     bundle = _bundle(args)
     out = _out_dir(args)
-    art = BundleArtifacts(bundle)
-    result = art.slice_result
+    baseline = build_criterion(bundle.suite, bundle.baseline_run)
+    started = time.perf_counter()
+    result = orbs_slice(bundle.program, baseline)
+    elapsed = time.perf_counter() - started
     (out / "slice.sl").write_text(result.slice.to_text(), encoding="utf-8")
     _write_json(out / "deletion_log.json", deletion_log_json(result))
     _write_json(out / "slice_stats.json", result.stats())
     print(
-        f"{art.bundle.name}: {result.original_sloc} -> {result.slice_sloc} SLoC "
+        f"{bundle.name}: {result.original_sloc} -> {result.slice_sloc} SLoC "
         f"({result.percent:.1f}%), {len(result.deleted)} lines deleted, "
-        f"{result.passes} passes [{art.timings.slice_s:.2f}s]"
+        f"{result.passes} passes [{elapsed:.2f}s]"
     )
     return 0
 
@@ -109,11 +122,7 @@ def cmd_slice(args) -> int:
 def cmd_reduce_tests(args) -> int:
     bundle = _bundle(args)
     out = _out_dir(args)
-    if args.slice:
-        slice_program, mapping = _load_slice_dir(bundle, args.slice)
-        reduced = reduce_suite(slice_program, mapping, bundle.suite, bundle.baseline_run)
-    else:
-        reduced = BundleArtifacts(bundle).reduced
+    reduced = _artifacts(args, bundle).reduced
     save_suite(reduced.kept, out / "tests_reduced.json")
     _write_json(out / "reduction_log.json", reduction_log_json(reduced))
     print(
@@ -127,18 +136,9 @@ def cmd_localize(args) -> int:
     wanted = ("L", "LP", "LR") if args.list == "all" else (args.list,)
     bundle = _bundle(args)
     out = _out_dir(args)
-    if args.slice:
-        slice_program, mapping = _load_slice_dir(bundle, args.slice)
-        original = localize(bundle.baseline_run)
-        lists = {"L": original, "LP": prune_list(original, mapping)}
-        if "LR" in wanted:
-            reduced = reduce_suite(slice_program, mapping, bundle.suite, bundle.baseline_run)
-            lists["LR"] = regenerate_list(reduced.on_slice, mapping)
-    else:
-        art = BundleArtifacts(bundle)
-        lists = {v: art.suspicious(v) for v in wanted}
+    art = _artifacts(args, bundle)
     for variant in wanted:
-        suspicious = lists[variant]
+        suspicious = art.suspicious(variant)
         _write_json(out / f"suspicious_{variant}.json", suspicious_json(suspicious))
         print(f"{bundle.name}: {variant} has {len(suspicious)} entries")
     return 0

@@ -5,7 +5,8 @@ Ts) and a suspicious-list variant (L, LR or LP).  Of the twelve
 combinations, four are not viable: the original suite and the original
 list refer to lines that a slice no longer contains, so Ps pairs only
 with Ts and with a reduced list.  Per-bundle artifacts (slice, reduced
-suite, the three lists) are built once and shared by every configuration.
+suite, the three lists) are derived here alone, once per bundle, and shared
+by every configuration.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -203,51 +203,33 @@ def load_corpus(path, budget: int = interp.DEFAULT_BUDGET) -> list[BugBundle]:
 # ---------------------------------------------------------------------------
 # Shared per-bundle artifacts
 
-@dataclass
-class StageTimings:
-    slice_s: float = 0.0
-    reduce_s: float = 0.0
-    localize_s: float = 0.0
-
-
 class BundleArtifacts:
-    """Everything derivable from a bundle, computed once and shared.
+    """Everything derivable from a bundle, computed once and shared: the
+    one place its slice, reduced suite and three suspicious lists are derived.
 
-    All three suspicious lists are derived regardless of which
-    configurations run, so rank comparisons across provenances come for
-    free from a single build.  The bundle's baseline run is the one
-    observation of the unmodified program; every stage runs each test at
-    its budget.
+    The slice is ``slice_result`` when given, as read from a deletion log,
+    and ``orbs_slice``'s otherwise.  All three suspicious lists are derived
+    regardless of which configurations run, so rank comparisons across
+    provenances come for free from a single build; a slice on which no
+    failing test fails has no regenerated list and is a NoFailingTests.
+    The bundle's baseline run is the one observation of the unmodified
+    program; every stage runs each test at its budget.
     """
 
-    def __init__(self, bundle: BugBundle):
+    def __init__(self, bundle: BugBundle, slice_result: Optional[SliceResult] = None):
         self.bundle = bundle
-        self.timings = StageTimings()
         self.baseline: Baseline = build_criterion(bundle.suite, bundle.baseline_run)
-
-        started = time.perf_counter()
-        self.slice_result: SliceResult = orbs_slice(bundle.program, self.baseline)
-        self.timings.slice_s = time.perf_counter() - started
-
-        started = time.perf_counter()
+        if slice_result is None:
+            slice_result = orbs_slice(bundle.program, self.baseline)
+        self.slice_result: SliceResult = slice_result
         self.reduced: ReducedSuite = reduce_suite(
-            self.slice_result.slice,
-            self.slice_result.mapping,
-            bundle.suite,
-            bundle.baseline_run,
+            slice_result.slice, slice_result.mapping, bundle.suite, bundle.baseline_run
         )
-        self.timings.reduce_s = time.perf_counter() - started
-
-        started = time.perf_counter()
         self.list_original: SuspiciousList = localize(bundle.baseline_run)
-        self.list_pruned: SuspiciousList = prune_list(
-            self.list_original, self.slice_result.mapping
-        )
+        self.list_pruned: SuspiciousList = prune_list(self.list_original, slice_result.mapping)
         self.list_regenerated: SuspiciousList = regenerate_list(
-            self.reduced.on_slice, self.slice_result.mapping
+            self.reduced.on_slice, slice_result.mapping
         )
-        self.timings.localize_s = time.perf_counter() - started
-
         self.failing_ids = tuple(bundle.baseline_run.failing)
 
     def suspicious(self, variant: str) -> SuspiciousList:

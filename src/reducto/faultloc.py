@@ -58,9 +58,6 @@ class SuspiciousList:
     def __iter__(self):
         return iter(self.entries)
 
-    def lines(self) -> list[int]:
-        return [e.line for e in self.entries]
-
     def rank_of(self, line: int) -> Optional[int]:
         """Rank of a line, or None when the line is absent (NotInList)."""
         for entry in self.entries:

@@ -107,7 +107,25 @@ class SliceResult:
     original_sloc: int
     slice_sloc: int
     percent: float
-    passes: int
+    passes: int  # window passes of ``orbs_slice``; 0 for a slice read from a log
+
+    @classmethod
+    def keeping(cls, program: SourceProgram, survivors, passes: int) -> "SliceResult":
+        """The slice of ``program`` that keeps its original lines
+        ``survivors``, ascending, and deletes every other line."""
+        slice_program = SourceProgram(tuple(program.line(o) for o in survivors), program.id)
+        kept = set(survivors)
+        orig_sloc = count_sloc(program)
+        slice_sloc = count_sloc(slice_program)
+        return cls(
+            slice=slice_program,
+            deleted=tuple(x for x in range(1, len(program) + 1) if x not in kept),
+            mapping=LineMapping(tuple(survivors)),
+            original_sloc=orig_sloc,
+            slice_sloc=slice_sloc,
+            percent=(100.0 * slice_sloc / orig_sloc) if orig_sloc else 0.0,
+            passes=passes,
+        )
 
     def stats(self) -> dict:
         return {
@@ -210,22 +228,7 @@ def orbs_slice(program: SourceProgram, baseline: Baseline) -> SliceResult:
         if deleted_this_pass == 0:
             break
 
-    slice_program = SourceProgram(tuple(lines), program.id)
-    mapping = LineMapping(tuple(originals))
-    survivors = set(originals)
-    deleted = tuple(x for x in range(1, n + 1) if x not in survivors)
-    orig_sloc = count_sloc(program)
-    slice_sloc = count_sloc(slice_program)
-    percent = (100.0 * slice_sloc / orig_sloc) if orig_sloc else 0.0
-    return SliceResult(
-        slice=slice_program,
-        deleted=deleted,
-        mapping=mapping,
-        original_sloc=orig_sloc,
-        slice_sloc=slice_sloc,
-        percent=percent,
-        passes=passes,
-    )
+    return SliceResult.keeping(program, originals, passes)
 
 
 @dataclass(frozen=True)
@@ -266,8 +269,10 @@ def deletion_log_json(result: SliceResult) -> dict:
     }
 
 
-def slice_result_from_log(program: SourceProgram, log) -> tuple[SourceProgram, LineMapping]:
-    """Rebuild (slice, mapping) from a deletion log against the original.
+def slice_result_from_log(program: SourceProgram, log) -> SliceResult:
+    """The SliceResult of ``program`` that a deletion log describes.  From
+    the log ``deletion_log_json`` writes of an ``orbs_slice`` result, that
+    result, but with ``passes`` 0: a log does not record passes.
 
     Raises ValueError unless the log is ``{"deleted": [o, ...], "mapping":
     [[1, o1], [2, o2], ...]}`` with slice lines exactly 1..n, surviving
@@ -289,7 +294,4 @@ def slice_result_from_log(program: SourceProgram, log) -> tuple[SourceProgram, L
         raise ValueError("surviving original lines must strictly increase")
     if sorted(survivors + deleted) != list(range(1, len(program) + 1)):
         raise ValueError("surviving and deleted lines do not split the program's lines")
-    slice_program = SourceProgram(
-        tuple(program.line(o) for o in survivors), program.id
-    )
-    return slice_program, LineMapping(tuple(survivors))
+    return SliceResult.keeping(program, survivors, passes=0)

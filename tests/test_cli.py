@@ -82,8 +82,11 @@ def test_stage_commands_accept_a_precomputed_slice(bundle_path, tmp_path):
     loc_out = tmp_path / "loc"
     assert main(["localize", bundle_path, "--slice", str(slice_dir),
                  "--out", str(loc_out)]) == 0
+    fresh_loc = tmp_path / "fresh_loc"
+    assert main(["localize", bundle_path, "--out", str(fresh_loc)]) == 0
     for variant in ("L", "LP", "LR"):
-        assert (loc_out / f"suspicious_{variant}.json").exists()
+        name = f"suspicious_{variant}.json"
+        assert (loc_out / name).read_bytes() == (fresh_loc / name).read_bytes(), variant
 
 
 def _log(mapping=((1, 44), (2, 45), (3, 72)), undeclared=()) -> str:
@@ -115,6 +118,22 @@ def test_malformed_deletion_log_is_exit_two(bundle_path, tmp_path, capsys, shape
                      "--out", str(tmp_path / "out")])
         assert code == 2, command
         assert capsys.readouterr().err.startswith("error: "), command
+
+
+def test_a_slice_on_which_the_failing_tests_pass_is_exit_two_for_every_stage(
+        bundle_path, tmp_path, capsys):
+    """Keeping only rate_of's header and ``end``, both failing tests pass:
+    no stage can derive its regenerated list, whichever output it writes."""
+    slice_dir = tmp_path / "sliced"
+    slice_dir.mkdir()
+    (slice_dir / "deletion_log.json").write_text(_log(mapping=((1, 44), (2, 72))))
+    for command in (["reduce-tests"], ["localize", "--list", "L"], ["localize"]):
+        capsys.readouterr()
+        code = main([*command, bundle_path, "--slice", str(slice_dir),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, command
 
 
 def _bundle_copy(bundle_path, tmp_path) -> Path:
