@@ -38,6 +38,7 @@ from .experiment import (
 from .faultloc import suspicious_json
 from .repair import edit_new_text
 from .slicer import (
+    BaselineMismatch,
     NoFailingTests,
     build_criterion,
     deletion_log_json,
@@ -91,14 +92,18 @@ def _out_dir(args) -> Path:
 
 def _artifacts(args, bundle) -> BundleArtifacts:
     """The bundle's artifacts, derived from the slice in the ``--slice``
-    directory, written by `reducto slice`, when one is given.  Only reading
-    the deletion log is a fault of that file."""
-    slice_result = None
-    if args.slice:
-        log_path = Path(args.slice) / "deletion_log.json"
-        with reading(log_path):
-            slice_result = slice_result_from_log(bundle.program, read_json(log_path))
-    return BundleArtifacts(bundle, slice_result)
+    directory, written by `reducto slice`, when one is given.  A log that
+    cannot be read, or whose slice does not reproduce the baseline, is a
+    fault of that file."""
+    if not args.slice:
+        return BundleArtifacts(bundle)
+    log_path = Path(args.slice) / "deletion_log.json"
+    with reading(log_path):
+        slice_result = slice_result_from_log(bundle.program, read_json(log_path))
+    try:
+        return BundleArtifacts(bundle, slice_result)
+    except BaselineMismatch as exc:
+        raise ManifestError(f"{log_path}: {exc}") from exc
 
 
 def cmd_slice(args) -> int:

@@ -40,10 +40,12 @@ from .parser import ParseError
 from .repair import RepairResult, map_patch_to_original, repair
 from .slicer import (
     Baseline,
+    BaselineMismatch,
     LineMapping,
     NoFailingTests,
     SliceResult,
     build_criterion,
+    mapped_signature,
     orbs_slice,
 )
 from .source import SourceProgram
@@ -208,12 +210,15 @@ class BundleArtifacts:
     one place its slice, reduced suite and three suspicious lists are derived.
 
     The slice is ``slice_result`` when given, as read from a deletion log,
-    and ``orbs_slice``'s otherwise.  All three suspicious lists are derived
+    and ``orbs_slice``'s otherwise.  Either way it must reproduce the
+    baseline failure signature of every failing test, with error lines
+    mapped to the original program; the suite's run on the slice, which
+    the reduction makes, shows whether it does, and a slice that does not
+    is a BaselineMismatch.  All three suspicious lists are derived
     regardless of which configurations run, so rank comparisons across
-    provenances come for free from a single build; a slice on which no
-    failing test fails has no regenerated list and is a NoFailingTests.
-    The bundle's baseline run is the one observation of the unmodified
-    program; every stage runs each test at its budget.
+    provenances come for free from a single build.  The bundle's baseline
+    run is the one observation of the unmodified program; every stage runs
+    each test at its budget.
     """
 
     def __init__(self, bundle: BugBundle, slice_result: Optional[SliceResult] = None):
@@ -225,6 +230,13 @@ class BundleArtifacts:
         self.reduced: ReducedSuite = reduce_suite(
             slice_result.slice, slice_result.mapping, bundle.suite, bundle.baseline_run
         )
+        on_slice = self.reduced.on_slice.outcomes  # every failing test is kept
+        for test in self.baseline.tests:
+            observed = mapped_signature(test.id, on_slice[test.id], slice_result.mapping)
+            if observed != self.baseline.signatures[test.id]:
+                raise BaselineMismatch(
+                    f"the slice does not reproduce the baseline failure of test {test.id}"
+                )
         self.list_original: SuspiciousList = localize(bundle.baseline_run)
         self.list_pruned: SuspiciousList = prune_list(self.list_original, slice_result.mapping)
         self.list_regenerated: SuspiciousList = regenerate_list(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .harness import SuiteResult
-from .slicer import LineMapping, NoFailingTests
+from .slicer import LineMapping
 
 PROV_ORIGINAL = "L"
 PROV_REGENERATED = "LR"
@@ -125,11 +125,10 @@ def prune_list(original: SuspiciousList, mapping: LineMapping) -> SuspiciousList
 
 def regenerate_list(on_slice: SuiteResult, mapping: LineMapping) -> SuspiciousList:
     """Fresh localization from the reduced suite run on the slice,
-    translated back to original coordinates."""
-    spectrum = collect_spectrum(on_slice)
-    if spectrum.failed_total == 0:
-        raise NoFailingTests("reduced suite has no failing test on the slice")
-    ranked = rank(ochiai(spectrum), PROV_REGENERATED)
+    translated back to original coordinates.  Every failing test of the
+    original fails in that run as it did on the original, as
+    ``BundleArtifacts`` checks before it derives the list."""
+    ranked = rank(ochiai(collect_spectrum(on_slice)), PROV_REGENERATED)
     entries = tuple(
         RankedLine(mapping.to_original(e.line), e.score, e.rank) for e in ranked.entries
     )

@@ -459,20 +459,6 @@ def expressions(stmt: Stmt) -> tuple:
 class Ast:
     functions: dict = field(default_factory=dict)  # name -> Function
 
-    def statement_lines(self) -> set[int]:
-        """Every non-blank, non-comment line number: headers, bodies,
-        ``else`` arms and ``end`` terminators alike."""
-        lines: set[int] = set()
-        for fn in self.functions.values():
-            lines |= {fn.line, fn.end_line}
-            for stmt in statements(fn.body):
-                lines.add(stmt.line)
-                if isinstance(stmt, (If, While)):
-                    lines.add(stmt.end_line)
-                if isinstance(stmt, If) and stmt.else_line is not None:
-                    lines.add(stmt.else_line)
-        return lines
-
 
 _FN_RE = re.compile(r"^fn\s+([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*$")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

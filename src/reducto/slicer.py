@@ -43,7 +43,7 @@ class NoFailingTests(Exception):
 
 
 class BaselineMismatch(Exception):
-    """The unmodified program does not reproduce its own baseline."""
+    """A slice does not reproduce the baseline failure of every failing test."""
 
 
 DELTA = 3  # maximum deletion-window length, in lines
@@ -55,10 +55,6 @@ class LineMapping:
     original lines: slice line k is original line ``originals[k - 1]``."""
 
     originals: tuple[int, ...]
-
-    @classmethod
-    def identity(cls, n: int) -> "LineMapping":
-        return cls(tuple(range(1, n + 1)))
 
     def to_original(self, slice_line: Optional[int]) -> Optional[int]:
         if slice_line is None or not 1 <= slice_line <= len(self.originals):
@@ -93,7 +89,6 @@ class Baseline:
 class Acceptance:
     accepted: bool
     reason: Optional[str] = None  # "Unbuildable" | "BehaviorChanged"
-    detail: Optional[str] = None
 
     def __bool__(self):
         return self.accepted
@@ -165,33 +160,23 @@ def candidate_accepts(
     ``interp.Scope``), parses and reproduces the baseline exactly."""
     try:
         code = scope.build(candidate)
-    except ParseError as exc:
-        return Acceptance(False, "Unbuildable", f"line {exc.line}: {exc.reason}")
+    except ParseError:
+        return Acceptance(False, "Unbuildable")
     for test in baseline.tests:
         outcome = run_test(code, test)
         if mapped_signature(test.id, outcome, line_map) != baseline.signatures[test.id]:
-            return Acceptance(False, "BehaviorChanged", test.id)
+            return Acceptance(False, "BehaviorChanged")
     return Acceptance(True)
 
 
 def orbs_slice(program: SourceProgram, baseline: Baseline) -> SliceResult:
-    """Delete-observe loop over the whole program.
-
-    Raises BaselineMismatch if the unmodified program fails its own
-    baseline (a broken precondition, not a slicing outcome).
-    """
-    n = len(program)
-    identity = LineMapping.identity(n)
-    scope = interp.Scope()  # one for the self-check and every deletion
-    self_check = candidate_accepts(program, baseline, identity, scope)
-    if not self_check:
-        raise BaselineMismatch(
-            f"program does not reproduce its own baseline: {self_check.reason} "
-            f"({self_check.detail})"
-        )
-
+    """Delete-observe loop over the whole program, against the criterion
+    ``build_criterion`` takes from the suite's run on ``program``.
+    ``BundleArtifacts`` checks the slice against it, as it checks every
+    slice."""
+    scope = interp.Scope()  # one for every deletion
     lines = list(program.lines)
-    originals = list(range(1, n + 1))
+    originals = list(range(1, len(program) + 1))
 
     def delete(start: int, stop: int) -> bool:
         """Delete positions ``start`` to ``stop - 1`` of the current slice
@@ -229,34 +214,6 @@ def orbs_slice(program: SourceProgram, baseline: Baseline) -> SliceResult:
             break
 
     return SliceResult.keeping(program, originals, passes)
-
-
-@dataclass(frozen=True)
-class MinimalityReport:
-    minimal: bool
-    counterexample: Optional[int]  # 1-based line of the checked program
-
-
-def minimality_check(
-    slice_program: SourceProgram,
-    baseline: Baseline,
-    line_map: LineMapping,
-) -> MinimalityReport:
-    """1-minimality: no single-line deletion of the slice is acceptable.
-
-    ``line_map`` gives the slice's lines in original coordinates (identity
-    when the checked program is the original).
-    """
-    n = len(slice_program)
-    originals = list(line_map.original_lines())
-    scope = interp.Scope()
-    for i in range(1, n + 1):
-        cand = slice_program.without_lines([i])
-        cand_originals = originals[: i - 1] + originals[i:]
-        cand_map = LineMapping(tuple(cand_originals))
-        if candidate_accepts(cand, baseline, cand_map, scope):
-            return MinimalityReport(False, i)
-    return MinimalityReport(True, None)
 
 
 # ---------------------------------------------------------------------------

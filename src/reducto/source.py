@@ -50,12 +50,6 @@ class SourceProgram:
     def __len__(self) -> int:
         return len(self.lines)
 
-    def without_lines(self, numbers) -> "SourceProgram":
-        """A copy with the given 1-based lines removed (pure deletion)."""
-        drop = set(numbers)
-        kept = [ln for i, ln in enumerate(self.lines, start=1) if i not in drop]
-        return SourceProgram(tuple(kept), self.id)
-
 
 def count_sloc(program: SourceProgram) -> int:
     """Number of lines that are neither blank nor comment-only."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .harness import SuiteResult, TestSuite, run_suite
-from .slicer import Baseline, LineMapping, mapped_signature
+from .slicer import LineMapping
 from .source import SourceProgram
 
 FAILS_ON_SLICE = "FailsOnSlice"
@@ -68,38 +68,6 @@ def reduce_suite(
         tuple(i for i in on_slice.failing if i in kept),
     )
     return ReducedSuite(suite.subset(kept_ids), tuple(removed), on_kept)
-
-
-@dataclass(frozen=True)
-class Violation:
-    test_id: str
-    problem: str
-
-
-def verify_reduction(
-    slice_program: SourceProgram,
-    reduced: ReducedSuite,
-    baseline: Baseline,
-    mapping: LineMapping,
-) -> list[Violation]:
-    """Check the reduction postcondition on the slice itself.
-
-    Every kept failing test must reproduce its baseline signature (in
-    original coordinates), and every other kept test must pass.  Returns
-    the violations, empty when the reduction holds.
-    """
-    violations = []
-    on_slice = run_suite(slice_program, reduced.kept).outcomes
-    for test in reduced.kept:
-        outcome = on_slice[test.id]
-        if test.id in baseline.signatures:
-            if mapped_signature(test.id, outcome, mapping) != baseline.signatures[test.id]:
-                violations.append(
-                    Violation(test.id, "failing test does not reproduce its baseline signature")
-                )
-        elif not outcome.passed:
-            violations.append(Violation(test.id, "kept passing test fails on the slice"))
-    return violations
 
 
 def reduction_log_json(reduced: ReducedSuite) -> dict:

@@ -64,7 +64,7 @@ def test_criterion_01_slice_behavior_preservation(corpus_artifacts):
 
 
 def test_criterion_02_slice_one_minimality_vs_brute_force(corpus_artifacts):
-    from reducto.slicer import minimality_check
+    from oracles import minimality_check
 
     artifacts, _ = corpus_artifacts
     disagreements = []

@@ -122,18 +122,23 @@ def test_malformed_deletion_log_is_exit_two(bundle_path, tmp_path, capsys, shape
 
 def test_a_slice_on_which_the_failing_tests_pass_is_exit_two_for_every_stage(
         bundle_path, tmp_path, capsys):
-    """Keeping only rate_of's header and ``end``, both failing tests pass:
-    no stage can derive its regenerated list, whichever output it writes."""
+    """Keeping only rate_of's header and ``end``, both failing tests pass;
+    keeping its header alone, the slice does not parse.  Neither slice
+    reproduces the baseline, so every stage that reads it rejects its
+    deletion log, whichever output it writes."""
     slice_dir = tmp_path / "sliced"
     slice_dir.mkdir()
-    (slice_dir / "deletion_log.json").write_text(_log(mapping=((1, 44), (2, 72))))
-    for command in (["reduce-tests"], ["localize", "--list", "L"], ["localize"]):
-        capsys.readouterr()
-        code = main([*command, bundle_path, "--slice", str(slice_dir),
-                     "--out", str(tmp_path / "out")])
-        assert code == 2, command
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, command
+    log_path = slice_dir / "deletion_log.json"
+    for mapping in (((1, 44), (2, 72)), ((1, 44),)):
+        log_path.write_text(_log(mapping=mapping))
+        for command in (["reduce-tests"], ["localize", "--list", "L"], ["localize"]):
+            capsys.readouterr()
+            code = main([*command, bundle_path, "--slice", str(slice_dir),
+                         "--out", str(tmp_path / "out")])
+            assert code == 2, (mapping, command)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {log_path}: "), (mapping, command)
+            assert err.count("\n") == 1, (mapping, command)
 
 
 def _bundle_copy(bundle_path, tmp_path) -> Path:

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -481,6 +484,22 @@ def test_lattice_report_matches_golden_csv(lattice_reports):
     its rt_ms column; only a change meant to alter the report rewrites it."""
     golden = Path(__file__).parent / "data" / "corpus_report.csv"
     assert strip_rt_column(emit_report(lattice_reports)) == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "987654"])
+def test_lattice_report_is_the_golden_one_under_any_hash_seed(corpus_dir, tmp_path, hash_seed):
+    """`reducto experiment` in a fresh process, whose string hashes and so
+    set and dict orders of strings follow PYTHONHASHSEED, writes the golden
+    report minus rt_ms; exit 1 because a few sliced configurations cannot
+    patch."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = tmp_path / "report.csv"
+    done = subprocess.run([sys.executable, "-m", "reducto.cli", "experiment", str(corpus_dir),
+                           "--out", str(out)], env=env, stdout=subprocess.DEVNULL)
+    assert done.returncode == 1
+    golden = Path(__file__).parent / "data" / "corpus_report.csv"
+    assert strip_rt_column(out.read_text(encoding="utf-8")) == golden.read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 import math
 import random
 
-import pytest
-
 from reducto.faultloc import (
     CoverageSpectrum,
     PROV_ORIGINAL,
@@ -19,9 +17,10 @@ from reducto.faultloc import (
     suspicious_json,
 )
 from reducto.harness import TestCase, TestSuite, run_suite
-from reducto.slicer import LineMapping, NoFailingTests
+from reducto.slicer import LineMapping
 
 from conftest import MAX3_BUG_LINE, program
+from oracles import identity
 
 
 def spectrum(failed_total, passed_total, e_f, e_p):
@@ -159,7 +158,7 @@ def test_prune_drops_deleted_lines_and_redensifies():
 
 def test_prune_identity_when_nothing_deleted():
     original = make_list([(4, 0.9), (2, 0.7)])
-    mapping = LineMapping.identity(10)
+    mapping = identity(10)
     pruned = prune_list(original, mapping)
     assert [(e.line, e.score, e.rank) for e in pruned.entries] == [
         (e.line, e.score, e.rank) for e in original.entries
@@ -200,18 +199,11 @@ def test_regenerate_identity_on_degenerate_slice():
     ))
     run = run_suite(p, suite)
     original = localize(run)
-    regenerated = regenerate_list(run, LineMapping.identity(len(p)))
+    regenerated = regenerate_list(run, identity(len(p)))
     assert regenerated.provenance == PROV_REGENERATED
     assert [(e.line, e.score, e.rank) for e in regenerated.entries] == [
         (e.line, e.score, e.rank) for e in original.entries
     ]
-
-
-def test_regenerate_requires_failing_test():
-    p = program("fn f(a)\nreturn a\nend\n")
-    passing = TestSuite((TestCase("p", "f", (1,), "value", 1),))
-    with pytest.raises(NoFailingTests):
-        regenerate_list(run_suite(p, passing), LineMapping.identity(3))
 
 
 def test_regenerated_rank_improves_when_noise_is_sliced(corpus_artifacts):

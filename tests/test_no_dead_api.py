@@ -1,6 +1,6 @@
 """Every function, class, method and module-level constant of the package
-is used by the package or the benchmark, or is named in ALLOWED with the
-reason tests alone use it.
+is used by the package or the benchmark; what tests alone use lives in
+``tests/`` (the oracles in ``tests/oracles.py``).
 
 The check is by name: a definition counts as used when its name appears in
 ``src/reducto/`` or ``perfbench/`` outside the definition itself, as a
@@ -18,12 +18,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "reducto"
 USERS = (PACKAGE, ROOT / "perfbench")
-
-ALLOWED = {
-    "minimality_check": "acceptance criterion 02 checks the slicer's 1-minimality",
-    "Ast.statement_lines": "tests pin the parser's line invariant with it",
-    "verify_reduction": "tests check the suite reduction's postcondition with it",
-}
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -89,14 +83,8 @@ def unused(package: Path, users) -> list:
 
 
 def test_no_function_class_or_method_goes_unused():
-    dead = [name for name in unused(PACKAGE, USERS) if name not in ALLOWED]
+    dead = unused(PACKAGE, USERS)
     assert dead == [], f"nothing in src/reducto or perfbench uses {dead}"
-
-
-def test_allowlist_holds_only_names_that_only_tests_use():
-    assert all(ALLOWED.values())
-    assert set(ALLOWED) <= set(_definitions(PACKAGE))
-    assert set(ALLOWED) <= set(unused(PACKAGE, USERS))
 
 
 def test_guard_sees_calls_attributes_imports_strings_and_recursion(tmp_path):

@@ -7,6 +7,7 @@ from reducto.source import SourceProgram, count_sloc, is_blank, is_comment
 from reducto.values import values_equal, wrap_int
 
 from conftest import program
+from oracles import statement_lines, without_lines
 
 
 def parses(p: SourceProgram) -> bool:
@@ -123,7 +124,7 @@ def _nested_blocks(depth: int) -> SourceProgram:
 
 def test_block_depth_cap_is_exact():
     ast = parse(_nested_blocks(MAX_BLOCK_DEPTH))
-    assert max(ast.statement_lines()) == len(_nested_blocks(MAX_BLOCK_DEPTH))
+    assert max(statement_lines(ast)) == len(_nested_blocks(MAX_BLOCK_DEPTH))
     with pytest.raises(ParseError) as err:
         parse(_nested_blocks(MAX_BLOCK_DEPTH + 1))
     assert err.value.line == 2 + 3 * MAX_BLOCK_DEPTH // 2  # the opener past the cap
@@ -210,7 +211,7 @@ def test_statement_lines_match_noncode_classification(corpus_bundles):
             for i, line in enumerate(bundle.program.lines, start=1)
             if not is_blank(line) and not is_comment(line)
         }
-        assert parse(bundle.program).statement_lines() == expected
+        assert statement_lines(parse(bundle.program)) == expected
 
 
 def test_round_trip_lines():
@@ -269,9 +270,9 @@ def test_expression_grammar_corners():
 def test_ast_is_shareable_value(max3_program):
     ast = parse(max3_program)
     assert isinstance(ast, Ast)
-    lines_before = ast.statement_lines()
+    lines_before = statement_lines(ast)
     parse(max3_program)
-    assert ast.statement_lines() == lines_before
+    assert statement_lines(ast) == lines_before
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +336,7 @@ def test_corpus_deletions_through_one_table_parse_as_fresh(corpus_bundles):
     for bundle in corpus_bundles:
         p = bundle.program
         for i in range(1, len(p) + 1):
-            cand = p.without_lines([i])
+            cand = without_lines(p, [i])
             assert outcome(cand, lines) == outcome(cand), (bundle.name, i)
 
 

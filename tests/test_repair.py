@@ -27,6 +27,7 @@ from reducto.slicer import LineMapping
 from reducto.source import SourceProgram
 
 from conftest import MAX3_BUG_LINE, program
+from oracles import identity
 
 
 def make_list(lines, provenance="L"):
@@ -511,7 +512,7 @@ def test_map_patch_simple_lookup():
 def test_map_patch_identity_slice(max3_program):
     from reducto.repair import PatchCandidate
 
-    mapping = LineMapping.identity(len(max3_program))
+    mapping = identity(len(max3_program))
     edited = apply_edit(max3_program, MAX3_BUG_LINE, ReplaceLine("m = c"))
     candidate = PatchCandidate("T9", MAX3_BUG_LINE, ReplaceLine("m = c"), edited)
     patched, line = map_patch_to_original(candidate, mapping, max3_program)

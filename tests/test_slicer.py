@@ -5,23 +5,25 @@ from dataclasses import replace
 import pytest
 
 from reducto import interp, slicer
+from reducto.experiment import BugBundle, BundleArtifacts
 from reducto.harness import TestCase, TestSuite, run_suite, signature
 from reducto.parser import ParseError, parse
 from reducto.slicer import (
     BaselineMismatch,
     LineMapping,
     NoFailingTests,
+    SliceResult,
     build_criterion,
     candidate_accepts,
     deletion_log_json,
     mapped_signature,
-    minimality_check,
     orbs_slice,
     slice_result_from_log,
 )
 from reducto.source import SourceProgram, count_sloc
 
 from conftest import program
+from oracles import identity, minimality_check, without_lines
 from padding import padded
 
 BUDGET = 10_000
@@ -90,7 +92,7 @@ end
 def test_comment_deletion_accepted():
     p = program(GUARDED)
     baseline = value_criterion(p, "main", (3,), 5)  # computes 4
-    cand = p.without_lines([2])
+    cand = without_lines(p, [2])
     verdict = candidate_accepts(cand, baseline, LineMapping((1, 3, 4, 5, 6)), interp.Scope())
     assert verdict.accepted
 
@@ -99,7 +101,7 @@ def test_deleting_watched_assignment_rejected():
     # the returned variable's assignment is what the failing test observes
     p = program(GUARDED)
     baseline = value_criterion(p, "main", (3,), 5)
-    cand = p.without_lines([3])
+    cand = without_lines(p, [3])
     cand_map = LineMapping((1, 2, 4, 5, 6))
     verdict = candidate_accepts(cand, baseline, cand_map, interp.Scope())
     assert not verdict.accepted
@@ -115,7 +117,7 @@ def test_deleting_watched_assignment_rejected():
 
 def test_unbalanced_deletion_rejected(max3_program, max3_suite):
     baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
-    cand = max3_program.without_lines([6])  # if header without its end
+    cand = without_lines(max3_program, [6])  # if header without its end
     verdict = candidate_accepts(
         cand, baseline, LineMapping((1, 2, 3, 4, 5, 7, 8, 9, 10)), interp.Scope()
     )
@@ -129,7 +131,7 @@ def test_error_lines_compared_in_original_coordinates():
     suite = TestSuite((TestCase("t", "f", ((1,),), "value", 1),))
     baseline = build_criterion(suite, run_suite(p, suite))
     assert baseline.signatures["t"].error_line == 3
-    cand = p.without_lines([2])  # error now occurs at candidate line 2
+    cand = without_lines(p, [2])  # error now occurs at candidate line 2
     verdict = candidate_accepts(cand, baseline, LineMapping((1, 3, 4)), interp.Scope())
     assert verdict.accepted
 
@@ -142,7 +144,7 @@ def test_budget_exceeded_where_baseline_had_none_rejected():
         ln if i != 4 else "i = i + 0" for i, ln in enumerate(p.lines, start=1)
     ))
     # not a deletion, but candidate_accepts takes any program
-    verdict = candidate_accepts(cand, baseline, LineMapping.identity(len(cand)), interp.Scope())
+    verdict = candidate_accepts(cand, baseline, identity(len(cand)), interp.Scope())
     assert not verdict.accepted and verdict.reason == "BehaviorChanged"
 
 
@@ -165,7 +167,7 @@ def test_every_statement_feeding_criterion_keeps_program_intact():
     assert result.deleted == ()
     assert result.slice.lines == p.lines
     assert result.passes == 1  # a pass that deletes nothing ends the scan
-    assert result.mapping == LineMapping.identity(5)
+    assert result.mapping == identity(5)
 
 
 DEAD_BRANCH = """\
@@ -288,11 +290,14 @@ def test_each_buildable_candidate_is_compiled_once(max3_program, max3_suite, mon
     assert buildable and len(compiles) == len(buildable)
 
 
-def test_baseline_mismatch_raises(max3_program, max3_suite):
-    baseline = build_criterion(max3_suite, run_suite(max3_program, max3_suite))
+def test_artifacts_of_a_slice_that_loses_the_baseline_raise(max3_program, max3_suite):
+    """The baseline run comes from another program, so the whole of max3,
+    kept as its own slice, does not reproduce it."""
     other = program("fn max3(a, b, c)\nreturn a\nend\n")
+    bundle = BugBundle("max3", max3_program, max3_suite, None, run_suite(other, max3_suite))
+    whole = SliceResult.keeping(max3_program, range(1, len(max3_program) + 1), passes=0)
     with pytest.raises(BaselineMismatch):
-        orbs_slice(other, baseline)
+        BundleArtifacts(bundle, whole)
 
 
 def test_slice_result_invariants(corpus_artifacts):
@@ -345,7 +350,7 @@ def test_fixpoint_rejects_every_window_up_to_delta(corpus_artifacts):
             for width in range(1, slicer.DELTA + 1):
                 if start + width - 1 > len(slice_program):
                     break
-                cand = slice_program.without_lines(range(start, start + width))
+                cand = without_lines(slice_program, range(start, start + width))
                 cand_map = LineMapping((*originals[:start - 1], *originals[start - 1 + width:]))
                 verdict = candidate_accepts(cand, art.baseline, cand_map, interp.Scope())
                 assert not verdict.accepted, (name, start, width)
@@ -369,7 +374,7 @@ def test_slice_functions_keep_their_own_header_and_end(corpus_artifacts):
 def test_slicer_checks_grow_linearly_with_padding(corpus_bundles, monkeypatch, k):
     """b04 with ``k`` renamed copies of its library functions: the coarse
     step drops each copy in one check and a window pass drops the blank
-    line before it in one more, so slicing takes 33 + 14 k checks and gives
+    line before it in one more, so slicing takes 32 + 14 k checks and gives
     the same slice."""
     bundle = next(b for b in corpus_bundles if b.name == "b04_rate_of")
     p = padded(bundle.program, k, "rate_of")
@@ -383,7 +388,7 @@ def test_slicer_checks_grow_linearly_with_padding(corpus_bundles, monkeypatch, k
 
     monkeypatch.setattr(slicer, "candidate_accepts", counting)
     result = orbs_slice(p, baseline)
-    assert len(calls) == 33 + 14 * k
+    assert len(calls) == 32 + 14 * k
     assert result.slice.lines == ("fn rate_of(total, count)", "return total / count", "end")
     assert result.mapping.original_lines() == (44, 45, 46)
 
@@ -456,7 +461,7 @@ def test_minimality_agrees_with_brute_force_on_random_programs():
         # expect a value the program does not return (an error fails anyway)
         wrong = run.return_value + 1 if run.status == "completed" else 0
         baseline = value_criterion(p, "main", args, wrong)
-        report = minimality_check(p, baseline, LineMapping.identity(len(p)))
+        report = minimality_check(p, baseline, identity(len(p)))
         # independent oracle: enumerate single-line deletions from scratch
         tests = TestSuite(baseline.tests)
         oracle_deletable = [

@@ -8,11 +8,11 @@ from reducto.suite_reducer import (
     RemovedTest,
     reduce_suite,
     reduction_log_json,
-    verify_reduction,
 )
 from reducto.source import SourceProgram
 
 from conftest import program
+from oracles import identity, verify_reduction, without_lines
 
 TWO_FN = """\
 fn target(a)
@@ -57,7 +57,7 @@ def test_unbuildable_slice_keeps_only_failing_tests():
     p, suite, on_original, _, _ = two_fn_setup()
     # target loses its `end` and helper is gone: the slice does not parse
     survivors = [1, 2, 4]
-    broken = p.without_lines([3, 5, 6, 7])
+    broken = without_lines(p, [3, 5, 6, 7])
     reduced = reduce_suite(broken, LineMapping(tuple(survivors)), suite, on_original)
     assert reduced.kept.ids() == ["t_fail"]
     removed = {r.id: r.reason for r in reduced.removed}
@@ -121,9 +121,8 @@ def test_removed_test_that_covered_nothing_fails_on_slice():
 def test_idempotence_on_identity_slice():
     p, suite, on_original, baseline, result = two_fn_setup()
     reduced = reduce_suite(result.slice, result.mapping, suite, on_original)
-    identity = LineMapping.identity(len(result.slice))
     again = reduce_suite(
-        result.slice, identity, reduced.kept,
+        result.slice, identity(len(result.slice)), reduced.kept,
         run_suite(result.slice, reduced.kept),
     )
     assert again.kept.ids() == reduced.kept.ids()
