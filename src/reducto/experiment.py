@@ -27,7 +27,10 @@ from .faultloc import (
     regenerate_list,
 )
 from .harness import (
+    ERRORED,
+    FAIL,
     UNBUILDABLE,
+    FailureSignature,
     ManifestError,
     SuiteResult,
     TestSuite,
@@ -205,6 +208,16 @@ def load_corpus(path, budget: int = interp.DEFAULT_BUDGET) -> list[BugBundle]:
 # ---------------------------------------------------------------------------
 # Shared per-bundle artifacts
 
+def _outcome_text(sig: FailureSignature) -> str:
+    """A signature's outcome for a message: the kind, with the error and its
+    line for an error, and the observed value for a wrong one."""
+    if sig.outcome == ERRORED:
+        return f"Errored {sig.error_kind} at line {sig.error_line}"
+    if sig.outcome == FAIL:
+        return f"Fail {sig.actual}"
+    return sig.outcome
+
+
 class BundleArtifacts:
     """Everything derivable from a bundle, computed once and shared: the
     one place its slice, reduced suite and three suspicious lists are derived.
@@ -233,9 +246,11 @@ class BundleArtifacts:
         on_slice = self.reduced.on_slice.outcomes  # every failing test is kept
         for test in self.baseline.tests:
             observed = mapped_signature(test.id, on_slice[test.id], slice_result.mapping)
-            if observed != self.baseline.signatures[test.id]:
+            expected = self.baseline.signatures[test.id]
+            if observed != expected:
                 raise BaselineMismatch(
-                    f"the slice does not reproduce the baseline failure of test {test.id}"
+                    f"the slice does not reproduce the baseline failure of test {test.id}: "
+                    f"it gives {_outcome_text(observed)}, not {_outcome_text(expected)}"
                 )
         self.list_original: SuspiciousList = localize(bundle.baseline_run)
         self.list_pruned: SuspiciousList = prune_list(self.list_original, slice_result.mapping)

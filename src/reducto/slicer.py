@@ -1,16 +1,20 @@
 """Observation-based slicing: delete whole functions, then windows of lines,
 keep what preserves the criterion, iterate to a fixpoint.
 
-The order is fixed for reproducibility.  A coarse step first tries each
-function of the program, header to ``end``, as one deletion, in program
-order, and keeps each one accepted.  Window passes then run top to bottom
-over the current slice; at each index the window grows from one line up to
-``DELTA`` lines, the first accepted width wins, and the scan stays at the
-same index after a successful deletion (lines shift up into it).  A pass
-that deletes nothing terminates the loop.  Every earlier pass deletes
-at least one line, so the scan ends within ``len(program) + 1`` passes and
-its result is always a fixpoint of every window.  ``SliceResult.passes``
-counts the window passes alone.
+The order is fixed for reproducibility.  A coarse step first deletes
+whole functions, each spanning the blank and comment lines before its
+header through its ``end``.  It tries every span at once; a rejected group
+splits into two halves in program order, first half first, down to single
+functions.  Its checks thus grow with the functions the slice keeps times
+the logarithm of the program's function count (hierarchical delta
+debugging, Misherghi & Su, ICSE 2006).  Window passes then run top to
+bottom over the current slice; at each index the window grows from one
+line up to ``DELTA`` lines, the first accepted width wins, and the scan
+stays at the same index after a successful deletion (lines shift up into
+it).  A pass that deletes nothing terminates the loop.  Every earlier pass
+deletes at least one line, so the scan ends within ``len(program) + 1``
+passes and its result is always a fixpoint of every window.
+``SliceResult.passes`` counts the window passes alone.
 
 Acceptance is structural: a candidate is kept only if it parses and every
 criterion test reproduces its baseline failure signature exactly (with
@@ -169,14 +173,51 @@ def candidate_accepts(
     return Acceptance(True)
 
 
+def delete_functions(
+    program: SourceProgram, baseline: Baseline, scope: interp.Scope
+) -> list[int]:
+    """The coarse step of ``orbs_slice``: the original lines of ``program``
+    that survive deleting its functions in halves, each candidate built in
+    ``scope``.
+
+    A function's span runs from its header to its ``end`` and takes the
+    blank and comment lines before the header, back to the previous
+    function's ``end``.  The step first tries to delete every span at once.
+    A rejected group splits into two halves in program order, first half
+    first, down to single functions; each accepted deletion is kept."""
+    survivors = list(range(1, len(program) + 1))
+
+    def delete(group: list[range]) -> None:
+        nonlocal survivors
+        gone = set().union(*group)
+        kept = [o for o in survivors if o not in gone]
+        cand = SourceProgram(tuple(program.line(o) for o in kept), program.id)
+        if candidate_accepts(cand, baseline, LineMapping(tuple(kept)), scope):
+            survivors = kept
+        elif len(group) > 1:
+            half = len(group) // 2
+            delete(group[:half])
+            delete(group[half:])
+
+    # ``functions`` is keyed in the order their ``end``s close them, which
+    # is program order, since functions do not nest
+    spans, start = [], 1
+    for fn in parser.parse(program, scope.lines).functions.values():
+        spans.append(range(start, fn.end_line + 1))
+        start = fn.end_line + 1
+    if spans:
+        delete(spans)
+    return survivors
+
+
 def orbs_slice(program: SourceProgram, baseline: Baseline) -> SliceResult:
     """Delete-observe loop over the whole program, against the criterion
     ``build_criterion`` takes from the suite's run on ``program``.
     ``BundleArtifacts`` checks the slice against it, as it checks every
     slice."""
     scope = interp.Scope()  # one for every deletion
-    lines = list(program.lines)
-    originals = list(range(1, len(program) + 1))
+    originals = delete_functions(program, baseline, scope)
+    lines = [program.line(o) for o in originals]
 
     def delete(start: int, stop: int) -> bool:
         """Delete positions ``start`` to ``stop - 1`` of the current slice
@@ -189,13 +230,6 @@ def orbs_slice(program: SourceProgram, baseline: Baseline) -> SliceResult:
             return False
         lines, originals = cand_lines, cand_originals
         return True
-
-    # the coarse step: each function, header to ``end``, as one deletion,
-    # in program order (``functions`` is keyed in the order their ``end``s
-    # close them); earlier steps deleted whole functions only, so each
-    # function's lines are still contiguous
-    for fn in parser.parse(program, scope.lines).functions.values():
-        delete(originals.index(fn.line), originals.index(fn.end_line) + 1)
 
     passes = 0
     while True:

@@ -370,15 +370,56 @@ def test_slice_functions_keep_their_own_header_and_end(corpus_artifacts):
             assert mapped == (original[fn.name].line, original[fn.name].end_line), (name, fn.name)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 8])
-def test_slicer_checks_grow_linearly_with_padding(corpus_bundles, monkeypatch, k):
+# Each shipped bundle's surviving original lines, as the slicer gave them
+# when it tried one function at a time.
+SHIPPED_SLICES = {
+    "b01_pick_max3": (17, 18, 22, 23, 24, 25, 26),
+    "b02_last_of": (34, 35, 36),
+    "b03_series_sum": (3, 4, 5, 6, 7, 8, 9, 10, 11),
+    "b04_rate_of": (44, 45, 46),
+    "b05_span_of": (40, 41, 43, 44, 45, 46, 50, 51, 52, 54, 55),
+    "b06_scale_ratio": (13, 14, 18, 19),
+    "b07_bonus_amount": (53, 54, 57, 58, 60),
+    "b08_any_pos": (20, 24, 25),
+    "b09_rect_area": (7, 8, 9),
+    "b10_shifted_sum": (52, 53, 54, 55, 56, 57, 58, 60),
+    "b11_clamp_to": (29, 33, 34, 35, 37),
+    "b12_perimeter_of": (3, 4, 6, 7),
+    "b13_element_at": (39, 40, 41),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_SLICES))
+def test_shipped_slices_keep_their_lines(corpus_artifacts, name):
+    artifacts, _ = corpus_artifacts
+    assert artifacts[name].slice_result.mapping.original_lines() == SHIPPED_SLICES[name]
+
+
+def test_coarse_step_leaves_no_deletable_function(corpus_artifacts):
+    """Deleting any one function that the coarse step keeps, with the blank
+    and comment lines before its header, is rejected."""
+    artifacts, _ = corpus_artifacts
+    assert len(artifacts) == 13
+    for name, art in artifacts.items():
+        p = art.bundle.program
+        survivors = slicer.delete_functions(p, art.baseline, interp.Scope())
+        coarse = SourceProgram(tuple(p.line(o) for o in survivors))
+        start = 1  # first slice line after the previous function's end
+        for fn in parse(coarse).functions.values():
+            kept = survivors[:start - 1] + survivors[fn.end_line:]
+            cand = SourceProgram(tuple(p.line(o) for o in kept))
+            verdict = candidate_accepts(
+                cand, art.baseline, LineMapping(tuple(kept)), interp.Scope()
+            )
+            assert not verdict.accepted, (name, fn.name)
+            start = fn.end_line + 1
+
+
+def test_slicer_checks_grow_logarithmically_with_padding(corpus_bundles, monkeypatch):
     """b04 with ``k`` renamed copies of its library functions: the coarse
-    step drops each copy in one check and a window pass drops the blank
-    line before it in one more, so slicing takes 32 + 14 k checks and gives
-    the same slice."""
+    step deletes the padding in halves, so each fourfold ``k`` adds two
+    halvings, of two checks each, and the slice stays the same."""
     bundle = next(b for b in corpus_bundles if b.name == "b04_rate_of")
-    p = padded(bundle.program, k, "rate_of")
-    baseline = build_criterion(bundle.suite, run_suite(p, bundle.suite))
     calls = []
     checked = slicer.candidate_accepts
 
@@ -387,10 +428,17 @@ def test_slicer_checks_grow_linearly_with_padding(corpus_bundles, monkeypatch, k
         return checked(*args)
 
     monkeypatch.setattr(slicer, "candidate_accepts", counting)
-    result = orbs_slice(p, baseline)
-    assert len(calls) == 32 + 14 * k
-    assert result.slice.lines == ("fn rate_of(total, count)", "return total / count", "end")
-    assert result.mapping.original_lines() == (44, 45, 46)
+    checks = {}
+    for k in (0, 8, 32, 128):
+        p = padded(bundle.program, k, "rate_of")
+        baseline = build_criterion(bundle.suite, run_suite(p, bundle.suite))
+        calls.clear()
+        result = orbs_slice(p, baseline)
+        checks[k] = len(calls)
+        assert result.slice.lines == ("fn rate_of(total, count)", "return total / count", "end")
+        assert result.mapping.original_lines() == (44, 45, 46)
+    assert checks == {0: 20, 8: 26, 32: 30, 128: 34}
+    assert all(checks[4 * k] - checks[k] <= 4 for k in (8, 32))
 
 
 # ---------------------------------------------------------------------------
