@@ -3,17 +3,20 @@ keep what preserves the criterion, iterate to a fixpoint.
 
 The order is fixed for reproducibility.  A coarse step first deletes
 whole functions, each spanning the blank and comment lines before its
-header through its ``end``.  It tries every span at once; a rejected group
-splits into two halves in program order, first half first, down to single
-functions.  Its checks thus grow with the functions the slice keeps times
-the logarithm of the program's function count (hierarchical delta
-debugging, Misherghi & Su, ICSE 2006).  Window passes then run top to
-bottom over the current slice; at each index the window grows from one
-line up to ``DELTA`` lines, the first accepted width wins, and the scan
-stays at the same index after a successful deletion (lines shift up into
-it).  A pass that deletes nothing terminates the loop.  Every earlier pass
-deletes at least one line, so the scan ends within ``len(program) + 1``
-passes and its result is always a fixpoint of every window.
+header through its ``end``.  It tries two groups in turn, each in program
+order: first every function in which the failing tests run no line on the
+original program, then the rest.  A check still decides every deletion,
+and a rejected group splits into two halves, first half first, down to
+single functions (hierarchical delta debugging, Misherghi & Su, ICSE
+2006).  So when the tests enter just the functions they need, one check
+deletes all the others, however many there are.  Window passes then run
+top to bottom over the current slice; at each index the window grows from
+one line up to ``DELTA`` lines, the first accepted width wins, and the
+scan stays at the same index after a successful deletion (lines shift up
+into it).  A pass that deletes nothing terminates the loop.  Every earlier
+pass deletes at least one line, so the scan ends within
+``len(program) + 1`` passes and its result is always a fixpoint of every
+window.
 ``SliceResult.passes`` counts the window passes alone.
 
 Acceptance is structural: a candidate is kept only if it parses and every
@@ -79,10 +82,13 @@ class LineMapping:
 class Baseline:
     """The slicing criterion and what it must reproduce: the failing tests
     of the unmodified program in suite order, each at its budget, and their
-    failure signatures."""
+    failure signatures.  ``covered`` is the union of the lines those tests
+    run on the unmodified program; ``delete_functions`` tries the functions
+    without such a line first, and a check still decides their deletion."""
 
     tests: tuple[TestCase, ...]
     signatures: dict  # test id -> FailureSignature
+    covered: frozenset  # original lines
 
     def __post_init__(self):
         if not self.tests:
@@ -151,7 +157,8 @@ def build_criterion(suite: TestSuite, result: SuiteResult) -> Baseline:
         raise NoFailingTests("every test passes; nothing to slice against")
     failing = tuple(t for t in suite if t.id in set(result.failing))
     signatures = {t.id: signature(t.id, result.outcomes[t.id]) for t in failing}
-    return Baseline(failing, signatures)
+    covered = frozenset().union(*(result.outcomes[t.id].covered for t in failing))
+    return Baseline(failing, signatures, covered)
 
 
 def candidate_accepts(
@@ -177,14 +184,19 @@ def delete_functions(
     program: SourceProgram, baseline: Baseline, scope: interp.Scope
 ) -> list[int]:
     """The coarse step of ``orbs_slice``: the original lines of ``program``
-    that survive deleting its functions in halves, each candidate built in
+    that survive deleting its functions in groups, each candidate built in
     ``scope``.
 
     A function's span runs from its header to its ``end`` and takes the
     blank and comment lines before the header, back to the previous
-    function's ``end``.  The step first tries to delete every span at once.
-    A rejected group splits into two halves in program order, first half
-    first, down to single functions; each accepted deletion is kept."""
+    function's ``end``.  The step tries two groups, each in program order:
+    first every span with no line in ``baseline.covered``, then the rest.
+    Coverage only orders the checks; a check decides every deletion.  A
+    rejected group splits into two halves, first half first, down to single
+    functions; each accepted deletion is kept.  So a function that a
+    failing test reaches only through a call that fails before entering it
+    (a wrong-arity call) is uncovered, and kept if deleting it is
+    rejected."""
     survivors = list(range(1, len(program) + 1))
 
     def delete(group: list[range]) -> None:
@@ -205,8 +217,11 @@ def delete_functions(
     for fn in parser.parse(program, scope.lines).functions.values():
         spans.append(range(start, fn.end_line + 1))
         start = fn.end_line + 1
-    if spans:
-        delete(spans)
+    uncovered = [s for s in spans if baseline.covered.isdisjoint(s)]
+    covered = [s for s in spans if not baseline.covered.isdisjoint(s)]
+    for group in (uncovered, covered):
+        if group:
+            delete(group)
     return survivors
 
 

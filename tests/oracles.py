@@ -8,7 +8,9 @@ build their inputs from.  The pipeline itself runs none of them.
 - ``statement_lines``: the parser's line invariant, every line it places
   a header, statement, ``else`` or ``end`` on;
 - ``without_lines`` and ``identity``: a program with some lines deleted,
-  and the line map of a program onto itself.
+  and the line map of a program onto itself;
+- ``delete_functions_in_halves``: the slicer's coarse step without its
+  coverage-first order, every function at once and then halves.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional
 
 from reducto import interp
 from reducto.harness import run_suite
-from reducto.parser import Ast, If, While, statements
+from reducto.parser import Ast, If, While, parse, statements
 from reducto.slicer import Baseline, LineMapping, candidate_accepts, mapped_signature
 from reducto.source import SourceProgram
 from reducto.suite_reducer import ReducedSuite
@@ -35,6 +37,29 @@ def without_lines(program: SourceProgram, numbers) -> SourceProgram:
     drop = set(numbers)
     kept = [ln for i, ln in enumerate(program.lines, start=1) if i not in drop]
     return SourceProgram(tuple(kept), program.id)
+
+
+def delete_functions_in_halves(program: SourceProgram, baseline: Baseline) -> list[int]:
+    """The original lines of ``program`` that survive deleting its function
+    spans (as ``slicer.delete_functions`` draws them) all at once, and, when
+    a group is rejected, its first half and then its second, down to single
+    functions."""
+    survivors = list(range(1, len(program) + 1))
+    scope = interp.Scope()
+
+    def delete(group: list[range]) -> None:
+        nonlocal survivors
+        kept = [o for o in survivors if not any(o in span for span in group)]
+        cand = SourceProgram(tuple(program.line(o) for o in kept), program.id)
+        if candidate_accepts(cand, baseline, LineMapping(tuple(kept)), scope):
+            survivors = kept
+        elif len(group) > 1:
+            delete(group[: len(group) // 2])
+            delete(group[len(group) // 2:])
+
+    ends = [fn.end_line for fn in parse(program).functions.values()]
+    delete([range(start + 1, end + 1) for start, end in zip([0] + ends, ends)])
+    return survivors
 
 
 def statement_lines(ast: Ast) -> set[int]:

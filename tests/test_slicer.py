@@ -23,7 +23,7 @@ from reducto.slicer import (
 from reducto.source import SourceProgram, count_sloc
 
 from conftest import program
-from oracles import identity, minimality_check, without_lines
+from oracles import delete_functions_in_halves, identity, minimality_check, without_lines
 from padding import padded
 
 BUDGET = 10_000
@@ -415,10 +415,11 @@ def test_coarse_step_leaves_no_deletable_function(corpus_artifacts):
             start = fn.end_line + 1
 
 
-def test_slicer_checks_grow_logarithmically_with_padding(corpus_bundles, monkeypatch):
-    """b04 with ``k`` renamed copies of its library functions: the coarse
-    step deletes the padding in halves, so each fourfold ``k`` adds two
-    halvings, of two checks each, and the slice stays the same."""
+def test_slicer_checks_do_not_grow_with_padding(corpus_bundles, monkeypatch):
+    """b04 with ``k`` renamed copies of its library functions: no failing
+    test enters a copy, so the coarse step deletes every copy in the one
+    check that deletes the other uncovered functions, and the checks and
+    the slice stay the same at every ``k``."""
     bundle = next(b for b in corpus_bundles if b.name == "b04_rate_of")
     calls = []
     checked = slicer.candidate_accepts
@@ -437,8 +438,108 @@ def test_slicer_checks_grow_logarithmically_with_padding(corpus_bundles, monkeyp
         checks[k] = len(calls)
         assert result.slice.lines == ("fn rate_of(total, count)", "return total / count", "end")
         assert result.mapping.original_lines() == (44, 45, 46)
-    assert checks == {0: 20, 8: 26, 32: 30, 128: 34}
-    assert all(checks[4 * k] - checks[k] <= 4 for k in (8, 32))
+    assert checks == {0: 15, 8: 15, 32: 15, 128: 15}
+
+
+def recorded_coarse_checks(p: SourceProgram, baseline, monkeypatch):
+    """``delete_functions`` on ``p`` with its survivors, and each check it
+    made as (surviving original lines, accepted)."""
+    checks = []
+    checked = slicer.candidate_accepts
+
+    def recording(cand, baseline, line_map, scope):
+        verdict = checked(cand, baseline, line_map, scope)
+        checks.append((line_map.original_lines(), verdict.accepted))
+        return verdict
+
+    with monkeypatch.context() as m:
+        m.setattr(slicer, "candidate_accepts", recording)
+        survivors = slicer.delete_functions(p, baseline, interp.Scope())
+    return survivors, checks
+
+
+WRONG_ARITY = """\
+fn pad(x)
+return x * 3
+end
+
+fn g(a)
+return a + 1
+end
+
+fn spare(y)
+return y - 2
+end
+
+fn main(a)
+return g(a, a)
+end
+"""
+
+
+def test_function_reached_by_wrong_arity_call_is_kept_by_observation(monkeypatch):
+    """The call ``g(a, a)`` fails before it enters ``fn g(a)``, so no line
+    of ``g`` is covered and ``g`` joins the uncovered group.  Deleting that
+    group changes the error, so it splits in halves and ``g`` alone stays."""
+    p = program(WRONG_ARITY)
+    baseline = value_criterion(p, "main", (1,), 2)
+    assert baseline.signatures["t"].error_kind == "ArityMismatch"
+    assert baseline.covered == {13, 14}
+    survivors, checks = recorded_coarse_checks(p, baseline, monkeypatch)
+    assert checks[0] == ((12, 13, 14, 15), False)  # every uncovered function
+    assert survivors == [4, 5, 6, 7, 12, 13, 14, 15]
+    result = orbs_slice(p, baseline)
+    assert result.slice.lines == ("fn g(a)", "end", "fn main(a)", "return g(a, a)", "end")
+
+
+BUGGY_WITH_HELPER = """\
+fn unused_one(x)
+return x - 1
+end
+
+fn double(x)
+return x * 2
+end
+
+fn unused_two(x)
+return x + 7
+end
+
+fn scaled(a)
+return double(a) + 1
+end
+
+fn unused_three(x)
+return 0
+end
+"""
+
+
+def test_covered_caller_and_helper_stay_and_the_rest_goes_in_one_check(monkeypatch):
+    p = program(BUGGY_WITH_HELPER)
+    baseline = value_criterion(p, "scaled", (3,), 6)  # computes 7
+    survivors, checks = recorded_coarse_checks(p, baseline, monkeypatch)
+    kept = tuple(range(4, 8)) + tuple(range(12, 16))  # double and scaled
+    assert checks[0] == (kept, True)
+    # the covered pair is rejected whole, then each half on its own
+    assert [accepted for _, accepted in checks[1:]] == [False, False, False]
+    assert survivors == list(kept)
+
+
+def test_coarse_step_makes_two_checks_on_the_corpus_and_keeps_the_halving_result(
+    corpus_artifacts, monkeypatch
+):
+    """On every shipped bundle the failing tests enter one function: the
+    first check deletes all the others, the second is rejected, and the
+    survivors are those of deleting every function at once and then
+    halves."""
+    artifacts, _ = corpus_artifacts
+    assert len(artifacts) == 13
+    for name, art in artifacts.items():
+        p = art.bundle.program
+        survivors, checks = recorded_coarse_checks(p, art.baseline, monkeypatch)
+        assert [accepted for _, accepted in checks] == [True, False], name
+        assert survivors == delete_functions_in_halves(p, art.baseline), name
 
 
 # ---------------------------------------------------------------------------
