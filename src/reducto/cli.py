@@ -241,8 +241,7 @@ def cmd_compare(args) -> int:
             raise UsageError(f"{path} has no rows for configuration {config}")
     shared = sorted(set(base_by_bundle) & set(other_by_bundle))
     if not shared:
-        print("error: no shared bundles between the two reports", file=sys.stderr)
-        return 2
+        raise UsageError("no shared bundles between the two reports")
 
     def pct(base_row, other_row, column):
         try:

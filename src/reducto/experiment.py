@@ -229,7 +229,7 @@ class BundleArtifacts:
     the reduction makes, shows whether it does, and a slice that does not
     is a BaselineMismatch.  All three suspicious lists are derived
     regardless of which configurations run, so rank comparisons across
-    provenances come for free from a single build.  The bundle's baseline
+    L, LR and LP come for free from a single build.  The bundle's baseline
     run is the one observation of the unmodified program; every stage runs
     each test at its budget.
     """
@@ -298,17 +298,12 @@ CSV_COLUMNS = tuple(field.name for field in fields(RepairReport))
 
 
 def _translate_list(suspicious: SuspiciousList, mapping: LineMapping) -> SuspiciousList:
-    """Original-coordinate list re-expressed in slice coordinates."""
-    entries = []
-    for entry in suspicious.entries:
-        slice_line = mapping.to_slice(entry.line)
-        if slice_line is None:
-            raise NonViableConfig(
-                f"list {suspicious.provenance} refers to line {entry.line}, "
-                "which is not in the slice"
-            )
-        entries.append(RankedLine(slice_line, entry.score, entry.rank))
-    return SuspiciousList(suspicious.provenance, tuple(entries))
+    """An LP or LR list, in original coordinates, re-expressed in slice
+    coordinates.  Every line maps: LP keeps only the lines that survive the
+    slice, and each LR line is a line of the slice mapped to the original."""
+    return SuspiciousList(tuple(
+        RankedLine(mapping.to_slice(e.line), e.score, e.rank) for e in suspicious.entries
+    ))
 
 
 def run_config(

@@ -18,11 +18,6 @@ from typing import Optional
 from .harness import SuiteResult
 from .slicer import LineMapping
 
-PROV_ORIGINAL = "L"
-PROV_REGENERATED = "LR"
-PROV_PRUNED = "LP"
-
-
 @dataclass(frozen=True)
 class CoverageSpectrum:
     failed_total: int
@@ -49,7 +44,6 @@ class RankedLine:
 
 @dataclass(frozen=True)
 class SuspiciousList:
-    provenance: str  # L | LR | LP
     entries: tuple[RankedLine, ...]
 
     def __len__(self):
@@ -93,7 +87,7 @@ def ochiai(spectrum: CoverageSpectrum) -> dict:
     return scores
 
 
-def rank(scores: dict, provenance: str = PROV_ORIGINAL) -> SuspiciousList:
+def rank(scores: dict) -> SuspiciousList:
     """Descending score, ties broken by ascending line, zero scores dropped,
     ranks dense from 1."""
     ordered = sorted(
@@ -103,13 +97,13 @@ def rank(scores: dict, provenance: str = PROV_ORIGINAL) -> SuspiciousList:
     entries = tuple(
         RankedLine(line, score, i) for i, (line, score) in enumerate(ordered, start=1)
     )
-    return SuspiciousList(provenance, entries)
+    return SuspiciousList(entries)
 
 
 def localize(result: SuiteResult) -> SuspiciousList:
     """The original list L from the suite run on the original program:
     spectrum, Ochiai, rank."""
-    return rank(ochiai(collect_spectrum(result)), PROV_ORIGINAL)
+    return rank(ochiai(collect_spectrum(result)))
 
 
 def prune_list(original: SuspiciousList, mapping: LineMapping) -> SuspiciousList:
@@ -120,7 +114,7 @@ def prune_list(original: SuspiciousList, mapping: LineMapping) -> SuspiciousList
     entries = tuple(
         RankedLine(e.line, e.score, i) for i, e in enumerate(kept, start=1)
     )
-    return SuspiciousList(PROV_PRUNED, entries)
+    return SuspiciousList(entries)
 
 
 def regenerate_list(on_slice: SuiteResult, mapping: LineMapping) -> SuspiciousList:
@@ -128,11 +122,11 @@ def regenerate_list(on_slice: SuiteResult, mapping: LineMapping) -> SuspiciousLi
     translated back to original coordinates.  Every failing test of the
     original fails in that run as it did on the original, as
     ``BundleArtifacts`` checks before it derives the list."""
-    ranked = rank(ochiai(collect_spectrum(on_slice)), PROV_REGENERATED)
+    ranked = rank(ochiai(collect_spectrum(on_slice)))
     entries = tuple(
         RankedLine(mapping.to_original(e.line), e.score, e.rank) for e in ranked.entries
     )
-    return SuspiciousList(PROV_REGENERATED, entries)
+    return SuspiciousList(entries)
 
 
 def suspicious_json(suspicious: SuspiciousList) -> list:

@@ -31,10 +31,7 @@ from . import parser as P
 from .faultloc import SuspiciousList
 from .harness import BUDGET_EXCEEDED, TestCase, TestSuite, run_test
 from .parser import Ast, ParseError
-from .source import SourceProgram, is_blank, is_comment
-
-RELATIONAL = list(P.RELATIONAL_OPS)
-ARITHMETIC = list(P.ARITHMETIC_OPS)
+from .source import SourceProgram
 
 
 @dataclass(frozen=True)
@@ -68,10 +65,6 @@ class PatchCandidate:
     line: int  # coordinates of the program being repaired
     edit: Edit
     program: SourceProgram  # base program with the edit applied
-
-
-class UnmappableEdit(Exception):
-    """The patch location does not survive in the target program."""
 
 
 def apply_edit(program: SourceProgram, line: int, edit: Edit) -> SourceProgram:
@@ -129,8 +122,6 @@ def applicable_templates(program: SourceProgram, ast: Ast, line: int) -> list[In
     but cannot be deleted or wrapped; else/end lines yield nothing).
     """
     raw = program.line(line)
-    if is_blank(raw) or is_comment(raw):
-        return []
     fn, stmt = _find_statement(ast, line)
     if fn is None or stmt is None:
         return []
@@ -145,7 +136,7 @@ def applicable_templates(program: SourceProgram, ast: Ast, line: int) -> list[In
         out.setdefault(edit, template)
 
     # T1 / T2: operator replacement at each position, left to right
-    for template, ops in (("T1", RELATIONAL), ("T2", ARITHMETIC)):
+    for template, ops in (("T1", P.RELATIONAL_OPS), ("T2", P.ARITHMETIC_OPS)):
         sites = sorted(
             (n for n in nodes if type(n) is P.Binary and n.op in ops),
             key=lambda n: n.op_start,
@@ -403,11 +394,9 @@ def map_patch_to_original(
 ) -> tuple[SourceProgram, int]:
     """Re-apply a patch found on a slice at the corresponding original line.
 
-    Returns (patched original, original line).  Raises UnmappableEdit when
-    the patched location does not survive in the original (cannot happen
-    for slices, which only delete lines, but guarded regardless).
+    Returns (patched original, original line).  The line always maps: the
+    patch sits on a line of the slice, and the mapping gives the original
+    line of every line of the slice.
     """
     original_line = mapping.to_original(candidate.line)
-    if original_line is None:
-        raise UnmappableEdit(f"line {candidate.line} has no original counterpart")
     return apply_edit(original, original_line, candidate.edit), original_line

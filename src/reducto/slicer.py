@@ -59,20 +59,16 @@ DELTA = 3  # maximum deletion-window length, in lines
 @dataclass(frozen=True)
 class LineMapping:
     """Strictly monotonic bijection between slice lines and surviving
-    original lines: slice line k is original line ``originals[k - 1]``."""
+    original lines: slice line k is original line ``originals[k - 1]``.
+    Each direction takes only the lines of its side of the bijection."""
 
     originals: tuple[int, ...]
 
-    def to_original(self, slice_line: Optional[int]) -> Optional[int]:
-        if slice_line is None or not 1 <= slice_line <= len(self.originals):
-            return None
+    def to_original(self, slice_line: int) -> int:
         return self.originals[slice_line - 1]
 
-    def to_slice(self, original_line: int) -> Optional[int]:
-        try:
-            return self.originals.index(original_line) + 1
-        except ValueError:
-            return None
+    def to_slice(self, original_line: int) -> int:
+        return self.originals.index(original_line) + 1
 
     def original_lines(self) -> tuple[int, ...]:
         return self.originals
@@ -89,10 +85,6 @@ class Baseline:
     tests: tuple[TestCase, ...]
     signatures: dict  # test id -> FailureSignature
     covered: frozenset  # original lines
-
-    def __post_init__(self):
-        if not self.tests:
-            raise ValueError("criterion needs at least one failing test")
 
 
 @dataclass(frozen=True)

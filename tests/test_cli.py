@@ -98,12 +98,17 @@ def _log(mapping=((1, 44), (2, 45), (3, 72)), undeclared=()) -> str:
     return json.dumps({"deleted": deleted, "mapping": [list(pair) for pair in mapping]})
 
 
+# Each log with the start of the reason its error gives
 MALFORMED_LOGS = {
-    "invalid_json": "{not json",
-    "top_level_list": json.dumps([[1, 44], [2, 45], [3, 72]]),
-    "non_int_entry": _log(mapping=((1, 44), (2, "x"), (3, 72))),
-    "lines_not_covered": _log(undeclared=(1,)),
-    "swapped_slice_lines": _log(mapping=((2, 44), (1, 45), (3, 72))),
+    "invalid_json": ("{not json", "Expecting property name"),
+    "top_level_list": (json.dumps([[1, 44], [2, 45], [3, 72]]), "deletion log must be"),
+    "non_int_entry": (_log(mapping=((1, 44), (2, "x"), (3, 72))),
+                      "original line numbers must be integers"),
+    "lines_not_covered": (_log(undeclared=(1,)), "surviving and deleted lines do not split"),
+    "swapped_slice_lines": (_log(mapping=((2, 44), (1, 45), (3, 72))),
+                            "slice lines must run 1, 2, ... in order"),
+    "unordered_survivors": (_log(mapping=((1, 45), (2, 44), (3, 72))),
+                            "surviving original lines must strictly increase"),
 }
 
 
@@ -111,26 +116,30 @@ MALFORMED_LOGS = {
 def test_malformed_deletion_log_is_exit_two(bundle_path, tmp_path, capsys, shape):
     slice_dir = tmp_path / "sliced"
     slice_dir.mkdir()
-    (slice_dir / "deletion_log.json").write_text(MALFORMED_LOGS[shape])
+    log_path = slice_dir / "deletion_log.json"
+    document, reason = MALFORMED_LOGS[shape]
+    log_path.write_text(document)
     for command in ("reduce-tests", "localize"):
         capsys.readouterr()
         code = main([command, bundle_path, "--slice", str(slice_dir),
                      "--out", str(tmp_path / "out")])
         assert code == 2, command
-        assert capsys.readouterr().err.startswith("error: "), command
+        assert capsys.readouterr().err.startswith(f"error: {log_path}: {reason}"), command
 
 
 def test_a_slice_on_which_the_failing_tests_pass_is_exit_two_for_every_stage(
         bundle_path, tmp_path, capsys):
     """Keeping only rate_of's header and ``end``, both failing tests pass;
-    keeping its header alone, the slice does not parse.  Neither slice
-    reproduces the baseline, so every stage that reads it rejects its
-    deletion log, whichever output it writes, with a message that says what
-    the slice gave."""
+    keeping its header alone, the slice does not parse; keeping dot_of's
+    ``return total`` as its body, it returns 10.  No slice reproduces the
+    baseline, so every stage that reads it rejects its deletion log,
+    whichever output it writes, with a message that says what the slice
+    gave."""
     slice_dir = tmp_path / "sliced"
     slice_dir.mkdir()
     log_path = slice_dir / "deletion_log.json"
-    gives = {((1, 44), (2, 72)): "Pass", ((1, 44),): "Unbuildable"}
+    gives = {((1, 44), (2, 72)): "Pass", ((1, 44),): "Unbuildable",
+             ((1, 44), (2, 65), (3, 72)): 'Fail {"value":{"int":10}}'}
     for mapping, given in gives.items():
         log_path.write_text(_log(mapping=mapping))
         for command in (["reduce-tests"], ["localize", "--list", "L"], ["localize"]):
@@ -178,6 +187,20 @@ def test_malformed_ground_truth_is_exit_two(bundle_path, tmp_path, capsys, shape
     manifest["ground_truth"] = MALFORMED_GROUND_TRUTHS[shape]
     (bundle / "manifest.json").write_text(json.dumps(manifest))
     _rejected_by_every_loading_command(bundle, capsys)
+
+
+def test_a_program_with_crlf_line_ends_slices_as_with_lf(bundle_path, tmp_path, capsys):
+    bundle = _bundle_copy(bundle_path, tmp_path)
+    program = bundle / "program.sl"
+    outputs = []
+    for ends in (b"\n", b"\r\n"):
+        program.write_bytes(program.read_bytes().replace(b"\r\n", b"\n").replace(b"\n", ends))
+        out = tmp_path / f"out{len(outputs)}"
+        capsys.readouterr()
+        assert main(["slice", str(bundle), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("bundle: 63 -> 3 SLoC")
+        outputs.append([(out / name).read_bytes() for name in ("slice.sl", "deletion_log.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_ground_truth_on_the_last_line_is_accepted(bundle_path, tmp_path):
@@ -251,6 +274,7 @@ NAMED_FILE_FAULTS = {
     "args_null": ("tests.json", _set([0, "call", "args"], None)),
     "fn_a_list": ("tests.json", _set([0, "call", "fn"], [])),
     "two_expectations": ("tests.json", _set([0, "expect", "error"], "DivByZero")),
+    "output_not_a_list": ("tests.json", _set([0, "expect"], {"output": 5})),
     "program_not_utf8": ("program.sl", lambda data: data + b"\xff"),
 }
 
@@ -536,6 +560,36 @@ def test_compare_over_two_reports(corpus_dir, tmp_path, capsys, subset_report):
     printed = capsys.readouterr().out
     assert "mean" in printed
     assert "b04_rate_of" in printed
+
+
+def test_compare_prints_a_delta_per_bundle_and_their_mean(tmp_path, capsys):
+    """A delta against a base of 0 prints ``-`` and stays out of the mean."""
+    base, other = tmp_path / "base.csv", tmp_path / "other.csv"
+    base.write_text(emit_report([
+        fake_report(bundle="ba", rt_ms=200.0, nte=40, npc=0, br=3, patch_line=9),
+        fake_report(bundle="bb", rt_ms=100.0, nte=10, npc=4, br=2, patch_line=5),
+    ]), encoding="utf-8")
+    other.write_text(emit_report([
+        fake_report(bundle="ba", config="Ps-Ts-LP", rt_ms=50.0, nte=30, npc=2, br=1,
+                    patch_line=9),
+        fake_report(bundle="bb", config="Ps-Ts-LP", rt_ms=100.0, nte=5, npc=3, br=2,
+                    patch_line=7),
+    ]), encoding="utf-8")
+    assert main(["compare", str(base), str(other)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"{'ba':24s}     75.0     25.0        -     2 yes",
+        f"{'bb':24s}      0.0     50.0     25.0     0 no",
+        f"{'mean':24s}     37.5     37.5     25.0",
+    ]
+
+
+def test_compare_without_a_shared_bundle_is_exit_two(tmp_path, capsys):
+    base, other = tmp_path / "base.csv", tmp_path / "other.csv"
+    base.write_text(REPORT, encoding="utf-8")
+    other.write_text(emit_report([fake_report(bundle="by", config="Ps-Ts-LP")]),
+                     encoding="utf-8")
+    assert main(["compare", str(base), str(other)]) == 2
+    assert capsys.readouterr().err == "error: no shared bundles between the two reports\n"
 
 
 def _drop_column(document: str, column: str) -> str:

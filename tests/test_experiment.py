@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from reducto import experiment
 from reducto.experiment import (
     FACTOR,
     FLOOR,
@@ -23,6 +24,7 @@ from reducto.experiment import (
     load_bundle,
     load_corpus,
     run_config,
+    run_lattice,
     viable_configs,
 )
 from reducto.cli import main
@@ -282,6 +284,15 @@ def test_non_viable_config_rejected_before_any_work(corpus_artifacts):
     art = artifacts["b01_pick_max3"]
     with pytest.raises(NonViableConfig):
         run_config(art, RepairConfig("Ps", "T", "L"))
+
+
+def test_lattice_rejects_a_non_viable_config_before_any_bundle_is_sliced(
+        corpus_bundles, monkeypatch):
+    monkeypatch.setattr(experiment, "BundleArtifacts",
+                        lambda bundle: pytest.fail("artifacts were derived"))
+    with pytest.raises(NonViableConfig):
+        run_lattice(corpus_bundles[:1], [RepairConfig("P", "T", "L"),
+                                         RepairConfig("Ps", "T", "L")])
 
 
 def test_baseline_golden_values_b01(corpus_artifacts):

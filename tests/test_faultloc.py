@@ -3,9 +3,6 @@ import random
 
 from reducto.faultloc import (
     CoverageSpectrum,
-    PROV_ORIGINAL,
-    PROV_PRUNED,
-    PROV_REGENERATED,
     RankedLine,
     SuspiciousList,
     collect_spectrum,
@@ -140,19 +137,18 @@ def test_max3_bug_line_ranks_first(max3_program, max3_suite):
 # ---------------------------------------------------------------------------
 # prune / regenerate
 
-def make_list(lines_scores, provenance=PROV_ORIGINAL):
+def make_list(lines_scores):
     entries = tuple(
         RankedLine(line, score, i)
         for i, (line, score) in enumerate(lines_scores, start=1)
     )
-    return SuspiciousList(provenance, entries)
+    return SuspiciousList(entries)
 
 
 def test_prune_drops_deleted_lines_and_redensifies():
     original = make_list([(4, 0.9), (9, 0.8), (2, 0.7)])
     mapping = LineMapping((1, 2, 3, 4, 5))  # line 9 deleted
     pruned = prune_list(original, mapping)
-    assert pruned.provenance == PROV_PRUNED
     assert [(e.line, e.rank) for e in pruned.entries] == [(4, 1), (2, 2)]
 
 
@@ -200,7 +196,6 @@ def test_regenerate_identity_on_degenerate_slice():
     run = run_suite(p, suite)
     original = localize(run)
     regenerated = regenerate_list(run, identity(len(p)))
-    assert regenerated.provenance == PROV_REGENERATED
     assert [(e.line, e.score, e.rank) for e in regenerated.entries] == [
         (e.line, e.score, e.rank) for e in original.entries
     ]

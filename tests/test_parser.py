@@ -215,9 +215,17 @@ def test_statement_lines_match_noncode_classification(corpus_bundles):
 
 
 def test_round_trip_lines():
+    assert SourceProgram.from_text("").lines == ()
     for text in ("", "fn f()\nend\n", "a\n\nb\n", "# only comment\n"):
         p = SourceProgram.from_text(text)
+        assert p.to_text() == text
         assert SourceProgram.from_text(p.to_text()).lines == p.lines
+
+
+@pytest.mark.parametrize("line", ["a\nb", "a\rb", "a\r"])
+def test_a_line_holding_a_line_break_is_rejected(line):
+    with pytest.raises(ValueError):
+        SourceProgram((line,))
 
 
 def test_count_sloc_basics():

@@ -8,12 +8,11 @@ from reducto import repair as repair_mod
 from reducto.interp import Scope
 from reducto.faultloc import RankedLine, SuspiciousList, localize
 from reducto.harness import TestCase, TestSuite, run_suite
-from reducto.parser import parse
+from reducto.parser import MAX_BLOCK_DEPTH, parse
 from reducto.repair import (
     DeleteLine,
     InsertGuard,
     ReplaceLine,
-    UnmappableEdit,
     apply_edit,
     applicable_templates,
     edit_new_text,
@@ -30,9 +29,8 @@ from conftest import MAX3_BUG_LINE, program
 from oracles import identity
 
 
-def make_list(lines, provenance="L"):
+def make_list(lines):
     return SuspiciousList(
-        provenance,
         tuple(RankedLine(line, 1.0 / rank, rank) for rank, line in enumerate(lines, start=1)),
     )
 
@@ -327,6 +325,22 @@ def test_unbuildable_candidate_verdict(max3_program):
     assert result.tests_executed == 0
 
 
+def test_unbuildable_candidates_count_apart_from_npc_and_nte():
+    """A guard around a line already nested MAX_BLOCK_DEPTH deep nests one
+    block too many, so both T8 guards of its division do not parse.  The
+    test expects a value no candidate returns, so every candidate is tried."""
+    p = program("fn f(a, b)\n" + "if true\n" * MAX_BLOCK_DEPTH + "let r = a / b\n"
+                + "end\n" * MAX_BLOCK_DEPTH + "return 0\nend\n")
+    line = MAX_BLOCK_DEPTH + 2
+    suite = TestSuite((TestCase("t", "f", (1, 0), "value", 42),))
+    guards = [i for i in applicable_templates(p, parse(p), line) if i.template == "T8"]
+    assert len(guards) == 2
+    result = repair(p, suite, make_list([line]), ["t"])
+    assert result.stop_reason == "exhausted"
+    assert result.unbuildable == 2
+    assert result.npc == result.nte == result.candidates_generated - 2
+
+
 def test_budget_exceeded_verdict():
     p = program("fn f(n)\nlet i = 0\nwhile i < n\ni = i + 1\nend\nreturn i\nend\n")
     from reducto.repair import PatchCandidate
@@ -444,7 +458,7 @@ def test_each_repair_call_starts_a_cold_scope(corpus_bundles, monkeypatch):
 
 
 def test_repair_empty_list(max3_program, max3_suite):
-    empty = SuspiciousList("L", ())
+    empty = SuspiciousList(())
     result = repair(max3_program, max3_suite, empty, ["t4"])
     assert not result.patched
     assert result.stop_reason == "exhausted"
@@ -518,16 +532,6 @@ def test_map_patch_identity_slice(max3_program):
     patched, line = map_patch_to_original(candidate, mapping, max3_program)
     assert line == MAX3_BUG_LINE
     assert patched.lines == edited.lines
-
-
-def test_map_patch_unmappable():
-    original = program("fn f()\nreturn 1\nend\n")
-    mapping = LineMapping((1, 2))
-    from reducto.repair import PatchCandidate
-
-    candidate = PatchCandidate("T6", 3, DeleteLine(), original)
-    with pytest.raises(UnmappableEdit):
-        map_patch_to_original(candidate, mapping, original)
 
 
 def test_insert_guard_preserves_indentation_and_parses():
