@@ -35,6 +35,7 @@ from .harness import (
     SuiteResult,
     TestSuite,
     load_suite,
+    observed_text,
     read_json,
     reading,
     run_suite,
@@ -210,11 +211,11 @@ def load_corpus(path, budget: int = interp.DEFAULT_BUDGET) -> list[BugBundle]:
 
 def _outcome_text(sig: FailureSignature) -> str:
     """A signature's outcome for a message: the kind, with the error and its
-    line for an error, and the observed value for a wrong one."""
+    line for an error, and what was returned or printed for a wrong one."""
     if sig.outcome == ERRORED:
         return f"Errored {sig.error_kind} at line {sig.error_line}"
     if sig.outcome == FAIL:
-        return f"Fail {sig.actual}"
+        return f"Fail {observed_text(sig.actual)}"
     return sig.outcome
 
 

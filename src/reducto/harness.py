@@ -23,7 +23,7 @@ from .interp import ERROR_KINDS, execute
 from .parser import ParseError
 from .source import SourceProgram
 from .values import (
-    canonical_json, int_from_digits, value_from_json, value_to_json, values_equal,
+    canonical_json, int_from_digits, slang_text, value_from_json, value_to_json, values_equal,
 )
 
 EXPECT_VALUE = "value"
@@ -123,6 +123,14 @@ def _output_text(values) -> str:
     """``_canon({"output": [value_to_json(v) for v in values]})``, at any
     nesting depth."""
     return '{"output":[' + ",".join(canonical_json(v) for v in values) + "]}"
+
+
+def observed_text(actual: str) -> str:
+    """An outcome's ``actual`` for a message, its values as SLANG writes
+    them: ``returning 10``, ``printing 1, "a"`` or ``printing nothing``."""
+    if actual.startswith('{"value":'):
+        return "returning " + slang_text(actual[len('{"value":'):-1])
+    return "printing " + (slang_text(actual[len('{"output":['):-2]) or "nothing")
 
 
 def run_test(code: interp.Code, test: TestCase) -> Outcome:

@@ -156,11 +156,29 @@ class Scope:
         self.lines: dict = {}
         self.units: dict = {}  # function text -> its unit, None until kept
 
-    def build(self, program: SourceProgram) -> "Code":
+    def build(self, program: SourceProgram, base: Optional[tuple] = None, line: int = 0) -> "Code":
         """``program`` parsed through this scope's line table and compiled
         in this scope; a ParseError when it does not parse.  Both calls go
-        through their modules' names, which the benchmark's tracer wraps."""
-        return compile_ast(P.parse(program, self.lines), self)
+        through their modules' names, which the benchmark's tracer wraps.
+
+        ``base``, when given, is ``(source, ast)``: ``program`` is
+        ``source`` with one edit at its statement line ``line`` (see
+        ``repair.apply_edit``), and ``ast`` is ``source`` parsed.  Such an
+        edit changes no ``fn``, ``else`` or ``end`` line and leaves every
+        block balanced, so ``program`` holds the same functions, and only
+        the lines it can change are parsed: from the header of the function
+        that holds ``line`` to that function's ``end``, or to the end of
+        the program when the edit changes the line count, which moves the
+        functions after it.  Every other function is ``ast``'s.  A line
+        that does not parse raises at the line a whole parse would."""
+        if base is None:
+            return compile_ast(P.parse(program, self.lines), self)
+        source, ast = base
+        fn = next(f for f in ast.functions.values() if f.line <= line <= f.end_line)
+        stop = fn.end_line if len(program) == len(source) else len(program)
+        window = SourceProgram(program.lines[fn.line - 1:stop], program.id)
+        edited = P.parse(window, self.lines, fn.line)
+        return compile_ast(P.Ast({**ast.functions, **edited.functions}), self)
 
 
 class Code:

@@ -556,14 +556,18 @@ def _line_data(kind: str, word: Optional[str], text: str):
     raise _LineError(f"unrecognized statement {text!r}")
 
 
-def parse(program: SourceProgram, lines: Optional[dict] = None) -> Ast:
+def parse(program: SourceProgram, lines: Optional[dict] = None, first: int = 1) -> Ast:
     """Parse a program or raise ParseError at the first offending line.
 
     ``lines`` maps raw line texts to their forms.  ``interp.Scope.build``
     passes its scope's one dict to every parse of the scope (a slicer run,
     one configuration's repair), which parses each distinct line once;
     without one, the parse starts cold.  Only line numbers, block balance,
-    nesting and duplicate functions are worked out per program."""
+    nesting and duplicate functions are worked out per program.
+
+    ``program`` holds the lines numbered from ``first`` on: the whole
+    program by default, or the lines of a program from a function's header
+    on, which ``Scope.build`` parses for a candidate's edit."""
     if lines is None:
         lines = {}
     functions: dict[str, Function] = {}
@@ -571,7 +575,7 @@ def parse(program: SourceProgram, lines: Optional[dict] = None) -> Ast:
     # is the header's form data, ``body`` takes the statements that follow
     # and ``then_body`` is set at ``else``
     stack: list[list] = []
-    for number, raw in enumerate(program.lines, start=1):
+    for number, raw in enumerate(program.lines, start=first):
         form = lines.get(raw)
         if form is None:
             form = lines[raw] = _line_form(raw)
@@ -611,7 +615,8 @@ def parse(program: SourceProgram, lines: Optional[dict] = None) -> Ast:
             if opener == "fn":
                 name, params = head
                 functions[name] = Function(
-                    name, params, tuple(body), line, number, program.lines[line - 1:number]
+                    name, params, tuple(body), line, number,
+                    program.lines[line - first:number - first + 1],
                 )
                 continue
             if opener == "while":
@@ -626,5 +631,7 @@ def parse(program: SourceProgram, lines: Optional[dict] = None) -> Ast:
         stack[-1][3].append(stmt)
     if stack:
         frame = stack[-1]
-        raise ParseError(len(program), f"unclosed {frame[0]!r} block opened at line {frame[1]}")
+        raise ParseError(
+            first + len(program) - 1, f"unclosed {frame[0]!r} block opened at line {frame[1]}"
+        )
     return Ast(functions)

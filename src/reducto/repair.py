@@ -272,20 +272,24 @@ def validation_order(suite: TestSuite, failing_ids) -> list[TestCase]:
 
 def validate_patch(
     candidate: PatchCandidate,
-    suite: TestSuite,
-    failing_ids,
+    tests: list[TestCase],
+    failing: set,
     scope: interp.Scope,
+    base: tuple,
 ) -> ValidationResult:
     """Build the candidate once in the caller's ``scope`` (see
-    ``interp.Scope``), then run failing tests first, early exit at the
-    first non-Pass, every execution counted."""
+    ``interp.Scope``) from ``base``, the program it edits and that
+    program's Ast, parsing only the lines its edit can change (see
+    ``Scope.build``).  Then run ``tests``, which ``validation_order``
+    gives, early exit at the first non-Pass, every execution counted;
+    ``failing`` holds the ids of the tests that fail on the program the
+    candidate edits."""
     try:
-        code = scope.build(candidate.program)
+        code = scope.build(candidate.program, base, candidate.line)
     except ParseError:
         return ValidationResult(UNBUILDABLE_PATCH, 0)
-    failing = set(failing_ids)
     executed = 0
-    for test in validation_order(suite, failing_ids):
+    for test in tests:
         outcome = run_test(code, test)
         executed += 1
         if not outcome.passed:
@@ -340,11 +344,17 @@ def repair(
     validation runs first.  Unbuildable candidates are skipped and tallied
     separately from NPC.  One scope (see ``interp.Scope``), cold on every
     call, parses ``program`` for candidate generation and then builds each
-    candidate, so all of them share its line table.  The clock is read
+    candidate, so all of them share its line table.  A candidate's build
+    takes every function its edit leaves in place from that parse of
+    ``program`` and parses only the rest.  The validation order and the
+    failing ids are worked out once for every candidate.  The clock is read
     only for ``rt_ms``: every other field depends on counts alone."""
     started = time.perf_counter()
     scope = interp.Scope()
     ast = P.parse(program, scope.lines)
+    base = (program, ast)
+    tests = validation_order(suite, failing_ids)
+    failing = set(failing_ids)
     npc = 0
     nte = 0
     unbuildable = 0
@@ -358,7 +368,7 @@ def repair(
             stop = STOP_MAX_CANDIDATES
             break
         generated += 1
-        result = validate_patch(candidate, suite, failing_ids, scope)
+        result = validate_patch(candidate, tests, failing, scope, base)
         if result.verdict == UNBUILDABLE_PATCH:
             unbuildable += 1
             continue

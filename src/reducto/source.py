@@ -26,9 +26,9 @@ class SourceProgram:
 
     def __post_init__(self):
         object.__setattr__(self, "lines", tuple(self.lines))
-        for line in self.lines:
-            if "\n" in line or "\r" in line:
-                raise ValueError("source lines must not contain line breaks")
+        text = "".join(self.lines)
+        if "\n" in text or "\r" in text:
+            raise ValueError("source lines must not contain line breaks")
 
     @classmethod
     def from_text(cls, text: str, id: str = "program") -> "SourceProgram":

@@ -18,6 +18,7 @@ encoding keeps floats as hex bit patterns for the same reason.
 from __future__ import annotations
 
 import json
+import re
 import struct
 import sys
 from typing import Any, Union
@@ -223,6 +224,35 @@ def canonical_json(v: Any) -> str:
 
 def _dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# The parts a canonical value text is made of: an array's opening and
+# closing, the comma between two items, and a tagged scalar with its payload.
+_CANONICAL_PART = re.compile(
+    r'\{"array":\[|\]\}|,|\{"(bool|float|int|str)":("(?:\\.|[^"\\])*"|[^}]*)\}'
+)
+_SLANG_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
+
+
+def slang_text(canonical: str) -> str:
+    """Values in canonical JSON (``canonical_json``), one or several joined
+    by commas, as SLANG writes them: ``10``, ``true``, ``"a\\n"``,
+    ``[1, [2.5]]``; a float as Python's shortest repr (``inf`` and ``nan``
+    have no literal).  Written part by part, without recursion."""
+    out = []
+    for m in _CANONICAL_PART.finditer(canonical):
+        tag, payload = m.group(1), m.group(2)
+        if tag is None:
+            part = m.group()
+            out.append("[" if part == '{"array":[' else "]" if part == "]}" else ", ")
+        elif tag == "float":  # its bits in hex: "0x" and 16 digits
+            out.append(repr(float_from_bits(bytes.fromhex(payload[3:-1]))))
+        elif tag == "str":
+            text = json.loads(payload)
+            out.append('"' + "".join(_SLANG_ESCAPES.get(ch, ch) for ch in text) + '"')
+        else:  # an int or a bool is its JSON text
+            out.append(payload)
+    return "".join(out)
 
 
 def value_from_json(obj: Any) -> FrozenValue:

@@ -139,7 +139,7 @@ def test_a_slice_on_which_the_failing_tests_pass_is_exit_two_for_every_stage(
     slice_dir.mkdir()
     log_path = slice_dir / "deletion_log.json"
     gives = {((1, 44), (2, 72)): "Pass", ((1, 44),): "Unbuildable",
-             ((1, 44), (2, 65), (3, 72)): 'Fail {"value":{"int":10}}'}
+             ((1, 44), (2, 65), (3, 72)): "Fail returning 10"}
     for mapping, given in gives.items():
         log_path.write_text(_log(mapping=mapping))
         for command in (["reduce-tests"], ["localize", "--list", "L"], ["localize"]):

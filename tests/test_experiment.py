@@ -156,9 +156,9 @@ def test_repair_parses_only_its_candidates(corpus_bundles, monkeypatch):
     bundle = next(b for b in corpus_bundles if b.name == "b04_rate_of")
     parsed, parse = [], parser.parse
 
-    def counting_parse(program, lines=None):
+    def counting_parse(program, lines=None, first=1):
         parsed.append(program)
-        return parse(program, lines)
+        return parse(program, lines, first)
 
     monkeypatch.setattr(parser, "parse", counting_parse)
     artifacts = BundleArtifacts(bundle)
@@ -189,10 +189,10 @@ def test_line_tables_are_scoped_to_a_slicer_run_and_a_repair(corpus_bundles, mon
                 within.pop()
         return opened
 
-    def recording_parse(program, lines=None):
+    def recording_parse(program, lines=None, first=1):
         if within:
             scopes[-1][2].append((program, lines, None if lines is None else len(lines)))
-        return parse(program, lines)
+        return parse(program, lines, first)
 
     monkeypatch.setattr(experiment, "orbs_slice", opening("orbs_slice", slicer.orbs_slice))
     monkeypatch.setattr(experiment, "repair", opening("repair", repair.repair))

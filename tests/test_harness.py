@@ -7,6 +7,7 @@ import pytest
 from reducto.harness import (
     TestCase,
     TestSuite,
+    observed_text,
     run_suite,
     run_test,
     signature,
@@ -247,3 +248,38 @@ def test_arrays_nested_5000_deep_through_execute_and_run_test():
     text = '{"array":[' * (depth + 1) + '{"float":"0x3ff8000000000000"}' + "]}" * (depth + 1)
     assert shallower.actual == '{"value":' + text + "}"
     assert shallower.expected == '{"value":' + text[len('{"array":['):-len("]}")] + "}"
+    assert observed_text(shallower.actual) == (
+        "returning " + "[" * (depth + 1) + "1.5" + "]" * (depth + 1)
+    )
+
+
+WRONG = """\
+fn value(x)
+return x
+end
+fn shown(x, y)
+print x
+print y
+return 0
+end
+"""
+
+
+@pytest.mark.parametrize("args, returned", [
+    ((10,), "10"), ((-3,), "-3"), ((True,), "true"), ((2.5,), "2.5"),
+    ((-0.0,), "-0.0"), ((float("inf"),), "inf"), ((1e301,), "1e+301"),
+    (('say "a,b"\\\n\t\u00e9',), '"say \\"a,b\\"\\\\\\n\\t\u00e9"'),
+    (((1, (2.5, "x,y"), ()),), '[1, [2.5, "x,y"], []]'),
+])
+def test_a_wrong_value_is_written_as_slang_writes_it(args, returned):
+    outcome = run_test(compiled(WRONG), TestCase("t", "value", args, "value", "never"))
+    assert outcome.kind == "Fail"
+    assert observed_text(outcome.actual) == "returning " + returned
+
+
+def test_wrong_output_is_written_as_slang_writes_it():
+    code = compiled(WRONG)
+    printed = run_test(code, TestCase("t", "shown", (1, "a"), "output", ()))
+    assert observed_text(printed.actual) == 'printing 1, "a"'
+    silent = run_test(compiled(ADD), TestCase("t", "add", (1, 2), "output", (3,)))
+    assert observed_text(silent.actual) == "printing nothing"

@@ -2,8 +2,10 @@
 reduced, localized and repaired in every configuration, once on the
 two-tier interpreter and once on the tree-walking reference kept in
 ``reference_interp.py``, which takes the place of ``interp.Scope.build``
-and ``harness.execute``.  The reference pipeline builds every program from
-a fresh parse, where the slicer and repair share a line table per scope.
+and ``harness.execute``.  The reference pipeline builds every program,
+each candidate too, from a fresh parse of all its lines, where the slicer
+and repair share a line table per scope and repair parses only the lines a
+candidate's edit can change.
 
 Both must give the same reports, rt_ms aside, the same budget to every
 test, and run the same executions for the same steps.  The caches that
@@ -29,7 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 LONG_TESTS_SUBSET = ("b02_last_of", "b07_bonus_amount", "b08_any_pos", "b09_rect_area")
 
 
-def _reference_build(scope, program):
+def _reference_build(scope, program, base=None, line=0):
+    """Every program, a candidate too, from a fresh parse of all its lines."""
     return ref.compile_ast(parser.parse(program))
 
 

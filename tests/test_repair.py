@@ -8,7 +8,7 @@ from reducto import repair as repair_mod
 from reducto.interp import Scope
 from reducto.faultloc import RankedLine, SuspiciousList, localize
 from reducto.harness import TestCase, TestSuite, run_suite
-from reducto.parser import MAX_BLOCK_DEPTH, parse
+from reducto.parser import MAX_BLOCK_DEPTH, ParseError, parse
 from reducto.repair import (
     DeleteLine,
     InsertGuard,
@@ -27,6 +27,15 @@ from reducto.source import SourceProgram
 
 from conftest import MAX3_BUG_LINE, program
 from oracles import identity
+
+
+def validate(candidate, source, suite, failing_ids):
+    """``validate_patch`` of a candidate that edits ``source``, as
+    ``repair`` makes it, in a scope of its own."""
+    return validate_patch(
+        candidate, validation_order(suite, failing_ids), set(failing_ids), Scope(),
+        (source, parse(source)),
+    )
 
 
 def make_list(lines):
@@ -287,7 +296,7 @@ def test_early_exit_on_first_failing_test(max3_program, max3_suite):
     # deleting the buggy copy still fails t4, after exactly one execution
     suspicious = localize(run_suite(max3_program, max3_suite))
     candidate = next(iter(generate_candidates(max3_program, parse(max3_program), suspicious)))
-    result = validate_patch(candidate, max3_suite, ["t4"], Scope())
+    result = validate(candidate, max3_program, max3_suite, ["t4"])
     assert result.verdict == "FailsFailingTest"
     assert result.tests_executed == 1
     assert result.first_failure == "t4"
@@ -298,7 +307,7 @@ def test_plausible_patch_runs_whole_suite(max3_program, max3_suite):
     from reducto.repair import PatchCandidate
 
     candidate = PatchCandidate("T9", MAX3_BUG_LINE, ReplaceLine("m = c"), fixed)
-    result = validate_patch(candidate, max3_suite, ["t4"], Scope())
+    result = validate(candidate, max3_program, max3_suite, ["t4"])
     assert result.verdict == "Plausible"
     assert result.tests_executed == len(max3_suite)
 
@@ -309,7 +318,7 @@ def test_overfitting_candidate_fails_regression(max3_program, max3_suite):
 
     patched = apply_edit(max3_program, 2, ReplaceLine("let m = c"))
     candidate = PatchCandidate("T9", 2, ReplaceLine("let m = c"), patched)
-    result = validate_patch(candidate, max3_suite, ["t4"], Scope())
+    result = validate(candidate, max3_program, max3_suite, ["t4"])
     assert result.verdict == "FailsRegression"
     assert result.first_failure == "t1"
     assert result.tests_executed == 2  # t4 first (passes), then t1
@@ -320,7 +329,7 @@ def test_unbuildable_candidate_verdict(max3_program):
 
     broken = apply_edit(max3_program, MAX3_BUG_LINE, ReplaceLine("m = ("))
     candidate = PatchCandidate("T9", MAX3_BUG_LINE, ReplaceLine("m = ("), broken)
-    result = validate_patch(candidate, TestSuite(()), [], Scope())
+    result = validate(candidate, max3_program, TestSuite(()), [])
     assert result.verdict == "Unbuildable"
     assert result.tests_executed == 0
 
@@ -348,7 +357,7 @@ def test_budget_exceeded_verdict():
     looped = apply_edit(p, 4, ReplaceLine("i = i + 0"))
     candidate = PatchCandidate("T4", 4, ReplaceLine("i = i + 0"), looped)
     suite = TestSuite((TestCase("t", "f", (3,), "value", 3, budget=500),))
-    result = validate_patch(candidate, suite, ["t"], Scope())
+    result = validate(candidate, p, suite, ["t"])
     assert result.verdict == "BudgetExceeded"
 
 
@@ -364,7 +373,7 @@ def test_early_exit_soundness_sampled(max3_program, max3_suite):
         generate_candidates(max3_program, parse(max3_program), suspicious), 25
     )
     for candidate in candidates:
-        verdict = validate_patch(candidate, max3_suite, ["t4"], Scope()).verdict
+        verdict = validate(candidate, max3_program, max3_suite, ["t4"]).verdict
         if verdict == "Unbuildable":
             continue
         full = run_suite(candidate.program, max3_suite)
@@ -475,7 +484,7 @@ def test_nte_additivity_and_determinism(max3_program, max3_suite):
     # recompute NTE by replaying validation over the same prefix
     total = 0
     for candidate in generate_candidates(max3_program, parse(max3_program), suspicious):
-        result = validate_patch(candidate, max3_suite, ["t4"], Scope())
+        result = validate(candidate, max3_program, max3_suite, ["t4"])
         total += result.tests_executed
         if result.verdict == "Plausible":
             break
@@ -556,3 +565,122 @@ def test_insert_guard_maps_to_adjacent_lines():
     patched, line = map_patch_to_original(candidate, mapping, original)
     assert line == 3
     assert patched.lines[2:5] == ("if b != 0", "return a / b", "end")
+
+
+# ---------------------------------------------------------------------------
+# Candidates built from the repaired program's parse
+
+def _edit_built(scope, candidate, source, ast):
+    """(the functions of the candidate built as ``repair`` builds it, or
+    None, and the ParseError's line and reason, or None)."""
+    try:
+        return scope.build(candidate.program, (source, ast), candidate.line).functions, None
+    except ParseError as exc:
+        return None, (exc.line, exc.reason)
+
+
+def _whole(candidate):
+    """The same from a fresh parse of every line of the candidate."""
+    try:
+        return parse(candidate.program).functions, None
+    except ParseError as exc:
+        return None, (exc.line, exc.reason)
+
+
+def test_every_corpus_candidate_builds_as_a_whole_parse_does(corpus_artifacts):
+    """For P with L and for Ps with LR in slice lines, each of the 686
+    candidates of the shipped bundles: the build from the repaired program's parse has
+    the functions a whole parse of the candidate has, in the same order,
+    each with the same name, parameters, lines, texts and body; and it
+    raises a ParseError exactly when the whole parse does, at the same line
+    for the same reason."""
+    from reducto.experiment import _translate_list
+
+    artifacts, _ = corpus_artifacts
+    built = unbuildable = 0
+    for art in artifacts.values():
+        sliced = art.slice_result
+        for source, suspicious in (
+            (art.bundle.program, art.list_original),
+            (sliced.slice, _translate_list(art.list_regenerated, sliced.mapping)),
+        ):
+            scope = Scope()
+            ast = parse(source, scope.lines)
+            for candidate in generate_candidates(source, ast, suspicious):
+                functions, error = _edit_built(scope, candidate, source, ast)
+                whole, whole_error = _whole(candidate)
+                assert error == whole_error, (art.bundle.name, candidate)
+                if error is None:
+                    assert list(functions.items()) == list(whole.items()), (
+                        art.bundle.name, candidate)
+                    built += 1
+                else:
+                    unbuildable += 1
+    # every one of them parses; the test below makes some that do not
+    assert (built, unbuildable) == (686, 0)
+
+
+def test_a_candidate_that_does_not_parse_raises_where_a_whole_parse_does():
+    """A guard around a line already nested MAX_BLOCK_DEPTH deep, and an
+    edited line that does not parse, in a function between two others."""
+    body = "if true\n" * MAX_BLOCK_DEPTH + "let r = a / b\n" + "end\n" * MAX_BLOCK_DEPTH
+    p = program("fn g()\nreturn 1\nend\nfn f(a, b)\n" + body + "return 0\nend\n"
+                "fn h(x)\nreturn x\nend\n")
+    line = MAX_BLOCK_DEPTH + 5
+    ast = parse(p)
+    for edit in (InsertGuard("if b != 0", "end"), ReplaceLine("let r = a / (b")):
+        candidate = repair_mod.PatchCandidate("T", line, edit, apply_edit(p, line, edit))
+        error = _edit_built(Scope(), candidate, p, ast)[1]
+        assert error is not None and error == _whole(candidate)[1], edit
+
+
+# b04_rate_of: sum_to (lines 3-11) is its first function, rate_of (44-46)
+# its middle one and echo_pair (68-72) its last.  Each case edits one of
+# them, then every call below runs on the candidate built from b04's parse
+# and on the candidate parsed whole.
+B04_EDITS = {
+    "first, replaced": (7, ReplaceLine("total = total - i")),
+    "first, deleted": (7, DeleteLine()),
+    "first, guarded": (7, InsertGuard("if i != 0", "end")),
+    "middle, replaced": (45, ReplaceLine("return total * count")),
+    "middle, deleted": (45, DeleteLine()),
+    "middle, guarded": (45, InsertGuard("if count != 0", "end")),
+    "last, replaced": (71, ReplaceLine("return a - b")),
+    "last, deleted": (69, DeleteLine()),
+    "last, guarded": (70, InsertGuard("if b != 0", "end")),
+}
+B04_CALLS = (
+    ("sum_to", (4,)), ("gcd_of", (12, 18)), ("count_pos", ((1, -2, 3),)),
+    ("sum_arr", ((1, 2, 3),)), ("rate_of", (7, 0)), ("rate_of", (9, 3)),
+    ("pow_int", (2, 5)), ("dot_of", ((1, 2), (3,))), ("echo_pair", (2, 0)),
+    ("echo_pair", (2, 1)),
+)
+
+
+@pytest.mark.parametrize("case", list(B04_EDITS))
+def test_each_edit_kind_runs_as_a_whole_parse_of_b04(corpus_bundles, case):
+    from reducto.interp import execute
+
+    source = next(b for b in corpus_bundles if b.name == "b04_rate_of").program
+    line, edit = B04_EDITS[case]
+    candidate = repair_mod.PatchCandidate("T", line, edit, apply_edit(source, line, edit))
+    built = Scope().build(candidate.program, (source, parse(source)), line)
+    whole = Scope().build(candidate.program)
+    for function, args in B04_CALLS:
+        assert execute(built, function, list(args)) == execute(whole, function, list(args)), (
+            function, args)
+
+
+def test_a_runtime_error_after_a_guard_is_at_its_shifted_line(corpus_bundles):
+    """A guard in sum_to moves rate_of's division from line 45 to 47, and
+    dot_of's out-of-range index from line 62 to 64."""
+    from reducto.interp import execute
+
+    source = next(b for b in corpus_bundles if b.name == "b04_rate_of").program
+    line, edit = B04_EDITS["first, guarded"]
+    guarded = apply_edit(source, line, edit)
+    code = Scope().build(guarded, (source, parse(source)), line)
+    divided = execute(code, "rate_of", [7, 0])
+    indexed = execute(code, "dot_of", [[1, 2], [3]])
+    assert (divided.error_kind, divided.error_line) == ("DivByZero", 47)
+    assert (indexed.error_kind, indexed.error_line) == ("IndexOutOfBounds", 64)
